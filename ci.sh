@@ -49,6 +49,23 @@ echo "── http front-door smoke ───────────────
 # gate p99 against the pre-tracing baseline.
 cargo run --release -p mcmm-bench --bin serve-http -- --smoke
 
+echo "── perfbench smoke ────────────────────────────────"
+# perfbench/ is a Cargo workspace of its own, so the workspace build and
+# tests above never compile it: a gpu-sim or serve API change could break
+# the repository benchmark unnoticed. Test it, then run each gated
+# workload briefly and require its closing JSON line to report a correct
+# run with no failed operations.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+for workload in sweep-stream serve-irregular; do
+  result=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+  if ! grep -q '"correct": true' <<<"$result" || ! grep -q '"failed": 0[,}]' <<<"$result"; then
+    echo "FAIL: perfbench $workload did not finish correct with 0 failed: $result"
+    exit 1
+  fi
+  echo "perfbench $workload: correct, 0 failed — OK"
+done
+
 echo "── adapter boilerplate guard ──────────────────────"
 # The blanket FrontendAdapter replaced nine hand-written BabelStream
 # adapters (1321 lines pre-refactor). Fail if per-model adapter

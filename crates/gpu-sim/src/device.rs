@@ -1064,6 +1064,32 @@ mod tests {
     }
 
     #[test]
+    fn transfers_pin_modeled_time_and_volume() {
+        // Modeled transfer cost depends on the length alone — the A100's
+        // 10 µs latency plus the bytes over 32 GB/s — never on how the
+        // host moves them. An unaligned odd length takes every copy path.
+        const LEN: u64 = 4099;
+        let dev = Device::new(DeviceSpec::nvidia_a100());
+        let ptr = dev.alloc(LEN + 3).unwrap().offset(3);
+        let want = 10.0 * 1e-6 + LEN as f64 / (32.0 * 1e9);
+        let data: Vec<u8> = (0..LEN).map(|i| i as u8).collect();
+
+        assert_eq!(dev.memcpy_h2d(ptr, &data).unwrap().seconds(), want);
+        assert_eq!(dev.modeled_clock().seconds(), want);
+        let h2d_only = TransferStats { h2d_bytes: LEN, h2d_count: 1, ..TransferStats::default() };
+        assert_eq!(dev.transfer_stats(), h2d_only);
+
+        let (back, t) = dev.memcpy_d2h(ptr, LEN).unwrap();
+        assert_eq!(back, data);
+        assert_eq!(t.seconds(), want);
+        assert_eq!(dev.modeled_clock().seconds(), want + want);
+        assert_eq!(
+            dev.transfer_stats(),
+            TransferStats { d2h_bytes: LEN, d2h_count: 1, ..h2d_only }
+        );
+    }
+
+    #[test]
     fn module_cache_returns_same_kernel() {
         let kernel = saxpy_kernel();
         let dev = Device::new(DeviceSpec::nvidia_a100());

@@ -7,6 +7,14 @@
 //! `fetch_update`; kernel-visible atomics ([`GlobalMemory::atomic_rmw`])
 //! use CAS loops on the containing word.
 //!
+//! Bulk transfers ([`GlobalMemory::write_bytes`] / [`GlobalMemory::read_bytes`])
+//! move whole words: one relaxed store or load per word the range covers
+//! entirely, and a masked `fetch_update` splice (or a byte extraction) only
+//! for the at most two edge words it covers in part. That is
+//! race-equivalent to a byte-at-a-time copy: a whole-word store writes only
+//! bytes the copy overwrites anyway, and the splice keeps a concurrent
+//! kernel store or atomic to an edge word's other bytes intact.
+//!
 //! Allocation is a simple first-fit free-list with 256-byte-aligned blocks
 //! (real GPU allocators also hand out aligned slabs).
 
@@ -143,19 +151,26 @@ impl GlobalMemory {
     pub(crate) fn write_raw(&self, addr: u64, len: u64, value: u64) -> Result<()> {
         self.check(addr, len)?;
         self.check_aligned(addr, len)?;
-        let w = &self.words[(addr / 8) as usize];
         if len == 8 {
-            w.store(value, Ordering::Relaxed);
+            self.words[(addr / 8) as usize].store(value, Ordering::Relaxed);
         } else {
-            let shift = (addr % 8) * 8;
-            let mask = ((1u64 << (len * 8)) - 1) << shift;
-            // Splice the sub-word bytes in atomically.
-            w.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
+            self.splice(addr, len, value);
+        }
+        Ok(())
+    }
+
+    /// Store the low `len` bytes of `value` at `addr` (1 ≤ `len` ≤ 8, all
+    /// within one word) and leave the word's other bytes as they are: one
+    /// masked `fetch_update`, so a concurrent store or atomic to those
+    /// bytes survives. The caller has bounds-checked the range.
+    fn splice(&self, addr: u64, len: u64, value: u64) {
+        let shift = (addr % 8) * 8;
+        let mask = (u64::MAX >> (64 - len * 8)) << shift;
+        self.words[(addr / 8) as usize]
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
                 Some((old & !mask) | ((value << shift) & mask))
             })
             .expect("fetch_update closure always returns Some");
-        }
-        Ok(())
     }
 
     /// Typed load.
@@ -197,32 +212,57 @@ impl GlobalMemory {
         Ok(decode(ty, old_raw))
     }
 
-    /// Host → device copy.
+    /// Host → device copy. Each word the range covers entirely takes one
+    /// relaxed store; the at most two edge words it covers in part are
+    /// spliced (see the module docs on why this is race-equivalent). An
+    /// out-of-bounds copy writes nothing.
     pub fn write_bytes(&self, ptr: DevicePtr, data: &[u8]) -> Result<()> {
         self.check(ptr.0, data.len() as u64)?;
-        for (i, &b) in data.iter().enumerate() {
-            let addr = ptr.0 + i as u64;
-            let w = &self.words[(addr / 8) as usize];
-            let shift = (addr % 8) * 8;
-            let mask = 0xFFu64 << shift;
-            w.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
-                Some((old & !mask) | ((u64::from(b)) << shift))
-            })
-            .expect("fetch_update closure always returns Some");
+        let (head, body) = data.split_at(head_len(ptr.0, data.len()));
+        self.write_edge(ptr.0, head);
+        let chunks = body.chunks_exact(8);
+        let tail = chunks.remainder();
+        let first = ((ptr.0 + head.len() as u64) / 8) as usize;
+        for (w, chunk) in self.words[first..].iter().zip(chunks) {
+            let chunk = chunk.try_into().expect("chunks_exact yields 8-byte chunks");
+            w.store(u64::from_le_bytes(chunk), Ordering::Relaxed);
         }
+        self.write_edge(ptr.0 + (data.len() - tail.len()) as u64, tail);
         Ok(())
     }
 
-    /// Device → host copy.
+    /// Device → host copy: one relaxed load per word the range touches.
     pub fn read_bytes(&self, ptr: DevicePtr, len: u64) -> Result<Vec<u8>> {
         self.check(ptr.0, len)?;
-        let mut out = Vec::with_capacity(len as usize);
-        for i in 0..len {
-            let addr = ptr.0 + i;
-            let word = self.words[(addr / 8) as usize].load(Ordering::Relaxed);
-            out.push((word >> ((addr % 8) * 8)) as u8);
+        let mut out = vec![0u8; len as usize];
+        let (head, body) = out.split_at_mut(head_len(ptr.0, len as usize));
+        self.read_edge(ptr.0, head);
+        let first = ((ptr.0 + head.len() as u64) / 8) as usize;
+        let mut chunks = body.chunks_exact_mut(8);
+        for (w, chunk) in self.words[first..].iter().zip(&mut chunks) {
+            chunk.copy_from_slice(&w.load(Ordering::Relaxed).to_le_bytes());
         }
+        let tail = chunks.into_remainder();
+        self.read_edge(ptr.0 + len - tail.len() as u64, tail);
         Ok(out)
+    }
+
+    /// Splice `bytes`, which lie within one word, in at `addr`.
+    fn write_edge(&self, addr: u64, bytes: &[u8]) {
+        if !bytes.is_empty() {
+            let mut le = [0u8; 8];
+            le[..bytes.len()].copy_from_slice(bytes);
+            self.splice(addr, bytes.len() as u64, u64::from_le_bytes(le));
+        }
+    }
+
+    /// Fill `out` from `addr`, whose range lies within one word.
+    fn read_edge(&self, addr: u64, out: &mut [u8]) {
+        if !out.is_empty() {
+            let word = self.words[(addr / 8) as usize].load(Ordering::Relaxed).to_le_bytes();
+            let lo = (addr % 8) as usize;
+            out.copy_from_slice(&word[lo..lo + out.len()]);
+        }
     }
 
     /// Device → device copy.
@@ -230,6 +270,12 @@ impl GlobalMemory {
         let data = self.read_bytes(src, len)?;
         self.write_bytes(dst, &data)
     }
+}
+
+/// Length of a `len`-byte copy's head: the bytes at `addr` before the
+/// first word boundary, or all of them if the copy ends first.
+fn head_len(addr: u64, len: usize) -> usize {
+    (((8 - addr % 8) % 8) as usize).min(len)
 }
 
 fn encode(v: Value) -> u64 {
@@ -267,6 +313,8 @@ fn arith(a: Value, b: Value, f: impl Fn(f64, f64) -> f64, i: impl Fn(i64, i64) -
 mod tests {
     use super::*;
     use crate::ir::AtomicOp;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     #[test]
     fn alloc_free_roundtrip() {
@@ -331,6 +379,8 @@ mod tests {
         assert!(matches!(m.store(64, Value::I32(0)), Err(SimError::OutOfBounds { .. })));
         // Address arithmetic overflow must not wrap.
         assert!(matches!(m.load(Type::F64, u64::MAX - 3), Err(SimError::OutOfBounds { .. })));
+        // A bulk read is bounds-checked before its buffer is allocated.
+        assert!(matches!(m.read_bytes(DevicePtr(8), u64::MAX), Err(SimError::OutOfBounds { .. })));
     }
 
     #[test]
@@ -368,6 +418,176 @@ mod tests {
         assert_eq!(m.read_bytes(DevicePtr(3), 100).unwrap(), data);
         m.copy_within(DevicePtr(3), DevicePtr(128), 100).unwrap();
         assert_eq!(m.read_bytes(DevicePtr(128), 100).unwrap(), data);
+    }
+
+    /// The byte-at-a-time host → device copy the word path replaced: one
+    /// spliced `fetch_update` per byte. Kept only as the reference the
+    /// property tests below diff against.
+    fn write_bytes_ref(m: &GlobalMemory, ptr: DevicePtr, data: &[u8]) -> Result<()> {
+        m.check(ptr.0, data.len() as u64)?;
+        for (i, &b) in data.iter().enumerate() {
+            let addr = ptr.0 + i as u64;
+            let w = &m.words[(addr / 8) as usize];
+            let shift = (addr % 8) * 8;
+            let mask = 0xFFu64 << shift;
+            w.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
+                Some((old & !mask) | ((u64::from(b)) << shift))
+            })
+            .expect("fetch_update closure always returns Some");
+        }
+        Ok(())
+    }
+
+    /// The byte-at-a-time device → host reference: one load per byte.
+    fn read_bytes_ref(m: &GlobalMemory, ptr: DevicePtr, len: u64) -> Result<Vec<u8>> {
+        m.check(ptr.0, len)?;
+        let mut out = Vec::with_capacity(len as usize);
+        for i in 0..len {
+            let addr = ptr.0 + i;
+            let word = m.words[(addr / 8) as usize].load(Ordering::Relaxed);
+            out.push((word >> ((addr % 8) * 8)) as u8);
+        }
+        Ok(out)
+    }
+
+    /// A memory holding exactly `fill` (a whole number of words), set
+    /// straight on the slab so it does not depend on the copy paths.
+    fn filled(fill: &[u8]) -> GlobalMemory {
+        let m = GlobalMemory::new(fill.len() as u64);
+        for (w, chunk) in m.words.iter().zip(fill.chunks_exact(8)) {
+            w.store(u64::from_le_bytes(chunk.try_into().unwrap()), Ordering::Relaxed);
+        }
+        m
+    }
+
+    /// Every byte of `m`, read straight off the slab.
+    fn snapshot(m: &GlobalMemory) -> Vec<u8> {
+        m.words.iter().flat_map(|w| w.load(Ordering::Relaxed).to_le_bytes()).collect()
+    }
+
+    /// An in-bounds `(addr, len)` in a `size`-byte memory, of the shape
+    /// `kind` picks: anywhere (so mostly an unaligned head and tail), zero
+    /// length, within one word, or ending on the memory's last byte.
+    fn in_bounds(size: u64, (kind, a, b): (u8, u64, u64)) -> (u64, u64) {
+        match kind {
+            0 => {
+                let addr = a % (size + 1);
+                (addr, b % (size - addr + 1))
+            }
+            1 => (a % (size + 1), 0),
+            2 => {
+                let addr = a % size;
+                (addr, 1 + b % (8 - addr % 8))
+            }
+            _ => {
+                let len = b % (size + 1);
+                (size - len, len)
+            }
+        }
+    }
+
+    /// A `(addr, len)` with `addr + len` past the end of a `size`-byte
+    /// memory: straddling the end, starting past it, or overflowing `u64`.
+    fn out_of_bounds(size: u64, (kind, a, b): (u8, u64, u64)) -> (u64, u64) {
+        let len = 1 + b % 64;
+        match kind {
+            0 => (size - a % len.min(size + 1), len),
+            1 => (size + 1 + a % 64, b % 64),
+            _ => (u64::MAX - a % len, len),
+        }
+    }
+
+    /// Whether `r` is the `OutOfBounds` error for exactly `addr` and `len`.
+    fn is_oob<T>(r: Result<T>, addr: u64, len: u64) -> bool {
+        matches!(r, Err(SimError::OutOfBounds { addr: a, len: l }) if a == addr && l == len)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn word_copies_match_the_byte_reference(
+            words in 1usize..40,
+            fill in collection::vec(any::<u8>(), 320..321),
+            payload in collection::vec(any::<u8>(), 320..321),
+            write in (0u8..4, any::<u64>(), any::<u64>()),
+            read in (0u8..4, any::<u64>(), any::<u64>()),
+        ) {
+            let fill = &fill[..words * 8];
+            let size = fill.len() as u64;
+            let (addr, len) = in_bounds(size, write);
+            let data = &payload[..len as usize];
+            let (word, byte) = (filled(fill), filled(fill));
+            word.write_bytes(DevicePtr(addr), data).unwrap();
+            write_bytes_ref(&byte, DevicePtr(addr), data).unwrap();
+            prop_assert_eq!(snapshot(&word), snapshot(&byte));
+            prop_assert_eq!(word.read_bytes(DevicePtr(addr), len).unwrap(), data);
+            let (addr, len) = in_bounds(size, read);
+            prop_assert_eq!(
+                word.read_bytes(DevicePtr(addr), len).unwrap(),
+                read_bytes_ref(&word, DevicePtr(addr), len).unwrap()
+            );
+        }
+
+        #[test]
+        fn out_of_bounds_copies_write_nothing(
+            words in 1usize..40,
+            fill in collection::vec(any::<u8>(), 320..321),
+            range in (0u8..3, any::<u64>(), any::<u64>()),
+        ) {
+            let fill = &fill[..words * 8];
+            let (addr, len) = out_of_bounds(fill.len() as u64, range);
+            let m = filled(fill);
+            let data = vec![0xA5; len as usize];
+            prop_assert!(is_oob(m.write_bytes(DevicePtr(addr), &data), addr, len));
+            prop_assert!(is_oob(write_bytes_ref(&m, DevicePtr(addr), &data), addr, len));
+            prop_assert_eq!(snapshot(&m), fill);
+            prop_assert!(is_oob(m.read_bytes(DevicePtr(addr), len), addr, len));
+            prop_assert!(is_oob(read_bytes_ref(&m, DevicePtr(addr), len), addr, len));
+        }
+    }
+
+    #[test]
+    fn unaligned_copies_keep_concurrent_edge_atomics_exact() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Barrier;
+        const ROUNDS: i32 = 50_000;
+        const ADDERS: i32 = 2;
+        // The copy covers bytes 4..20: its head word (bytes 0..8) holds the
+        // counter at 0..4 and its tail word (16..24) the counter at 20..24.
+        // The copy repeats for as long as the adders run.
+        let m = GlobalMemory::new(64);
+        let data: Vec<u8> = (1..=16).collect();
+        let start = Barrier::new(ADDERS as usize + 1);
+        let adders_done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let writer = s.spawn(|| {
+                start.wait();
+                while !adders_done.load(Ordering::SeqCst) {
+                    m.write_bytes(DevicePtr(4), &data).unwrap();
+                }
+            });
+            let adders: Vec<_> = (0..ADDERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        for _ in 0..ROUNDS {
+                            for addr in [0, 20] {
+                                m.atomic_rmw(addr, AtomicOp::Add, Value::I32(1)).unwrap();
+                            }
+                        }
+                    })
+                })
+                .collect();
+            for adder in adders {
+                adder.join().unwrap();
+            }
+            adders_done.store(true, Ordering::SeqCst);
+            writer.join().unwrap();
+        });
+        assert_eq!(m.load(Type::I32, 0).unwrap(), Value::I32(ROUNDS * ADDERS));
+        assert_eq!(m.load(Type::I32, 20).unwrap(), Value::I32(ROUNDS * ADDERS));
+        assert_eq!(m.read_bytes(DevicePtr(4), 16).unwrap(), data);
     }
 
     #[test]

@@ -333,15 +333,19 @@ impl Service {
             });
         }
         // Admitted: if this spec bounced off admission earlier, the
-        // tenant came back — settle one outstanding rejection.
+        // tenant came back — settle one outstanding rejection. The key
+        // hashes every input byte, so skip it while nothing is pending.
         {
             let mut pending = self.rejected_pending.lock();
-            if let Some(count) = pending.get_mut(&spec_key(&spec)) {
-                *count -= 1;
-                if *count == 0 {
-                    pending.remove(&spec_key(&spec));
+            if !pending.is_empty() {
+                let key = spec_key(&spec);
+                if let Some(count) = pending.get_mut(&key) {
+                    *count -= 1;
+                    if *count == 0 {
+                        pending.remove(&key);
+                    }
+                    self.resubmitted.fetch_add(1, Ordering::SeqCst);
                 }
-                self.resubmitted.fetch_add(1, Ordering::SeqCst);
             }
         }
         // Any refusal below must give the slot back.
