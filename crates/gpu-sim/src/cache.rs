@@ -46,8 +46,8 @@ pub struct CacheOutcome {
 /// Line validity is "tick ≥ floor": `ticks` holds the LRU clock at last
 /// touch, and [`reset`](Self::reset) simply raises `floor` past every
 /// existing tick — O(1) invalidation of the whole array with no writes,
-/// and stale lines (tick < floor) sort exactly like never-used ways in
-/// victim selection.
+/// and stale lines (tick < floor) are chosen exactly like never-used
+/// ways in victim selection.
 #[derive(Debug, Clone)]
 pub struct SectoredCache {
     line_bytes: u64,
@@ -88,10 +88,8 @@ impl SectoredCache {
     pub fn new(bytes: u64, line_bytes: u64, ways: u32, sector_bytes: u64) -> Self {
         assert!(line_bytes.is_power_of_two() && sector_bytes.is_power_of_two());
         assert!(sector_bytes <= line_bytes && line_bytes / sector_bytes <= 64);
+        let sets = set_count(bytes, line_bytes, ways);
         let ways = ways.max(1) as usize;
-        let sets = (bytes / (line_bytes * ways as u64)).max(1);
-        // Power-of-two sets keep the index a mask; round down.
-        let sets = 1u64 << (63 - sets.leading_zeros() as u64);
         let lines = (sets as usize) * ways;
         assert!(lines <= u32::MAX as usize, "cache line count must fit the dirty-line index");
         Self {
@@ -144,14 +142,26 @@ impl SectoredCache {
             .map(|o| range.start + o)
     }
 
-    /// Evict the LRU way of the set and return its dirty sectors.
-    /// Stale lines count as empty (tick 0), keeping victim choice
-    /// identical to a freshly-built cache.
+    /// Evict the LRU way of the set and return its dirty sectors. One
+    /// pass over the set's ticks: the first invalid way wins at once
+    /// (stale lines count as empty, keeping victim choice identical to a
+    /// freshly-built cache), else the live way with the oldest tick
+    /// (live ticks are unique, so there are no ties). The shared L2 runs
+    /// this on every line miss, serially at launch exit.
     fn evict_lru(&mut self, range: std::ops::Range<usize>) -> (usize, Vec<u64>) {
-        let victim = range
-            .clone()
-            .min_by_key(|&i| if self.live(i) { (true, self.ticks[i]) } else { (false, 0) })
-            .expect("cache sets are never empty");
+        let floor = self.floor;
+        let mut victim = range.start;
+        let mut oldest = u64::MAX;
+        for (i, &t) in range.clone().zip(&self.ticks[range]) {
+            if t < floor {
+                victim = i;
+                break;
+            }
+            if t < oldest {
+                victim = i;
+                oldest = t;
+            }
+        }
         let mut writebacks = Vec::new();
         if self.live(victim) && self.dirty[victim] != 0 {
             for s in 0..self.sectors_per_line {
@@ -272,15 +282,10 @@ impl SectoredCache {
         ways: u32,
         sector_bytes: u64,
     ) -> bool {
-        let fresh_sets = {
-            let ways = ways.max(1) as u64;
-            let sets = (bytes / (line_bytes * ways)).max(1);
-            1u64 << (63 - sets.leading_zeros() as u64)
-        };
         self.line_bytes == line_bytes
             && self.sector_bytes == sector_bytes
             && self.ways == ways.max(1) as usize
-            && self.sets == fresh_sets
+            && self.sets == set_count(bytes, line_bytes, ways)
     }
 
     /// Flush every dirty sector, returning their sorted addresses. Used
@@ -311,9 +316,21 @@ impl SectoredCache {
     }
 }
 
+/// Sets in a cache of `bytes` capacity: whole sets of `ways` lines,
+/// at least one, rounded down to a power of two so the set index is a
+/// mask. [`SectoredCache::new`] and [`SectoredCache::geometry_matches`]
+/// must agree on it, or recycled caches get rebuilt every block (or
+/// reused with the wrong shape).
+fn set_count(bytes: u64, line_bytes: u64, ways: u32) -> u64 {
+    let sets = (bytes / (line_bytes * u64::from(ways.max(1)))).max(1);
+    1u64 << (63 - sets.leading_zeros())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection;
+    use proptest::prelude::*;
 
     #[test]
     fn read_miss_then_hit() {
@@ -404,5 +421,173 @@ mod tests {
             (hits, c.flush_dirty())
         };
         assert_eq!(drive(), drive());
+    }
+
+    /// One resident line of the reference model.
+    #[derive(Clone)]
+    struct RefLine {
+        tag: u64,
+        valid: u64,
+        dirty: u64,
+    }
+
+    /// The policy of [`SectoredCache`] written the obvious way: each set
+    /// is a list of its resident lines, least recently used first, and a
+    /// reset empties every list. No ticks, no floor, no way indices.
+    struct RefCache {
+        line_bytes: u64,
+        sector_bytes: u64,
+        ways: usize,
+        sets: Vec<Vec<RefLine>>,
+    }
+
+    impl RefCache {
+        fn new(bytes: u64, line_bytes: u64, ways: u32, sector_bytes: u64) -> Self {
+            let ways = ways as usize;
+            let mut sets = 1;
+            while 2 * sets * line_bytes * ways as u64 <= bytes {
+                sets *= 2;
+            }
+            Self { line_bytes, sector_bytes, ways, sets: vec![Vec::new(); sets as usize] }
+        }
+
+        /// The line tag of `addr` and the bit of its sector.
+        fn locate(&self, addr: u64) -> (u64, u64) {
+            let offset = addr % self.line_bytes;
+            (addr - offset, 1 << (offset / self.sector_bytes))
+        }
+
+        fn set(&mut self, tag: u64) -> &mut Vec<RefLine> {
+            let n = self.sets.len() as u64;
+            &mut self.sets[(tag / self.line_bytes % n) as usize]
+        }
+
+        /// The resident line with `tag`, moved to most recently used.
+        fn touch(&mut self, tag: u64) -> Option<&mut RefLine> {
+            let set = self.set(tag);
+            let i = set.iter().position(|l| l.tag == tag)?;
+            let line = set.remove(i);
+            set.push(line);
+            set.last_mut()
+        }
+
+        fn dirty_sectors(&self, line: &RefLine) -> Vec<u64> {
+            (0..64)
+                .filter(|s| line.dirty >> s & 1 != 0)
+                .map(|s| line.tag + s * self.sector_bytes)
+                .collect()
+        }
+
+        /// Install `line` as most recently used, evicting the least
+        /// recently used line of a full set; returns its dirty sectors.
+        fn install(&mut self, line: RefLine) -> Vec<u64> {
+            let ways = self.ways;
+            let set = self.set(line.tag);
+            let victim = (set.len() == ways).then(|| set.remove(0));
+            set.push(line);
+            victim.map_or_else(Vec::new, |v| self.dirty_sectors(&v))
+        }
+
+        fn read(&mut self, addr: u64) -> CacheOutcome {
+            let (tag, bit) = self.locate(addr);
+            if let Some(line) = self.touch(tag) {
+                let hit = line.valid & bit != 0;
+                line.valid |= bit;
+                return CacheOutcome { hit, filled: !hit, ..Default::default() };
+            }
+            let writebacks = self.install(RefLine { tag, valid: bit, dirty: 0 });
+            CacheOutcome { filled: true, writebacks, ..Default::default() }
+        }
+
+        fn write(&mut self, addr: u64, full: bool, alloc: bool) -> CacheOutcome {
+            let (tag, bit) = self.locate(addr);
+            if let Some(line) = self.touch(tag) {
+                let hit = line.valid & bit != 0;
+                if !hit && !full && !alloc {
+                    return CacheOutcome::default();
+                }
+                line.valid |= bit;
+                line.dirty |= bit;
+                return CacheOutcome { hit, filled: !hit && !full, ..Default::default() };
+            }
+            if !alloc {
+                return CacheOutcome::default();
+            }
+            let writebacks = self.install(RefLine { tag, valid: bit, dirty: bit });
+            CacheOutcome { filled: !full, writebacks, ..Default::default() }
+        }
+
+        fn update_if_present(&mut self, addr: u64) -> bool {
+            let (tag, bit) = self.locate(addr);
+            self.touch(tag).is_some_and(|line| line.valid & bit != 0)
+        }
+
+        fn reset(&mut self) {
+            self.sets.iter_mut().for_each(Vec::clear);
+        }
+
+        fn flush_dirty(&mut self) -> Vec<u64> {
+            let mut out: Vec<u64> =
+                self.sets.iter().flatten().flat_map(|l| self.dirty_sectors(l)).collect();
+            self.sets.iter_mut().flatten().for_each(|l| l.dirty = 0);
+            out.sort_unstable();
+            out
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random geometries (1–4 KiB, 2–16 ways, 32/64 B sectors, lines
+        /// of 1–4 sectors) driven by random operation sequences over a
+        /// footprint of two to four times the capacity, so sets overflow
+        /// with live lines and victim choice decides later outcomes.
+        #[test]
+        fn matches_the_reference_model(
+            kib in 1u64..5,
+            ways in 2u32..17,
+            sector_shift in 5u32..7,
+            sectors_per_line in 0u32..3,
+            spread in 2u64..5,
+            ops in collection::vec((0u8..100, any::<u64>(), 0u8..4), 200..600),
+        ) {
+            let sector_bytes = 1u64 << sector_shift;
+            let line_bytes = sector_bytes << sectors_per_line;
+            let bytes = kib << 10;
+            let mut real = SectoredCache::new(bytes, line_bytes, ways, sector_bytes);
+            let mut model = RefCache::new(bytes, line_bytes, ways, sector_bytes);
+            let footprint = bytes * spread / sector_bytes;
+            for (step, &(op, pick, flags)) in ops.iter().enumerate() {
+                let addr = pick % footprint * sector_bytes;
+                let (full, alloc) = (flags & 1 != 0, flags & 2 != 0);
+                match op {
+                    0..=44 => prop_assert_eq!(
+                        real.read(addr),
+                        model.read(addr),
+                        "step {step} read {addr:#x}"
+                    ),
+                    45..=84 => prop_assert_eq!(
+                        real.write(addr, full, alloc),
+                        model.write(addr, full, alloc),
+                        "step {step} write {addr:#x} full {full} alloc {alloc}"
+                    ),
+                    85..=94 => prop_assert_eq!(
+                        real.update_if_present(addr),
+                        model.update_if_present(addr),
+                        "step {step} update {addr:#x}"
+                    ),
+                    95..=97 => prop_assert_eq!(
+                        real.flush_dirty(),
+                        model.flush_dirty(),
+                        "step {step} flush"
+                    ),
+                    _ => {
+                        real.reset();
+                        model.reset();
+                    }
+                }
+            }
+            prop_assert_eq!(real.flush_dirty(), model.flush_dirty(), "final flush");
+        }
     }
 }

@@ -710,6 +710,118 @@ mod tests {
         }
     }
 
+    /// `preset` with its L1 shrunk to 1 KiB and its L2 to 16 KiB, every
+    /// other field as shipped, so modest traces overflow both levels.
+    fn shrunk(preset: fn() -> MemHierSpec) -> MemHierSpec {
+        MemHierSpec { l1_bytes: 1 << 10, l2_bytes: 16 << 10, ..preset() }
+    }
+
+    /// Eight blocks of seeded traffic touching 61.5 KiB of a 128 KiB
+    /// range, about four times the shrunken L2: scattered f64 gathers,
+    /// unit- and 2×-strided f64 stores (full and partial sector cover),
+    /// and scattered 4-byte atomics. Each access stays inside a 1 KiB
+    /// window that random-walks in 512-byte steps (with an occasional far
+    /// jump), so consecutive accesses half-overlap and LRU order decides
+    /// hits in the 1 KiB L1; windows recur across blocks, so it decides
+    /// hits in the L2 too.
+    fn eviction_blocks() -> Vec<BlockTrace> {
+        let mut state = 0x5EED_u64;
+        let mut next = |bound: u64| {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        let mut blocks = Vec::new();
+        let mut window = 0u64;
+        for b in 0..8u32 {
+            let mut t = BlockTrace::new(b);
+            for _ in 0..32 {
+                window = match next(8) {
+                    0 => next(256) * 512,
+                    1..=3 => window.saturating_sub(512),
+                    _ => (window + 512).min(127 << 10),
+                };
+                match next(4) {
+                    0 | 1 => {
+                        let lanes = (0..64).map(|l| (l, window + next(128) * 8));
+                        push(&mut t, AccessKind::Load, 8, lanes);
+                    }
+                    2 => {
+                        let stride = 8 << next(2);
+                        let lanes = (0..64).map(|l| (l, window + u64::from(l) * stride));
+                        push(&mut t, AccessKind::Store, 8, lanes);
+                    }
+                    _ => {
+                        let lanes = (0..64).map(|l| (l, window + next(256) * 4));
+                        push(&mut t, AccessKind::Atomic, 4, lanes);
+                    }
+                }
+            }
+            blocks.push(t);
+        }
+        blocks
+    }
+
+    #[test]
+    fn eviction_heavy_replay_pins_absolute_stats() {
+        // Exact counts under true LRU in both levels: evicting any other
+        // way, in either level, moves them.
+        let expected = [
+            MemStats {
+                requests: 16384,
+                transactions: 9363,
+                mshr_merges: 7021,
+                l1_hits: 2299,
+                l1_misses: 3575,
+                l2_accesses: 8136,
+                l2_hits: 5645,
+                l2_misses: 2491,
+                dram_sectors: 4365,
+                dram_bytes: 139680,
+                bytes_requested: 109312,
+                bytes_covered: 101948,
+            },
+            MemStats {
+                requests: 16384,
+                transactions: 3789,
+                mshr_merges: 12595,
+                l1_hits: 334,
+                l1_misses: 2109,
+                l2_accesses: 3455,
+                l2_hits: 2176,
+                l2_misses: 1279,
+                dram_sectors: 2214,
+                dram_bytes: 141696,
+                bytes_requested: 109312,
+                bytes_covered: 95368,
+            },
+            MemStats {
+                requests: 16384,
+                transactions: 8647,
+                mshr_merges: 7737,
+                l1_hits: 3252,
+                l1_misses: 1874,
+                l2_accesses: 5939,
+                l2_hits: 4660,
+                l2_misses: 1279,
+                dram_sectors: 2262,
+                dram_bytes: 144768,
+                bytes_requested: 109312,
+                bytes_covered: 105544,
+            },
+        ];
+        let blocks = eviction_blocks();
+        for ((preset, w), want) in PRESETS.into_iter().zip(expected) {
+            let spec = shrunk(preset);
+            let sector = spec.sector_bytes;
+            assert_eq!(replay(&spec, w, &blocks), want, "serial, sector_bytes {sector}");
+            assert_eq!(replay_streaming(&spec, w, &blocks), want, "split, sector_bytes {sector}");
+        }
+    }
+
     #[test]
     fn l2_req_packing_round_trips() {
         for sector in [0u64, 32, 64, 0xFFFF_FFE0, 1 << 40] {
