@@ -20,8 +20,18 @@
 //! unstably by (warp, sector) and merged in place of the old
 //! `BTreeMap`), so a hot replay loop performs no per-access heap
 //! allocation once the buffers reach their high-water mark.
+//!
+//! An access recorded in affine form ([`Lanes::Affine`]: unit stride or
+//! one address for the whole block) skips the per-lane entries. Its
+//! lanes are `0..count` and each warp's addresses form one contiguous
+//! byte run (or one address), so the coalescer walks that run sector by
+//! sector and emits each warp's requests directly — O(sectors) instead
+//! of O(lanes log lanes) — in the same (warp, sector) order, with the
+//! same covers and lane counts the per-lane path would produce. The
+//! per-lane path stays the reference the tests diff the affine one
+//! against.
 
-use crate::trace::AccessView;
+use crate::trace::{AccessView, Affine, Lanes};
 
 /// One coalesced memory transaction: a sector-aligned request produced
 /// by merging all lane accesses of one warp that fall in that sector.
@@ -73,7 +83,9 @@ pub struct CoalesceScratch {
 /// order and keeps the replay deterministic regardless of lane order in
 /// the trace. Accesses are naturally aligned and at most 8 bytes wide,
 /// and sectors are ≥ 32 bytes, so a single lane access never spans two
-/// sectors.
+/// sectors. An affine access is expanded without per-lane entries (see
+/// the module docs) into exactly the requests its lane records would
+/// give.
 pub fn coalesce_into(
     access: &AccessView<'_>,
     warp_width: u32,
@@ -83,14 +95,18 @@ pub fn coalesce_into(
 ) {
     debug_assert!(sector_bytes.is_power_of_two() && (32..=64).contains(&sector_bytes));
     let warp_width = warp_width.max(1);
+    out.clear();
+    let (lanes, addrs) = match access.lanes {
+        Lanes::Affine(a) => return coalesce_affine(a, access.width, warp_width, sector_bytes, out),
+        Lanes::PerLane { lanes, addrs } => (lanes, addrs),
+    };
     // Every real warp width is a power of two; this loop runs per traced
     // lane, so the division must compile to a shift there.
     let warp_shift =
         if warp_width.is_power_of_two() { Some(warp_width.trailing_zeros()) } else { None };
     let entries = &mut scratch.entries;
     entries.clear();
-    out.clear();
-    for (&lane, &addr) in access.lanes.iter().zip(access.addrs) {
+    for (&lane, &addr) in lanes.iter().zip(addrs) {
         let warp = match warp_shift {
             Some(s) => lane >> s,
             None => lane / warp_width,
@@ -98,9 +114,7 @@ pub fn coalesce_into(
         let sector = addr & !(sector_bytes - 1);
         let offset = addr - sector;
         debug_assert!(offset + u64::from(access.width) <= sector_bytes);
-        let bits =
-            if access.width >= 64 { u64::MAX } else { ((1u64 << access.width) - 1) << offset };
-        entries.push((warp, sector, bits));
+        entries.push((warp, sector, byte_mask(u64::from(access.width)) << offset));
     }
     entries.sort_unstable_by_key(|&(warp, sector, _)| (warp, sector));
     let mut prev: Option<(u32, u64)> = None;
@@ -117,6 +131,48 @@ pub fn coalesce_into(
     }
 }
 
+/// The requests of an affine access, warp by warp: lanes `lo..hi` of a
+/// warp touch one address (stride 0) or the contiguous bytes
+/// `base + lo × width .. base + hi × width` (unit stride), so each
+/// sector the run crosses is one request covering the run's bytes in
+/// it, merged from `bytes / width` lanes.
+fn coalesce_affine(
+    a: Affine,
+    width: u32,
+    warp_width: u32,
+    sector_bytes: u64,
+    out: &mut Vec<SectorReq>,
+) {
+    let width = u64::from(width);
+    for lo in (0..a.count).step_by(warp_width as usize) {
+        let hi = a.count.min(lo.saturating_add(warp_width));
+        if a.stride == 0 {
+            let sector = a.base & !(sector_bytes - 1);
+            let cover = byte_mask(width) << (a.base - sector);
+            out.push(SectorReq { addr: sector, cover, lanes: hi - lo });
+            continue;
+        }
+        let (mut start, end) = (a.base + u64::from(lo) * width, a.base + u64::from(hi) * width);
+        while start < end {
+            let sector = start & !(sector_bytes - 1);
+            let stop = end.min(sector + sector_bytes);
+            let bytes = stop - start;
+            let cover = byte_mask(bytes) << (start - sector);
+            out.push(SectorReq { addr: sector, cover, lanes: (bytes / width) as u32 });
+            start = stop;
+        }
+    }
+}
+
+/// The low `bytes` bits set (`bytes` ≤ 64).
+fn byte_mask(bytes: u64) -> u64 {
+    if bytes >= 64 {
+        u64::MAX
+    } else {
+        (1u64 << bytes) - 1
+    }
+}
+
 /// Coalesce one traced access, allocating fresh buffers — the
 /// convenience form the serial reference replay and the unit tests use.
 pub fn coalesce(access: &AccessView<'_>, warp_width: u32, sector_bytes: u64) -> Vec<SectorReq> {
@@ -130,6 +186,7 @@ pub fn coalesce(access: &AccessView<'_>, warp_width: u32, sector_bytes: u64) -> 
 mod tests {
     use super::*;
     use crate::trace::{AccessKind, BlockTrace};
+    use proptest::prelude::*;
 
     /// Assemble a one-access trace arena and return it (views borrow
     /// from it at the use site).
@@ -213,6 +270,74 @@ mod tests {
             let view = a.accesses().next().expect("one access");
             coalesce_into(&view, 32, 32, &mut scratch, &mut out);
             assert_eq!(out, coalesce(&view, 32, 32), "stride {stride}");
+        }
+    }
+
+    /// The affine access and its lane-by-lane expansion, each coalesced:
+    /// (affine requests, per-lane requests).
+    fn both_forms(
+        a: Affine,
+        width: u32,
+        warp_width: u32,
+        sector_bytes: u64,
+    ) -> (Vec<SectorReq>, Vec<SectorReq>) {
+        let mut affine = BlockTrace::new(0);
+        affine.push_affine(AccessKind::Load, width, a);
+        let lanes = access(width, (0..a.count).map(|l| (l, a.base + u64::from(l) * a.stride)));
+        (run(&affine, warp_width, sector_bytes), run(&lanes, warp_width, sector_bytes))
+    }
+
+    #[test]
+    fn affine_unit_stride_matches_lane_records() {
+        // 256 f64 lanes from a sector-aligned base: eight full 32B
+        // sectors per 32-wide warp, exactly like the per-lane form.
+        let a = Affine { base: 4096, stride: 8, count: 256 };
+        let (affine, lanes) = both_forms(a, 8, 32, 32);
+        assert_eq!(affine, lanes);
+        assert_eq!(affine.len(), 64);
+        assert!(affine.iter().all(|r| r.full(32) && r.lanes == 4));
+    }
+
+    #[test]
+    fn affine_single_address_is_one_request_per_warp() {
+        // Dot's `sum` cell: every lane on one f64. A 100-lane block is
+        // four 32-wide warps, the last one with 4 lanes.
+        let a = Affine { base: 72, stride: 0, count: 100 };
+        let (affine, lanes) = both_forms(a, 8, 32, 64);
+        assert_eq!(affine, lanes);
+        let counts: Vec<u32> = affine.iter().map(|r| r.lanes).collect();
+        assert_eq!(counts, vec![32, 32, 32, 4]);
+        assert!(affine.iter().all(|r| r.addr == 64 && r.cover == 0xff << 8));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The affine expansion is exactly the per-lane sort-and-merge:
+        /// same requests in the same (warp, sector) order, with the same
+        /// covers and lane counts, for width-aligned bases at every
+        /// offset in a sector but its start, unit and zero strides,
+        /// block sizes that leave a partial last warp, power-of-two and
+        /// other warp widths, and both sector sizes.
+        #[test]
+        fn affine_expansion_matches_per_lane_coalescing(
+            width in 0..3usize,
+            unit_stride in any::<bool>(),
+            count in 1..1025u32,
+            warp in 0..4usize,
+            sector64 in any::<bool>(),
+            page in 0..64u64,
+            slot in any::<u64>(),
+        ) {
+            let width = [1u32, 4, 8][width];
+            let warp_width = [16u32, 32, 64, 24][warp];
+            let sector_bytes = if sector64 { 64 } else { 32 };
+            let slots = sector_bytes / u64::from(width);
+            let base = page * sector_bytes + (1 + slot % (slots - 1)) * u64::from(width);
+            let stride = if unit_stride { u64::from(width) } else { 0 };
+            let a = Affine { base, stride, count };
+            let (affine, lanes) = both_forms(a, width, warp_width, sector_bytes);
+            prop_assert_eq!(affine, lanes, "{:?} width {} warp {}", a, width, warp_width);
         }
     }
 

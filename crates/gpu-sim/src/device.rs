@@ -7,8 +7,8 @@
 //! ("Ponte Vecchio", Aurora). Attribute values are public-spec numbers and
 //! serve as *calibration*, not measurement — see EXPERIMENTS.md.
 //!
-//! A [`Device`] owns global memory, a block-execution pool sized to the
-//! host, a module cache, and a modeled clock accumulating
+//! A [`Device`] owns global memory, a block-execution worker count sized
+//! to the host, a module cache, and a modeled clock accumulating
 //! [`crate::timing::ModeledTime`].
 
 use crate::counters::{Counters, LaunchStats, StatsCell};
@@ -19,8 +19,7 @@ use crate::isa::{disassemble, IsaKind, Module};
 use crate::lower::{ProgramCache, ProgramCacheStats};
 use crate::mem::{DevicePtr, GlobalMemory};
 use crate::memhier::{MemHierSpec, MemStats};
-use crate::pool::ScratchPool;
-use crate::pool::ThreadPool;
+use crate::pool::{run_indexed, ScratchPool};
 use crate::sched::SchedulePolicy;
 use crate::ssa::OptLevel;
 use crate::timing::{kernel_time, kernel_time_traced, transfer_time, ModeledTime};
@@ -464,7 +463,8 @@ impl TransferStats {
 pub struct Device {
     spec: DeviceSpec,
     memory: GlobalMemory,
-    pool: ThreadPool,
+    /// Host threads a launch runs blocks on besides the caller's.
+    workers: usize,
     kernel_cache: Mutex<HashMap<u64, Arc<KernelIr>>>,
     clock: Mutex<f64>,
     /// Cumulative per-device counters, merged once per completed launch
@@ -499,13 +499,14 @@ pub struct Device {
 }
 
 impl Device {
-    /// Bring up a device of the given model. The execution pool is sized to
-    /// the host's parallelism (the *modeled* CU count only affects timing).
+    /// Bring up a device of the given model. Launches run blocks on one
+    /// worker thread per host core (at most 8) plus the calling thread
+    /// (the *modeled* CU count only affects timing).
     pub fn new(spec: DeviceSpec) -> Arc<Self> {
         let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         Arc::new(Self {
             memory: GlobalMemory::new(spec.mem_bytes),
-            pool: ThreadPool::new(workers.min(8)),
+            workers: workers.min(8),
             kernel_cache: Mutex::new(HashMap::new()),
             clock: Mutex::new(0.0),
             cumulative: StatsCell::new(),
@@ -879,7 +880,7 @@ impl Device {
             error.lock().get_or_insert(e);
             failed.store(true, Ordering::Relaxed);
         };
-        self.pool.run_indexed(cfg.grid_dim as usize, cfg.policy.claim(), |block| {
+        run_indexed(self.workers, cfg.grid_dim as usize, cfg.policy.claim(), |block| {
             if failed.load(Ordering::Relaxed) {
                 return; // a sibling block already failed — stop early
             }

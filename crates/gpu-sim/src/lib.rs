@@ -17,7 +17,7 @@
 //!   store, with an allocator and host↔device transfers;
 //! * [`exec`] — a SIMT interpreter executing one block as a wide lane
 //!   vector with divergence masks;
-//! * [`pool`] + [`sched`] — a work-stealing thread pool and block
+//! * [`pool`] + [`sched`] — per-launch scoped worker threads and block
 //!   schedulers distributing blocks over simulated compute units;
 //! * [`stream`] + [`event`] — asynchronous in-order queues and events;
 //! * [`counters`] + [`timing`] — performance counters and the analytic

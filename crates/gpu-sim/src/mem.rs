@@ -18,7 +18,7 @@
 //! Allocation is a simple first-fit free-list with 256-byte-aligned blocks
 //! (real GPU allocators also hand out aligned slabs).
 
-use crate::ir::{Type, Value};
+use crate::ir::{AtomicOp, Type, Value};
 use crate::{Result, SimError};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -186,30 +186,53 @@ impl GlobalMemory {
     }
 
     /// Kernel-visible atomic read-modify-write. Returns the old value.
-    pub fn atomic_rmw(&self, addr: u64, op: crate::ir::AtomicOp, operand: Value) -> Result<Value> {
-        use crate::ir::AtomicOp;
-        let ty = operand.ty();
-        let len = ty.size();
+    pub fn atomic_rmw(&self, addr: u64, op: AtomicOp, operand: Value) -> Result<Value> {
+        let len = operand.ty().size();
         self.check(addr, len)?;
         self.check_aligned(addr, len)?;
-        let w = &self.words[(addr / 8) as usize];
-        let shift = (addr % 8) * 8;
-        let mask = if len == 8 { u64::MAX } else { ((1u64 << (len * 8)) - 1) << shift };
-        let mut old_raw = 0u64;
-        w.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |word| {
-            old_raw = (word & mask) >> shift;
-            let old = decode(ty, old_raw);
-            let new = match op {
-                AtomicOp::Add => arith(old, operand, |a, b| a + b, |a, b| a.wrapping_add(b)),
-                AtomicOp::Min => arith(old, operand, f64::min, i64::min),
-                AtomicOp::Max => arith(old, operand, f64::max, i64::max),
-                AtomicOp::Exch => operand,
-            };
-            let new_raw = encode(new);
-            Some((word & !mask) | ((new_raw << shift) & mask))
-        })
-        .expect("fetch_update closure always returns Some");
-        Ok(decode(ty, old_raw))
+        let mut old = operand;
+        self.words[(addr / 8) as usize]
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |word| {
+                let (new, prev) = rmw_lane(word, addr, op, operand);
+                old = prev;
+                Some(new)
+            })
+            .expect("fetch_update closure always returns Some");
+        Ok(old)
+    }
+
+    /// Kernel-visible atomic read-modify-writes of a run of lanes whose
+    /// `(address, operand)` pairs all lie in one 8-byte word, applied in
+    /// order as one `fetch_update` on that word: the same result as one
+    /// [`atomic_rmw`](Self::atomic_rmw) per lane with no other access
+    /// between them. Lane `k`'s old value lands in `olds[k]`. Bounds and
+    /// alignment are checked per lane first; if lane `k` fails, the
+    /// lanes before it commit and lane `k`'s error is returned.
+    pub(crate) fn atomic_rmw_run(
+        &self,
+        op: AtomicOp,
+        run: &[(u64, Value)],
+        olds: &mut [Value],
+    ) -> Result<()> {
+        let first_bad = run.iter().enumerate().find_map(|(k, &(addr, v))| {
+            let len = v.ty().size();
+            self.check(addr, len).and_then(|()| self.check_aligned(addr, len)).err().map(|e| (k, e))
+        });
+        let (run, result) = match first_bad {
+            Some((k, e)) => (&run[..k], Err(e)),
+            None => (run, Ok(())),
+        };
+        let Some(&(first, _)) = run.first() else { return result };
+        debug_assert!(run.iter().all(|&(addr, _)| addr / 8 == first / 8), "run spans words");
+        self.words[(first / 8) as usize]
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |mut word| {
+                for (&(addr, operand), old) in run.iter().zip(olds.iter_mut()) {
+                    (word, *old) = rmw_lane(word, addr, op, operand);
+                }
+                Some(word)
+            })
+            .expect("fetch_update closure always returns Some");
+        result
     }
 
     /// Host → device copy. Each word the range covers entirely takes one
@@ -272,6 +295,23 @@ impl GlobalMemory {
     }
 }
 
+/// One lane's atomic `op` with `operand` at `addr` applied to `word`, the
+/// 8-byte word holding it: the updated word and the lane's old value.
+fn rmw_lane(word: u64, addr: u64, op: AtomicOp, operand: Value) -> (u64, Value) {
+    let ty = operand.ty();
+    let len = ty.size();
+    let shift = (addr % 8) * 8;
+    let mask = if len == 8 { u64::MAX } else { ((1u64 << (len * 8)) - 1) << shift };
+    let old = decode(ty, (word & mask) >> shift);
+    let new = match op {
+        AtomicOp::Add => arith(old, operand, |a, b| a + b, |a, b| a.wrapping_add(b)),
+        AtomicOp::Min => arith(old, operand, f64::min, i64::min),
+        AtomicOp::Max => arith(old, operand, f64::max, i64::max),
+        AtomicOp::Exch => operand,
+    };
+    ((word & !mask) | ((encode(new) << shift) & mask), old)
+}
+
 /// Length of a `len`-byte copy's head: the bytes at `addr` before the
 /// first word boundary, or all of them if the copy ends first.
 fn head_len(addr: u64, len: usize) -> usize {
@@ -312,7 +352,6 @@ fn arith(a: Value, b: Value, f: impl Fn(f64, f64) -> f64, i: impl Fn(i64, i64) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::AtomicOp;
     use proptest::collection;
     use proptest::prelude::*;
 
@@ -408,6 +447,54 @@ mod tests {
         let old = m.atomic_rmw(0, AtomicOp::Exch, Value::I32(42)).unwrap();
         assert_eq!(old, Value::I32(9));
         assert_eq!(m.load(Type::I32, 0).unwrap(), Value::I32(42));
+    }
+
+    #[test]
+    fn atomic_run_equals_one_rmw_per_lane() {
+        // Both i32 halves of one word, then an f64 cell: each run must
+        // leave the memory and hand back the old values that per-lane
+        // atomics in the same order do.
+        let i32_run: Vec<(u64, Value)> = [(8, 3), (12, -4), (8, 5), (8, i32::MAX), (12, 7)]
+            .map(|(a, v)| (a, Value::I32(v)))
+            .into();
+        let f64_run: Vec<(u64, Value)> =
+            [0.1, 2.5e16, -0.3, 1.0].map(|v| (16, Value::F64(v))).into();
+        for op in [AtomicOp::Add, AtomicOp::Min, AtomicOp::Max, AtomicOp::Exch] {
+            for run in [&i32_run, &f64_run] {
+                let (runs, lanes) = (GlobalMemory::new(64), GlobalMemory::new(64));
+                for m in [&runs, &lanes] {
+                    m.write_bytes(DevicePtr(0), &[0x5a; 24]).unwrap();
+                }
+                let mut olds = vec![Value::I32(0); run.len()];
+                runs.atomic_rmw_run(op, run, &mut olds).unwrap();
+                let want: Vec<Value> =
+                    run.iter().map(|&(a, v)| lanes.atomic_rmw(a, op, v).unwrap()).collect();
+                assert_eq!(olds, want, "{op:?}");
+                assert_eq!(runs.read_bytes(DevicePtr(0), 64), lanes.read_bytes(DevicePtr(0), 64));
+            }
+        }
+    }
+
+    #[test]
+    fn atomic_run_commits_the_lanes_before_a_failing_one() {
+        // The last word of memory: a misaligned lane, then one that runs
+        // past the end. Each error is the one the lane's own atomic
+        // gives, after the lanes before it have committed.
+        let m = GlobalMemory::new(64);
+        let mut olds = [Value::I32(0); 3];
+        let run = [(56, Value::I32(1)), (60, Value::I32(2)), (58, Value::I32(4))];
+        let err = m.atomic_rmw_run(AtomicOp::Add, &run, &mut olds).unwrap_err();
+        assert_eq!(err, SimError::Misaligned { addr: 58, align: 4 });
+        assert_eq!(m.load(Type::I32, 56).unwrap(), Value::I32(1));
+        assert_eq!(m.load(Type::I32, 60).unwrap(), Value::I32(2));
+        let run = [(56, Value::I64(5)), (60, Value::I64(6))];
+        let err = m.atomic_rmw_run(AtomicOp::Add, &run, &mut olds).unwrap_err();
+        assert_eq!(err, SimError::OutOfBounds { addr: 60, len: 8 });
+        assert_eq!(m.load(Type::I64, 56).unwrap(), Value::I64((2 << 32) + 1 + 5));
+        // A failing first lane commits nothing.
+        let err = m.atomic_rmw_run(AtomicOp::Exch, &[(64, Value::I32(9))], &mut olds);
+        assert_eq!(err, Err(SimError::OutOfBounds { addr: 64, len: 4 }));
+        assert_eq!(m.load(Type::I64, 56).unwrap(), Value::I64((2 << 32) + 6));
     }
 
     #[test]

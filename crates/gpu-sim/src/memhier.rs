@@ -12,7 +12,7 @@
 //! * **Per-block L1, shared L2.** Each block replays against a fresh L1
 //!   (real GPUs give each CU a private L1 and blocks rarely share one);
 //!   all blocks share one L2 in block-id order. This keeps the replay
-//!   deterministic regardless of how the thread pool interleaved blocks.
+//!   deterministic regardless of how the worker threads interleaved blocks.
 //! * **MSHR merging within a warp.** Lane accesses that coalesce into an
 //!   already-pending sector transaction count as `mshr_merges` — the
 //!   within-warp expression of miss-status-holding-register combining.
@@ -280,7 +280,7 @@ pub fn replay(spec: &MemHierSpec, warp_width: u32, blocks: &[BlockTrace]) -> Mem
             SectoredCache::new(spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways, spec.sector_bytes);
         for access in block.accesses() {
             let reqs = coalesce(&access, warp_width, spec.sector_bytes);
-            let lanes = access.lanes.len() as u64;
+            let lanes = access.lane_count();
             shared.stats.requests += lanes;
             shared.stats.bytes_requested += lanes * u64::from(access.width);
             shared.stats.transactions += reqs.len() as u64;
@@ -407,7 +407,7 @@ pub fn replay_block_l1(
     let l1 = l1_for(l1_slot, spec);
     for access in trace.accesses() {
         coalesce_into(&access, warp_width, spec.sector_bytes, cscratch, reqs);
-        let lanes = access.lanes.len() as u64;
+        let lanes = access.lane_count();
         stats.requests += lanes;
         stats.bytes_requested += lanes * u64::from(access.width);
         stats.transactions += reqs.len() as u64;

@@ -1,112 +1,36 @@
-//! A persistent work-stealing thread pool.
+//! Block-execution parallelism and per-worker scratch reuse.
 //!
-//! Simulated compute units execute thread blocks concurrently on this pool
-//! (one pool per [`crate::device::Device`]). Built on `crossbeam-deque`
-//! (global injector + per-worker deques with stealing) and `parking_lot`
-//! primitives, following the design in *Rust Atomics and Locks*: workers
-//! park when idle and are unparked on submission; shutdown is a flag plus a
-//! final wake-all.
+//! Simulated compute units execute a launch's thread blocks concurrently:
+//! [`run_indexed`] runs `f(0..n)` on scoped threads for the duration of
+//! one call (the calling thread participates), claiming indices by a
+//! [`ClaimStrategy`]. [`ScratchPool`] recycles the buffers those
+//! participants need from one call to the next.
 
-use crossbeam_deque::{Injector, Stealer, Worker};
-use parking_lot::{Condvar, Mutex};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
+use parking_lot::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-struct Shared {
-    injector: Injector<Job>,
-    stealers: Vec<Stealer<Job>>,
-    shutdown: AtomicBool,
-    /// Sleep/wake machinery: count of parked workers and a condvar.
-    idle_lock: Mutex<()>,
-    idle_cv: Condvar,
-    pending: AtomicUsize,
-}
-
-/// A fixed-size work-stealing thread pool.
-pub struct ThreadPool {
-    shared: Arc<Shared>,
-    handles: Vec<JoinHandle<()>>,
-    workers: usize,
-}
-
-impl ThreadPool {
-    /// Create a pool with `workers` threads (at least 1).
-    pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        let locals: Vec<Worker<Job>> = (0..workers).map(|_| Worker::new_fifo()).collect();
-        let stealers = locals.iter().map(Worker::stealer).collect();
-        let shared = Arc::new(Shared {
-            injector: Injector::new(),
-            stealers,
-            shutdown: AtomicBool::new(false),
-            idle_lock: Mutex::new(()),
-            idle_cv: Condvar::new(),
-            pending: AtomicUsize::new(0),
-        });
-        let handles = locals
-            .into_iter()
-            .enumerate()
-            .map(|(idx, local)| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("mcmm-cu-{idx}"))
-                    .spawn(move || worker_loop(idx, local, shared))
-                    .expect("failed to spawn pool worker")
-            })
-            .collect();
-        Self { shared, handles, workers }
+/// Run `f(0..n)` on `workers` scoped threads plus the calling thread and
+/// wait for completion (the caller participates, so one worker still
+/// overlaps with the host). Never spawns more participants than indices.
+pub fn run_indexed<F>(workers: usize, n: usize, chunk_claim: ClaimStrategy, f: F)
+where
+    F: Fn(usize) + Send + Sync,
+{
+    if n == 0 {
+        return;
     }
-
-    /// Number of worker threads.
-    pub fn workers(&self) -> usize {
-        self.workers
-    }
-
-    /// Submit a job for asynchronous execution.
-    pub fn execute(&self, job: impl FnOnce() + Send + 'static) {
-        self.shared.pending.fetch_add(1, Ordering::SeqCst);
-        self.shared.injector.push(Box::new(job));
-        // Wake one parked worker.
-        let _g = self.shared.idle_lock.lock();
-        self.shared.idle_cv.notify_one();
-    }
-
-    /// Run `f(0..n)` across the pool and wait for completion. `f` runs on
-    /// pool threads *and* the calling thread (the caller participates, so a
-    /// 1-worker pool still overlaps with the host).
-    pub fn run_indexed<F>(&self, n: usize, chunk_claim: ClaimStrategy, f: F)
-    where
-        F: Fn(usize) + Send + Sync,
-    {
-        if n == 0 {
-            return;
+    let claim = AtomicUsize::new(0);
+    let participants = (workers.max(1) + 1).min(n);
+    let (f, claim) = (&f, &claim);
+    std::thread::scope(|scope| {
+        for worker_idx in 1..participants {
+            scope.spawn(move || claim_loop(n, worker_idx, participants, chunk_claim, claim, f));
         }
-        std::thread::scope(|scope| {
-            let claim = Arc::new(AtomicUsize::new(0));
-            let participants = (self.workers + 1).min(n);
-            let f = &f;
-            for worker_idx in 1..participants {
-                let claim = Arc::clone(&claim);
-                scope.spawn(move || {
-                    claim_loop(n, worker_idx, participants, chunk_claim, &claim, f);
-                });
-            }
-            claim_loop(n, 0, participants, chunk_claim, &claim, f);
-        });
-    }
-
-    /// Wait for all `execute`d jobs to finish.
-    pub fn wait_idle(&self) {
-        while self.shared.pending.load(Ordering::SeqCst) != 0 {
-            std::thread::yield_now();
-        }
-    }
+        claim_loop(n, 0, participants, chunk_claim, claim, f);
+    });
 }
 
-/// How indices are claimed in [`ThreadPool::run_indexed`] — the block
+/// How indices are claimed in [`run_indexed`] — the block
 /// scheduling ablation (DESIGN.md A2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClaimStrategy {
@@ -144,61 +68,6 @@ fn claim_loop(
     }
 }
 
-fn worker_loop(me: usize, local: Worker<Job>, shared: Arc<Shared>) {
-    loop {
-        // 1. local queue; 2. global injector; 3. steal from siblings.
-        let job = local.pop().or_else(|| {
-            std::iter::repeat_with(|| {
-                shared.injector.steal_batch_and_pop(&local).or_else(|| {
-                    shared
-                        .stealers
-                        .iter()
-                        .enumerate()
-                        .filter(|&(i, _)| i != me)
-                        .map(|(_, s)| s.steal())
-                        .collect()
-                })
-            })
-            .find(|s| !s.is_retry())
-            .and_then(|s| s.success())
-        });
-        match job {
-            Some(job) => {
-                job();
-                shared.pending.fetch_sub(1, Ordering::SeqCst);
-            }
-            None => {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                // Park until new work or shutdown. No timeout: `execute`
-                // pushes before it takes `idle_lock` to notify, and this
-                // emptiness check holds the same lock, so a wakeup can
-                // never be lost — and idle workers otherwise cost nothing
-                // (a periodic-poll fallback here serializes the whole
-                // simulator on low-core machines once many devices exist).
-                let mut g = shared.idle_lock.lock();
-                if shared.injector.is_empty() && !shared.shutdown.load(Ordering::SeqCst) {
-                    shared.idle_cv.wait(&mut g);
-                }
-            }
-        }
-    }
-}
-
-impl Drop for ThreadPool {
-    fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        {
-            let _g = self.shared.idle_lock.lock();
-            self.shared.idle_cv.notify_all();
-        }
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
 /// A free-list of reusable per-worker scratch buffers.
 ///
 /// Workers `acquire` a scratch at task start and `release` it at task
@@ -214,8 +83,8 @@ pub struct ScratchPool<T> {
 }
 
 impl<T> ScratchPool<T> {
-    /// Retained-scratch backstop: comfortably above `workers + 1`
-    /// participants of any pool this crate builds.
+    /// Retained-scratch backstop: comfortably above the `workers + 1`
+    /// participants of any launch a device runs.
     const CAP: usize = 32;
 
     /// An empty pool.
@@ -257,9 +126,8 @@ mod tests {
 
     #[test]
     fn run_indexed_covers_every_index_dynamic() {
-        let pool = ThreadPool::new(4);
         let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
-        pool.run_indexed(1000, ClaimStrategy::Dynamic, |i| {
+        run_indexed(4, 1000, ClaimStrategy::Dynamic, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         for (i, h) in hits.iter().enumerate() {
@@ -274,9 +142,8 @@ mod tests {
 
     #[test]
     fn run_indexed_covers_every_index_static() {
-        let pool = ThreadPool::new(3);
         let hits: Vec<AtomicU64> = (0..97).map(|_| AtomicU64::new(0)).collect();
-        pool.run_indexed(97, ClaimStrategy::Static, |i| {
+        run_indexed(3, 97, ClaimStrategy::Static, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -284,45 +151,22 @@ mod tests {
 
     #[test]
     fn run_indexed_zero_is_noop() {
-        let pool = ThreadPool::new(2);
-        pool.run_indexed(0, ClaimStrategy::Dynamic, |_| panic!("must not run"));
+        run_indexed(2, 0, ClaimStrategy::Dynamic, |_| panic!("must not run"));
     }
 
     #[test]
     fn run_indexed_n_smaller_than_workers() {
-        let pool = ThreadPool::new(8);
         let hits = AtomicU64::new(0);
-        pool.run_indexed(3, ClaimStrategy::Static, |_| {
+        run_indexed(8, 3, ClaimStrategy::Static, |_| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 3);
     }
 
     #[test]
-    fn execute_and_wait_idle() {
-        let pool = ThreadPool::new(2);
-        let done = Arc::new(AtomicU64::new(0));
-        for _ in 0..100 {
-            let done = Arc::clone(&done);
-            pool.execute(move || {
-                done.fetch_add(1, Ordering::Relaxed);
-            });
-        }
-        pool.wait_idle();
-        assert_eq!(done.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn drop_joins_cleanly_with_pending_none() {
-        let pool = ThreadPool::new(2);
-        drop(pool);
-    }
-
-    #[test]
     fn single_worker_pool_still_works() {
-        let pool = ThreadPool::new(1);
         let sum = AtomicU64::new(0);
-        pool.run_indexed(10, ClaimStrategy::Dynamic, |i| {
+        run_indexed(1, 10, ClaimStrategy::Dynamic, |i| {
             sum.fetch_add(i as u64, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 45);

@@ -19,12 +19,25 @@
 //!   shared lane/address pool — so recording a lane is two `Vec`
 //!   pushes into buffers that amortize to their high-water mark and
 //!   are recycled across launches via the device's [`ScratchPool`].
-//! * **Tier-identical.** The scalar and vectorized tiers must emit the
-//!   same trace for the same launch: lane entries are recorded in
-//!   ascending lane order for loads/stores and in the device's
-//!   warp-round-robin commit order for atomics (the order both tiers
-//!   actually commit them in).
-//! * **Deterministic replay.** Blocks run on a thread pool and finish
+//! * **Affine accesses cost one header.** A full-mask access whose lane
+//!   `i` touches `base + i × stride`, with the stride equal to the
+//!   access width (unit stride) or 0 (every lane on one address), can
+//!   be recorded by [`BlockTrace::push_affine`] as a single header
+//!   holding `(base, stride, count)`, with nothing in the pools. The
+//!   encoding is vendor-neutral: only the warp-width-parametric
+//!   coalescer ([`crate::coalesce::coalesce_into`]) expands it, per
+//!   vendor, into the same sector requests the lane records would
+//!   produce. [`AccessView::lanes`] names the two forms ([`Lanes`]), so
+//!   no consumer can read an affine access as an empty lane list.
+//! * **Tier-equivalent.** The scalar and vectorized tiers must describe
+//!   the same accesses for the same launch. The scalar tier, the
+//!   reference, records every access lane by lane: in ascending lane
+//!   order for loads/stores and in the device's warp-round-robin commit
+//!   order for atomics (the order both tiers actually commit them in).
+//!   The vectorized tier records the same lanes, except that it takes
+//!   the affine form for full-mask unit-stride and single-address
+//!   accesses; the coalescer maps both forms to identical requests.
+//! * **Deterministic replay.** Blocks run on worker threads and finish
 //!   in nondeterministic order; both replay modes sort by block id
 //!   before any shared-state stage, so replay is stable run-to-run.
 //!
@@ -71,13 +84,29 @@ pub enum ReplayMode {
 }
 
 /// One access's header in the flat trace encoding: its kind, width,
-/// and the end of its lane range in the block's lane/address pools
-/// (the start is the previous header's end).
+/// the end of its lane range in the block's lane/address pools (the
+/// start is the previous header's end; an affine access's range is
+/// empty), and the affine form, if the access took it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct AccessHeader {
     kind: AccessKind,
     width: u32,
     end: u32,
+    affine: Option<Affine>,
+}
+
+/// A full-mask access in affine form: lane `i` of `0..count` touched
+/// byte address `base + i × stride`, where the stride is the access
+/// width (unit stride) or 0 (every lane on one address) and `base` is
+/// aligned to the width.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Affine {
+    /// Lane 0's byte address.
+    pub base: u64,
+    /// Byte distance between consecutive lanes: the width or 0.
+    pub stride: u64,
+    /// Number of lanes, `0..count` (the whole block).
+    pub count: u32,
 }
 
 /// All traced accesses of one block, in program order, as a flat SoA
@@ -91,19 +120,41 @@ pub struct BlockTrace {
     addrs: Vec<u64>,
 }
 
-/// A borrowed view of one recorded access: parallel lane/address
-/// slices plus the access's kind and width.
+/// A borrowed view of one recorded access: its kind, width, and the
+/// lanes it touched, in whichever form they were recorded.
 #[derive(Debug, Clone, Copy)]
 pub struct AccessView<'a> {
     /// Load, store, or atomic.
     pub kind: AccessKind,
     /// Access width in bytes per lane (1, 4, or 8 today).
     pub width: u32,
-    /// Lane index within the block, per recorded lane. Ascending for
-    /// loads/stores; warp-round-robin commit order for atomics.
-    pub lanes: &'a [u32],
-    /// Byte address per recorded lane, parallel to `lanes`.
-    pub addrs: &'a [u64],
+    /// The lanes and the byte address each one touched.
+    pub lanes: Lanes<'a>,
+}
+
+/// The two encodings of an access's lanes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lanes<'a> {
+    /// One header for the whole block (see [`Affine`]).
+    Affine(Affine),
+    /// One record per active lane, as parallel slices.
+    PerLane {
+        /// Lane index within the block, per recorded lane. Ascending
+        /// for loads/stores; warp-round-robin commit order for atomics.
+        lanes: &'a [u32],
+        /// Byte address per recorded lane, parallel to `lanes`.
+        addrs: &'a [u64],
+    },
+}
+
+impl AccessView<'_> {
+    /// Number of lanes the access touched.
+    pub fn lane_count(&self) -> u64 {
+        match self.lanes {
+            Lanes::Affine(a) => u64::from(a.count),
+            Lanes::PerLane { lanes, .. } => lanes.len() as u64,
+        }
+    }
 }
 
 impl BlockTrace {
@@ -124,9 +175,32 @@ impl BlockTrace {
     #[inline]
     pub fn end_access(&mut self, kind: AccessKind, width: u32) {
         let end = self.lanes.len() as u32;
-        if end > self.headers.last().map_or(0, |h| h.end) {
-            self.headers.push(AccessHeader { kind, width, end });
+        if end > self.sealed() {
+            self.headers.push(AccessHeader { kind, width, end, affine: None });
         }
+    }
+
+    /// Record a whole access in affine form, as one header with nothing
+    /// in the lane/address pools. A no-op for zero lanes. Must not be
+    /// called while an access is being assembled lane by lane.
+    #[inline]
+    pub fn push_affine(&mut self, kind: AccessKind, width: u32, affine: Affine) {
+        let end = self.sealed();
+        debug_assert_eq!(end as usize, self.lanes.len(), "push_affine inside a per-lane access");
+        debug_assert!(affine.stride == 0 || affine.stride == u64::from(width));
+        debug_assert!(affine.base.is_multiple_of(u64::from(width)));
+        debug_assert!(u64::from(affine.count)
+            .checked_mul(affine.stride)
+            .and_then(|span| span.checked_add(affine.base))
+            .is_some());
+        if affine.count > 0 {
+            self.headers.push(AccessHeader { kind, width, end, affine: Some(affine) });
+        }
+    }
+
+    /// End of the last sealed access's range in the lane/address pools.
+    fn sealed(&self) -> u32 {
+        self.headers.last().map_or(0, |h| h.end)
     }
 
     /// The block's accesses in the order it issued them.
@@ -134,12 +208,13 @@ impl BlockTrace {
         self.headers.iter().scan(0usize, |start, h| {
             let range = *start..h.end as usize;
             *start = h.end as usize;
-            Some(AccessView {
-                kind: h.kind,
-                width: h.width,
-                lanes: &self.lanes[range.clone()],
-                addrs: &self.addrs[range],
-            })
+            let lanes = match h.affine {
+                Some(a) => Lanes::Affine(a),
+                None => {
+                    Lanes::PerLane { lanes: &self.lanes[range.clone()], addrs: &self.addrs[range] }
+                }
+            };
+            Some(AccessView { kind: h.kind, width: h.width, lanes })
         })
     }
 
@@ -340,13 +415,42 @@ mod tests {
         assert_eq!(t.len(), 3);
         assert_eq!(views[0].kind, AccessKind::Load);
         assert_eq!(views[0].width, 8);
-        assert_eq!(views[0].lanes, &[0, 1]);
-        assert_eq!(views[0].addrs, &[0, 8]);
+        assert_eq!(views[0].lanes, Lanes::PerLane { lanes: &[0, 1], addrs: &[0, 8] });
         assert_eq!(views[1].kind, AccessKind::Store);
-        assert_eq!(views[1].lanes, &[3]);
-        assert_eq!(views[1].addrs, &[160]);
+        assert_eq!(views[1].lanes, Lanes::PerLane { lanes: &[3], addrs: &[160] });
         assert_eq!(views[2].kind, AccessKind::Atomic);
-        assert_eq!(views[2].addrs, &[256]);
+        assert_eq!(views[2].lanes, Lanes::PerLane { lanes: &[0], addrs: &[256] });
+    }
+
+    #[test]
+    fn affine_headers_interleave_with_per_lane_accesses() {
+        let unit = Affine { base: 1024, stride: 8, count: 256 };
+        let single = Affine { base: 64, stride: 0, count: 256 };
+        let mut t = BlockTrace::new(1);
+        t.push_affine(AccessKind::Load, 8, unit);
+        t.push_lane(2, 40);
+        t.push_lane(5, 16);
+        t.end_access(AccessKind::Atomic, 4);
+        t.push_affine(AccessKind::Atomic, 8, single);
+        // Zero lanes record nothing, in either form.
+        t.push_affine(AccessKind::Store, 8, Affine { count: 0, ..unit });
+        t.end_access(AccessKind::Store, 8);
+        t.push_lane(0, 8);
+        t.end_access(AccessKind::Store, 4);
+        assert_eq!(t.lanes.len(), 3, "affine accesses leave the pools alone");
+        let views: Vec<_> = t.accesses().collect();
+        let forms: Vec<_> = views.iter().map(|v| (v.kind, v.width, v.lanes)).collect();
+        assert_eq!(
+            forms,
+            vec![
+                (AccessKind::Load, 8, Lanes::Affine(unit)),
+                (AccessKind::Atomic, 4, Lanes::PerLane { lanes: &[2, 5], addrs: &[40, 16] }),
+                (AccessKind::Atomic, 8, Lanes::Affine(single)),
+                (AccessKind::Store, 4, Lanes::PerLane { lanes: &[0], addrs: &[8] }),
+            ]
+        );
+        let counts: Vec<u64> = views.iter().map(AccessView::lane_count).collect();
+        assert_eq!(counts, vec![256, 2, 256, 1]);
     }
 
     #[test]

@@ -25,6 +25,13 @@
 //! differential suite in `tests/exec_tier_differential.rs` holds the two
 //! tiers to byte-identical buffers and identical counter totals.
 //!
+//! Traced global accesses that are full-mask and unit-stride or
+//! single-address are recorded in the trace's affine form, one header
+//! instead of one record per lane; global atomics commit each run of
+//! consecutive lanes on one 8-byte word with one `fetch_update`
+//! ([`GlobalMemory::atomic_rmw_run`](crate::mem::GlobalMemory)). Both
+//! are invisible to everything but the host clock.
+//!
 //! Race checking stays on the scalar tier
 //! ([`crate::exec::run_block_racecheck`]): the shadow access log needs
 //! per-access interleaving hooks that would un-vectorize these loops.
@@ -33,7 +40,7 @@ use crate::counters::LocalCounters;
 use crate::exec::{bin_value, BlockCtx, SharedMem};
 use crate::ir::{AtomicOp, BinOp, CmpOp, Space, Special, Type, Value};
 use crate::lower::{LvNode, LvOp, LvProgram, LvSrc};
-use crate::trace::{AccessKind, TraceScratch};
+use crate::trace::{AccessKind, Affine, TraceScratch};
 use crate::{Result, SimError};
 
 /// Execute one thread block through the vectorized tier.
@@ -60,6 +67,7 @@ pub fn run_block_lv(ctx: &BlockCtx<'_>, prog: &LvProgram, args: &[Value]) -> Res
         shared: SharedMem::new(prog.shared_bytes),
         local: LocalCounters::new(),
         tblock: ctx.trace.map(|s| s.begin_block(ctx.block_id)),
+        atomic_run: AtomicRun::default(),
     };
     for (i, (&arg, &ty)) in args.iter().zip(&prog.params).enumerate() {
         if arg.ty() != ty {
@@ -391,6 +399,51 @@ struct VInterp<'a> {
     /// Present when the launch is traced; global accesses are recorded
     /// here and flushed to the sink at block exit.
     tblock: Option<TraceScratch>,
+    /// The pending run of a global atomic, reused across instructions.
+    atomic_run: AtomicRun,
+}
+
+/// Consecutive lanes (in commit order) of one global atomic whose
+/// addresses share an 8-byte word, awaiting their single commit.
+#[derive(Default)]
+struct AtomicRun {
+    lanes: Vec<usize>,
+    ops: Vec<(u64, Value)>,
+    olds: Vec<Value>,
+}
+
+/// The affine form of a full-mask access's lane addresses: lane `i` of
+/// `0..n` at `base + i × stride`, with the stride 0 or `width`, a
+/// non-negative base aligned to the width, and no overflow. `None`
+/// leaves the access to the per-lane records.
+fn affine_addrs(pool: &[i64], am: In<i64>, n: usize, width: u32) -> Option<Affine> {
+    let width = i64::from(width);
+    let (base, stride) = match am {
+        In::Imm(v) => (v, 0),
+        In::Base(b) => {
+            let addrs = &pool[b..b + n];
+            let base = *addrs.first()?;
+            let stride = addrs.get(1).map_or(0, |&a| a.wrapping_sub(base));
+            if stride != 0 && stride != width {
+                return None;
+            }
+            let mut next = base;
+            for &a in addrs {
+                if a != next {
+                    return None;
+                }
+                next = next.wrapping_add(stride);
+            }
+            (base, stride)
+        }
+    };
+    let count = u32::try_from(n).ok().filter(|&c| c > 0)?;
+    let fits = base.checked_add(stride * (i64::from(count) - 1)).is_some();
+    (fits && base >= 0 && base % width == 0).then_some(Affine {
+        base: base as u64,
+        stride: stride as u64,
+        count,
+    })
 }
 
 impl<'a> VInterp<'a> {
@@ -980,29 +1033,38 @@ impl<'a> VInterp<'a> {
     }
 
     /// Record one traced global access straight into the block's trace
-    /// arena, in the ascending lane order the scalar tier records. Runs
-    /// as a pre-pass: the execution closures borrow the value pools
-    /// mutably, and the I64 load overwrites its own address pool.
-    /// Negative addresses are skipped — the execution loop faults on
-    /// them and the trace of a failed launch is never consumed.
+    /// arena: as one affine header when the mask is full and the
+    /// addresses qualify ([`affine_addrs`]), else lane by lane in the
+    /// order the scalar tier records — ascending for loads and stores,
+    /// warp-round-robin commit order for atomics. Runs as a pre-pass:
+    /// the execution closures borrow the value pools mutably, and the
+    /// I64 load overwrites its own address pool. Negative addresses are
+    /// skipped — the execution loop faults on them and the trace of a
+    /// failed launch is never consumed.
     fn trace_access(&mut self, kind: AccessKind, width: u32, am: In<i64>, bits: Option<&[bool]>) {
-        let n = self.n;
+        let (n, w) = (self.n, self.w);
         // Disjoint field borrows: the arena mutably, the address pool
         // shared.
         let Some(tb) = self.tblock.as_mut() else { return };
-        for i in 0..n {
-            if let Some(m) = bits {
-                if !m[i] {
-                    continue;
+        let pool = &self.i64s;
+        if bits.is_none() {
+            if let Some(affine) = affine_addrs(pool, am, n, width) {
+                tb.trace.push_affine(kind, width, affine);
+                return;
+            }
+        }
+        let mut record = |i: usize| {
+            if bits.is_none_or(|m| m[i]) {
+                let av = rd(pool, am, i);
+                if av >= 0 {
+                    tb.trace.push_lane(i as u32, av as u64);
                 }
             }
-            let av = match am {
-                In::Base(b) => self.i64s[b + i],
-                In::Imm(v) => v,
-            };
-            if av >= 0 {
-                tb.trace.push_lane(i as u32, av as u64);
-            }
+        };
+        if kind == AccessKind::Atomic {
+            crate::exec::round_robin_indices(n, w).for_each(&mut record);
+        } else {
+            (0..n).for_each(&mut record);
         }
         tb.trace.end_access(kind, width);
     }
@@ -1187,9 +1249,11 @@ impl<'a> VInterp<'a> {
         dst: Option<u32>,
         bits: Option<&[bool]>,
     ) -> Result<()> {
+        if space == Space::Global {
+            return self.global_atomic(op, ty, addr, value, dst, bits);
+        }
         let n = self.n;
         let mut lanes = 0u64;
-        let tracing = space == Space::Global && self.tblock.is_some();
         // Warp-round-robin commit order, identical to the scalar tier's
         // `round_robin` (the order is a function of the warp width).
         for i in crate::exec::round_robin_indices(n, self.w) {
@@ -1203,39 +1267,94 @@ impl<'a> VInterp<'a> {
                 LvSrc::Imm(b) => dec_i64(b),
             };
             let a = lane_addr(av)?;
-            if tracing {
-                self.tblock.as_mut().expect("tracing checked").trace.push_lane(i as u32, a);
-            }
             let v = self.read_value(ty, value, i);
-            let old = match space {
-                Space::Global => self.ctx.global.atomic_rmw(a, op, v)?,
-                Space::Shared => {
-                    // Single interpreter thread per block: plain RMW,
-                    // exactly like the scalar tier.
-                    let cur = self.shared.load(ty, a)?;
-                    let new = match op {
-                        AtomicOp::Add => bin_value(BinOp::Add, cur, v)?,
-                        AtomicOp::Min => bin_value(BinOp::Min, cur, v)?,
-                        AtomicOp::Max => bin_value(BinOp::Max, cur, v)?,
-                        AtomicOp::Exch => v,
-                    };
-                    self.shared.store(a, new)?;
-                    cur
-                }
+            // Single interpreter thread per block: plain RMW, exactly
+            // like the scalar tier.
+            let cur = self.shared.load(ty, a)?;
+            let new = match op {
+                AtomicOp::Add => bin_value(BinOp::Add, cur, v)?,
+                AtomicOp::Min => bin_value(BinOp::Min, cur, v)?,
+                AtomicOp::Max => bin_value(BinOp::Max, cur, v)?,
+                AtomicOp::Exch => v,
             };
+            self.shared.store(a, new)?;
             if let Some(dslot) = dst {
-                self.set_lane(ty, dslot as usize * n, i, old);
+                self.set_lane(ty, dslot as usize * n, i, cur);
             }
             lanes += 1;
         }
         self.local.atomics += lanes;
-        if tracing {
-            self.tblock
-                .as_mut()
-                .expect("tracing checked")
-                .trace
-                .end_access(AccessKind::Atomic, ty.size() as u32);
+        Ok(())
+    }
+
+    /// A global atomic, in the scalar tier's warp-round-robin commit
+    /// order, committing each run of consecutive lanes on one 8-byte
+    /// word as a single read-modify-write. A lane whose address fails
+    /// commits the lanes before it, then returns the error the scalar
+    /// tier gives for that lane.
+    fn global_atomic(
+        &mut self,
+        op: AtomicOp,
+        ty: Type,
+        addr: LvSrc,
+        value: LvSrc,
+        dst: Option<u32>,
+        bits: Option<&[bool]>,
+    ) -> Result<()> {
+        let n = self.n;
+        let am = resolve(addr, n, dec_i64);
+        self.trace_access(AccessKind::Atomic, ty.size() as u32, am, bits);
+        let mut run = std::mem::take(&mut self.atomic_run);
+        let mut lanes = 0u64;
+        let mut order = crate::exec::round_robin_indices(n, self.w)
+            .filter(|&i| bits.is_none_or(|m| m[i]))
+            .peekable();
+        while let Some(i) = order.next() {
+            let a = lane_addr(rd(&self.i64s, am, i))?;
+            let v = self.read_value(ty, value, i);
+            lanes += 1;
+            // The run ends where the next lane leaves this lane's word (a
+            // negative next address never shares it, so a lane whose
+            // address fails always starts a run).
+            let ends = order.peek().is_none_or(|&j| rd(&self.i64s, am, j) as u64 / 8 != a / 8);
+            if ends && run.ops.is_empty() {
+                // A lone lane, the common case for scattered atomics, skips
+                // the run buffers.
+                let old = self.ctx.global.atomic_rmw(a, op, v)?;
+                if let Some(dslot) = dst {
+                    self.set_lane(ty, dslot as usize * n, i, old);
+                }
+                continue;
+            }
+            run.lanes.push(i);
+            run.ops.push((a, v));
+            if ends {
+                self.commit_atomic_run(op, ty, dst, &mut run)?;
+            }
         }
+        self.atomic_run = run;
+        self.local.atomics += lanes;
+        Ok(())
+    }
+
+    /// Commit a run of atomic lanes and write back each lane's old value,
+    /// leaving the run empty.
+    fn commit_atomic_run(
+        &mut self,
+        op: AtomicOp,
+        ty: Type,
+        dst: Option<u32>,
+        run: &mut AtomicRun,
+    ) -> Result<()> {
+        run.olds.resize(run.ops.len(), Value::I32(0));
+        self.ctx.global.atomic_rmw_run(op, &run.ops, &mut run.olds)?;
+        if let Some(dslot) = dst {
+            for (&i, &old) in run.lanes.iter().zip(&run.olds) {
+                self.set_lane(ty, dslot as usize * self.n, i, old);
+            }
+        }
+        run.lanes.clear();
+        run.ops.clear();
         Ok(())
     }
 }
@@ -1252,13 +1371,14 @@ mod tests {
     /// Run one block of `kernel` under both tiers, each on a fresh memory
     /// prepared by `setup` (allocation order is deterministic, so pointers
     /// agree across the two runs), and require identical results, identical
-    /// counter snapshots, and byte-identical buffer contents.
+    /// counter snapshots, and byte-identical buffer contents. Returns
+    /// the error both tiers failed with, if any.
     fn differential(
         kernel: &KernelIr,
         block_dim: u32,
         warp_width: u32,
         setup: impl Fn(&GlobalMemory) -> (Vec<Value>, Vec<(DevicePtr, u64)>),
-    ) {
+    ) -> Option<SimError> {
         let prog = lower(kernel);
         let run_tier = |vectorized: bool| {
             let mem = GlobalMemory::new(1 << 20);
@@ -1285,6 +1405,7 @@ mod tests {
         assert_eq!(scalar_res, vec_res, "tier results diverge");
         assert_eq!(scalar_stats, vec_stats, "tier counters diverge");
         assert_eq!(scalar_bytes, vec_bytes, "tier buffers diverge");
+        scalar_res.err()
     }
 
     #[test]
@@ -1408,6 +1529,77 @@ mod tests {
             mem.store(p.0, Value::I32(0)).unwrap();
             (vec![Value::I64(p.0 as i64), Value::I64(q.0 as i64)], vec![(p, 4), (q, 32 * 4)])
         });
+    }
+
+    #[test]
+    fn atomic_runs_and_lone_lanes_match_scalar() {
+        // Every lane adds into one f64 and one i32 cell, then into one of
+        // five i32 bins, and reads back the value it replaced. The cells
+        // commit each warp-round-robin run as one read-modify-write, which
+        // must round every partial float sum and hand out every old value
+        // exactly as per-lane commits do; the bins mix lone lanes with
+        // runs over both halves of one word.
+        let mut k = KernelBuilder::new("cell_runs");
+        let fcell = k.param(Type::I64);
+        let icell = k.param(Type::I64);
+        let bins = k.param(Type::I64);
+        let fold = k.param(Type::I64);
+        let iold = k.param(Type::I64);
+        let bold = k.param(Type::I64);
+        let i = k.thread_id_x();
+        let fi = k.cvt(Type::F64, i);
+        let fv = k.bin(BinOp::Mul, fi, Value::F64(0.1));
+        let gotf = k.atomic(AtomicOp::Add, Space::Global, fcell, fv);
+        k.st_elem(Space::Global, fold, i, gotf);
+        let goti = k.atomic(AtomicOp::Add, Space::Global, icell, i);
+        k.st_elem(Space::Global, iold, i, goti);
+        let i7 = k.bin(BinOp::Mul, i, Value::I32(7));
+        let bin = k.bin(BinOp::Rem, i7, Value::I32(5));
+        let baddr = k.elem_addr(Type::I32, bins, bin);
+        let gotb = k.atomic(AtomicOp::Add, Space::Global, baddr, i);
+        k.st_elem(Space::Global, bold, i, gotb);
+        let kernel = k.finish();
+        for ww in [16, 32, 64] {
+            differential(&kernel, 96, ww, |mem| {
+                let f = mem.alloc(8).unwrap();
+                let c = mem.alloc(4).unwrap();
+                let b = mem.alloc(5 * 4).unwrap();
+                let fo = mem.alloc(96 * 8).unwrap();
+                let io = mem.alloc(96 * 4).unwrap();
+                let bo = mem.alloc(96 * 4).unwrap();
+                mem.store(f.0, Value::F64(0.25)).unwrap();
+                mem.store(c.0, Value::I32(7)).unwrap();
+                let args = [f, c, b, fo, io, bo].map(|p| Value::I64(p.0 as i64));
+                let bufs = vec![(f, 8), (c, 4), (b, 20), (fo, 96 * 8), (io, 96 * 4), (bo, 96 * 4)];
+                (args.into(), bufs)
+            });
+        }
+    }
+
+    #[test]
+    fn out_of_bounds_lane_mid_run_fails_like_scalar() {
+        // The cell is the last word of memory and lane 37 aims 4 bytes
+        // past it: an 8-byte access that shares the cell's word but runs
+        // off the end, in the middle of a run. The lanes committed before
+        // it, the error, and the memory left behind must all match.
+        let mut k = KernelBuilder::new("oob_run");
+        let cell = k.param(Type::I64);
+        let i = k.thread_id_x();
+        let bad = k.cmp(CmpOp::Eq, i, Value::I32(37));
+        let off = k.sel(bad, Value::I64(4), Value::I64(0));
+        let addr = k.bin(BinOp::Add, cell, off);
+        let fi = k.cvt(Type::F64, i);
+        let fv = k.bin(BinOp::Mul, fi, Value::F64(0.1));
+        let _ = k.atomic(AtomicOp::Add, Space::Global, addr, fv);
+        let kernel = k.finish();
+        let last = DevicePtr((1 << 20) - 8);
+        for ww in [16, 32, 64] {
+            let err = differential(&kernel, 64, ww, |mem| {
+                mem.store(last.0, Value::F64(1.5)).unwrap();
+                (vec![Value::I64(last.0 as i64)], vec![(last, 8)])
+            });
+            assert_eq!(err, Some(SimError::OutOfBounds { addr: last.0 + 4, len: 8 }));
+        }
     }
 
     #[test]

@@ -3,7 +3,12 @@
 //! stage) must be indistinguishable from the retained buffered serial
 //! replay — bit-identical [`MemStats`] and byte-identical output
 //! buffers for randomly generated kernels across all three vendor
-//! presets and both execution tiers. Also pins the scratch-pool
+//! presets and both execution tiers. The two tiers must agree too:
+//! the vectorized tier records full-mask unit-stride and single-address
+//! accesses in affine form while the scalar tier records every lane, so
+//! equal stats pin the coalescer's affine expansion to the per-lane
+//! reference, on full blocks and on a partial last block that falls
+//! back to per-lane records. Also pins the scratch-pool
 //! lifecycle: per-worker scratch reuse never leaks cache or trace state
 //! across launches, a failed launch never poisons the pool, and the
 //! process-wide replay-mode override reaches subsequently created
@@ -80,6 +85,14 @@ impl RandKernel {
     }
 }
 
+/// Launch sizes that leave a partial last block: its lanes past `n`
+/// are masked off, so the vectorized tier records that block's accesses
+/// lane by lane beside the affine records of the full blocks.
+fn partial_launch() -> impl Strategy<Value = usize> {
+    let block = BLOCK as usize;
+    (1..N / block, 1..block).prop_map(move |(blocks, rem)| blocks * block + rem)
+}
+
 fn arb_kernel() -> impl Strategy<Value = RandKernel> {
     (
         proptest::collection::vec((any::<u8>(), -3.0..3.0f64), 1..6),
@@ -95,10 +108,12 @@ fn arb_kernel() -> impl Strategy<Value = RandKernel> {
         })
 }
 
-/// One traced launch on a fresh device with the given knobs: output
-/// bytes (both arrays + the atomic cell) and the replayed `MemStats`.
+/// One traced launch of `n` threads on a fresh device with the given
+/// knobs: output bytes (both arrays + the atomic cell) and the replayed
+/// `MemStats`.
 fn run(
     kernel: &KernelIr,
+    n: usize,
     spec: &DeviceSpec,
     tier: ExecTier,
     mode: ReplayMode,
@@ -114,8 +129,8 @@ fn run(
     let report = dev
         .launch_kernel(
             kernel,
-            LaunchConfig::linear(N as u64, BLOCK),
-            &[KernelArg::Ptr(dx), KernelArg::Ptr(dy), KernelArg::Ptr(ds), KernelArg::I32(N as i32)],
+            LaunchConfig::linear(n as u64, BLOCK),
+            &[KernelArg::Ptr(dx), KernelArg::Ptr(dy), KernelArg::Ptr(ds), KernelArg::I32(n as i32)],
         )
         .unwrap();
     let mut bytes = dev.memcpy_d2h(dy, N as u64 * 8).unwrap().0;
@@ -131,22 +146,36 @@ proptest! {
     /// preset (warp widths 64/32/16, different cache geometries) and
     /// under both execution tiers, the two replay modes produce
     /// bit-identical `MemStats` — and, tracing being an observer,
-    /// byte-identical buffers.
+    /// byte-identical buffers. The scalar tier's per-lane records and
+    /// the vectorized tier's affine ones replay to the same stats and
+    /// buffers as well, with and without a partial last block.
     #[test]
-    fn replay_modes_agree_on_random_kernels(rk in arb_kernel()) {
+    fn replay_modes_agree_on_random_kernels(rk in arb_kernel(), partial in partial_launch()) {
         let kernel = rk.build();
         prop_assert_eq!(kernel.validate(), Ok(()));
-        for spec in DeviceSpec::presets() {
-            for tier in [ExecTier::Scalar, ExecTier::Vectorized] {
-                let (buf_bytes, buf_mem) = run(&kernel, &spec, tier, ReplayMode::Buffered);
-                let (str_bytes, str_mem) = run(&kernel, &spec, tier, ReplayMode::Streaming);
+        for n in [N, partial] {
+            for spec in DeviceSpec::presets() {
+                let mut tiers = Vec::new();
+                for tier in [ExecTier::Scalar, ExecTier::Vectorized] {
+                    let (buf_bytes, buf_mem) = run(&kernel, n, &spec, tier, ReplayMode::Buffered);
+                    let (str_bytes, str_mem) = run(&kernel, n, &spec, tier, ReplayMode::Streaming);
+                    prop_assert_eq!(
+                        buf_mem, str_mem,
+                        "MemStats diverge on {} ({:?}, n = {})", spec.name, tier, n
+                    );
+                    prop_assert_eq!(
+                        &buf_bytes, &str_bytes,
+                        "buffers diverge on {} ({:?}, n = {})", spec.name, tier, n
+                    );
+                    tiers.push((str_bytes, str_mem));
+                }
                 prop_assert_eq!(
-                    buf_mem, str_mem,
-                    "MemStats diverge on {} ({:?})", spec.name, tier
+                    tiers[0].1, tiers[1].1,
+                    "MemStats diverge between tiers on {} (n = {})", spec.name, n
                 );
                 prop_assert_eq!(
-                    buf_bytes, str_bytes,
-                    "buffers diverge on {} ({:?})", spec.name, tier
+                    &tiers[0].0, &tiers[1].0,
+                    "buffers diverge between tiers on {} (n = {})", spec.name, n
                 );
             }
         }
@@ -167,7 +196,7 @@ fn mixed_kernel() -> KernelIr {
 fn scratch_reuse_never_leaks_across_launches() {
     let kernel = mixed_kernel();
     let (_, fresh) =
-        run(&kernel, &DeviceSpec::nvidia_a100(), ExecTier::Vectorized, ReplayMode::Streaming);
+        run(&kernel, N, &DeviceSpec::nvidia_a100(), ExecTier::Vectorized, ReplayMode::Streaming);
 
     let dev = Device::new(DeviceSpec::nvidia_a100());
     dev.set_tracing(true);
@@ -197,7 +226,7 @@ fn scratch_reuse_never_leaks_across_launches() {
 fn failed_launch_does_not_poison_the_scratch_pool() {
     let kernel = mixed_kernel();
     let (_, fresh) =
-        run(&kernel, &DeviceSpec::nvidia_a100(), ExecTier::Vectorized, ReplayMode::Streaming);
+        run(&kernel, N, &DeviceSpec::nvidia_a100(), ExecTier::Vectorized, ReplayMode::Streaming);
 
     let mut k = KernelBuilder::new("oob");
     let out = k.param(Type::I64);
