@@ -399,12 +399,12 @@ fn main() {
     // budget is looser; the production claim is the full-size one. Both
     // claims assume cores to hide the replay behind: with fewer than 4
     // the whole pipeline shares the execution core and the budget is
-    // only a regression backstop against the serial replay cost: 4× on
+    // only a regression backstop against the serial replay cost: 3× on
     // full runs with 2–3 cores, 12× on smoke runs or a single core.
     let overhead_budget = match (smoke, host_cores) {
         (false, 4..) => 1.5,
         (true, 4..) => 3.0,
-        (false, 2..=3) => 4.0,
+        (false, 2..=3) => 3.0,
         _ => 12.0,
     };
     if overhead_geomean > overhead_budget {

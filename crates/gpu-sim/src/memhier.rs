@@ -24,7 +24,7 @@
 //!   a resident copy in place). Dirty L1 sectors flush to L2 at block
 //!   exit; dirty L2 sectors flush to DRAM at launch exit.
 
-use crate::cache::SectoredCache;
+use crate::cache::{sector_count, SectoredCache};
 use crate::coalesce::{coalesce, coalesce_into, CoalesceScratch, SectorReq};
 use crate::trace::{AccessKind, BlockTrace};
 
@@ -214,49 +214,145 @@ fn ratio(num: u64, den: u64) -> f64 {
     }
 }
 
+/// Distinct sectors of one line in ascending order, gathered from
+/// consecutive requests of one kind: what one of [`SectoredCache`]'s run
+/// calls serves with a single probe.
+#[derive(Debug, Clone, Copy)]
+struct LineRun {
+    line: u64,
+    /// Line-relative sector bits (see [`SectoredCache::locate`]).
+    sectors: u64,
+    /// The sectors whose every byte was written.
+    full: u64,
+}
+
+impl LineRun {
+    /// The run of the one sector at `addr` of `cache`.
+    fn new(cache: &SectoredCache, addr: u64, full: bool) -> Self {
+        let (line, bit) = cache.locate(addr);
+        Self { line, sectors: bit, full: if full { bit } else { 0 } }
+    }
+
+    /// Append the sector at `addr` if it continues the run: same line,
+    /// above every sector so far. A repeated sector does not (it must see
+    /// what the run did to it), so it starts the next run.
+    fn join(&mut self, cache: &SectoredCache, addr: u64, full: bool) -> bool {
+        let (line, bit) = cache.locate(addr);
+        let joins = line == self.line && bit > self.sectors;
+        if joins {
+            self.sectors |= bit;
+            if full {
+                self.full |= bit;
+            }
+        }
+        joins
+    }
+}
+
 /// L2 + DRAM accounting shared by every block of a replay.
 struct Shared {
     l2: SectoredCache,
     stats: MemStats,
     sector_bytes: u64,
+    /// Scratch for one run's writebacks, which DRAM only counts.
+    evicted: Vec<u64>,
 }
 
 impl Shared {
+    fn new(l2: SectoredCache, sector_bytes: u64) -> Self {
+        Self { l2, stats: MemStats::default(), sector_bytes, evicted: Vec::new() }
+    }
+
     fn dram(&mut self, sectors: u64) {
         self.stats.dram_sectors += sectors;
         self.stats.dram_bytes += sectors * self.sector_bytes;
     }
 
-    /// A read (fill request) arriving at L2.
-    fn l2_read(&mut self, sector: u64) {
-        self.stats.l2_accesses += 1;
-        let out = self.l2.read(sector);
-        if out.hit {
-            self.stats.l2_hits += 1;
+    /// A run of fill reads (`write` false) or of writes — stores,
+    /// writebacks, atomics — arriving at L2. Writes allocate, and fully
+    /// covered sectors (writebacks, full write-through stores) allocate
+    /// without a DRAM fill.
+    fn l2_run(&mut self, write: bool, run: LineRun) {
+        let LineRun { line, sectors, full } = run;
+        let out = if write {
+            self.l2.write_run(line, sectors, full, true, &mut self.evicted)
         } else {
-            self.stats.l2_misses += 1;
-        }
-        if out.filled {
-            self.dram(1);
-        }
-        self.dram(out.writebacks.len() as u64);
+            self.l2.read_run(line, sectors, &mut self.evicted)
+        };
+        let (count, hits) = (sector_count(sectors), sector_count(out.hits));
+        self.stats.l2_accesses += count;
+        self.stats.l2_hits += hits;
+        self.stats.l2_misses += count - hits;
+        self.dram(sector_count(out.fills) + self.evicted.len() as u64);
+        self.evicted.clear();
     }
 
-    /// A write (store or writeback) arriving at L2. Writebacks and
-    /// write-through stores of fully-covered sectors allocate without
-    /// a DRAM fill.
-    fn l2_write(&mut self, sector: u64, full_cover: bool) {
-        self.stats.l2_accesses += 1;
-        let out = self.l2.write(sector, full_cover, true);
-        if out.hit {
-            self.stats.l2_hits += 1;
-        } else {
-            self.stats.l2_misses += 1;
+    /// One L2-bound request on its own, as the serial reference serves
+    /// them.
+    fn l2_req(&mut self, req: L2Req) {
+        self.l2_run(req.is_write(), LineRun::new(&self.l2, req.sector(), req.full_cover()));
+    }
+
+    /// Launch exit: dirty L2 sectors drain to DRAM.
+    fn finish(mut self) -> (MemStats, SectoredCache) {
+        let dirty = self.l2.flush_dirty_count();
+        self.dram(dirty);
+        (self.stats, self.l2)
+    }
+}
+
+/// Drive one L1 line run of an access of `kind`, and append the L2-bound
+/// requests it causes to `out` in the order its sectors would cause them
+/// one at a time: the first sector's fill, the writebacks of the line it
+/// evicted, then the other sectors' fills. `evicted` is scratch for those
+/// writebacks.
+fn l1_run(
+    spec: &MemHierSpec,
+    l1: &mut SectoredCache,
+    kind: AccessKind,
+    run: LineRun,
+    stats: &mut MemStats,
+    evicted: &mut Vec<u64>,
+    out: &mut Vec<L2Req>,
+) {
+    let LineRun { line, sectors, full } = run;
+    let count = sector_count(sectors);
+    let o = match kind {
+        AccessKind::Load => l1.read_run(line, sectors, evicted),
+        AccessKind::Store if spec.l1_write_alloc => {
+            l1.write_run(line, sectors, full, true, evicted)
         }
-        if out.filled {
-            self.dram(1);
+        AccessKind::Store => {
+            // Write-through no-allocate: L2 serves the store; resident
+            // L1 copies are refreshed in place, clean.
+            l1.touch_run(line, sectors);
+            stats.l1_misses += count;
+            for sector in l1.sectors(line, sectors) {
+                out.push(L2Req::write(sector, full & l1.locate(sector).1 != 0));
+            }
+            return;
         }
-        self.dram(out.writebacks.len() as u64);
+        AccessKind::Atomic => {
+            // Atomics bypass L1: read-modify-write in L2.
+            out.extend(l1.sectors(line, sectors).map(|s| L2Req::write(s, false)));
+            return;
+        }
+    };
+    let hits = sector_count(o.hits);
+    stats.l1_hits += hits;
+    stats.l1_misses += count - hits;
+    // Only the first sector can miss the line, so every writeback
+    // follows its fill and precedes the rest.
+    let first = if evicted.is_empty() { 0 } else { sectors & sectors.wrapping_neg() };
+    for sector in l1.sectors(line, o.fills & first) {
+        out.push(L2Req::read(sector));
+    }
+    for &sector in evicted.iter() {
+        out.push(L2Req::write(sector, true));
+    }
+    evicted.clear();
+    for sector in l1.sectors(line, o.fills & !first) {
+        out.push(L2Req::read(sector));
     }
 }
 
@@ -265,16 +361,15 @@ impl Shared {
 ///
 /// This is the retained single-threaded **reference** pipeline: every
 /// block's full trace walks the coalescer, a fresh private L1, and the
-/// shared L2 on one thread, in block-id order. The production path is
-/// the streaming split ([`replay_block_l1`] per block on the workers +
-/// [`replay_l2`] once at launch exit); the differential suite pins the
+/// shared L2 on one thread, in block-id order, one sector request at a
+/// time. The production path is the streaming split
+/// ([`replay_block_l1`] per block on the workers + [`replay_l2`] once at
+/// launch exit), which serves line runs; the differential suite pins the
 /// two bit-identical.
 pub fn replay(spec: &MemHierSpec, warp_width: u32, blocks: &[BlockTrace]) -> MemStats {
-    let mut shared = Shared {
-        l2: SectoredCache::new(spec.l2_bytes, spec.l2_line_bytes, spec.l2_ways, spec.sector_bytes),
-        stats: MemStats::default(),
-        sector_bytes: spec.sector_bytes,
-    };
+    let l2 = SectoredCache::new(spec.l2_bytes, spec.l2_line_bytes, spec.l2_ways, spec.sector_bytes);
+    let mut shared = Shared::new(l2, spec.sector_bytes);
+    let (mut evicted, mut l2_reqs) = (Vec::new(), Vec::new());
     for block in blocks {
         let mut l1 =
             SectoredCache::new(spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways, spec.sector_bytes);
@@ -287,18 +382,25 @@ pub fn replay(spec: &MemHierSpec, warp_width: u32, blocks: &[BlockTrace]) -> Mem
             for req in &reqs {
                 shared.stats.mshr_merges += u64::from(req.lanes.saturating_sub(1));
                 shared.stats.bytes_covered += req.covered_bytes();
-                replay_req(spec, &mut l1, &mut shared, access.kind, req);
+                let run = LineRun::new(&l1, req.addr, req.full(spec.sector_bytes));
+                l1_run(
+                    spec,
+                    &mut l1,
+                    access.kind,
+                    run,
+                    &mut shared.stats,
+                    &mut evicted,
+                    &mut l2_reqs,
+                );
+                for req in l2_reqs.drain(..) {
+                    shared.l2_req(req);
+                }
             }
         }
         // Block exit: dirty L1 sectors drain to L2 as full-sector writes.
-        for sector in l1.flush_dirty() {
-            shared.l2_write(sector, true);
-        }
+        l1.flush_dirty(|sector| shared.l2_req(L2Req::write(sector, true)));
     }
-    // Launch exit: dirty L2 sectors drain to DRAM.
-    let dirty = shared.l2.flush_dirty().len() as u64;
-    shared.dram(dirty);
-    shared.stats
+    shared.finish().0
 }
 
 /// One L2-bound sector request emitted by the per-block L1 stage,
@@ -356,14 +458,18 @@ pub struct BlockL2Stream {
 }
 
 /// Reusable per-worker buffers for [`replay_block_l1`]: the private L1
-/// (reset, not reallocated, between blocks), and the coalescer's
-/// scratch. Pooled via [`crate::pool::ScratchPool`] so capacity
-/// persists across blocks and launches.
+/// (reset, not reallocated, between blocks), the coalescer's scratch,
+/// and the previous block's L2-stream length, which presizes the next
+/// stream (the streams themselves move on to [`replay_l2`]). Pooled via
+/// [`crate::pool::ScratchPool`] so capacity persists across blocks and
+/// launches.
 #[derive(Debug, Default)]
 pub struct L1Scratch {
     l1: Option<SectoredCache>,
     coalesce: CoalesceScratch,
     reqs: Vec<SectorReq>,
+    evicted: Vec<u64>,
+    stream_len: usize,
 }
 
 /// The private L1 for one block: recycled and reset when the slot
@@ -390,21 +496,23 @@ fn l1_for<'a>(slot: &'a mut Option<SectoredCache>, spec: &MemHierSpec) -> &'a mu
 /// The streaming pipeline's per-block stage, run **on the worker
 /// thread at block exit**: coalesce the block's trace and drive it
 /// through a private L1, emitting only the L2-bound request stream.
-/// Mirrors the reference [`replay`] exactly — L1 outcomes depend only
-/// on L1 state, never on L2, so deferring the shared stage cannot
-/// change any count.
+/// Each access's consecutive requests whose sectors ascend within one
+/// L1 line (a whole 128 B NVIDIA line for a unit-stride warp) take one
+/// probe as a line run, and their L2 requests come out in the order the
+/// reference [`replay`] walks them one sector at a time. L1 outcomes
+/// depend only on L1 state, never on L2, so deferring the shared stage
+/// cannot change any count. At block exit the dirty L1 sectors are
+/// appended to the stream in ascending order.
 pub fn replay_block_l1(
     spec: &MemHierSpec,
     warp_width: u32,
     trace: &BlockTrace,
     scratch: &mut L1Scratch,
 ) -> BlockL2Stream {
-    let mut out = BlockL2Stream { block: trace.block, ..Default::default() };
-    // Disjoint field borrows: the stream, the partial stats, the L1,
-    // and the coalescer buffers are all live inside the loop.
-    let BlockL2Stream { reqs: l2_reqs, partial: stats, .. } = &mut out;
-    let L1Scratch { l1: l1_slot, coalesce: cscratch, reqs } = scratch;
+    let L1Scratch { l1: l1_slot, coalesce: cscratch, reqs, evicted, stream_len } = scratch;
     let l1 = l1_for(l1_slot, spec);
+    let mut l2_reqs = Vec::with_capacity(*stream_len);
+    let mut stats = MemStats::default();
     for access in trace.accesses() {
         coalesce_into(&access, warp_width, spec.sector_bytes, cscratch, reqs);
         let lanes = access.lane_count();
@@ -414,57 +522,19 @@ pub fn replay_block_l1(
         for req in reqs.iter() {
             stats.mshr_merges += u64::from(req.lanes.saturating_sub(1));
             stats.bytes_covered += req.covered_bytes();
-            let full = req.full(spec.sector_bytes);
-            match access.kind {
-                AccessKind::Load => {
-                    let o = l1.read(req.addr);
-                    if o.hit {
-                        stats.l1_hits += 1;
-                    } else {
-                        stats.l1_misses += 1;
-                    }
-                    if o.filled {
-                        l2_reqs.push(L2Req::read(req.addr));
-                    }
-                    for wb in o.writebacks {
-                        l2_reqs.push(L2Req::write(wb, true));
-                    }
-                }
-                AccessKind::Store => {
-                    if spec.l1_write_alloc {
-                        let o = l1.write(req.addr, full, true);
-                        if o.hit {
-                            stats.l1_hits += 1;
-                        } else {
-                            stats.l1_misses += 1;
-                        }
-                        if o.filled {
-                            l2_reqs.push(L2Req::read(req.addr));
-                        }
-                        for wb in o.writebacks {
-                            l2_reqs.push(L2Req::write(wb, true));
-                        }
-                    } else {
-                        // Write-through no-allocate: L2 serves the
-                        // store; a resident L1 copy is refreshed in
-                        // place, clean.
-                        l1.update_if_present(req.addr);
-                        stats.l1_misses += 1;
-                        l2_reqs.push(L2Req::write(req.addr, full));
-                    }
-                }
-                AccessKind::Atomic => {
-                    // Atomics bypass L1: read-modify-write in L2.
-                    l2_reqs.push(L2Req::write(req.addr, false));
-                }
-            }
+        }
+        let full = |req: &SectorReq| req.full(spec.sector_bytes);
+        let mut rest = reqs.iter().peekable();
+        while let Some(first) = rest.next() {
+            let mut run = LineRun::new(l1, first.addr, full(first));
+            while rest.next_if(|req| run.join(l1, req.addr, full(req))).is_some() {}
+            l1_run(spec, l1, access.kind, run, &mut stats, evicted, &mut l2_reqs);
         }
     }
     // Block exit: dirty L1 sectors drain to L2 as full-sector writes.
-    for sector in l1.flush_dirty() {
-        l2_reqs.push(L2Req::write(sector, true));
-    }
-    out
+    l1.flush_dirty(|sector| l2_reqs.push(L2Req::write(sector, true)));
+    *stream_len = l2_reqs.len();
+    BlockL2Stream { block: trace.block, reqs: l2_reqs, partial: stats }
 }
 
 /// The shared L2 for one launch: recycled from the device-owned `slot`
@@ -487,7 +557,10 @@ fn l2_for(slot: &mut Option<SectoredCache>, spec: &MemHierSpec) -> SectoredCache
 /// The streaming pipeline's shared stage, run once at launch exit:
 /// replay the per-block L2 streams through the shared L2 in block-id
 /// order (sorted here — block ids are unique, so the unstable sort is
-/// deterministic) and fold in the per-block partials. Produces stats
+/// deterministic) and fold in the per-block partials. Consecutive
+/// requests of one kind (fill reads, or writes) whose sectors ascend
+/// within one L2 line are served as one line run, and the dirty L2
+/// sectors left at launch exit are only counted. Produces stats
 /// bit-identical to the reference [`replay`] over the same launch.
 /// `l2_slot` holds the recycled shared-L2 cache between launches.
 pub fn replay_l2(
@@ -496,78 +569,25 @@ pub fn replay_l2(
     l2_slot: &mut Option<SectoredCache>,
 ) -> MemStats {
     streams.sort_unstable_by_key(|s| s.block);
-    let mut shared = Shared {
-        l2: l2_for(l2_slot, spec),
-        stats: MemStats::default(),
-        sector_bytes: spec.sector_bytes,
-    };
+    let mut shared = Shared::new(l2_for(l2_slot, spec), spec.sector_bytes);
     for stream in &streams {
         shared.stats = shared.stats.merged(stream.partial);
-        for req in &stream.reqs {
-            if req.is_write() {
-                shared.l2_write(req.sector(), req.full_cover());
-            } else {
-                shared.l2_read(req.sector());
-            }
+        let mut rest = stream.reqs.iter().peekable();
+        while let Some(first) = rest.next() {
+            let (l2, write) = (&shared.l2, first.is_write());
+            let mut run = LineRun::new(l2, first.sector(), first.full_cover());
+            while rest
+                .next_if(|req| {
+                    req.is_write() == write && run.join(l2, req.sector(), req.full_cover())
+                })
+                .is_some()
+            {}
+            shared.l2_run(write, run);
         }
     }
-    // Launch exit: dirty L2 sectors drain to DRAM.
-    let dirty = shared.l2.flush_dirty().len() as u64;
-    shared.dram(dirty);
-    *l2_slot = Some(shared.l2);
-    shared.stats
-}
-
-fn replay_req(
-    spec: &MemHierSpec,
-    l1: &mut SectoredCache,
-    shared: &mut Shared,
-    kind: AccessKind,
-    req: &SectorReq,
-) {
-    let full = req.full(spec.sector_bytes);
-    match kind {
-        AccessKind::Load => {
-            let out = l1.read(req.addr);
-            if out.hit {
-                shared.stats.l1_hits += 1;
-            } else {
-                shared.stats.l1_misses += 1;
-            }
-            if out.filled {
-                shared.l2_read(req.addr);
-            }
-            for wb in out.writebacks {
-                shared.l2_write(wb, true);
-            }
-        }
-        AccessKind::Store => {
-            if spec.l1_write_alloc {
-                let out = l1.write(req.addr, full, true);
-                if out.hit {
-                    shared.stats.l1_hits += 1;
-                } else {
-                    shared.stats.l1_misses += 1;
-                }
-                if out.filled {
-                    shared.l2_read(req.addr);
-                }
-                for wb in out.writebacks {
-                    shared.l2_write(wb, true);
-                }
-            } else {
-                // Write-through no-allocate: L2 serves the store; a
-                // resident L1 copy is refreshed in place, clean.
-                l1.update_if_present(req.addr);
-                shared.stats.l1_misses += 1;
-                shared.l2_write(req.addr, full);
-            }
-        }
-        AccessKind::Atomic => {
-            // Atomics bypass L1: read-modify-write in L2.
-            shared.l2_write(req.addr, false);
-        }
-    }
+    let (stats, l2) = shared.finish();
+    *l2_slot = Some(l2);
+    stats
 }
 
 #[cfg(test)]
@@ -702,11 +722,13 @@ mod tests {
             .collect();
         // An empty block must also round-trip.
         blocks.push(BlockTrace::new(6));
-        for (spec, w) in PRESETS {
-            let spec = spec();
-            let serial = replay(&spec, w, &blocks);
-            let streamed = replay_streaming(&spec, w, &blocks);
-            assert_eq!(serial, streamed, "sector_bytes {}", spec.sector_bytes);
+        for trace in [blocks, line_run_blocks()] {
+            for (preset, w) in PRESETS {
+                for spec in [preset(), shrunk(preset)] {
+                    let serial = replay(&spec, w, &trace);
+                    assert_eq!(replay_streaming(&spec, w, &trace), serial, "{spec:?}");
+                }
+            }
         }
     }
 
@@ -820,6 +842,85 @@ mod tests {
             assert_eq!(replay(&spec, w, &blocks), want, "serial, sector_bytes {sector}");
             assert_eq!(replay_streaming(&spec, w, &blocks), want, "split, sector_bytes {sector}");
         }
+    }
+
+    /// Three blocks, each shifted by 2 KiB from the last so that
+    /// neighbours share lines in L2, whose accesses put the edge cases of
+    /// line runs in both stages' request streams, for
+    /// `streaming_split_is_bit_identical_to_serial_replay`.
+    fn line_run_blocks() -> Vec<BlockTrace> {
+        (0..3u32)
+            .map(|b| {
+                let mut t = BlockTrace::new(b);
+                let at = u64::from(b) << 11;
+                let lanes =
+                    |n: u32, addr: fn(u64) -> u64| (0..n).map(move |l| (l, at + addr(l.into())));
+                // Unit-stride f64 loads of 2 KiB: 16 whole NVIDIA lines.
+                push(&mut t, AccessKind::Load, 8, lanes(256, |l| 0x1000 + l * 8));
+                // An unaligned f64 store whose partial first and last
+                // sectors sit inside one 128 B line.
+                push(&mut t, AccessKind::Store, 8, lanes(12, |l| 0x2008 + l * 8));
+                // Two 32-lane warps on sectors 0 and 2 of one 128 B line
+                // (16-lane warps repeat a sector, 64-lane ones share one).
+                push(&mut t, AccessKind::Load, 4, lanes(64, |l| 0x3000 + l / 32 * 64 + l % 8 * 4));
+                // Back-to-back accesses to one line: the second repeats
+                // sectors the first touched, so L2 runs end there.
+                push(&mut t, AccessKind::Atomic, 4, lanes(4, |l| 0x4000 + l * 4));
+                push(&mut t, AccessKind::Atomic, 4, lanes(4, |l| 0x4000 + l * 4));
+                push(&mut t, AccessKind::Load, 8, lanes(8, |l| 0x4000 + l * 8));
+                push(&mut t, AccessKind::Load, 8, lanes(16, |l| 0x4000 + l * 8));
+                // A fill read, then an atomic on the next sector of its
+                // line: one L2 run must not mix the two kinds.
+                push(&mut t, AccessKind::Load, 4, lanes(1, |_| 0x5000));
+                push(&mut t, AccessKind::Atomic, 4, lanes(1, |_| 0x5020));
+                // Stores to lines the first access made resident: an AMD
+                // write-through store touches them, partially at the end.
+                push(&mut t, AccessKind::Store, 8, lanes(250, |l| 0x1000 + l * 8));
+                // Loads that, in the shrunken L1s, evict the dirty lines.
+                push(&mut t, AccessKind::Load, 8, lanes(256, |l| 0x6000 + l * 8));
+                t
+            })
+            .collect()
+    }
+
+    #[test]
+    fn an_evicting_fill_reaches_l2_before_the_writeback() {
+        // A one-line L1 and a one-set, two-way L2. Block 0 dirties line 0
+        // in L1, then a load of line 0x1000 evicts it: L2 sees the fill
+        // read, then the writeback, so line 0 is its most recent line
+        // and an atomic on line 0x2000 evicts line 0x1000. Block 1's load
+        // of line 0x1000 therefore misses L2; in the opposite order it
+        // would hit. Every L2 access misses.
+        let spec = MemHierSpec {
+            l1_bytes: 128,
+            l1_ways: 1,
+            l2_bytes: 256,
+            l2_ways: 2,
+            ..MemHierSpec::nvidia_a100()
+        };
+        let mut first = BlockTrace::new(0);
+        push(&mut first, AccessKind::Store, 8, (0..4).map(|l| (l, u64::from(l) * 8)));
+        push(&mut first, AccessKind::Load, 4, [(0, 0x1000)].into_iter());
+        push(&mut first, AccessKind::Atomic, 4, [(0, 0x2000)].into_iter());
+        let mut second = BlockTrace::new(1);
+        push(&mut second, AccessKind::Load, 4, [(0, 0x1000)].into_iter());
+        let blocks = [first, second];
+        let want = MemStats {
+            requests: 7,
+            transactions: 4,
+            mshr_merges: 3,
+            l1_hits: 0,
+            l1_misses: 3,
+            l2_accesses: 4,
+            l2_hits: 0,
+            l2_misses: 4,
+            dram_sectors: 5,
+            dram_bytes: 160,
+            bytes_requested: 44,
+            bytes_covered: 44,
+        };
+        assert_eq!(replay(&spec, 32, &blocks), want, "serial");
+        assert_eq!(replay_streaming(&spec, 32, &blocks), want, "split");
     }
 
     #[test]
