@@ -19,8 +19,7 @@
 //! sector decides whether the line is resident and what it evicts, and
 //! the others find it resident. A caller may therefore split a run into
 //! single sectors (the serial reference replay does) without changing
-//! any outcome, and the LRU clock advances by the run's length either
-//! way.
+//! any outcome.
 //!
 //! Write policy is decided by the caller per level:
 //! * write-allocate (NVIDIA/Intel L1, both L2s): a store miss fills the
@@ -28,8 +27,10 @@
 //!   sector, in which case it allocates dirty without a fill
 //!   (write-combining; keeps a streaming write from reading its own
 //!   destination).
-//! * no-allocate (AMD's write-through L1): a store miss does not touch
-//!   the cache; the caller forwards the write to the next level.
+//! * no-allocate (AMD's write-through L1): the caller forwards every
+//!   store to the next level and only refreshes resident copies
+//!   ([`SectoredCache::touch_run`]); a store miss leaves the cache as it
+//!   was.
 //!
 //! A set's live ways are always a prefix `0..n` of its ways: lines are
 //! only ever installed at way `n` of a set with room, or in place of a
@@ -147,10 +148,11 @@ impl SectoredCache {
         })
     }
 
-    /// Advance the clock past a run of `sectors` and look `line` up:
+    /// Advance the clock and look `line` up for a run of `sectors`:
     /// `Ok(way)` if it is resident, now as the most recently used line;
     /// otherwise `Err((set, n))` with the set's live-way count, for
-    /// [`install`](Self::install).
+    /// [`install`](Self::install). Ticks only order lines, so one step
+    /// per run orders them as one step per sector would.
     #[inline]
     fn probe(&mut self, line: u64, sectors: u64) -> Result<usize, (usize, usize)> {
         debug_assert_eq!(line & (self.line_bytes - 1), 0, "runs name a line-aligned address");
@@ -159,7 +161,7 @@ impl SectoredCache {
             u64::from(u64::BITS - sectors.leading_zeros()) <= self.line_bytes >> self.sector_shift,
             "a run's sectors lie in its line"
         );
-        self.tick += sector_count(sectors);
+        self.tick += 1;
         let set = ((line >> self.line_shift) & self.set_mask) as usize;
         let n = self.live[set].saturating_sub(self.epoch) as usize;
         let base = set * self.ways;
@@ -233,32 +235,27 @@ impl SectoredCache {
         }
     }
 
-    /// Store a run of `sectors` of `line`. `full` marks the sectors the
-    /// warp wrote every byte of; `write_alloc` selects the allocate
-    /// policy (see module docs). Without it, a line miss leaves the cache
-    /// untouched, and so does a partially written sector missing from a
-    /// resident line; the caller forwards those writes.
+    /// Store a run of `sectors` of `line` under write-allocate (see the
+    /// module docs). `full` marks the sectors the warp wrote every byte
+    /// of; the others fill from below if they were not resident.
     #[inline]
     pub fn write_run(
         &mut self,
         line: u64,
         sectors: u64,
         full: u64,
-        write_alloc: bool,
         writebacks: &mut Vec<u64>,
     ) -> RunOutcome {
         match self.probe(line, sectors) {
             Ok(i) => {
                 let hits = self.valid[i] & sectors;
-                let stored = if write_alloc { sectors } else { sectors & (hits | full) };
-                if self.dirty[i] == 0 && stored != 0 {
+                if self.dirty[i] == 0 {
                     self.dirty_lines.push(i as u32);
                 }
-                self.valid[i] |= stored;
-                self.dirty[i] |= stored;
-                RunOutcome { hits, fills: stored & !hits & !full }
+                self.valid[i] |= sectors;
+                self.dirty[i] |= sectors;
+                RunOutcome { hits, fills: sectors & !hits & !full }
             }
-            Err(_) if !write_alloc => RunOutcome::default(),
             Err(slot) => {
                 self.install(slot, line, sectors, sectors, writebacks);
                 RunOutcome { hits: 0, fills: sectors & !full }
@@ -328,22 +325,9 @@ impl SectoredCache {
     pub fn flush_dirty_count(&mut self) -> u64 {
         let mut count = 0;
         for i in self.dirty_lines.drain(..) {
-            count += sector_count(std::mem::take(&mut self.dirty[i as usize]));
+            count += u64::from(std::mem::take(&mut self.dirty[i as usize]).count_ones());
         }
         count
-    }
-}
-
-/// The number of sectors in a run mask. Most runs are one sector (every
-/// AMD and Intel line is), and the baseline x86-64 target has no
-/// population-count instruction, so `count_ones` costs a dozen
-/// instructions that this case skips.
-#[inline]
-pub(crate) fn sector_count(mask: u64) -> u64 {
-    if mask & mask.wrapping_sub(1) == 0 {
-        u64::from(mask != 0)
-    } else {
-        u64::from(mask.count_ones())
     }
 }
 
@@ -377,7 +361,7 @@ mod tests {
         writebacks: &mut Vec<u64>,
     ) -> RunOutcome {
         let (line, bit) = c.locate(addr);
-        c.write_run(line, bit, if full { bit } else { 0 }, true, writebacks)
+        c.write_run(line, bit, if full { bit } else { 0 }, writebacks)
     }
 
     fn flushed(c: &mut SectoredCache) -> Vec<u64> {
@@ -417,10 +401,7 @@ mod tests {
         let wb = &mut Vec::new();
         assert_eq!(write(&mut c, 32, false, wb), RunOutcome { hits: 0, fills: 0b10 });
         // A store run over a missing line fills only its partial sectors.
-        assert_eq!(
-            c.write_run(256, 0b1110, 0b0110, true, wb),
-            RunOutcome { hits: 0, fills: 0b1000 }
-        );
+        assert_eq!(c.write_run(256, 0b1110, 0b0110, wb), RunOutcome { hits: 0, fills: 0b1000 });
         assert_eq!(flushed(&mut c), vec![32, 256 + 32, 256 + 64, 256 + 96]);
         assert_eq!(flushed(&mut c), Vec::<u64>::new());
     }
@@ -429,9 +410,12 @@ mod tests {
     fn no_allocate_store_miss_leaves_cache_untouched() {
         let mut c = SectoredCache::new(1 << 10, 64, 4, 64);
         let wb = &mut Vec::new();
-        assert_eq!(c.write_run(0, 1, 1, false, wb), RunOutcome::default());
-        assert!(wb.is_empty());
+        assert_eq!(c.touch_run(0, 1), 0);
         assert_eq!(read(&mut c, 0, wb).hits, 0, "store must not have allocated");
+        // A store to a resident line refreshes it in place, still clean.
+        assert_eq!(c.touch_run(0, 1), 1);
+        assert!(wb.is_empty());
+        assert_eq!(flushed(&mut c), Vec::<u64>::new());
     }
 
     #[test]
@@ -451,26 +435,39 @@ mod tests {
     }
 
     #[test]
-    fn a_run_evicts_once_and_counts_every_sector_on_the_clock() {
+    fn a_run_evicts_once() {
         // One set of two 4-sector lines.
         let mut c = SectoredCache::new(256, 128, 2, 32);
         let wb = &mut Vec::new();
-        c.write_run(0, 0b0101, 0b0101, true, wb);
+        c.write_run(0, 0b0101, 0b0101, wb);
         c.read_run(128, 0b0001, wb);
-        // A three-sector run on line 0 advances the clock by three, so a
-        // later one-sector touch of line 128 still leaves line 0 the
-        // most recent of the two; the next miss evicts line 128.
         c.read_run(0, 0b1110, wb);
         c.touch_run(128, 0b0001);
+        // Line 128 was touched last; this read makes line 0 the most
+        // recent of the two, so the next miss evicts line 128.
         c.read_run(0, 0b0001, wb);
         assert_eq!(c.read_run(256, 0b0011, wb), RunOutcome { hits: 0, fills: 0b0011 });
         assert!(wb.is_empty(), "the clean line 128 was the victim");
         // Line 0 is now least recent: a four-sector store run evicts it
         // once, writing back its two dirty sectors in ascending order.
-        assert_eq!(c.write_run(384, 0b1111, 0b1111, true, wb), RunOutcome::default());
+        assert_eq!(c.write_run(384, 0b1111, 0b1111, wb), RunOutcome::default());
         assert_eq!(*wb, vec![0, 64]);
         assert_eq!(c.flush_dirty_count(), 4);
         assert_eq!(c.flush_dirty_count(), 0);
+    }
+
+    #[test]
+    fn deterministic_replay() {
+        let drive = || {
+            let mut c = SectoredCache::new(4 << 10, 128, 4, 32);
+            let (mut hits, mut wb) = (0, Vec::new());
+            for i in 0..4096u64 {
+                let addr = (i * 96) % (16 << 10);
+                hits += read(&mut c, addr & !31, &mut wb).hits.count_ones();
+            }
+            (hits, wb, flushed(&mut c))
+        };
+        assert_eq!(drive(), drive());
     }
 
     #[test]
@@ -586,19 +583,13 @@ mod tests {
             RefOutcome { filled: true, writebacks, ..Default::default() }
         }
 
-        fn write(&mut self, addr: u64, full: bool, alloc: bool) -> RefOutcome {
+        fn write(&mut self, addr: u64, full: bool) -> RefOutcome {
             let (tag, bit) = self.locate(addr);
             if let Some(line) = self.touch(tag) {
                 let hit = line.valid & bit != 0;
-                if !hit && !full && !alloc {
-                    return RefOutcome::default();
-                }
                 line.valid |= bit;
                 line.dirty |= bit;
                 return RefOutcome { hit, filled: !hit && !full, ..Default::default() };
-            }
-            if !alloc {
-                return RefOutcome::default();
             }
             let writebacks = self.install(RefLine { tag, valid: bit, dirty: bit });
             RefOutcome { filled: !full, writebacks, ..Default::default() }
@@ -654,8 +645,9 @@ mod tests {
         /// outcomes. About half the runs are one sector (as the serial
         /// replay drives the cache); the rest take a random ascending
         /// subset of the line's sectors, so a line miss inside a run
-        /// evicts a dirty LRU line. Each run is diffed against the
-        /// reference model applied sector by sector.
+        /// evicts a dirty LRU line. Each run (a read, a store with a
+        /// random full-cover mask, or a write-through touch) is diffed
+        /// against the reference model applied sector by sector.
         #[test]
         fn matches_the_reference_model(
             kib in 1u64..5,
@@ -680,7 +672,7 @@ mod tests {
                     0 => all,
                     some => some,
                 };
-                let (full, alloc) = (flags & sectors, flags >> 63 != 0);
+                let full = flags & sectors;
                 writebacks.clear();
                 match op {
                     0..=44 => {
@@ -689,15 +681,15 @@ mod tests {
                         prop_assert_eq!((got, writebacks.clone()), want,
                             "step {step} read {line:#x} {sectors:#b}");
                     }
-                    45..=84 => {
-                        let got = real.write_run(line, sectors, full, alloc, &mut writebacks);
+                    45..=74 => {
+                        let got = real.write_run(line, sectors, full, &mut writebacks);
                         let want = model.run(line, sectors, |m, addr, bit| {
-                            m.write(addr, full & bit != 0, alloc)
+                            m.write(addr, full & bit != 0)
                         });
                         prop_assert_eq!((got, writebacks.clone()), want,
-                            "step {step} write {line:#x} {sectors:#b} full {full:#b} alloc {alloc}");
+                            "step {step} write {line:#x} {sectors:#b} full {full:#b}");
                     }
-                    85..=94 => {
+                    75..=94 => {
                         let got = real.touch_run(line, sectors);
                         let want = model.run(line, sectors, |m, addr, _| m.update_if_present(addr));
                         prop_assert_eq!(got, want.0.hits, "step {step} touch {line:#x} {sectors:#b}");

@@ -24,7 +24,7 @@
 //!   a resident copy in place). Dirty L1 sectors flush to L2 at block
 //!   exit; dirty L2 sectors flush to DRAM at launch exit.
 
-use crate::cache::{sector_count, SectoredCache};
+use crate::cache::SectoredCache;
 use crate::coalesce::{coalesce, coalesce_into, CoalesceScratch, SectorReq};
 use crate::trace::{AccessKind, BlockTrace};
 
@@ -275,15 +275,15 @@ impl Shared {
     fn l2_run(&mut self, write: bool, run: LineRun) {
         let LineRun { line, sectors, full } = run;
         let out = if write {
-            self.l2.write_run(line, sectors, full, true, &mut self.evicted)
+            self.l2.write_run(line, sectors, full, &mut self.evicted)
         } else {
             self.l2.read_run(line, sectors, &mut self.evicted)
         };
-        let (count, hits) = (sector_count(sectors), sector_count(out.hits));
+        let (count, hits) = (u64::from(sectors.count_ones()), u64::from(out.hits.count_ones()));
         self.stats.l2_accesses += count;
         self.stats.l2_hits += hits;
         self.stats.l2_misses += count - hits;
-        self.dram(sector_count(out.fills) + self.evicted.len() as u64);
+        self.dram(u64::from(out.fills.count_ones()) + self.evicted.len() as u64);
         self.evicted.clear();
     }
 
@@ -316,12 +316,10 @@ fn l1_run(
     out: &mut Vec<L2Req>,
 ) {
     let LineRun { line, sectors, full } = run;
-    let count = sector_count(sectors);
+    let count = u64::from(sectors.count_ones());
     let o = match kind {
         AccessKind::Load => l1.read_run(line, sectors, evicted),
-        AccessKind::Store if spec.l1_write_alloc => {
-            l1.write_run(line, sectors, full, true, evicted)
-        }
+        AccessKind::Store if spec.l1_write_alloc => l1.write_run(line, sectors, full, evicted),
         AccessKind::Store => {
             // Write-through no-allocate: L2 serves the store; resident
             // L1 copies are refreshed in place, clean.
@@ -338,7 +336,7 @@ fn l1_run(
             return;
         }
     };
-    let hits = sector_count(o.hits);
+    let hits = u64::from(o.hits.count_ones());
     stats.l1_hits += hits;
     stats.l1_misses += count - hits;
     // Only the first sector can miss the line, so every writeback
