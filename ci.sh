@@ -34,13 +34,14 @@ cargo run --release -p mcmm-bench --bin exec -- --smoke
 echo "── memory-hierarchy smoke ─────────────────────────"
 # Six kernel shapes × three vendor devices through the traced memory
 # hierarchy: asserts buffers are byte-identical with tracing on/off and
-# under trace-driven timing, the streaming per-block replay is
-# bit-identical to the buffered serial reference, coalesced copies fill
-# ≥95% of their sectors while the 128B-strided gather does not, the
-# per-vendor L1 hit rates genuinely diverge, and streaming tracing
-# wall-clock overhead stays under budget (1.5×/3× full/smoke on ≥4
-# cores; on narrower hosts a serial-replay backstop of 3× for full runs
-# on 2–3 cores and 12× otherwise).
+# under trace-driven timing, replay is deterministic and identical on
+# both execution tiers, coalesced copies fill ≥95% of their sectors
+# while the 128B-strided gather does not, the per-vendor L1 hit rates
+# genuinely diverge, and streaming tracing wall-clock overhead stays
+# under budget (1.5×/3× full/smoke on ≥4 cores; on narrower hosts a
+# backstop of 3× for full runs on 2–3 cores and 12× otherwise). The
+# memhier unit tests pin the streaming replay to the one-sector serial
+# reference.
 cargo run --release -p mcmm-bench --bin memhier -- --smoke
 
 echo "── http front-door smoke ──────────────────────────"
@@ -85,6 +86,19 @@ if [ "$adapter_lines" -ge 1321 ]; then
   exit 1
 fi
 echo "adapters/ is ${adapter_lines} lines (< 1321) — OK"
+
+echo "── gpu-sim size guard ─────────────────────────────"
+# The simulator is meant to shrink: one SimConfig replaced five
+# hand-rolled knobs and the buffered replay mode went (14225 lines of
+# Rust under crates/gpu-sim/src, tests included, before). Fail if it
+# grows back to that size.
+gpu_sim_lines=$(find crates/gpu-sim/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
+if [ "$gpu_sim_lines" -ge 14225 ]; then
+  echo "FAIL: crates/gpu-sim/src is ${gpu_sim_lines} lines (>= 14225)."
+  echo "      Delete a mode, a duplicated algorithm or a test-only path before adding one."
+  exit 1
+fi
+echo "gpu-sim/src is ${gpu_sim_lines} lines (< 14225) — OK"
 
 echo "── clippy (warnings are errors) ───────────────────"
 cargo clippy --workspace --all-targets -- -D warnings

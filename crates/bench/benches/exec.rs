@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mcmm_babelstream::adapters::stream_kernels;
 use mcmm_babelstream::{START_A, START_B, START_C};
 use mcmm_gpu_sim::device::{Device, ExecTier, KernelArg, LaunchConfig};
-use mcmm_gpu_sim::DeviceSpec;
+use mcmm_gpu_sim::{DeviceSpec, SimConfig};
 use std::hint::black_box;
 
 fn bench_triad_tiers(c: &mut Criterion) {
@@ -20,8 +20,8 @@ fn bench_triad_tiers(c: &mut Criterion) {
     let triad = stream_kernels()[3].clone();
     let n = 1usize << 16;
     for (label, tier) in [("scalar", ExecTier::Scalar), ("vectorized", ExecTier::Vectorized)] {
-        let dev = Device::new(DeviceSpec::nvidia_a100());
-        dev.set_exec_tier(tier);
+        let config = SimConfig { exec: tier, ..SimConfig::resolve() };
+        let dev = Device::with_config(DeviceSpec::nvidia_a100(), config);
         let da = dev.alloc_copy_f64(&vec![START_A; n]).unwrap();
         let db = dev.alloc_copy_f64(&vec![START_B; n]).unwrap();
         let dc = dev.alloc_copy_f64(&vec![START_C; n]).unwrap();

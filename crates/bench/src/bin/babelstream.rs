@@ -12,7 +12,7 @@ use mcmm_babelstream::report::{kernel_series, run_table, sweep_table};
 use mcmm_babelstream::runner::{sweep, unsupported_count, verified_count};
 use mcmm_bench::{arg_usize, DEFAULT_STREAM_ITERS, DEFAULT_STREAM_N};
 use mcmm_core::taxonomy::Vendor;
-use mcmm_gpu_sim::{set_process_tracing, DeviceSpec};
+use mcmm_gpu_sim::{set_process_config, DeviceSpec, SimConfig};
 
 /// Peak DRAM bandwidth of the vendor's simulated device, for the
 /// achieved-vs-peak column.
@@ -33,7 +33,7 @@ fn main() {
 
     // Trace every launch so the report can show cache hit rates; timing
     // stays on the analytic tier unless MCMM_TIMING_TIER overrides it.
-    set_process_tracing(Some(true));
+    set_process_config(Some(SimConfig { tracing: true, ..SimConfig::from_env() }));
 
     eprintln!("running BabelStream sweep: n = {n}, iters = {iters} (modeled timings)…");
     let entries = sweep(n, iters);

@@ -25,7 +25,7 @@ use mcmm_babelstream::adapters::stream_kernels;
 use mcmm_babelstream::{SCALAR, START_A, START_B, START_C};
 use mcmm_gpu_sim::device::{Device, ExecTier, KernelArg, LaunchConfig};
 use mcmm_gpu_sim::ir::KernelIr;
-use mcmm_gpu_sim::{DeviceSpec, OptLevel, OptStats};
+use mcmm_gpu_sim::{DeviceSpec, OptLevel, OptStats, SimConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -72,9 +72,8 @@ fn run_shape(
     n: usize,
     iters: usize,
 ) -> (f64, u64, u64, OptStats) {
-    let dev: Arc<Device> = Device::new(DeviceSpec::nvidia_a100());
-    dev.set_exec_tier(tier);
-    dev.set_opt_level(opt);
+    let config = SimConfig { exec: tier, opt, ..SimConfig::resolve() };
+    let dev: Arc<Device> = Device::with_config(DeviceSpec::nvidia_a100(), config);
     let da = dev.alloc_copy_f64(&vec![START_A; n]).unwrap();
     let db = dev.alloc_copy_f64(&vec![START_B; n]).unwrap();
     let dc = dev.alloc_copy_f64(&vec![START_C; n]).unwrap();

@@ -5,11 +5,10 @@
 //!
 //! * tracing and the trace-driven timing tier never change computed
 //!   buffers (checksums identical across all run modes);
-//! * the streaming replay pipeline (per-block L1 on the worker, deferred
-//!   shared L2 stage) is bit-identical to the buffered serial reference
-//!   on every vendor × shape, on both execution tiers;
 //! * the cache replay is deterministic (identical `MemStats` when the
 //!   same launch is traced twice);
+//! * both execution tiers replay to identical `MemStats` on every
+//!   vendor × shape;
 //! * the fully-coalesced Copy achieves ≥95% sector utilization on every
 //!   vendor while the strided gather stays far below it;
 //! * the warp-width-sensitive gather produces genuinely different L1 hit
@@ -19,9 +18,7 @@
 //! * tracing is cheap enough to leave on: measured wall-clock overhead
 //!   of streaming-traced launches over untraced launches stays within
 //!   the production budget (geomean ≤ 1.5× on full runs, ≤ 3× on smoke
-//!   where tiny launches amplify fixed costs), and on hosts with ≥ 4
-//!   cores the streaming pipeline beats the buffered serial replay by
-//!   ≥ 3× on trace-dominated launches.
+//!   where tiny launches amplify fixed costs, given ≥ 4 cores).
 //!
 //! Usage: `cargo run --release -p mcmm-bench --bin memhier [--] [--smoke]
 //! [--n N] [--json]`. A full run (no `--smoke`) rewrites
@@ -32,7 +29,7 @@ use mcmm_babelstream::adapters::stream_kernels;
 use mcmm_babelstream::{START_A, START_B, START_C};
 use mcmm_gpu_sim::device::{Device, ExecTier, KernelArg, LaunchConfig, TimingTier};
 use mcmm_gpu_sim::ir::{BinOp, CmpOp, KernelBuilder, KernelIr, Space, Type, Value};
-use mcmm_gpu_sim::{DeviceSpec, MemStats, ReplayMode};
+use mcmm_gpu_sim::{DeviceSpec, MemStats, SimConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -96,22 +93,15 @@ fn fnv1a(chunks: &[Vec<u8>]) -> u64 {
     h
 }
 
-/// One launch of `kernel` on a fresh device with the given knobs:
-/// (mem stats if traced, modeled µs, checksum of the arrays afterwards).
+/// One launch of `kernel` on a fresh device under `config`: (mem stats
+/// if traced, modeled µs, checksum of the arrays afterwards).
 fn run_case(
     spec: DeviceSpec,
     kernel: &KernelIr,
     n: usize,
-    tracing: bool,
-    timing: TimingTier,
-    tier: ExecTier,
-    mode: ReplayMode,
+    config: SimConfig,
 ) -> (Option<MemStats>, f64, u64) {
-    let dev: Arc<Device> = Device::new(spec);
-    dev.set_tracing(tracing);
-    dev.set_timing_tier(timing);
-    dev.set_exec_tier(tier);
-    dev.set_replay_mode(mode);
+    let dev: Arc<Device> = Device::with_config(spec, config);
     let da = dev.alloc_copy_f64(&vec![START_A; n]).unwrap();
     let db = dev.alloc_copy_f64(&vec![START_B; n]).unwrap();
     let dc = dev.alloc_copy_f64(&vec![START_C; n]).unwrap();
@@ -131,22 +121,17 @@ fn run_case(
 }
 
 /// Wall-clock nanoseconds per element for repeated launches of `kernel`
-/// on one persistent device (scratch pools warm, program cache hot):
-/// `warmup` discarded launches, then the best of `iters`. `mode = None`
-/// disables tracing entirely.
+/// on one persistent device under `config` (scratch pools warm, program
+/// cache hot): `warmup` discarded launches, then the best of `iters`.
 fn wall_ns_per_elem(
     spec: DeviceSpec,
     kernel: &KernelIr,
     n: usize,
-    mode: Option<ReplayMode>,
+    config: SimConfig,
     warmup: usize,
     iters: usize,
 ) -> f64 {
-    let dev: Arc<Device> = Device::new(spec);
-    dev.set_tracing(mode.is_some());
-    if let Some(m) = mode {
-        dev.set_replay_mode(m);
-    }
+    let dev: Arc<Device> = Device::with_config(spec, config);
     let da = dev.alloc_copy_f64(&vec![START_A; n]).unwrap();
     let db = dev.alloc_copy_f64(&vec![START_B; n]).unwrap();
     let dc = dev.alloc_copy_f64(&vec![START_C; n]).unwrap();
@@ -167,7 +152,7 @@ fn wall_ns_per_elem(
         let t0 = Instant::now();
         let report = dev.launch_kernel(kernel, cfg, &args).unwrap();
         let ns = t0.elapsed().as_nanos() as f64;
-        assert_eq!(report.mem.is_some(), mode.is_some(), "tracing knob ignored");
+        assert_eq!(report.mem.is_some(), config.tracing, "tracing setting ignored");
         best = best.min(ns);
     }
     best / n as f64
@@ -195,7 +180,6 @@ struct OverheadRow {
     shape: &'static str,
     untraced_ns_elem: f64,
     streaming_ns_elem: f64,
-    buffered_ns_elem: f64,
 }
 
 impl OverheadRow {
@@ -203,12 +187,6 @@ impl OverheadRow {
     /// tracing on in production.
     fn streaming_overhead(&self) -> f64 {
         self.streaming_ns_elem / self.untraced_ns_elem.max(f64::MIN_POSITIVE)
-    }
-
-    /// Buffered-serial wall clock over streaming — the pipeline's
-    /// speedup over the retained reference replay.
-    fn replay_speedup(&self) -> f64 {
-        self.buffered_ns_elem / self.streaming_ns_elem.max(f64::MIN_POSITIVE)
     }
 }
 
@@ -228,6 +206,10 @@ fn main() {
         "--n must be a multiple of {BLOCK_DIM} and at least 512"
     );
     let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
+    // Every run fixes the settings it compares and takes the others (the
+    // opt level, and both tiers of the overhead runs) from the
+    // environment.
+    let base = SimConfig::resolve();
 
     type SpecFn = fn() -> DeviceSpec;
     let vendors: [(&'static str, SpecFn); 3] = [
@@ -253,41 +235,30 @@ fn main() {
     let mut failed = false;
     for (vendor, spec) in vendors {
         for (shape, kernel) in &shapes {
-            let run = |tracing, timing, tier, mode| {
-                run_case(spec(), kernel, n, tracing, timing, tier, mode)
+            let run = |tracing, timing| {
+                let config = SimConfig { exec: ExecTier::Vectorized, timing, tracing, ..base };
+                run_case(spec(), kernel, n, config)
             };
-            let (no_mem, analytic_us, base_sum) =
-                run(false, TimingTier::Analytic, ExecTier::Vectorized, ReplayMode::Streaming);
-            let (streaming_mem, _, traced_sum) =
-                run(true, TimingTier::Analytic, ExecTier::Vectorized, ReplayMode::Streaming);
-            let (buffered_mem, _, buffered_sum) =
-                run(true, TimingTier::Analytic, ExecTier::Vectorized, ReplayMode::Buffered);
-            let (driven_mem, traced_us, driven_sum) =
-                run(false, TimingTier::TraceDriven, ExecTier::Vectorized, ReplayMode::Streaming);
+            let (no_mem, analytic_us, base_sum) = run(false, TimingTier::Analytic);
+            let (traced_mem, _, traced_sum) = run(true, TimingTier::Analytic);
+            let (driven_mem, traced_us, driven_sum) = run(false, TimingTier::TraceDriven);
 
             if no_mem.is_some() {
                 eprintln!("FAIL: {vendor}/{shape}: untraced launch produced mem stats");
                 failed = true;
             }
-            if base_sum != traced_sum || base_sum != driven_sum || base_sum != buffered_sum {
+            if base_sum != traced_sum || base_sum != driven_sum {
                 eprintln!("FAIL: {vendor}/{shape}: buffers changed under tracing/timing tiers");
                 failed = true;
             }
-            let (mem, buffered, driven) = match (streaming_mem, buffered_mem, driven_mem) {
-                (Some(a), Some(b), Some(c)) => (a, b, c),
+            let (mem, driven) = match (traced_mem, driven_mem) {
+                (Some(a), Some(b)) => (a, b),
                 _ => {
                     eprintln!("FAIL: {vendor}/{shape}: traced launch produced no mem stats");
                     failed = true;
                     continue;
                 }
             };
-            if mem != buffered {
-                eprintln!(
-                    "FAIL: {vendor}/{shape}: streaming replay diverges from the buffered \
-                     serial reference"
-                );
-                failed = true;
-            }
             if mem != driven {
                 eprintln!("FAIL: {vendor}/{shape}: cache replay is not deterministic");
                 failed = true;
@@ -297,26 +268,21 @@ fn main() {
     }
 
     // Both execution tiers feed the same pipeline: at a reduced size the
-    // scalar interpreter's trace must replay — in both modes — to the
-    // stats the vectorized tier produced.
+    // scalar interpreter's trace must replay to the stats the vectorized
+    // tier produced.
     let tier_n = n.min(1 << 12);
     for (vendor, spec) in vendors {
         for (shape, kernel) in &shapes {
-            let run = |tier, mode| {
-                run_case(spec(), kernel, tier_n, true, TimingTier::Analytic, tier, mode)
+            let run = |exec| {
+                let config =
+                    SimConfig { exec, timing: TimingTier::Analytic, tracing: true, ..base };
+                run_case(spec(), kernel, tier_n, config)
                     .0
                     .expect("traced launch must produce mem stats")
             };
-            let reference = run(ExecTier::Vectorized, ReplayMode::Streaming);
-            for (tier, mode, what) in [
-                (ExecTier::Scalar, ReplayMode::Streaming, "scalar/streaming"),
-                (ExecTier::Scalar, ReplayMode::Buffered, "scalar/buffered"),
-                (ExecTier::Vectorized, ReplayMode::Buffered, "vectorized/buffered"),
-            ] {
-                if run(tier, mode) != reference {
-                    eprintln!("FAIL: {vendor}/{shape}: {what} diverges at n = {tier_n}");
-                    failed = true;
-                }
+            if run(ExecTier::Scalar) != run(ExecTier::Vectorized) {
+                eprintln!("FAIL: {vendor}/{shape}: scalar tier diverges at n = {tier_n}");
+                failed = true;
             }
         }
     }
@@ -377,24 +343,24 @@ fn main() {
     }
 
     // Wall-clock tracing overhead on the STREAM shapes: untraced vs
-    // streaming-traced vs buffered-traced, one warm device per mode.
+    // traced, one warm device each.
     eprintln!("measuring wall-clock tracing overhead on the STREAM shapes…");
     let (warmup, iters) = if smoke { (1, 3) } else { (2, 5) };
     let mut overhead: Vec<OverheadRow> = Vec::new();
     for (vendor, spec) in vendors {
         for (shape, kernel) in shapes.iter().take(4) {
-            let measure = |mode| wall_ns_per_elem(spec(), kernel, n, mode, warmup, iters);
+            let measure = |tracing| {
+                wall_ns_per_elem(spec(), kernel, n, SimConfig { tracing, ..base }, warmup, iters)
+            };
             overhead.push(OverheadRow {
                 vendor,
                 shape,
-                untraced_ns_elem: measure(None),
-                streaming_ns_elem: measure(Some(ReplayMode::Streaming)),
-                buffered_ns_elem: measure(Some(ReplayMode::Buffered)),
+                untraced_ns_elem: measure(false),
+                streaming_ns_elem: measure(true),
             });
         }
     }
     let overhead_geomean = geomean(overhead.iter().map(OverheadRow::streaming_overhead));
-    let speedup_geomean = geomean(overhead.iter().map(OverheadRow::replay_speedup));
     // Tiny smoke launches amplify fixed per-launch costs, so the smoke
     // budget is looser; the production claim is the full-size one. Both
     // claims assume cores to hide the replay behind: with fewer than 4
@@ -411,15 +377,6 @@ fn main() {
         eprintln!(
             "FAIL: streaming tracing overhead {overhead_geomean:.2}x untraced \
              (budget {overhead_budget:.1}x)"
-        );
-        failed = true;
-    }
-    // The parallel-replay claim needs cores to parallelize across; on a
-    // narrow host the streaming pipeline must merely not lose.
-    if !smoke && host_cores >= 4 && speedup_geomean < 3.0 {
-        eprintln!(
-            "FAIL: streaming replay only {speedup_geomean:.2}x the buffered serial \
-             replay on a {host_cores}-core host (want >= 3x)"
         );
         failed = true;
     }
@@ -447,22 +404,18 @@ fn main() {
         .map(|r| {
             format!(
                 "    {{ \"vendor\": \"{}\", \"shape\": \"{}\", \"untraced_ns_elem\": {:.2}, \
-                 \"streaming_ns_elem\": {:.2}, \"buffered_ns_elem\": {:.2}, \
-                 \"streaming_overhead\": {:.3}, \"replay_speedup\": {:.3} }}",
+                 \"streaming_ns_elem\": {:.2}, \"streaming_overhead\": {:.3} }}",
                 r.vendor,
                 r.shape,
                 r.untraced_ns_elem,
                 r.streaming_ns_elem,
-                r.buffered_ns_elem,
-                r.streaming_overhead(),
-                r.replay_speedup()
+                r.streaming_overhead()
             )
         })
         .collect();
     let report = format!(
         "{{\n  \"n\": {n},\n  \"block_dim\": {BLOCK_DIM},\n  \"host_cores\": {host_cores},\n  \
-         \"streaming_overhead_geomean\": {overhead_geomean:.3},\n  \
-         \"replay_speedup_geomean\": {speedup_geomean:.3},\n  \"rows\": [\n{}\n  ],\n  \
+         \"streaming_overhead_geomean\": {overhead_geomean:.3},\n  \"rows\": [\n{}\n  ],\n  \
          \"overhead\": [\n{}\n  ]\n}}",
         row_json.join(",\n"),
         overhead_json.join(",\n")
@@ -492,24 +445,21 @@ fn main() {
         println!();
         println!("── Tracing wall-clock overhead (STREAM shapes, ns/element) ──");
         println!(
-            "{:<8} {:<8} {:>10} {:>10} {:>10} {:>9} {:>9}",
-            "vendor", "shape", "untraced", "streaming", "buffered", "overhead", "speedup"
+            "{:<8} {:<8} {:>10} {:>10} {:>9}",
+            "vendor", "shape", "untraced", "streaming", "overhead"
         );
         for r in &overhead {
             println!(
-                "{:<8} {:<8} {:>10.1} {:>10.1} {:>10.1} {:>8.2}x {:>8.2}x",
+                "{:<8} {:<8} {:>10.1} {:>10.1} {:>8.2}x",
                 r.vendor,
                 r.shape,
                 r.untraced_ns_elem,
                 r.streaming_ns_elem,
-                r.buffered_ns_elem,
-                r.streaming_overhead(),
-                r.replay_speedup()
+                r.streaming_overhead()
             );
         }
         println!(
-            "geomean: streaming overhead {overhead_geomean:.2}x untraced, \
-             streaming {speedup_geomean:.2}x buffered ({host_cores} host cores)"
+            "geomean: streaming overhead {overhead_geomean:.2}x untraced ({host_cores} host cores)"
         );
     }
 

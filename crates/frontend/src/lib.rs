@@ -41,6 +41,5 @@ pub use registry::{Frontend, FrontendRegistry};
 pub use session::{shared_cache, DeviceBuffer, ExecutionSession};
 
 pub use mcmm_toolchain::{
-    set_process_exec_tier, set_process_opt_level, CacheStats, CompileCache, ExecTier, OptLevel,
-    OptStats, ProgramCacheStats,
+    CacheStats, CompileCache, ExecTier, OptLevel, OptStats, ProgramCacheStats,
 };

@@ -174,8 +174,13 @@ fn byte_mask(bytes: u64) -> u64 {
 }
 
 /// Coalesce one traced access, allocating fresh buffers — the
-/// convenience form the serial reference replay and the unit tests use.
-pub fn coalesce(access: &AccessView<'_>, warp_width: u32, sector_bytes: u64) -> Vec<SectorReq> {
+/// convenience form the unit tests and their serial reference replay use.
+#[cfg(test)]
+pub(crate) fn coalesce(
+    access: &AccessView<'_>,
+    warp_width: u32,
+    sector_bytes: u64,
+) -> Vec<SectorReq> {
     let mut scratch = CoalesceScratch::default();
     let mut out = Vec::new();
     coalesce_into(access, warp_width, sector_bytes, &mut scratch, &mut out);

@@ -23,14 +23,14 @@ use crate::pool::{run_indexed, ScratchPool};
 use crate::sched::SchedulePolicy;
 use crate::ssa::OptLevel;
 use crate::timing::{kernel_time, kernel_time_traced, transfer_time, ModeledTime};
-use crate::trace::{ReplayMode, TraceScratch, TraceSink};
+use crate::trace::{TraceScratch, TraceSink};
 use crate::vexec::run_block_lv;
 use crate::{Result, SimError};
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Which execution engine a device uses for kernel blocks.
@@ -47,55 +47,15 @@ use std::sync::Arc;
 ///   the device's [`ProgramCache`], and executed by [`crate::vexec`] over
 ///   dense per-type lane vectors with a full-mask fast path.
 ///
-/// The default is `Vectorized`. [`set_process_exec_tier`] or the
-/// `MCMM_EXEC_TIER` environment variable (`"scalar"` / `"vectorized"`)
-/// overrides the default for newly created devices;
-/// [`Device::set_exec_tier`] overrides one device at any time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The default is `Vectorized`; a device takes its tier from its
+/// [`SimConfig`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ExecTier {
     /// Reference scalar interpreter ([`crate::exec`]).
     Scalar,
     /// Lowered lane-vector bytecode ([`crate::lower`] + [`crate::vexec`]).
+    #[default]
     Vectorized,
-}
-
-/// Process-wide tier override: 0 = unset, 1 = scalar, 2 = vectorized.
-static PROCESS_TIER: AtomicU8 = AtomicU8::new(0);
-
-/// Force every *subsequently created* [`Device`] onto one tier (`None`
-/// clears the override). Takes precedence over `MCMM_EXEC_TIER`; exists so
-/// tests can flip tiers without racing on the process environment.
-pub fn set_process_exec_tier(tier: Option<ExecTier>) {
-    PROCESS_TIER.store(tier.map_or(0, ExecTier::as_u8), Ordering::SeqCst);
-}
-
-impl ExecTier {
-    fn as_u8(self) -> u8 {
-        match self {
-            ExecTier::Scalar => 1,
-            ExecTier::Vectorized => 2,
-        }
-    }
-
-    fn from_u8(v: u8) -> Option<Self> {
-        match v {
-            1 => Some(ExecTier::Scalar),
-            2 => Some(ExecTier::Vectorized),
-            _ => None,
-        }
-    }
-
-    /// The tier a new device starts on: process override, then the
-    /// `MCMM_EXEC_TIER` environment variable, then `Vectorized`.
-    pub fn resolve() -> Self {
-        if let Some(t) = Self::from_u8(PROCESS_TIER.load(Ordering::SeqCst)) {
-            return t;
-        }
-        match std::env::var("MCMM_EXEC_TIER") {
-            Ok(v) if v.eq_ignore_ascii_case("scalar") => ExecTier::Scalar,
-            _ => ExecTier::Vectorized,
-        }
-    }
 }
 
 /// Which timing model a device uses to derive modeled launch times.
@@ -112,138 +72,89 @@ impl ExecTier {
 ///   [`crate::timing::kernel_time_traced`]. Implies access tracing for
 ///   the launch.
 ///
-/// The default is `Analytic`. [`set_process_timing_tier`] or the
-/// `MCMM_TIMING_TIER` environment variable (`"analytic"` / `"traced"`)
-/// overrides the default for newly created devices;
-/// [`Device::set_timing_tier`] overrides one device at any time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The default is `Analytic`; a device takes its tier from its
+/// [`SimConfig`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TimingTier {
     /// Roofline model over aggregate counters ([`crate::timing::kernel_time`]).
+    #[default]
     Analytic,
     /// Trace replay through the memory hierarchy ([`crate::memhier`]).
     TraceDriven,
 }
 
-/// Process-wide timing-tier override: 0 = unset, 1 = analytic, 2 = traced.
-static PROCESS_TIMING: AtomicU8 = AtomicU8::new(0);
-
-/// Force every *subsequently created* [`Device`] onto one timing tier
-/// (`None` clears the override). Takes precedence over
-/// `MCMM_TIMING_TIER`; exists so tests can flip tiers without racing on
-/// the process environment.
-pub fn set_process_timing_tier(tier: Option<TimingTier>) {
-    PROCESS_TIMING.store(tier.map_or(0, TimingTier::as_u8), Ordering::SeqCst);
+/// The simulator's settings, fixed for a device's whole life. No setting
+/// changes what a kernel computes: buffers are byte-identical under every
+/// value of every field, and only modeled times, counters that the
+/// optimizer legitimately shrinks, and whether [`MemStats`] are collected
+/// differ.
+///
+/// [`Device::new`] starts a device on [`SimConfig::resolve`];
+/// [`Device::with_config`] takes one explicitly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SimConfig {
+    /// The engine kernel blocks run on.
+    pub exec: ExecTier,
+    /// The model launch times are derived with.
+    pub timing: TimingTier,
+    /// Record every launch's memory-access trace and replay it into
+    /// [`LaunchReport::mem`] and [`Device::mem_stats`], even when the
+    /// timing tier does not need one.
+    pub tracing: bool,
+    /// The level the vectorized tier lowers kernels at (the scalar
+    /// reference tier always runs kernels as written); also the level the
+    /// toolchain compiles at.
+    pub opt: OptLevel,
 }
 
-impl TimingTier {
-    fn as_u8(self) -> u8 {
-        match self {
-            TimingTier::Analytic => 1,
-            TimingTier::TraceDriven => 2,
+/// The process-wide override [`SimConfig::resolve`] returns when set.
+static PROCESS_CONFIG: Mutex<Option<SimConfig>> = Mutex::new(None);
+
+/// Make [`SimConfig::resolve`] return `cfg` instead of reading the
+/// environment (`None` clears the override), so every subsequently
+/// created [`Device`] and every later compile use it. Exists so tests can
+/// flip settings without racing on the process environment.
+pub fn set_process_config(cfg: Option<SimConfig>) {
+    *PROCESS_CONFIG.lock() = cfg;
+}
+
+impl SimConfig {
+    /// The settings the environment asks for, read afresh on every call
+    /// (a process may set a variable after start-up). A variable that is
+    /// unset or holds anything else leaves its field at the default:
+    ///
+    /// * `MCMM_EXEC_TIER`: `scalar` (any case) selects the scalar tier;
+    /// * `MCMM_TIMING_TIER`: `traced` or `trace-driven` (any case) selects
+    ///   trace-driven timing;
+    /// * `MCMM_MEM_TRACE`: `1`, `on`, `ON`, `true` or `TRUE` turns tracing on;
+    /// * `MCMM_OPT_LEVEL`: `1` or `o1`, `2` or `o2` (any case) selects
+    ///   `O1` or `O2`.
+    pub fn from_env() -> Self {
+        let var = |name| std::env::var(name).unwrap_or_default();
+        let lower = |name| var(name).to_ascii_lowercase();
+        Self {
+            exec: match lower("MCMM_EXEC_TIER").as_str() {
+                "scalar" => ExecTier::Scalar,
+                _ => ExecTier::Vectorized,
+            },
+            timing: match lower("MCMM_TIMING_TIER").as_str() {
+                "traced" | "trace-driven" => TimingTier::TraceDriven,
+                _ => TimingTier::Analytic,
+            },
+            tracing: matches!(var("MCMM_MEM_TRACE").as_str(), "1" | "on" | "ON" | "true" | "TRUE"),
+            opt: match lower("MCMM_OPT_LEVEL").as_str() {
+                "1" | "o1" => OptLevel::O1,
+                "2" | "o2" => OptLevel::O2,
+                _ => OptLevel::O0,
+            },
         }
     }
 
-    fn from_u8(v: u8) -> Option<Self> {
-        match v {
-            1 => Some(TimingTier::Analytic),
-            2 => Some(TimingTier::TraceDriven),
-            _ => None,
-        }
-    }
-
-    /// The timing tier a new device starts on: process override, then
-    /// the `MCMM_TIMING_TIER` environment variable, then `Analytic`.
+    /// The settings a new device starts with and the toolchain compiles
+    /// under: the process override ([`set_process_config`]) if one is
+    /// set, else [`SimConfig::from_env`].
     pub fn resolve() -> Self {
-        if let Some(t) = Self::from_u8(PROCESS_TIMING.load(Ordering::SeqCst)) {
-            return t;
-        }
-        match std::env::var("MCMM_TIMING_TIER") {
-            Ok(v) if v.eq_ignore_ascii_case("traced") || v.eq_ignore_ascii_case("trace-driven") => {
-                TimingTier::TraceDriven
-            }
-            _ => TimingTier::Analytic,
-        }
-    }
-}
-
-/// Process-wide tracing override: 0 = unset, 1 = off, 2 = on.
-static PROCESS_TRACING: AtomicU8 = AtomicU8::new(0);
-
-/// Force memory-access tracing on or off for every *subsequently
-/// created* [`Device`] (`None` clears the override). Takes precedence
-/// over `MCMM_MEM_TRACE`. Tracing is observational: it populates
-/// [`LaunchReport::mem`] and the device's cumulative [`MemStats`]
-/// without changing what kernels compute.
-pub fn set_process_tracing(on: Option<bool>) {
-    PROCESS_TRACING.store(on.map_or(0, |b| if b { 2 } else { 1 }), Ordering::SeqCst);
-}
-
-/// The tracing flag a new device starts with: process override, then the
-/// `MCMM_MEM_TRACE` environment variable (`1`/`on`/`true`), then off.
-fn resolve_tracing() -> bool {
-    match PROCESS_TRACING.load(Ordering::SeqCst) {
-        1 => false,
-        2 => true,
-        _ => matches!(
-            std::env::var("MCMM_MEM_TRACE").as_deref(),
-            Ok("1") | Ok("on") | Ok("true") | Ok("ON") | Ok("TRUE")
-        ),
-    }
-}
-
-/// Process-wide replay-mode override: 0 = unset, else
-/// `replay_mode_as_u8`.
-static PROCESS_REPLAY: AtomicU8 = AtomicU8::new(0);
-
-/// Force the trace-replay pipeline for every *subsequently created*
-/// [`Device`] (`None` clears the override). Takes precedence over
-/// `MCMM_TRACE_REPLAY`. Both modes produce bit-identical
-/// [`MemStats`]; `Buffered` is the retained serial reference,
-/// `Streaming` the parallel production pipeline — the knob exists so
-/// benches and differential tests can measure one against the other.
-pub fn set_process_replay_mode(mode: Option<ReplayMode>) {
-    PROCESS_REPLAY.store(mode.map_or(0, replay_mode_as_u8), Ordering::SeqCst);
-}
-
-fn replay_mode_as_u8(mode: ReplayMode) -> u8 {
-    match mode {
-        ReplayMode::Buffered => 1,
-        ReplayMode::Streaming => 2,
-    }
-}
-
-fn replay_mode_from_u8(v: u8) -> Option<ReplayMode> {
-    match v {
-        1 => Some(ReplayMode::Buffered),
-        2 => Some(ReplayMode::Streaming),
-        _ => None,
-    }
-}
-
-/// The replay mode a new device starts with: process override, then the
-/// `MCMM_TRACE_REPLAY` environment variable (`"buffered"` /
-/// `"streaming"`), then `Streaming`.
-fn resolve_replay_mode() -> ReplayMode {
-    if let Some(m) = replay_mode_from_u8(PROCESS_REPLAY.load(Ordering::SeqCst)) {
-        return m;
-    }
-    match std::env::var("MCMM_TRACE_REPLAY") {
-        Ok(v) if v.eq_ignore_ascii_case("buffered") => ReplayMode::Buffered,
-        _ => ReplayMode::Streaming,
-    }
-}
-
-/// `OptLevel` knob encoding for the device field (tag + 1, mirroring the
-/// tier encodings; 0 is reserved for "unset" in the process override).
-fn opt_as_u8(level: OptLevel) -> u8 {
-    level.tag() + 1
-}
-
-fn opt_from_u8(v: u8) -> OptLevel {
-    match v {
-        2 => OptLevel::O1,
-        3 => OptLevel::O2,
-        _ => OptLevel::O0,
+        PROCESS_CONFIG.lock().unwrap_or_else(Self::from_env)
     }
 }
 
@@ -470,17 +381,8 @@ pub struct Device {
     /// Cumulative per-device counters, merged once per completed launch
     /// under a lock so concurrent readers get consistent snapshots.
     cumulative: StatsCell,
-    /// Active execution tier (`ExecTier::as_u8` encoding).
-    tier: AtomicU8,
-    /// Active timing tier (`TimingTier::as_u8` encoding).
-    timing: AtomicU8,
-    /// Active optimization level (`OptLevel` tag + 1 encoding).
-    opt: AtomicU8,
-    /// Whether launches record a memory-access trace even when the
-    /// timing tier doesn't require one.
-    tracing: AtomicBool,
-    /// Active trace-replay pipeline (`replay_mode_as_u8` encoding).
-    replay_mode: AtomicU8,
+    /// The settings every launch on this device runs under.
+    config: SimConfig,
     /// Reusable per-worker tracing scratch (trace arenas + L1-stage
     /// buffers), shared by every launch so capacity amortizes to its
     /// high-water mark.
@@ -499,10 +401,17 @@ pub struct Device {
 }
 
 impl Device {
-    /// Bring up a device of the given model. Launches run blocks on one
+    /// Bring up a device of the given model under
+    /// [`SimConfig::resolve`]'s settings. Launches run blocks on one
     /// worker thread per host core (at most 8) plus the calling thread
     /// (the *modeled* CU count only affects timing).
     pub fn new(spec: DeviceSpec) -> Arc<Self> {
+        Self::with_config(spec, SimConfig::resolve())
+    }
+
+    /// [`Device::new`] under `config`, whatever the process override and
+    /// the environment say.
+    pub fn with_config(spec: DeviceSpec, config: SimConfig) -> Arc<Self> {
         let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         Arc::new(Self {
             memory: GlobalMemory::new(spec.mem_bytes),
@@ -510,11 +419,7 @@ impl Device {
             kernel_cache: Mutex::new(HashMap::new()),
             clock: Mutex::new(0.0),
             cumulative: StatsCell::new(),
-            tier: AtomicU8::new(ExecTier::resolve().as_u8()),
-            timing: AtomicU8::new(TimingTier::resolve().as_u8()),
-            opt: AtomicU8::new(opt_as_u8(OptLevel::resolve())),
-            tracing: AtomicBool::new(resolve_tracing()),
-            replay_mode: AtomicU8::new(replay_mode_as_u8(resolve_replay_mode())),
+            config,
             trace_scratch: Arc::new(ScratchPool::new()),
             l2_scratch: Arc::new(parking_lot::Mutex::new(None)),
             mem_cumulative: crate::counters::MemStatsCell::new(),
@@ -524,49 +429,20 @@ impl Device {
         })
     }
 
-    /// The execution tier this device currently launches on.
+    /// The execution tier this device launches on.
     pub fn exec_tier(&self) -> ExecTier {
-        ExecTier::from_u8(self.tier.load(Ordering::SeqCst)).unwrap_or(ExecTier::Vectorized)
+        self.config.exec
     }
 
-    /// Switch this device to the given tier for subsequent launches.
-    pub fn set_exec_tier(&self, tier: ExecTier) {
-        self.tier.store(tier.as_u8(), Ordering::SeqCst);
-    }
-
-    /// The timing tier this device currently models launch times with.
+    /// The timing tier this device models launch times with.
     pub fn timing_tier(&self) -> TimingTier {
-        TimingTier::from_u8(self.timing.load(Ordering::SeqCst)).unwrap_or(TimingTier::Analytic)
-    }
-
-    /// Switch this device to the given timing tier for subsequent
-    /// launches. `TraceDriven` implies access tracing per launch.
-    pub fn set_timing_tier(&self, tier: TimingTier) {
-        self.timing.store(tier.as_u8(), Ordering::SeqCst);
+        self.config.timing
     }
 
     /// Whether this device records memory-access traces independently of
     /// the timing tier.
     pub fn tracing(&self) -> bool {
-        self.tracing.load(Ordering::SeqCst)
-    }
-
-    /// Enable or disable memory-access tracing for subsequent launches.
-    pub fn set_tracing(&self, on: bool) {
-        self.tracing.store(on, Ordering::SeqCst);
-    }
-
-    /// The trace-replay pipeline this device currently runs.
-    pub fn replay_mode(&self) -> ReplayMode {
-        replay_mode_from_u8(self.replay_mode.load(Ordering::SeqCst))
-            .unwrap_or(ReplayMode::Streaming)
-    }
-
-    /// Switch the trace-replay pipeline for subsequent launches. Both
-    /// modes produce bit-identical stats; `Buffered` keeps the serial
-    /// reference path measurable.
-    pub fn set_replay_mode(&self, mode: ReplayMode) {
-        self.replay_mode.store(replay_mode_as_u8(mode), Ordering::SeqCst);
+        self.config.tracing
     }
 
     /// Cumulative memory-hierarchy statistics over every traced launch.
@@ -588,14 +464,7 @@ impl Device {
     /// tier only; the scalar reference tier always runs kernels as
     /// written).
     pub fn opt_level(&self) -> OptLevel {
-        opt_from_u8(self.opt.load(Ordering::SeqCst))
-    }
-
-    /// Switch this device to the given optimization level for subsequent
-    /// launches. Already-lowered programs at other levels stay cached
-    /// (the program cache keys on the level).
-    pub fn set_opt_level(&self, level: OptLevel) {
-        self.opt.store(opt_as_u8(level), Ordering::SeqCst);
+        self.config.opt
     }
 
     /// Hit/miss statistics of the lowered-program cache.
@@ -863,7 +732,6 @@ impl Device {
             Some(TraceSink::new(
                 self.spec.memhier,
                 self.spec.warp_width,
-                self.replay_mode(),
                 Arc::clone(&self.trace_scratch),
                 Arc::clone(&self.l2_scratch),
             ))

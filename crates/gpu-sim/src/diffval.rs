@@ -24,7 +24,7 @@
 //! buffer of 8 bytes per launched thread, each `I32` parameter receives
 //! the total thread count, and float scalars receive a fixed constant.
 
-use crate::device::{Device, DeviceSpec, ExecTier, KernelArg, LaunchConfig};
+use crate::device::{Device, DeviceSpec, ExecTier, KernelArg, LaunchConfig, SimConfig};
 use crate::ir::{KernelIr, Type};
 use crate::SimError;
 
@@ -85,8 +85,7 @@ pub fn observe(
     block_dim: u32,
     grid_dim: u32,
 ) -> Observation {
-    let dev = Device::new(spec.clone());
-    dev.set_exec_tier(tier);
+    let dev = Device::with_config(spec.clone(), SimConfig { exec: tier, ..SimConfig::resolve() });
     let threads = u64::from(block_dim.max(1)) * u64::from(grid_dim.max(1));
     let bytes_per_buffer = threads * 8;
 

@@ -97,9 +97,8 @@ pub mod vexec;
 pub mod prelude {
     pub use crate::counters::{LaunchStats, StatsCell};
     pub use crate::device::{
-        set_process_exec_tier, set_process_replay_mode, set_process_timing_tier,
-        set_process_tracing, Device, DeviceSpec, ExecTier, KernelArg, LaunchConfig, TimingTier,
-        TransferStats,
+        set_process_config, Device, DeviceSpec, ExecTier, KernelArg, LaunchConfig, SimConfig,
+        TimingTier, TransferStats,
     };
     pub use crate::event::Event;
     pub use crate::fault::{LaunchFault, TransferFault};
@@ -111,22 +110,19 @@ pub mod prelude {
     pub use crate::mem::DevicePtr;
     pub use crate::memhier::{MemHierSpec, MemStats};
     pub use crate::sched::SchedulePolicy;
-    pub use crate::ssa::{set_process_opt_level, OptLevel, OptStats};
+    pub use crate::ssa::{OptLevel, OptStats};
     pub use crate::stream::Stream;
     pub use crate::timing::ModeledTime;
-    pub use crate::trace::ReplayMode;
     pub use crate::SimError;
 }
 
 pub use device::{
-    set_process_exec_tier, set_process_replay_mode, set_process_timing_tier, set_process_tracing,
-    Device, DeviceSpec, ExecTier, TimingTier, TransferStats,
+    set_process_config, Device, DeviceSpec, ExecTier, SimConfig, TimingTier, TransferStats,
 };
 pub use isa::{IsaKind, Module};
 pub use lower::ProgramCacheStats;
 pub use memhier::{MemHierSpec, MemStats};
-pub use ssa::{set_process_opt_level, OptLevel, OptStats};
-pub use trace::ReplayMode;
+pub use ssa::{OptLevel, OptStats};
 
 /// Errors surfaced by the simulator.
 #[derive(Debug, Clone, PartialEq)]

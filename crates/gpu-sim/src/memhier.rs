@@ -1,8 +1,9 @@
 //! The per-vendor memory hierarchy: coalescer → L1 → L2 → DRAM.
 //!
-//! [`replay`] drives a launch's access trace ([`crate::trace`]) through
-//! the width-parametric coalescer ([`crate::coalesce`]) and two levels
-//! of sectored cache ([`crate::cache`]), producing [`MemStats`] — the
+//! [`replay_block_l1`] and [`replay_l2`] drive a launch's access trace
+//! ([`crate::trace`]) through the width-parametric coalescer
+//! ([`crate::coalesce`]) and two levels of sectored cache
+//! ([`crate::cache`]), producing [`MemStats`] — the
 //! hit/miss/transaction/DRAM-sector counts the trace-driven timing tier
 //! uses to refine `kernel_time`, and the numbers the benchmark reports
 //! surface as L1/L2 hit rates and sector utilization.
@@ -25,7 +26,7 @@
 //!   exit; dirty L2 sectors flush to DRAM at launch exit.
 
 use crate::cache::SectoredCache;
-use crate::coalesce::{coalesce, coalesce_into, CoalesceScratch, SectorReq};
+use crate::coalesce::{coalesce_into, CoalesceScratch, SectorReq};
 use crate::trace::{AccessKind, BlockTrace};
 
 /// Cache-hierarchy geometry and latencies of one device, the
@@ -289,6 +290,7 @@ impl Shared {
 
     /// One L2-bound request on its own, as the serial reference serves
     /// them.
+    #[cfg(test)]
     fn l2_req(&mut self, req: L2Req) {
         self.l2_run(req.is_write(), LineRun::new(&self.l2, req.sector(), req.full_cover()));
     }
@@ -355,16 +357,14 @@ fn l1_run(
 }
 
 /// Replay a launch trace through the hierarchy, producing its
-/// [`MemStats`]. Deterministic: same spec + same trace ⇒ same stats.
-///
-/// This is the retained single-threaded **reference** pipeline: every
-/// block's full trace walks the coalescer, a fresh private L1, and the
-/// shared L2 on one thread, in block-id order, one sector request at a
-/// time. The production path is the streaming split
+/// [`MemStats`]: the serial **reference** the unit tests diff the
+/// streaming split against. Every block's full trace walks the
+/// coalescer, a fresh private L1, and the shared L2 on one thread, in
+/// the order of `blocks`, one sector request at a time, whereas the split
 /// ([`replay_block_l1`] per block on the workers + [`replay_l2`] once at
-/// launch exit), which serves line runs; the differential suite pins the
-/// two bit-identical.
-pub fn replay(spec: &MemHierSpec, warp_width: u32, blocks: &[BlockTrace]) -> MemStats {
+/// launch exit) serves line runs.
+#[cfg(test)]
+pub(crate) fn replay(spec: &MemHierSpec, warp_width: u32, blocks: &[BlockTrace]) -> MemStats {
     let l2 = SectoredCache::new(spec.l2_bytes, spec.l2_line_bytes, spec.l2_ways, spec.sector_bytes);
     let mut shared = Shared::new(l2, spec.sector_bytes);
     let (mut evicted, mut l2_reqs) = (Vec::new(), Vec::new());
@@ -372,7 +372,7 @@ pub fn replay(spec: &MemHierSpec, warp_width: u32, blocks: &[BlockTrace]) -> Mem
         let mut l1 =
             SectoredCache::new(spec.l1_bytes, spec.l1_line_bytes, spec.l1_ways, spec.sector_bytes);
         for access in block.accesses() {
-            let reqs = coalesce(&access, warp_width, spec.sector_bytes);
+            let reqs = crate::coalesce::coalesce(&access, warp_width, spec.sector_bytes);
             let lanes = access.lane_count();
             shared.stats.requests += lanes;
             shared.stats.bytes_requested += lanes * u64::from(access.width);
@@ -496,8 +496,8 @@ fn l1_for<'a>(slot: &'a mut Option<SectoredCache>, spec: &MemHierSpec) -> &'a mu
 /// through a private L1, emitting only the L2-bound request stream.
 /// Each access's consecutive requests whose sectors ascend within one
 /// L1 line (a whole 128 B NVIDIA line for a unit-stride warp) take one
-/// probe as a line run, and their L2 requests come out in the order the
-/// reference [`replay`] walks them one sector at a time. L1 outcomes
+/// probe as a line run, and their L2 requests come out in the order a
+/// serial walk of the launch causes them one sector at a time. L1 outcomes
 /// depend only on L1 state, never on L2, so deferring the shared stage
 /// cannot change any count. At block exit the dirty L1 sectors are
 /// appended to the stream in ascending order.
@@ -559,7 +559,8 @@ fn l2_for(slot: &mut Option<SectoredCache>, spec: &MemHierSpec) -> SectoredCache
 /// requests of one kind (fill reads, or writes) whose sectors ascend
 /// within one L2 line are served as one line run, and the dirty L2
 /// sectors left at launch exit are only counted. Produces stats
-/// bit-identical to the reference [`replay`] over the same launch.
+/// bit-identical to the unit tests' serial, one-sector-at-a-time
+/// reference over the same launch.
 /// `l2_slot` holds the recycled shared-L2 cache between launches.
 pub fn replay_l2(
     spec: &MemHierSpec,
@@ -591,7 +592,10 @@ pub fn replay_l2(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::AccessKind;
+    use crate::exec::round_robin;
+    use crate::trace::{AccessKind, Affine};
+    use proptest::collection;
+    use proptest::prelude::*;
 
     /// Append one access to a trace arena from a lane/address iterator.
     fn push(
@@ -749,10 +753,7 @@ mod tests {
         let mut next = |bound: u64| {
             // splitmix64
             state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            (z ^ (z >> 31)) % bound
+            mix(state) % bound
         };
         let mut blocks = Vec::new();
         let mut window = 0u64;
@@ -783,6 +784,105 @@ mod tests {
             blocks.push(t);
         }
         blocks
+    }
+
+    /// splitmix64's output function: a well-spread hash of `z`.
+    fn mix(mut z: u64) -> u64 {
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// One access of [`random_block`], as raw draws: its form, kind,
+    /// width, window and seed.
+    type AccessDraw = (u8, u8, u8, u64, u64);
+
+    /// Block `block` of a random launch with `block_dim` lanes per block,
+    /// recorded as the tiers record it on a `warp_width`-wide device. Each
+    /// access is a load, store or atomic of 1, 4 or 8 bytes inside a 4 KiB
+    /// window, at one of 16 places 2 KiB apart (34 KiB in all, twice the
+    /// shrunken L2), so accesses and blocks share lines. A quarter of the
+    /// accesses are affine unit-stride headers and a quarter affine
+    /// single-address ones; the rest are per-lane, scattered over the
+    /// window or unit-stride from a random slot in it, under a full,
+    /// prefix, random or sparse mask, with lanes ascending for loads and
+    /// stores and in warp-round-robin order for atomics.
+    fn random_block(
+        block: u32,
+        block_dim: u32,
+        warp_width: u32,
+        draws: &[AccessDraw],
+    ) -> BlockTrace {
+        let mut t = BlockTrace::new(block);
+        for &(form, kind, width, window, seed) in draws {
+            let kind =
+                [AccessKind::Load, AccessKind::Store, AccessKind::Atomic][usize::from(kind % 3)];
+            let width = [1u32, 4, 8][usize::from(width % 3)];
+            let w = u64::from(width);
+            let slot = |x: u64| window % 16 * 2048 + mix(x) % (4096 / w) * w;
+            let affine = |stride| Affine { base: slot(seed), stride, count: block_dim };
+            match form % 4 {
+                0 => t.push_affine(kind, width, affine(w)),
+                1 => t.push_affine(kind, width, affine(0)),
+                form => {
+                    let hash = |lane: usize| mix(seed.wrapping_add(lane as u64));
+                    let prefix = 1 + hash(usize::MAX) as usize % block_dim as usize;
+                    let shape = mix(!seed) % 4;
+                    let mask: Vec<bool> = (0..block_dim as usize)
+                        .map(|lane| match shape {
+                            0 => true,
+                            1 => lane < prefix,
+                            2 => hash(lane) % 2 == 0,
+                            _ => hash(lane) % 8 == 0,
+                        })
+                        .collect();
+                    let lanes: Vec<usize> = match kind {
+                        AccessKind::Atomic => round_robin(&mask, warp_width).collect(),
+                        _ => (0..mask.len()).filter(|&lane| mask[lane]).collect(),
+                    };
+                    for lane in lanes {
+                        let addr = match form {
+                            2 => slot(seed ^ hash(lane)),
+                            _ => slot(seed) + lane as u64 * w,
+                        };
+                        t.push_lane(lane as u32, addr);
+                    }
+                    t.end_access(kind, width);
+                }
+            }
+        }
+        t
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random multi-block launches of [`random_block`]s replay to the
+        /// same stats through the streaming split (blocks fed in reverse)
+        /// as through the serial walk one sector at a time, on the three
+        /// presets and their shrunken forms.
+        #[test]
+        fn streaming_split_matches_the_serial_reference_on_random_traces(
+            block_dim in 1..200u32,
+            blocks in collection::vec(
+                collection::vec((any::<u8>(), any::<u8>(), any::<u8>(), any::<u64>(), any::<u64>()), 1..24),
+                1..6,
+            ),
+        ) {
+            for (preset, w) in PRESETS {
+                let trace: Vec<BlockTrace> = (0..)
+                    .zip(&blocks)
+                    .map(|(block, draws)| random_block(block, block_dim, w, draws))
+                    .collect();
+                for spec in [preset(), shrunk(preset)] {
+                    prop_assert_eq!(
+                        replay_streaming(&spec, w, &trace),
+                        replay(&spec, w, &trace),
+                        "{:?}, {} lanes per block", spec, block_dim
+                    );
+                }
+            }
+        }
     }
 
     #[test]

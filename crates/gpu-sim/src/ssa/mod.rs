@@ -25,10 +25,9 @@
 //! integer division by a non-constant) is never removed, merged across a
 //! potential trap, or hoisted past a guard.
 //!
-//! The optimization level is the fourth device knob, mirroring the
-//! execution/timing tiers: `MCMM_OPT_LEVEL` (`"0"`/`"1"`/`"2"`),
-//! [`set_process_opt_level`], and
-//! [`Device::set_opt_level`](crate::device::Device::set_opt_level).
+//! The optimization level is the `opt` field of a device's
+//! [`SimConfig`](crate::device::SimConfig), beside the execution and
+//! timing tiers (`MCMM_OPT_LEVEL`: `"0"`/`"1"`/`"2"`).
 //! `O0` is the default and bypasses the middle-end entirely, so default
 //! behaviour — buffers *and* every counter — is bit-for-bit identical to
 //! the pre-optimizer engine; the scalar tier always executes the
@@ -45,7 +44,6 @@ pub use vendor::{AddrChainFold, DivergenceFlatten};
 
 use crate::device::DeviceSpec;
 use crate::ir::{AtomicOp, BinOp, CmpOp, KernelIr, Space, Special, Type, UnOp, Value};
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// How hard the middle-end works on a kernel before lowering.
 ///
@@ -68,31 +66,7 @@ pub enum OptLevel {
     O2,
 }
 
-/// Process-wide opt-level override: 0 = unset, else `level + 1`.
-static PROCESS_OPT: AtomicU8 = AtomicU8::new(0);
-
-/// Force every *subsequently created* [`Device`](crate::device::Device)
-/// onto one optimization level (`None` clears the override). Takes
-/// precedence over `MCMM_OPT_LEVEL`; exists so tests can flip levels
-/// without racing on the process environment.
-pub fn set_process_opt_level(level: Option<OptLevel>) {
-    PROCESS_OPT.store(level.map_or(0, OptLevel::as_u8), Ordering::SeqCst);
-}
-
 impl OptLevel {
-    fn as_u8(self) -> u8 {
-        self.tag() + 1
-    }
-
-    pub(crate) fn from_u8(v: u8) -> Option<Self> {
-        match v {
-            1 => Some(OptLevel::O0),
-            2 => Some(OptLevel::O1),
-            3 => Some(OptLevel::O2),
-            _ => None,
-        }
-    }
-
     /// Stable numeric tag (`0`/`1`/`2`) for cache keys and artifact
     /// file names.
     pub fn tag(self) -> u8 {
@@ -100,19 +74,6 @@ impl OptLevel {
             OptLevel::O0 => 0,
             OptLevel::O1 => 1,
             OptLevel::O2 => 2,
-        }
-    }
-
-    /// The level a new device starts on: process override, then the
-    /// `MCMM_OPT_LEVEL` environment variable, then `O0`.
-    pub fn resolve() -> Self {
-        if let Some(l) = Self::from_u8(PROCESS_OPT.load(Ordering::SeqCst)) {
-            return l;
-        }
-        match std::env::var("MCMM_OPT_LEVEL") {
-            Ok(v) if v == "1" || v.eq_ignore_ascii_case("o1") => OptLevel::O1,
-            Ok(v) if v == "2" || v.eq_ignore_ascii_case("o2") => OptLevel::O2,
-            _ => OptLevel::O0,
         }
     }
 }

@@ -38,24 +38,19 @@
 //!   the affine form for full-mask unit-stride and single-address
 //!   accesses; the coalescer maps both forms to identical requests.
 //! * **Deterministic replay.** Blocks run on worker threads and finish
-//!   in nondeterministic order; both replay modes sort by block id
-//!   before any shared-state stage, so replay is stable run-to-run.
+//!   in nondeterministic order; the shared-state stage sorts by block
+//!   id first, so replay is stable run-to-run.
 //!
-//! The sink supports two replay modes ([`ReplayMode`]):
-//!
-//! * **Buffered** — the original pipeline, retained as the pinned
-//!   reference: blocks buffer their full traces, and
-//!   [`crate::memhier::replay`] walks the whole launch serially.
-//! * **Streaming** — the production pipeline: because L1 is private
-//!   per block, [`TraceSink::finish_block`] runs coalescing + the L1
-//!   stage *on the worker thread at block exit*, buffering only the
-//!   far smaller L2-request stream; [`TraceSink::finish`] then replays
-//!   the block-id-sorted streams through the shared L2. The
-//!   differential tests pin both modes to bit-identical
-//!   [`MemStats`](crate::memhier::MemStats).
+//! The sink streams: because L1 is private per block,
+//! [`TraceSink::finish_block`] runs coalescing + the L1 stage *on the
+//! worker thread at block exit*, buffering only the far smaller
+//! L2-request stream; [`TraceSink::finish`] then replays the
+//! block-id-sorted streams through the shared L2. The memhier unit tests
+//! pin this split to a serial walk of the whole launch, one sector at a
+//! time, with bit-identical [`MemStats`](crate::memhier::MemStats).
 
 use crate::cache::SectoredCache;
-use crate::memhier::{replay, replay_block_l1, replay_l2, BlockL2Stream, L1Scratch, MemHierSpec};
+use crate::memhier::{replay_block_l1, replay_l2, BlockL2Stream, L1Scratch, MemHierSpec};
 use crate::pool::ScratchPool;
 use crate::MemStats;
 use parking_lot::Mutex;
@@ -70,17 +65,6 @@ pub enum AccessKind {
     Store,
     /// Global-memory read-modify-write (bypasses L1, served by L2).
     Atomic,
-}
-
-/// How a launch's trace is turned into [`MemStats`](crate::memhier::MemStats).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplayMode {
-    /// Buffer every block's full trace; replay the launch serially
-    /// after the block phase (the pinned reference pipeline).
-    Buffered,
-    /// Run coalescing + L1 per block on the worker thread at block
-    /// exit; only the L2-request streams survive to the serial stage.
-    Streaming,
 }
 
 /// One access's header in the flat trace encoding: its kind, width,
@@ -239,8 +223,8 @@ impl BlockTrace {
 }
 
 /// Per-worker reusable tracing state: the block's trace arena plus the
-/// L1-stage scratch (cache, coalescer buffers) the streaming pipeline
-/// replays it with at block exit. Pooled on the device so its buffers
+/// L1-stage scratch (cache, coalescer buffers) the sink replays it with
+/// at block exit. Pooled on the device so its buffers
 /// survive across blocks *and* launches at their high-water mark.
 #[derive(Debug, Default)]
 pub struct TraceScratch {
@@ -261,55 +245,25 @@ pub struct TraceScratch {
 pub struct TraceSink {
     spec: MemHierSpec,
     warp_width: u32,
-    mode: ReplayMode,
     scratch: Arc<ScratchPool<TraceScratch>>,
     /// Device-owned slot recycling the shared-L2 cache between launches
-    /// (streaming mode; its line array runs to megabytes).
+    /// (its line array runs to megabytes).
     l2_slot: Arc<Mutex<Option<SectoredCache>>>,
-    /// Buffered mode: full block traces awaiting the serial replay.
-    blocks: Mutex<Vec<BlockTrace>>,
-    /// Streaming mode: per-block L2-request streams awaiting the
-    /// shared L2 stage.
+    /// Per-block L2-request streams awaiting the shared L2 stage.
     streams: Mutex<Vec<BlockL2Stream>>,
 }
 
 impl TraceSink {
-    /// A sink replaying under `mode`, drawing per-worker scratch from
-    /// `scratch` and the shared-L2 cache from `l2_slot` (pass the
-    /// device's pool and slot so buffers persist across launches).
+    /// A sink drawing per-worker scratch from `scratch` and the shared-L2
+    /// cache from `l2_slot` (pass the device's pool and slot so buffers
+    /// persist across launches).
     pub fn new(
         spec: MemHierSpec,
         warp_width: u32,
-        mode: ReplayMode,
         scratch: Arc<ScratchPool<TraceScratch>>,
         l2_slot: Arc<Mutex<Option<SectoredCache>>>,
     ) -> Self {
-        Self {
-            spec,
-            warp_width,
-            mode,
-            scratch,
-            l2_slot,
-            blocks: Mutex::new(Vec::new()),
-            streams: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// A buffered-mode sink with a private scratch pool — the pinned
-    /// serial reference configuration, used by tests.
-    pub fn buffered(spec: MemHierSpec, warp_width: u32) -> Self {
-        Self::new(
-            spec,
-            warp_width,
-            ReplayMode::Buffered,
-            Arc::new(ScratchPool::default()),
-            Arc::new(Mutex::new(None)),
-        )
-    }
-
-    /// Which replay pipeline this sink runs.
-    pub fn mode(&self) -> ReplayMode {
-        self.mode
+        Self { spec, warp_width, scratch, l2_slot, streams: Mutex::new(Vec::new()) }
     }
 
     /// Hand out a (recycled) scratch for a block that is starting.
@@ -320,63 +274,29 @@ impl TraceSink {
     }
 
     /// Flush one finished block. Called once per block, at exit, on the
-    /// worker thread that ran the block. In streaming mode this is
-    /// where coalescing and the private-L1 stage happen — in parallel
-    /// across workers — leaving only the L2-request stream buffered.
+    /// worker thread that ran the block: this is where coalescing and the
+    /// private-L1 stage happen — in parallel across workers — leaving
+    /// only the L2-request stream buffered.
     pub fn finish_block(&self, mut scratch: TraceScratch) {
-        match self.mode {
-            ReplayMode::Buffered => {
-                let trace = std::mem::take(&mut scratch.trace);
-                self.blocks.lock().push(trace);
-            }
-            ReplayMode::Streaming => {
-                let stream =
-                    replay_block_l1(&self.spec, self.warp_width, &scratch.trace, &mut scratch.l1);
-                self.streams.lock().push(stream);
-                scratch.trace.clear();
-            }
-        }
+        let stream = replay_block_l1(&self.spec, self.warp_width, &scratch.trace, &mut scratch.l1);
+        self.streams.lock().push(stream);
+        scratch.trace.clear();
         self.scratch.release(scratch);
     }
 
-    /// Flush a bare block trace (test convenience; equivalent to
-    /// `begin_block` + recording + `finish_block`).
-    pub fn push(&self, trace: BlockTrace) {
-        let mut scratch = self.scratch.acquire();
-        scratch.trace = trace;
-        self.finish_block(scratch);
-    }
-
     /// Replay whatever reached the sink into the launch's [`MemStats`].
-    /// Deterministic in both modes: same launch ⇒ same stats, and the
-    /// differential suite pins the two modes bit-identical.
+    /// Deterministic: same launch ⇒ same stats, whatever order its blocks
+    /// finished in.
     pub fn finish(self) -> MemStats {
-        match self.mode {
-            ReplayMode::Buffered => {
-                let spec = self.spec;
-                let warp_width = self.warp_width;
-                replay(&spec, warp_width, &self.into_blocks())
-            }
-            ReplayMode::Streaming => {
-                let mut slot = self.l2_slot.lock();
-                replay_l2(&self.spec, self.streams.into_inner(), &mut slot)
-            }
-        }
-    }
-
-    /// Drain a buffered sink into a deterministic, block-id-sorted
-    /// trace. Block ids are unique, so the unstable sort is safe.
-    pub fn into_blocks(self) -> Vec<BlockTrace> {
-        debug_assert!(self.mode == ReplayMode::Buffered, "streaming sinks do not retain traces");
-        let mut blocks = self.blocks.into_inner();
-        blocks.sort_unstable_by_key(|b| b.block);
-        blocks
+        let mut slot = self.l2_slot.lock();
+        replay_l2(&self.spec, self.streams.into_inner(), &mut slot)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::memhier::replay;
 
     fn one_load_trace(block: u32) -> BlockTrace {
         let mut t = BlockTrace::new(block);
@@ -385,20 +305,52 @@ mod tests {
         t
     }
 
-    #[test]
-    fn sink_sorts_blocks_for_deterministic_replay() {
-        let sink = TraceSink::buffered(MemHierSpec::nvidia_a100(), 32);
-        for block in [3u32, 0, 2, 1] {
-            sink.push(one_load_trace(block));
+    /// A sink with a private scratch pool and L2 slot.
+    fn sink(spec: MemHierSpec, warp_width: u32) -> TraceSink {
+        TraceSink::new(spec, warp_width, Arc::default(), Arc::default())
+    }
+
+    /// Record each trace into `sink` as a block would, in the given order.
+    fn feed(sink: &TraceSink, traces: &[BlockTrace]) {
+        for t in traces {
+            let mut s = sink.begin_block(t.block);
+            s.trace = t.clone();
+            sink.finish_block(s);
         }
-        let blocks = sink.into_blocks();
-        let ids: Vec<u32> = blocks.iter().map(|b| b.block).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3]);
     }
 
     #[test]
-    fn empty_sink_is_empty() {
-        assert!(TraceSink::buffered(MemHierSpec::nvidia_a100(), 32).into_blocks().is_empty());
+    fn sink_replays_out_of_order_blocks_in_block_order() {
+        // A one-set, two-way L2, and blocks 0–3 loading lines 0, 0x1000,
+        // 0x2000 and 0 again. In block order, block 2 evicts line 0 and
+        // block 3 misses it; in the order the blocks finish here
+        // (3, 0, 2, 1), block 0 would hit it.
+        let spec = MemHierSpec {
+            l1_bytes: 128,
+            l1_ways: 1,
+            l2_bytes: 256,
+            l2_ways: 2,
+            ..MemHierSpec::nvidia_a100()
+        };
+        let traces: Vec<BlockTrace> = (0..4u32)
+            .zip([0, 0x1000, 0x2000, 0])
+            .map(|(block, addr)| {
+                let mut t = BlockTrace::new(block);
+                t.push_lane(0, addr);
+                t.end_access(AccessKind::Load, 4);
+                t
+            })
+            .collect();
+        let want = replay(&spec, 32, &traces);
+        assert_eq!((want.l2_hits, want.l2_misses), (0, 4));
+        let s = sink(spec, 32);
+        feed(&s, &[3, 0, 2, 1].map(|b| traces[b].clone()));
+        assert_eq!(s.finish(), want);
+    }
+
+    #[test]
+    fn empty_sink_replays_to_zero_stats() {
+        assert_eq!(sink(MemHierSpec::nvidia_a100(), 32).finish(), MemStats::default());
     }
 
     #[test]
@@ -476,26 +428,23 @@ mod tests {
     }
 
     #[test]
-    fn streaming_and_buffered_sinks_agree() {
+    fn sink_matches_the_serial_reference() {
+        // Three blocks of 64 unit-stride f64 loads that share L2 lines
+        // (each block starts 256 B after the last), finishing out of
+        // order, through one sink whose scratch is reused across blocks.
         let spec = MemHierSpec::nvidia_a100();
-        let mk = |mode| {
-            let sink = TraceSink::new(
-                spec,
-                32,
-                mode,
-                Arc::new(ScratchPool::default()),
-                Arc::new(Mutex::new(None)),
-            );
-            for block in [2u32, 0, 1] {
-                let mut s = sink.begin_block(block);
+        let traces: Vec<BlockTrace> = (0..3u32)
+            .map(|block| {
+                let mut t = BlockTrace::new(block);
                 for l in 0..64u32 {
-                    s.trace.push_lane(l, u64::from(l) * 8 + u64::from(block) * 512);
+                    t.push_lane(l, u64::from(l) * 8 + u64::from(block) * 256);
                 }
-                s.trace.end_access(AccessKind::Load, 8);
-                sink.finish_block(s);
-            }
-            sink.finish()
-        };
-        assert_eq!(mk(ReplayMode::Buffered), mk(ReplayMode::Streaming));
+                t.end_access(AccessKind::Load, 8);
+                t
+            })
+            .collect();
+        let s = sink(spec, 32);
+        feed(&s, &[2, 0, 1].map(|b| traces[b].clone()));
+        assert_eq!(s.finish(), replay(&spec, 32, &traces));
     }
 }

@@ -27,7 +27,7 @@ use mcmm_gpu_sim::event::Event;
 use mcmm_gpu_sim::mem::DevicePtr;
 use mcmm_gpu_sim::stream::Stream;
 use mcmm_gpu_sim::timing::ModeledTime;
-use mcmm_gpu_sim::{Module, SimError};
+use mcmm_gpu_sim::{Module, SimConfig, SimError};
 use mcmm_toolchain::{vendor_device_spec, CompileCache, Registry};
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
@@ -222,8 +222,8 @@ impl Service {
         let lanes = Vendor::ALL
             .into_iter()
             .map(|v| {
-                let device = Device::new(vendor_device_spec(v));
-                device.set_tracing(cfg.tracing);
+                let config = SimConfig { tracing: cfg.tracing, ..SimConfig::resolve() };
+                let device = Device::with_config(vendor_device_spec(v), config);
                 let streams = (0..cfg.streams_per_device.max(1))
                     .map(|_| Stream::new(Arc::clone(&device)))
                     .collect();

@@ -25,7 +25,7 @@ use crate::compiler::{CompileError, VirtualCompiler};
 use crate::diskcache::{DiskStats, DiskTier};
 use mcmm_core::taxonomy::{Language, Model, Vendor};
 use mcmm_gpu_sim::ir::KernelIr;
-use mcmm_gpu_sim::{Module, OptLevel};
+use mcmm_gpu_sim::{Module, SimConfig};
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -61,9 +61,9 @@ pub struct CacheKey {
     pub language: Language,
     /// Target vendor.
     pub vendor: Vendor,
-    /// Middle-end optimization level tag ([`OptLevel::tag`]) the artifact
-    /// was compiled at. O0 and O2 builds of the same kernel emit different
-    /// code, so they must never share an artifact.
+    /// Middle-end optimization level tag ([`mcmm_gpu_sim::OptLevel::tag`])
+    /// the artifact was compiled at. O0 and O2 builds of the same kernel
+    /// emit different code, so they must never share an artifact.
     pub opt: u8,
 }
 
@@ -210,7 +210,7 @@ impl CompileCache {
             model,
             language,
             vendor,
-            opt: OptLevel::resolve().tag(),
+            opt: SimConfig::resolve().opt.tag(),
         };
         {
             let mut inner = self.inner.lock();

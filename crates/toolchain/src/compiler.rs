@@ -7,7 +7,7 @@ use mcmm_core::route::{Completeness, Route, RouteKind};
 use mcmm_core::taxonomy::{Language, Model, Vendor};
 use mcmm_gpu_sim::ir::KernelIr;
 use mcmm_gpu_sim::isa::{assemble, Module};
-use mcmm_gpu_sim::OptLevel;
+use mcmm_gpu_sim::{OptLevel, SimConfig};
 use std::fmt;
 
 /// Why a compilation was refused — each variant corresponds to a hole the
@@ -199,7 +199,7 @@ impl VirtualCompiler {
         // IR; a finding here can only mean an optimizer bug (the passes
         // are semantics-preserving), so it refuses the compile rather
         // than emit a miscompiled artifact.
-        let level = OptLevel::resolve();
+        let level = SimConfig::resolve().opt;
         let optimized;
         let emitted: &KernelIr = if level == OptLevel::O0 {
             kernel

@@ -24,9 +24,7 @@ pub mod registry;
 pub use cache::{CacheStats, CompileCache};
 pub use compiler::{CompileError, VirtualCompiler};
 pub use diskcache::{DiskStats, DiskTier};
-pub use mcmm_gpu_sim::{
-    set_process_exec_tier, set_process_opt_level, ExecTier, OptLevel, OptStats, ProgramCacheStats,
-};
+pub use mcmm_gpu_sim::{ExecTier, OptLevel, OptStats, ProgramCacheStats};
 pub use registry::{select, select_best, Registry};
 
 use mcmm_core::taxonomy::Vendor;

@@ -16,15 +16,15 @@ use many_models::gpu_sim::ir::{BinOp, CmpOp, KernelBuilder, KernelIr, Space, Typ
 use many_models::gpu_sim::lower::lower;
 use many_models::gpu_sim::mem::GlobalMemory;
 use many_models::gpu_sim::vexec::run_block_lv;
-use many_models::gpu_sim::{set_process_exec_tier, set_process_opt_level, DeviceSpec, OptLevel};
+use many_models::gpu_sim::{set_process_config, DeviceSpec, OptLevel, SimConfig};
 use mcmm_analyze::portability::portability;
 use mcmm_analyze::{analyze, corpus, MCA003};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
-/// Serializes the tests that touch the process-wide tier override, so
-/// they cannot race each other (or leak a forced tier into a test that
-/// assumed the default).
+/// Serializes the tests that touch the process-wide config override, so
+/// they cannot race each other (or leak a forced setting into a test
+/// that assumed the default).
 static TIER_LOCK: Mutex<()> = Mutex::new(());
 
 /// A randomly-shaped but always well-formed kernel: an f64 op chain, a
@@ -90,13 +90,14 @@ fn arb_kernel() -> impl Strategy<Value = RandKernel> {
         .prop_map(|(chain, threshold, trips_mod)| RandKernel { chain, threshold, trips_mod })
 }
 
-/// Launch `kernel` on both tiers of one vendor device (per-device knob —
-/// no global state) and require identical buffers and counter totals.
+/// Launch `kernel` on both tiers of one vendor device (per-device
+/// config — no global state) and require identical buffers and counter
+/// totals.
 fn tiers_agree_on_device(kernel: &KernelIr, spec: DeviceSpec, n: usize) {
     let inputs: Vec<f64> = (0..n).map(|i| (i as f64) * 0.731 - 11.0).collect();
     let run_tier = |tier: ExecTier| {
-        let dev = Device::new(spec.clone());
-        dev.set_exec_tier(tier);
+        let dev =
+            Device::with_config(spec.clone(), SimConfig { exec: tier, ..SimConfig::from_env() });
         let dx = dev.alloc_copy_f64(&inputs).unwrap();
         let dy = dev.alloc_copy_f64(&vec![0.0; n]).unwrap();
         let report = dev
@@ -124,15 +125,14 @@ fn semantic_counters(s: &LaunchStats) -> (u64, u64, u64, u64, u64) {
 }
 
 /// Launch `kernel` at every optimization level on both tiers of one
-/// vendor device (per-device knobs — no global state) and require
+/// vendor device (per-device config — no global state) and require
 /// byte-identical output buffers and identical semantic counters across
 /// all six runs.
 fn levels_agree_on_device(kernel: &KernelIr, spec: &DeviceSpec, n: usize) {
     let inputs: Vec<f64> = (0..n).map(|i| (i as f64) * 0.731 - 11.0).collect();
     let run = |tier: ExecTier, level: OptLevel| {
-        let dev = Device::new(spec.clone());
-        dev.set_exec_tier(tier);
-        dev.set_opt_level(level);
+        let config = SimConfig { exec: tier, opt: level, ..SimConfig::from_env() };
+        let dev = Device::with_config(spec.clone(), config);
         let dx = dev.alloc_copy_f64(&inputs).unwrap();
         let dy = dev.alloc_copy_f64(&vec![0.0; n]).unwrap();
         let report = dev
@@ -236,7 +236,7 @@ fn tiers_agree_on_analyzer_corpus() {
 #[test]
 fn racecheck_stays_on_the_scalar_tier() {
     let _guard = TIER_LOCK.lock().unwrap();
-    set_process_exec_tier(Some(ExecTier::Vectorized));
+    set_process_config(Some(SimConfig { exec: ExecTier::Vectorized, ..SimConfig::from_env() }));
     let racy = corpus::seeded_defects()
         .into_iter()
         .find(|e| e.expect == MCA003)
@@ -254,7 +254,7 @@ fn racecheck_stays_on_the_scalar_tier() {
         trace: None,
     };
     let findings = run_block_racecheck(&ctx, &[]).expect("race kernel takes no arguments");
-    set_process_exec_tier(None);
+    set_process_config(None);
     assert!(!findings.is_empty(), "racecheck lost its findings under a forced vectorized tier");
 }
 
@@ -270,8 +270,10 @@ fn program_cache_serves_repeat_launches() {
     let kernel = k.finish();
 
     for (tier, want_misses, want_hits) in [(ExecTier::Vectorized, 1, 2), (ExecTier::Scalar, 0, 0)] {
-        let dev = Device::new(DeviceSpec::amd_mi250x());
-        dev.set_exec_tier(tier);
+        let dev = Device::with_config(
+            DeviceSpec::amd_mi250x(),
+            SimConfig { exec: tier, ..SimConfig::from_env() },
+        );
         let p = dev.alloc(256 * 4).unwrap();
         let cfg = LaunchConfig::linear(256, 128);
         for _ in 0..3 {
@@ -290,9 +292,9 @@ fn program_cache_serves_repeat_launches() {
 fn conformance_sweep_is_tier_invariant() {
     let _guard = TIER_LOCK.lock().unwrap();
     for tier in [ExecTier::Scalar, ExecTier::Vectorized] {
-        set_process_exec_tier(Some(tier));
+        set_process_config(Some(SimConfig { exec: tier, ..SimConfig::from_env() }));
         let s = sweep(256, 1);
-        set_process_exec_tier(None);
+        set_process_config(None);
         assert_eq!(s.entries.len(), 27, "{tier:?}");
         assert_eq!(verified_count(&s), 23, "{tier:?} verified cells");
         assert_eq!(unsupported_count(&s), 4, "{tier:?} matrix holes");
@@ -307,9 +309,9 @@ fn conformance_sweep_is_tier_invariant() {
 fn conformance_sweep_is_opt_level_invariant() {
     let _guard = TIER_LOCK.lock().unwrap();
     for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
-        set_process_opt_level(Some(level));
+        set_process_config(Some(SimConfig { opt: level, ..SimConfig::from_env() }));
         let s = sweep(256, 1);
-        set_process_opt_level(None);
+        set_process_config(None);
         assert_eq!(s.entries.len(), 27, "{level}");
         assert_eq!(verified_count(&s), 23, "{level} verified cells");
         assert_eq!(unsupported_count(&s), 4, "{level} matrix holes");
@@ -347,12 +349,13 @@ fn analyzer_verdicts_are_opt_level_invariant() {
         }
         out
     };
-    set_process_opt_level(Some(OptLevel::O0));
-    let at_o0 = snapshot();
+    let at_level = |opt| {
+        set_process_config(Some(SimConfig { opt, ..SimConfig::from_env() }));
+        snapshot()
+    };
+    let at_o0 = at_level(OptLevel::O0);
     for level in [OptLevel::O1, OptLevel::O2] {
-        set_process_opt_level(Some(level));
-        let at_level = snapshot();
-        assert_eq!(at_o0, at_level, "analyzer verdicts moved at {level}");
+        assert_eq!(at_o0, at_level(level), "analyzer verdicts moved at {level}");
     }
-    set_process_opt_level(None);
+    set_process_config(None);
 }

@@ -11,7 +11,7 @@ use many_models::gpu_sim::device::{Device, ExecTier, KernelArg, LaunchConfig, Ti
 use many_models::gpu_sim::ir::{
     AtomicOp, BinOp, CmpOp, KernelBuilder, KernelIr, Space, Type, Value,
 };
-use many_models::gpu_sim::{DeviceSpec, MemStats};
+use many_models::gpu_sim::{DeviceSpec, MemStats, SimConfig};
 use std::sync::Arc;
 
 const N: usize = 2048;
@@ -86,10 +86,8 @@ fn run(
     tracing: bool,
     timing: TimingTier,
 ) -> (Vec<u8>, many_models::gpu_sim::counters::LaunchStats, Option<MemStats>) {
-    let dev: Arc<Device> = Device::new(spec);
-    dev.set_exec_tier(exec);
-    dev.set_tracing(tracing);
-    dev.set_timing_tier(timing);
+    let dev: Arc<Device> =
+        Device::with_config(spec, SimConfig { exec, timing, tracing, ..SimConfig::resolve() });
     let xs: Vec<f64> = (0..N).map(|i| i as f64 * 0.37 - 100.0).collect();
     let dx = dev.alloc_copy_f64(&xs).unwrap();
     let dy = dev.alloc_copy_f64(&vec![0.0; N]).unwrap();

@@ -2,17 +2,18 @@
 //! routes exist and verify is a property of the compatibility matrix, not
 //! of how launches are timed — the support pattern must be identical to
 //! the analytic tier's. Lives in its own integration-test binary because
-//! it flips the process-wide timing override, which would race any other
+//! it sets the process-wide config override, which would race any other
 //! test assuming the default.
 
 use many_models::babelstream::runner::{sweep, unsupported_count, verified_count};
-use many_models::gpu_sim::{set_process_timing_tier, TimingTier};
+use many_models::gpu_sim::{set_process_config, SimConfig, TimingTier};
 
 #[test]
 fn sweep_support_pattern_is_timing_tier_invariant() {
-    set_process_timing_tier(Some(TimingTier::TraceDriven));
+    let traced = SimConfig { timing: TimingTier::TraceDriven, ..SimConfig::from_env() };
+    set_process_config(Some(traced));
     let s = sweep(512, 1);
-    set_process_timing_tier(None);
+    set_process_config(None);
 
     assert_eq!(s.len(), 27);
     assert_eq!(unsupported_count(&s), 4, "matrix holes changed under trace-driven timing");

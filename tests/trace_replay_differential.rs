@@ -1,32 +1,31 @@
-//! Differential validation of the streaming trace-replay pipeline: the
-//! parallel per-block path (L1 on the worker thread, deferred shared L2
-//! stage) must be indistinguishable from the retained buffered serial
-//! replay — bit-identical [`MemStats`] and byte-identical output
-//! buffers for randomly generated kernels across all three vendor
-//! presets and both execution tiers. The two tiers must agree too:
-//! the vectorized tier records full-mask unit-stride and single-address
-//! accesses in affine form while the scalar tier records every lane, so
-//! equal stats pin the coalescer's affine expansion to the per-lane
-//! reference, on full blocks and on a partial last block that falls
-//! back to per-lane records. Also pins the scratch-pool
+//! Differential validation of traced launches on real kernels: the two
+//! execution tiers must replay randomly generated kernels to
+//! bit-identical [`MemStats`] and byte-identical output buffers across
+//! all three vendor presets. The vectorized tier records full-mask
+//! unit-stride and single-address accesses in affine form while the
+//! scalar tier records every lane, so equal stats pin the coalescer's
+//! affine expansion to the per-lane reference, on full blocks and on a
+//! partial last block that falls back to per-lane records. (The memhier
+//! unit tests pin the replay pipeline itself to a serial,
+//! one-sector-at-a-time reference.) Also pins the scratch-pool
 //! lifecycle: per-worker scratch reuse never leaks cache or trace state
-//! across launches, a failed launch never poisons the pool, and the
-//! process-wide replay-mode override reaches subsequently created
-//! devices.
+//! across launches, and a failed launch never poisons the pool; and the
+//! process-wide config override reaches new devices and nothing else.
 
-use many_models::gpu_sim::device::{Device, ExecTier, KernelArg, LaunchConfig};
+use many_models::gpu_sim::device::{Device, ExecTier, KernelArg, LaunchConfig, TimingTier};
 use many_models::gpu_sim::ir::{
     AtomicOp, BinOp, CmpOp, KernelBuilder, KernelIr, Space, Type, Value,
 };
-use many_models::gpu_sim::{set_process_replay_mode, DeviceSpec, MemStats, ReplayMode};
+use many_models::gpu_sim::{set_process_config, DeviceSpec, MemStats, OptLevel, SimConfig};
 use proptest::prelude::*;
-use std::sync::Mutex;
 
 const N: usize = 1536;
 const BLOCK: u32 = 128;
 
-/// Serializes the tests that touch the process-wide replay override.
-static KNOB_LOCK: Mutex<()> = Mutex::new(());
+/// The environment's settings with tracing on.
+fn traced() -> SimConfig {
+    SimConfig { tracing: true, ..SimConfig::from_env() }
+}
 
 /// A randomly-shaped but always well-formed kernel whose *memory
 /// behavior* varies run to run: a unit-stride load, a strided gather
@@ -108,20 +107,11 @@ fn arb_kernel() -> impl Strategy<Value = RandKernel> {
         })
 }
 
-/// One traced launch of `n` threads on a fresh device with the given
-/// knobs: output bytes (both arrays + the atomic cell) and the replayed
+/// One traced launch of `n` threads on a fresh device on the given
+/// tier: output bytes (both arrays + the atomic cell) and the replayed
 /// `MemStats`.
-fn run(
-    kernel: &KernelIr,
-    n: usize,
-    spec: &DeviceSpec,
-    tier: ExecTier,
-    mode: ReplayMode,
-) -> (Vec<u8>, MemStats) {
-    let dev = Device::new(spec.clone());
-    dev.set_exec_tier(tier);
-    dev.set_tracing(true);
-    dev.set_replay_mode(mode);
+fn run(kernel: &KernelIr, n: usize, spec: &DeviceSpec, tier: ExecTier) -> (Vec<u8>, MemStats) {
+    let dev = Device::with_config(spec.clone(), SimConfig { exec: tier, ..traced() });
     let xs: Vec<f64> = (0..N).map(|i| i as f64 * 0.43 - 77.0).collect();
     let dx = dev.alloc_copy_f64(&xs).unwrap();
     let dy = dev.alloc_copy_f64(&vec![0.0; N]).unwrap();
@@ -141,40 +131,25 @@ fn run(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The production streaming pipeline is an exact refactoring of the
-    /// buffered serial replay: for random kernels, on every vendor
-    /// preset (warp widths 64/32/16, different cache geometries) and
-    /// under both execution tiers, the two replay modes produce
-    /// bit-identical `MemStats` — and, tracing being an observer,
-    /// byte-identical buffers. The scalar tier's per-lane records and
-    /// the vectorized tier's affine ones replay to the same stats and
-    /// buffers as well, with and without a partial last block.
+    /// For random kernels, on every vendor preset (warp widths
+    /// 64/32/16, different cache geometries), the scalar tier's per-lane
+    /// records and the vectorized tier's affine ones replay to the same
+    /// `MemStats`, and the two tiers leave the same buffers, with and
+    /// without a partial last block.
     #[test]
-    fn replay_modes_agree_on_random_kernels(rk in arb_kernel(), partial in partial_launch()) {
+    fn tiers_agree_on_traced_random_kernels(rk in arb_kernel(), partial in partial_launch()) {
         let kernel = rk.build();
         prop_assert_eq!(kernel.validate(), Ok(()));
         for n in [N, partial] {
             for spec in DeviceSpec::presets() {
-                let mut tiers = Vec::new();
-                for tier in [ExecTier::Scalar, ExecTier::Vectorized] {
-                    let (buf_bytes, buf_mem) = run(&kernel, n, &spec, tier, ReplayMode::Buffered);
-                    let (str_bytes, str_mem) = run(&kernel, n, &spec, tier, ReplayMode::Streaming);
-                    prop_assert_eq!(
-                        buf_mem, str_mem,
-                        "MemStats diverge on {} ({:?}, n = {})", spec.name, tier, n
-                    );
-                    prop_assert_eq!(
-                        &buf_bytes, &str_bytes,
-                        "buffers diverge on {} ({:?}, n = {})", spec.name, tier, n
-                    );
-                    tiers.push((str_bytes, str_mem));
-                }
+                let (scalar_bytes, scalar_mem) = run(&kernel, n, &spec, ExecTier::Scalar);
+                let (vector_bytes, vector_mem) = run(&kernel, n, &spec, ExecTier::Vectorized);
                 prop_assert_eq!(
-                    tiers[0].1, tiers[1].1,
+                    scalar_mem, vector_mem,
                     "MemStats diverge between tiers on {} (n = {})", spec.name, n
                 );
                 prop_assert_eq!(
-                    &tiers[0].0, &tiers[1].0,
+                    &scalar_bytes, &vector_bytes,
                     "buffers diverge between tiers on {} (n = {})", spec.name, n
                 );
             }
@@ -195,12 +170,9 @@ fn mixed_kernel() -> KernelIr {
 #[test]
 fn scratch_reuse_never_leaks_across_launches() {
     let kernel = mixed_kernel();
-    let (_, fresh) =
-        run(&kernel, N, &DeviceSpec::nvidia_a100(), ExecTier::Vectorized, ReplayMode::Streaming);
+    let (_, fresh) = run(&kernel, N, &DeviceSpec::nvidia_a100(), ExecTier::Vectorized);
 
-    let dev = Device::new(DeviceSpec::nvidia_a100());
-    dev.set_tracing(true);
-    dev.set_replay_mode(ReplayMode::Streaming);
+    let dev = Device::with_config(DeviceSpec::nvidia_a100(), traced());
     let xs: Vec<f64> = (0..N).map(|i| i as f64 * 0.43 - 77.0).collect();
     let dx = dev.alloc_copy_f64(&xs).unwrap();
     let dy = dev.alloc_copy_f64(&vec![0.0; N]).unwrap();
@@ -225,8 +197,7 @@ fn scratch_reuse_never_leaks_across_launches() {
 #[test]
 fn failed_launch_does_not_poison_the_scratch_pool() {
     let kernel = mixed_kernel();
-    let (_, fresh) =
-        run(&kernel, N, &DeviceSpec::nvidia_a100(), ExecTier::Vectorized, ReplayMode::Streaming);
+    let (_, fresh) = run(&kernel, N, &DeviceSpec::nvidia_a100(), ExecTier::Vectorized);
 
     let mut k = KernelBuilder::new("oob");
     let out = k.param(Type::I64);
@@ -234,9 +205,7 @@ fn failed_launch_does_not_poison_the_scratch_pool() {
     k.st_elem(Space::Global, out, i, Value::I32(1));
     let oob = k.finish();
 
-    let dev = Device::new(DeviceSpec::nvidia_a100());
-    dev.set_tracing(true);
-    dev.set_replay_mode(ReplayMode::Streaming);
+    let dev = Device::with_config(DeviceSpec::nvidia_a100(), traced());
     // Pointer at the very end of memory → every block goes OOB.
     let bad = dev.spec().mem_bytes - 4;
     let res =
@@ -257,33 +226,35 @@ fn failed_launch_does_not_poison_the_scratch_pool() {
     assert_eq!(report.mem.expect("traced"), fresh, "stale scratch leaked past a failed launch");
 }
 
-/// The process-wide override reaches subsequently created devices and
-/// clears cleanly; both settings still replay to identical stats.
+/// Under the process-wide config override, a new device reports every
+/// field of it, and `Device::with_config` still takes its own; once the
+/// override is cleared, new devices are back on the environment's.
 #[test]
-fn process_replay_override_reaches_new_devices() {
-    let _guard = KNOB_LOCK.lock().unwrap();
-    let kernel = mixed_kernel();
-    set_process_replay_mode(Some(ReplayMode::Buffered));
-    let dev = Device::new(DeviceSpec::intel_pvc());
-    assert_eq!(dev.replay_mode(), ReplayMode::Buffered);
-    set_process_replay_mode(None);
-    let dev2 = Device::new(DeviceSpec::intel_pvc());
-    assert_eq!(dev2.replay_mode(), ReplayMode::Streaming);
-
-    let launch = |dev: &Device| {
-        dev.set_tracing(true);
-        let xs: Vec<f64> = (0..N).map(|i| i as f64 * 0.43 - 77.0).collect();
-        let dx = dev.alloc_copy_f64(&xs).unwrap();
-        let dy = dev.alloc_copy_f64(&vec![0.0; N]).unwrap();
-        let ds = dev.alloc_copy_f64(&[0.0]).unwrap();
-        dev.launch_kernel(
-            &kernel,
-            LaunchConfig::linear(N as u64, BLOCK),
-            &[KernelArg::Ptr(dx), KernelArg::Ptr(dy), KernelArg::Ptr(ds), KernelArg::I32(N as i32)],
-        )
-        .unwrap()
-        .mem
-        .expect("traced")
+fn process_config_override_reaches_new_devices() {
+    let env = SimConfig::from_env();
+    // Every field differs from the environment's.
+    let forced = SimConfig {
+        exec: if env.exec == ExecTier::Scalar { ExecTier::Vectorized } else { ExecTier::Scalar },
+        timing: if env.timing == TimingTier::Analytic {
+            TimingTier::TraceDriven
+        } else {
+            TimingTier::Analytic
+        },
+        tracing: !env.tracing,
+        opt: if env.opt == OptLevel::O2 { OptLevel::O1 } else { OptLevel::O2 },
     };
-    assert_eq!(launch(&dev), launch(&dev2), "replay modes disagree across the process knob");
+    let fields = |d: &Device| SimConfig {
+        exec: d.exec_tier(),
+        timing: d.timing_tier(),
+        tracing: d.tracing(),
+        opt: d.opt_level(),
+    };
+    set_process_config(Some(forced));
+    let overridden = Device::new(DeviceSpec::intel_pvc());
+    let explicit = Device::with_config(DeviceSpec::intel_pvc(), env);
+    set_process_config(None);
+    let cleared = Device::new(DeviceSpec::intel_pvc());
+    assert_eq!(fields(&overridden), forced);
+    assert_eq!(fields(&explicit), env);
+    assert_eq!(fields(&cleared), env);
 }
