@@ -111,6 +111,7 @@ fn main() {
     };
     let smoke = flag("--smoke");
     let json = flag("--json");
+    let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
     let n: usize = value("--n")
         .map(|v| v.parse().expect("--n takes a number"))
         .unwrap_or(if smoke { 1 << 14 } else { 1 << 20 });
@@ -176,7 +177,7 @@ fn main() {
         .collect();
     let report = format!(
         "{{\n  \"n\": {n},\n  \"iters\": {iters},\n  \"block_dim\": {BLOCK_DIM},\n  \
-         \"stream_scalar\": {SCALAR},\n  \"shapes\": [\n{}\n  ],\n  \
+         \"host_cores\": {host_cores},\n  \"stream_scalar\": {SCALAR},\n  \"shapes\": [\n{}\n  ],\n  \
          \"aggregate_speedup\": {aggregate_speedup:.2},\n  \
          \"aggregate_speedup_o2\": {aggregate_speedup_o2:.2},\n  \
          \"o2_instrs_before\": {},\n  \"o2_instrs_after\": {},\n  \
@@ -209,7 +210,8 @@ fn main() {
         }
         println!(
             "aggregate speedup {aggregate_speedup:.1}x at O0, {aggregate_speedup_o2:.1}x at O2 \
-             ({} -> {} instrs); program cache {program_hits} hits ({:.0}% hit rate)",
+             ({} -> {} instrs); program cache {program_hits} hits ({:.0}% hit rate); \
+             {host_cores} host cores",
             opt.instrs_before,
             opt.instrs_after,
             hit_rate * 100.0

@@ -141,9 +141,7 @@ impl GlobalMemory {
     pub(crate) fn read_raw(&self, addr: u64, len: u64) -> Result<u64> {
         self.check(addr, len)?;
         self.check_aligned(addr, len)?;
-        let word = self.words[(addr / 8) as usize].load(Ordering::Relaxed);
-        let shift = (addr % 8) * 8;
-        Ok(if len == 8 { word } else { (word >> shift) & ((1u64 << (len * 8)) - 1) })
+        Ok(self.get(addr, len))
     }
 
     /// Write a raw little-endian scalar of up to 8 bytes at a naturally
@@ -151,12 +149,56 @@ impl GlobalMemory {
     pub(crate) fn write_raw(&self, addr: u64, len: u64, value: u64) -> Result<()> {
         self.check(addr, len)?;
         self.check_aligned(addr, len)?;
+        self.set(addr, len, value);
+        Ok(())
+    }
+
+    /// Read `n` consecutive `width`-byte scalars from `addr` into
+    /// `put(k, raw)` after one bounds check for the whole range: the
+    /// vectorized tier's unit-stride loads, whose base its address form
+    /// has already aligned to `width`. Nothing is read if the check fails.
+    pub(crate) fn read_range(
+        &self,
+        addr: u64,
+        width: u64,
+        n: usize,
+        mut put: impl FnMut(usize, u64),
+    ) -> Result<()> {
+        self.check(addr, width * n as u64)?;
+        (0..n).for_each(|k| put(k, self.get(addr + k as u64 * width, width)));
+        Ok(())
+    }
+
+    /// Write `value(k)` as scalar `k` of a range like
+    /// [`GlobalMemory::read_range`]'s, after one bounds check for all of
+    /// it. Nothing is written if the check fails.
+    pub(crate) fn write_range(
+        &self,
+        addr: u64,
+        width: u64,
+        n: usize,
+        value: impl Fn(usize) -> u64,
+    ) -> Result<()> {
+        self.check(addr, width * n as u64)?;
+        (0..n).for_each(|k| self.set(addr + k as u64 * width, width, value(k)));
+        Ok(())
+    }
+
+    /// The `len` bytes at `addr`, within one word, already checked.
+    fn get(&self, addr: u64, len: u64) -> u64 {
+        let word = self.words[(addr / 8) as usize].load(Ordering::Relaxed);
+        let mask = if len == 8 { u64::MAX } else { (1 << (len * 8)) - 1 };
+        (word >> ((addr % 8) * 8)) & mask
+    }
+
+    /// Store `value` as the `len` bytes at `addr`, within one word,
+    /// already checked.
+    fn set(&self, addr: u64, len: u64, value: u64) {
         if len == 8 {
             self.words[(addr / 8) as usize].store(value, Ordering::Relaxed);
         } else {
             self.splice(addr, len, value);
         }
-        Ok(())
     }
 
     /// Store the low `len` bytes of `value` at `addr` (1 ≤ `len` ≤ 8, all

@@ -19,10 +19,10 @@
 //!   shared lane/address pool — so recording a lane is two `Vec`
 //!   pushes into buffers that amortize to their high-water mark and
 //!   are recycled across launches via the device's [`ScratchPool`].
-//! * **Affine accesses cost one header.** A full-mask access whose lane
-//!   `i` touches `base + i × stride`, with the stride equal to the
-//!   access width (unit stride) or 0 (every lane on one address), can
-//!   be recorded by [`BlockTrace::push_affine`] as a single header
+//! * **Affine accesses cost one header.** A full-mask access whose
+//!   address register has an affine form (lane `i` at `base + i × stride`,
+//!   the stride the access width or 0) is recorded without reading a lane
+//!   by [`BlockTrace::push_affine`] as a single header
 //!   holding `(base, stride, count)`, with nothing in the pools. The
 //!   encoding is vendor-neutral: only the warp-width-parametric
 //!   coalescer ([`crate::coalesce::coalesce_into`]) expands it, per
@@ -35,8 +35,8 @@
 //!   order for loads/stores and in the device's warp-round-robin commit
 //!   order for atomics (the order both tiers actually commit them in).
 //!   The vectorized tier records the same lanes, except that it takes
-//!   the affine form for full-mask unit-stride and single-address
-//!   accesses; the coalescer maps both forms to identical requests.
+//!   the affine form when the address's form is full-mask unit-stride or
+//!   single-address; the coalescer maps both to identical requests.
 //! * **Deterministic replay.** Blocks run on worker threads and finish
 //!   in nondeterministic order; the shared-state stage sorts by block
 //!   id first, so replay is stable run-to-run.

@@ -16,21 +16,35 @@
 //! charge their pre-summed issue counts with two multiplications, into a
 //! [`LocalCounters`] flushed once at block exit.
 //!
-//! Semantics are bit-identical to the scalar tier by construction: every
-//! lane loop uses the exact computation the scalar helpers use (including
-//! i32 shifts promoted through i64, conversions routed through f64, and
-//! NaN comparison behaviour), shared memory reuses
-//! [`SharedMem`](crate::exec), and atomics/global accesses go through the
-//! same [`GlobalMemory`](crate::mem::GlobalMemory) checks. The
-//! differential suite in `tests/exec_tier_differential.rs` holds the two
-//! tiers to byte-identical buffers and identical counter totals.
+//! **Affine forms.** An i32 or i64 slot may hold a [`Form`] instead of
+//! lanes: lane `i` is `base + i·stride` (stride 0: uniform), like a GPU's
+//! uniform registers, so index math (`ctaid·ntid + tid`, widened, scaled
+//! to bytes) runs once per block. Int slots start as uniform 0, int
+//! arguments as uniform. Under a full mask `TidX`, `CtaIdX`, `NTidX`,
+//! `NCtaIdX`, `Mov`, `Add`, `Sub`, `Mul` and `Shl` by a uniform, `Cvt`
+//! i64→i32 and a `Cvt` i32→i64 with no lane wrapping compute a form, and
+//! a `Cmp` of two forms writes its bools from them. Any other op has the
+//! forms it reads and the slot it writes written out into lanes first.
+//! Memory ops read addresses off a form: a full-mask global load or store
+//! stepping by its width checks its range once and moves words in a
+//! straight loop ([`GlobalMemory::read_range`]); any other access checks
+//! each lane, failing and committing as the scalar tier does.
 //!
-//! Traced global accesses that are full-mask and unit-stride or
-//! single-address are recorded in the trace's affine form, one header
-//! instead of one record per lane; global atomics commit each run of
-//! consecutive lanes on one 8-byte word with one `fetch_update`
-//! ([`GlobalMemory::atomic_rmw_run`](crate::mem::GlobalMemory)). Both
-//! are invisible to everything but the host clock.
+//! Semantics are bit-identical to the scalar tier by construction: every
+//! lane loop and every form uses the exact computation the scalar helpers
+//! use (including wrapping int arithmetic, i32 shifts promoted through
+//! i64, conversions routed through f64, and NaN comparison behaviour),
+//! shared memory reuses [`SharedMem`](crate::exec), and atomics/global
+//! accesses go through the same [`GlobalMemory`] checks. The differential
+//! suite in `tests/exec_tier_differential.rs` holds the two tiers to
+//! byte-identical buffers, identical errors and identical counter totals.
+//!
+//! A traced full-mask global access whose address form is unit-stride or
+//! single-address is recorded in the trace's affine form, one header
+//! instead of one record per lane, without reading a lane; global
+//! atomics commit each run of consecutive lanes on one 8-byte word with
+//! one `fetch_update` ([`GlobalMemory::atomic_rmw_run`]). Both are
+//! invisible to everything but the host clock.
 //!
 //! Race checking stays on the scalar tier
 //! ([`crate::exec::run_block_racecheck`]): the shadow access log needs
@@ -40,8 +54,10 @@ use crate::counters::LocalCounters;
 use crate::exec::{bin_value, BlockCtx, SharedMem};
 use crate::ir::{AtomicOp, BinOp, CmpOp, Space, Special, Type, Value};
 use crate::lower::{LvNode, LvOp, LvProgram, LvSrc};
+use crate::mem::GlobalMemory;
 use crate::trace::{AccessKind, Affine, TraceScratch};
 use crate::{Result, SimError};
+use std::cell::Cell;
 
 /// Execute one thread block through the vectorized tier.
 pub fn run_block_lv(ctx: &BlockCtx<'_>, prog: &LvProgram, args: &[Value]) -> Result<()> {
@@ -63,6 +79,8 @@ pub fn run_block_lv(ctx: &BlockCtx<'_>, prog: &LvProgram, args: &[Value]) -> Res
         f64s: vec![0.0; prog.pools.f64s as usize * n],
         i32s: vec![0; prog.pools.i32s as usize * n],
         i64s: vec![0; prog.pools.i64s as usize * n],
+        i32f: Forms::new(prog.pools.i32s),
+        i64f: Forms::new(prog.pools.i64s),
         bools: vec![false; prog.pools.bools as usize * n],
         shared: SharedMem::new(prog.shared_bytes),
         local: LocalCounters::new(),
@@ -116,6 +134,104 @@ impl MaskSet {
         let lanes = bits.iter().filter(|&&b| b).count() as u64;
         let warps = bits.chunks(w).filter(|c| c.iter().any(|&b| b)).count() as u64;
         Self { bits: Some(bits), warps, lanes }
+    }
+}
+
+/// The symbolic form of an int slot: lane `i` holds `base + i·stride`,
+/// wrapping in i64. An i32 slot holds the low 32 bits, which is exactly
+/// i32 wrapping arithmetic. Stride 0 means uniform.
+#[derive(Clone, Copy)]
+struct Form {
+    base: i64,
+    stride: i64,
+}
+
+impl Form {
+    #[inline(always)]
+    fn at(self, i: usize) -> i64 {
+        self.base.wrapping_add(self.stride.wrapping_mul(i as i64))
+    }
+}
+
+/// One int pool's forms by slot, each with whether the pool's lanes hold
+/// it yet. Every slot starts as uniform 0, which the zeroed pool holds.
+struct Forms(Vec<Option<(Form, bool)>>);
+
+impl Forms {
+    fn new(slots: u32) -> Self {
+        Self(vec![Some((Form { base: 0, stride: 0 }, true)); slots as usize])
+    }
+
+    /// An operand's form; an immediate is uniform.
+    fn get(&self, src: LvSrc) -> Option<Form> {
+        match src {
+            LvSrc::Slot(s) => self.0[s as usize].map(|(f, _)| f),
+            LvSrc::Imm(bits) => Some(Form { base: bits as i64, stride: 0 }),
+        }
+    }
+
+    fn set(&mut self, s: u32, form: Form) {
+        self.0[s as usize] = Some((form, false));
+    }
+
+    /// Write slot `s`'s form out into `pool`, each value cut to the lane
+    /// type by `wrap`, unless it is already; then `forget` drops it.
+    fn write_out<T>(&mut self, pool: &mut [T], s: u32, n: usize, wrap: fn(i64) -> T, forget: bool) {
+        let s = s as usize;
+        if let Some((f, written @ false)) = &mut self.0[s] {
+            *written = true;
+            pool[s * n..(s + 1) * n].iter_mut().enumerate().for_each(|(i, v)| *v = wrap(f.at(i)));
+        }
+        if forget {
+            self.0[s] = None;
+        }
+    }
+
+    /// The form of `a op b`, if both have one and `op` keeps it: `Add`,
+    /// `Sub`, `Mul` by a uniform, `Shl` by a uniform's low six bits.
+    fn bin(&self, op: BinOp, a: LvSrc, b: LvSrc) -> Option<Form> {
+        let (x, y) = (self.get(a)?, self.get(b)?);
+        let map = |f: Form, g: &dyn Fn(i64) -> i64| Form { base: g(f.base), stride: g(f.stride) };
+        let zip = |g: fn(i64, i64) -> i64| Form {
+            base: g(x.base, y.base),
+            stride: g(x.stride, y.stride),
+        };
+        Some(match op {
+            BinOp::Add => zip(i64::wrapping_add),
+            BinOp::Sub => zip(i64::wrapping_sub),
+            BinOp::Mul if y.stride == 0 => map(x, &|v| v.wrapping_mul(y.base)),
+            BinOp::Mul if x.stride == 0 => map(y, &|v| v.wrapping_mul(x.base)),
+            BinOp::Shl if y.stride == 0 => map(x, &|v| v.wrapping_shl((y.base & 63) as u32)),
+            _ => return None,
+        })
+    }
+}
+
+/// A memory op's lane addresses: its address operand's form, if it has
+/// one, else its lanes in the i64 pool from `lanes` on. An immediate
+/// always has a form.
+#[derive(Clone, Copy)]
+struct Addrs {
+    form: Option<Form>,
+    lanes: usize,
+}
+
+impl Addrs {
+    #[inline(always)]
+    fn at(self, pool: &[i64], i: usize) -> i64 {
+        self.form.map_or_else(|| pool[self.lanes + i], |f| f.at(i))
+    }
+
+    /// A full-mask access over lanes `0..n` in the trace's affine form:
+    /// the stride 0 or `width`, a non-negative base aligned to the width,
+    /// and no overflow. `None` leaves the access to per-lane records.
+    fn affine(self, n: usize, width: u32, bits: Option<&[bool]>) -> Option<Affine> {
+        let (Some(f), None) = (self.form, bits) else { return None };
+        let (w, count) = (i64::from(width), u32::try_from(n).ok().filter(|&c| c > 0)?);
+        let fits = f.stride.checked_mul(i64::from(count) - 1).and_then(|s| f.base.checked_add(s));
+        let ok = fits.is_some() && (f.stride == 0 || f.stride == w) && f.base >= 0;
+        let affine = Affine { base: f.base as u64, stride: f.stride as u64, count };
+        (ok && f.base % w == 0).then_some(affine)
     }
 }
 
@@ -252,55 +368,43 @@ fn map2_try<T: Copy>(
     Ok(())
 }
 
-/// Comparison loop: operands in `src`, result in the bool pool.
-#[allow(clippy::too_many_arguments)]
-fn cmp_into<T: Copy>(
-    src: &[T],
-    dst: &mut [bool],
-    bits: Option<&[bool]>,
-    n: usize,
-    d: usize,
-    a: In<T>,
-    b: In<T>,
-    f: impl Fn(T, T) -> bool,
-) {
+/// `dst[d+i] = f(i)` over active lanes, where `f` reads other pools.
+fn fill<T>(dst: &mut [T], bits: Option<&[bool]>, n: usize, d: usize, f: impl Fn(usize) -> T) {
     match bits {
         None => {
             for i in 0..n {
-                dst[d + i] = f(rd(src, a, i), rd(src, b, i));
+                dst[d + i] = f(i);
             }
         }
         Some(m) => {
             for i in 0..n {
                 if m[i] {
-                    dst[d + i] = f(rd(src, a, i), rd(src, b, i));
+                    dst[d + i] = f(i);
                 }
             }
         }
     }
 }
 
-/// Hoist the comparison operator out of the lane loop. Native operators
-/// reproduce the scalar tier's `partial_cmp` behaviour exactly (every
-/// ordering comparison is false on NaN, `!=` is true).
-#[allow(clippy::too_many_arguments)]
-fn cmp_loop<T: Copy + PartialOrd>(
-    src: &[T],
+/// Comparison loop into the bool pool, the operator hoisted out of the
+/// lane loop. Native operators reproduce the scalar tier's `partial_cmp`
+/// exactly (every ordering comparison is false on NaN, `!=` is true).
+fn cmp_loop<T: PartialOrd>(
     dst: &mut [bool],
     bits: Option<&[bool]>,
     n: usize,
     d: usize,
-    a: In<T>,
-    b: In<T>,
+    a: impl Fn(usize) -> T,
+    b: impl Fn(usize) -> T,
     op: CmpOp,
 ) {
     match op {
-        CmpOp::Eq => cmp_into(src, dst, bits, n, d, a, b, |x, y| x == y),
-        CmpOp::Ne => cmp_into(src, dst, bits, n, d, a, b, |x, y| x != y),
-        CmpOp::Lt => cmp_into(src, dst, bits, n, d, a, b, |x, y| x < y),
-        CmpOp::Le => cmp_into(src, dst, bits, n, d, a, b, |x, y| x <= y),
-        CmpOp::Gt => cmp_into(src, dst, bits, n, d, a, b, |x, y| x > y),
-        CmpOp::Ge => cmp_into(src, dst, bits, n, d, a, b, |x, y| x >= y),
+        CmpOp::Eq => fill(dst, bits, n, d, |i| a(i) == b(i)),
+        CmpOp::Ne => fill(dst, bits, n, d, |i| a(i) != b(i)),
+        CmpOp::Lt => fill(dst, bits, n, d, |i| a(i) < b(i)),
+        CmpOp::Le => fill(dst, bits, n, d, |i| a(i) <= b(i)),
+        CmpOp::Gt => fill(dst, bits, n, d, |i| a(i) > b(i)),
+        CmpOp::Ge => fill(dst, bits, n, d, |i| a(i) >= b(i)),
     }
 }
 
@@ -335,7 +439,7 @@ fn sel_into<T: Copy>(
 }
 
 /// Conversion loop from the `src` pool into the `dst` pool.
-fn cvt_into<S: Copy, D: Copy>(
+fn cvt_into<S: Copy, D>(
     src: &[S],
     dst: &mut [D],
     bits: Option<&[bool]>,
@@ -344,20 +448,7 @@ fn cvt_into<S: Copy, D: Copy>(
     a: In<S>,
     f: impl Fn(S) -> D,
 ) {
-    match bits {
-        None => {
-            for i in 0..n {
-                dst[d + i] = f(rd(src, a, i));
-            }
-        }
-        Some(m) => {
-            for i in 0..n {
-                if m[i] {
-                    dst[d + i] = f(rd(src, a, i));
-                }
-            }
-        }
-    }
+    fill(dst, bits, n, d, |i| f(rd(src, a, i)));
 }
 
 /// Drive `f` over every active lane, stopping at the first error.
@@ -383,6 +474,44 @@ fn for_each_lane(
     Ok(())
 }
 
+/// A global load handing each lane's raw bits to `put(i, raw)`: one range
+/// check and a straight loop over a unit-stride `run`, else every active
+/// lane in ascending order, checked on its own.
+fn load(
+    global: &GlobalMemory,
+    run: Option<u64>,
+    bits: Option<&[bool]>,
+    n: usize,
+    size: u64,
+    addr: impl Fn(usize) -> i64,
+    mut put: impl FnMut(usize, u64),
+) -> Result<()> {
+    if run.is_some_and(|base| global.read_range(base, size, n, &mut put).is_ok()) {
+        return Ok(());
+    }
+    for_each_lane(bits, n, |i| {
+        put(i, global.read_raw(lane_addr(addr(i))?, size)?);
+        Ok(())
+    })
+}
+
+/// A global store of each lane's raw bits `value(i)`, like [`load`]: a
+/// failing lane returns its error after the lanes before it commit.
+fn store(
+    global: &GlobalMemory,
+    run: Option<u64>,
+    bits: Option<&[bool]>,
+    n: usize,
+    size: u64,
+    addr: impl Fn(usize) -> i64,
+    value: impl Fn(usize) -> u64,
+) -> Result<()> {
+    if run.is_some_and(|base| global.write_range(base, size, n, &value).is_ok()) {
+        return Ok(());
+    }
+    for_each_lane(bits, n, |i| global.write_raw(lane_addr(addr(i))?, size, value(i)))
+}
+
 struct VInterp<'a> {
     ctx: &'a BlockCtx<'a>,
     prog: &'a LvProgram,
@@ -393,6 +522,8 @@ struct VInterp<'a> {
     f64s: Vec<f64>,
     i32s: Vec<i32>,
     i64s: Vec<i64>,
+    i32f: Forms,
+    i64f: Forms,
     bools: Vec<bool>,
     shared: SharedMem,
     local: LocalCounters,
@@ -412,40 +543,6 @@ struct AtomicRun {
     olds: Vec<Value>,
 }
 
-/// The affine form of a full-mask access's lane addresses: lane `i` of
-/// `0..n` at `base + i × stride`, with the stride 0 or `width`, a
-/// non-negative base aligned to the width, and no overflow. `None`
-/// leaves the access to the per-lane records.
-fn affine_addrs(pool: &[i64], am: In<i64>, n: usize, width: u32) -> Option<Affine> {
-    let width = i64::from(width);
-    let (base, stride) = match am {
-        In::Imm(v) => (v, 0),
-        In::Base(b) => {
-            let addrs = &pool[b..b + n];
-            let base = *addrs.first()?;
-            let stride = addrs.get(1).map_or(0, |&a| a.wrapping_sub(base));
-            if stride != 0 && stride != width {
-                return None;
-            }
-            let mut next = base;
-            for &a in addrs {
-                if a != next {
-                    return None;
-                }
-                next = next.wrapping_add(stride);
-            }
-            (base, stride)
-        }
-    };
-    let count = u32::try_from(n).ok().filter(|&c| c > 0)?;
-    let fits = base.checked_add(stride * (i64::from(count) - 1)).is_some();
-    (fits && base >= 0 && base % width == 0).then_some(Affine {
-        base: base as u64,
-        stride: stride as u64,
-        count,
-    })
-}
-
 impl<'a> VInterp<'a> {
     fn splat(&mut self, reg: usize, v: Value) {
         let (_, slot) = self.prog.reg_slots[reg];
@@ -454,9 +551,103 @@ impl<'a> VInterp<'a> {
         match v {
             Value::F32(x) => self.f32s[d..d + n].fill(x),
             Value::F64(x) => self.f64s[d..d + n].fill(x),
-            Value::I32(x) => self.i32s[d..d + n].fill(x),
-            Value::I64(x) => self.i64s[d..d + n].fill(x),
+            Value::I32(x) => self.i32f.set(slot, Form { base: x.into(), stride: 0 }),
+            Value::I64(x) => self.i64f.set(slot, Form { base: x, stride: 0 }),
             Value::Bool(x) => self.bools[d..d + n].fill(x),
+        }
+    }
+
+    fn addrs(&self, addr: LvSrc) -> Addrs {
+        let lanes = if let LvSrc::Slot(s) = addr { s as usize * self.n } else { 0 };
+        Addrs { form: self.i64f.get(addr), lanes }
+    }
+
+    /// Write out the form of `src` if it is an int slot of type `ty`; a
+    /// slot about to be written lane by lane (`forget`) then loses it.
+    fn write_out(&mut self, ty: Type, src: LvSrc, forget: bool) {
+        let (LvSrc::Slot(s), n) = (src, self.n) else { return };
+        match ty {
+            Type::I32 => self.i32f.write_out(&mut self.i32s, s, n, |v| v as i32, forget),
+            Type::I64 => self.i64f.write_out(&mut self.i64s, s, n, |v| v, forget),
+            _ => {}
+        }
+    }
+
+    /// Run `op` on forms alone, if it keeps them (see the module docs);
+    /// full mask only. `None` leaves it to the per-lane code.
+    fn form_op(&mut self, op: &LvOp) -> Option<()> {
+        let n = self.n;
+        match *op {
+            LvOp::Mov { ty: Type::I32, dst, src } => self.i32f.set(dst, self.i32f.get(src)?),
+            LvOp::Mov { ty: Type::I64, dst, src } => self.i64f.set(dst, self.i64f.get(src)?),
+            LvOp::Bin { op, ty: Type::I32, dst, a, b } => {
+                self.i32f.set(dst, self.i32f.bin(op, a, b)?)
+            }
+            LvOp::Bin { op, ty: Type::I64, dst, a, b } => {
+                self.i64f.set(dst, self.i64f.bin(op, a, b)?)
+            }
+            LvOp::Cvt { from: Type::I64, to: Type::I32, dst, a } => {
+                self.i32f.set(dst, self.i64f.get(a)?)
+            }
+            LvOp::Cvt { from: Type::I32, to: Type::I64, dst, a } => {
+                // Sign extension keeps the form only if no lane wraps in
+                // i32; the lanes run monotonically from first to last.
+                let f = self.i32f.get(a)?;
+                let (base, stride) = (i64::from(f.base as i32), i64::from(f.stride as i32));
+                i32::try_from(stride.checked_mul(n as i64 - 1)?.checked_add(base)?).ok()?;
+                self.i64f.set(dst, Form { base, stride });
+            }
+            LvOp::Special { kind, dst } => {
+                let (base, stride) = match kind {
+                    Special::TidX => (0, 1),
+                    Special::CtaIdX => (self.ctx.block_id.into(), 0),
+                    Special::NTidX => (self.ctx.block_dim.into(), 0),
+                    Special::NCtaIdX => (self.ctx.grid_dim.into(), 0),
+                    Special::LaneId => return None,
+                };
+                self.i32f.set(dst, Form { base, stride });
+            }
+            LvOp::Cmp { op, ty, dst, a, b } => {
+                let forms = match ty {
+                    Type::I32 => &self.i32f,
+                    Type::I64 => &self.i64f,
+                    _ => return None,
+                };
+                let (x, y, wide) = (forms.get(a)?, forms.get(b)?, ty == Type::I64);
+                // An i32 lane is its value's low 32 bits.
+                let lane = |f: Form, i| if wide { f.at(i) } else { f.at(i) as i32 as i64 };
+                let d = dst as usize * n;
+                cmp_loop(&mut self.bools, None, n, d, |i| lane(x, i), |i| lane(y, i), op);
+            }
+            _ => return None,
+        }
+        Some(())
+    }
+
+    /// Ready `op` for the per-lane code: write out each int form it reads
+    /// as a value (an immediate stands for none), and the form of the int
+    /// slot it writes, which the lanes a partial mask skips or an address
+    /// in that slot may need, before it goes.
+    fn write_out_operands(&mut self, op: &LvOp) {
+        let none = (Type::Bool, LvSrc::Imm(0));
+        let (reads, dst) = match *op {
+            LvOp::Mov { ty, dst, src } => ([(ty, src), none], Some((ty, dst))),
+            LvOp::Un { ty, dst, a, .. } => ([(ty, a), none], Some((ty, dst))),
+            LvOp::Bin { ty, dst, a, b, .. } => ([(ty, a), (ty, b)], Some((ty, dst))),
+            LvOp::Sel { ty, dst, a, b, .. } => ([(ty, a), (ty, b)], Some((ty, dst))),
+            LvOp::Cmp { ty, a, b, .. } => ([(ty, a), (ty, b)], None),
+            LvOp::Cvt { from, to, dst, a } => ([(from, a), none], Some((to, dst))),
+            LvOp::Special { dst, .. } => ([none, none], Some((Type::I32, dst))),
+            LvOp::Ld { ty, dst, .. } => ([none, none], Some((ty, dst))),
+            LvOp::St { ty, value, .. } => ([(ty, value), none], None),
+            LvOp::Atomic { ty, value, dst, .. } => ([(ty, value), none], dst.map(|d| (ty, d))),
+            LvOp::Bar | LvOp::Trap { .. } => return,
+        };
+        for (ty, src) in reads {
+            self.write_out(ty, src, false);
+        }
+        if let Some((ty, d)) = dst {
+            self.write_out(ty, LvSrc::Slot(d), true);
         }
     }
 
@@ -607,6 +798,10 @@ impl<'a> VInterp<'a> {
     fn op(&mut self, op: &'a LvOp, mask: &MaskSet) -> Result<()> {
         let n = self.n;
         let bits = mask.bits.as_deref();
+        if bits.is_none() && self.form_op(op).is_some() {
+            return Ok(());
+        }
+        self.write_out_operands(op);
         match op {
             LvOp::Mov { ty, dst, src } => {
                 let d = *dst as usize * n;
@@ -689,29 +884,34 @@ impl<'a> VInterp<'a> {
             }
             LvOp::Cmp { op, ty, dst, a, b } => {
                 let d = *dst as usize * n;
+                let out = &mut self.bools;
                 match ty {
                     Type::F32 => {
-                        let (a, b) = (resolve(*a, n, dec_f32), resolve(*b, n, dec_f32));
-                        cmp_loop(&self.f32s, &mut self.bools, bits, n, d, a, b, *op);
+                        let (p, a, b) =
+                            (&self.f32s, resolve(*a, n, dec_f32), resolve(*b, n, dec_f32));
+                        cmp_loop(out, bits, n, d, |i| rd(p, a, i), |i| rd(p, b, i), *op);
                     }
                     Type::F64 => {
-                        let (a, b) = (resolve(*a, n, dec_f64), resolve(*b, n, dec_f64));
-                        cmp_loop(&self.f64s, &mut self.bools, bits, n, d, a, b, *op);
+                        let (p, a, b) =
+                            (&self.f64s, resolve(*a, n, dec_f64), resolve(*b, n, dec_f64));
+                        cmp_loop(out, bits, n, d, |i| rd(p, a, i), |i| rd(p, b, i), *op);
                     }
                     Type::I32 => {
-                        let (a, b) = (resolve(*a, n, dec_i32), resolve(*b, n, dec_i32));
-                        cmp_loop(&self.i32s, &mut self.bools, bits, n, d, a, b, *op);
+                        let (p, a, b) =
+                            (&self.i32s, resolve(*a, n, dec_i32), resolve(*b, n, dec_i32));
+                        cmp_loop(out, bits, n, d, |i| rd(p, a, i), |i| rd(p, b, i), *op);
                     }
                     Type::I64 => {
-                        let (a, b) = (resolve(*a, n, dec_i64), resolve(*b, n, dec_i64));
-                        cmp_loop(&self.i64s, &mut self.bools, bits, n, d, a, b, *op);
+                        let (p, a, b) =
+                            (&self.i64s, resolve(*a, n, dec_i64), resolve(*b, n, dec_i64));
+                        cmp_loop(out, bits, n, d, |i| rd(p, a, i), |i| rd(p, b, i), *op);
                     }
                     Type::Bool => {
                         // Operands and result share the bool pool: reuse
                         // the same-pool map. bool's operators order
                         // false < true exactly like the scalar `cmp`.
                         let (a, b) = (resolve(*a, n, dec_bool), resolve(*b, n, dec_bool));
-                        let p = &mut self.bools;
+                        let p = out;
                         match op {
                             CmpOp::Eq => map2(p, bits, n, d, a, b, |x, y| x == y),
                             CmpOp::Ne => map2(p, bits, n, d, a, b, |x, y| x != y),
@@ -769,39 +969,19 @@ impl<'a> VInterp<'a> {
             }
             LvOp::Cvt { from, to, dst, a } => self.cvt(*from, *to, *dst, *a, bits),
             LvOp::Special { kind, dst } => {
-                let d = *dst as usize * n;
-                let w = self.w as u32;
-                let splat = match kind {
-                    Special::TidX | Special::LaneId => None,
-                    Special::CtaIdX => Some(self.ctx.block_id as i32),
-                    Special::NTidX => Some(self.ctx.block_dim as i32),
-                    Special::NCtaIdX => Some(self.ctx.grid_dim as i32),
-                };
-                let p = &mut self.i32s;
-                let f = |i: usize| match kind {
+                let (ctx, w) = (self.ctx, self.w as u32);
+                fill(&mut self.i32s, bits, n, *dst as usize * n, |i| match kind {
                     Special::TidX => i as i32,
                     Special::LaneId => (i as u32 % w) as i32,
-                    _ => splat.unwrap_or_default(),
-                };
-                match bits {
-                    None => {
-                        for i in 0..n {
-                            p[d + i] = f(i);
-                        }
-                    }
-                    Some(m) => {
-                        for i in 0..n {
-                            if m[i] {
-                                p[d + i] = f(i);
-                            }
-                        }
-                    }
-                }
+                    Special::CtaIdX => ctx.block_id as i32,
+                    Special::NTidX => ctx.block_dim as i32,
+                    Special::NCtaIdX => ctx.grid_dim as i32,
+                });
             }
-            LvOp::Ld { ty, space, dst, addr } => self.ld(*ty, *space, *dst, *addr, bits)?,
-            LvOp::St { ty, space, addr, value } => self.st(*ty, *space, *addr, *value, bits)?,
+            LvOp::Ld { ty, space, dst, addr } => self.ld(*ty, *space, *dst, *addr, mask)?,
+            LvOp::St { ty, space, addr, value } => self.st(*ty, *space, *addr, *value, mask)?,
             LvOp::Atomic { op, ty, space, addr, value, dst } => {
-                self.atomic(*op, *ty, *space, *addr, *value, *dst, bits)?;
+                self.atomic(*op, *ty, *space, *addr, *value, *dst, mask)?;
             }
             LvOp::Bar => {
                 // Same divergence contract as the scalar tier: a barrier
@@ -1033,29 +1213,25 @@ impl<'a> VInterp<'a> {
     }
 
     /// Record one traced global access straight into the block's trace
-    /// arena: as one affine header when the mask is full and the
-    /// addresses qualify ([`affine_addrs`]), else lane by lane in the
-    /// order the scalar tier records — ascending for loads and stores,
-    /// warp-round-robin commit order for atomics. Runs as a pre-pass:
-    /// the execution closures borrow the value pools mutably, and the
-    /// I64 load overwrites its own address pool. Negative addresses are
-    /// skipped — the execution loop faults on them and the trace of a
-    /// failed launch is never consumed.
-    fn trace_access(&mut self, kind: AccessKind, width: u32, am: In<i64>, bits: Option<&[bool]>) {
+    /// arena: as one affine header when the mask is full and the address
+    /// form qualifies ([`Addrs::affine`]), else lane by lane in the order
+    /// the scalar tier records (ascending for loads and stores, commit
+    /// order for atomics), before an I64 load may overwrite its address.
+    /// Negative addresses are skipped — the execution loop faults on them
+    /// and the trace of a failed launch is never consumed.
+    fn trace_access(&mut self, kind: AccessKind, width: u32, am: Addrs, bits: Option<&[bool]>) {
         let (n, w) = (self.n, self.w);
         // Disjoint field borrows: the arena mutably, the address pool
         // shared.
         let Some(tb) = self.tblock.as_mut() else { return };
-        let pool = &self.i64s;
-        if bits.is_none() {
-            if let Some(affine) = affine_addrs(pool, am, n, width) {
-                tb.trace.push_affine(kind, width, affine);
-                return;
-            }
+        if let Some(affine) = am.affine(n, width, bits) {
+            tb.trace.push_affine(kind, width, affine);
+            return;
         }
+        let pool = &self.i64s;
         let mut record = |i: usize| {
             if bits.is_none_or(|m| m[i]) {
-                let av = rd(pool, am, i);
+                let av = am.at(pool, i);
                 if av >= 0 {
                     tb.trace.push_lane(i as u32, av as u64);
                 }
@@ -1069,87 +1245,47 @@ impl<'a> VInterp<'a> {
         tb.trace.end_access(kind, width);
     }
 
-    fn ld(
-        &mut self,
-        ty: Type,
-        space: Space,
-        dst: u32,
-        addr: LvSrc,
-        bits: Option<&[bool]>,
-    ) -> Result<()> {
-        let n = self.n;
+    fn ld(&mut self, ty: Type, space: Space, dst: u32, addr: LvSrc, mask: &MaskSet) -> Result<()> {
+        let (n, bits) = (self.n, mask.bits.as_deref());
         let d = dst as usize * n;
-        let am = resolve(addr, n, dec_i64);
-        if space == Space::Global {
-            self.trace_access(AccessKind::Load, ty.size() as u32, am, bits);
+        let am = self.addrs(addr);
+        if space == Space::Shared {
+            // Shared traffic is not counted and not hot: stay on the
+            // scalar tier's Value-based path for identical behaviour.
+            return for_each_lane(bits, n, |i| {
+                let v = self.shared.load(ty, lane_addr(am.at(&self.i64s, i))?)?;
+                self.set_lane(ty, d, i, v);
+                Ok(())
+            });
         }
         let size = ty.size();
-        let global = self.ctx.global;
-        let mut lanes = 0u64;
-        match space {
-            Space::Global => match ty {
-                Type::F32 => {
-                    let (addrs, pool) = (&self.i64s, &mut self.f32s);
-                    for_each_lane(bits, n, |i| {
-                        let a = lane_addr(rd(addrs, am, i))?;
-                        pool[d + i] = f32::from_bits(global.read_raw(a, size)? as u32);
-                        lanes += 1;
-                        Ok(())
-                    })?;
-                }
-                Type::F64 => {
-                    let (addrs, pool) = (&self.i64s, &mut self.f64s);
-                    for_each_lane(bits, n, |i| {
-                        let a = lane_addr(rd(addrs, am, i))?;
-                        pool[d + i] = f64::from_bits(global.read_raw(a, size)?);
-                        lanes += 1;
-                        Ok(())
-                    })?;
-                }
-                Type::I32 => {
-                    let (addrs, pool) = (&self.i64s, &mut self.i32s);
-                    for_each_lane(bits, n, |i| {
-                        let a = lane_addr(rd(addrs, am, i))?;
-                        pool[d + i] = global.read_raw(a, size)? as u32 as i32;
-                        lanes += 1;
-                        Ok(())
-                    })?;
-                }
-                Type::I64 => {
-                    // Destination and address pool coincide: read the
-                    // address before overwriting the lane.
-                    let pool = &mut self.i64s;
-                    for_each_lane(bits, n, |i| {
-                        let a = lane_addr(rd(pool, am, i))?;
-                        pool[d + i] = global.read_raw(a, size)? as i64;
-                        lanes += 1;
-                        Ok(())
-                    })?;
-                }
-                Type::Bool => unreachable!("bool ld rejected by validation"),
-            },
-            Space::Shared => {
-                // Shared traffic is not counted and not hot: stay on the
-                // scalar tier's Value-based path for identical behaviour.
-                for i in 0..n {
-                    if let Some(m) = bits {
-                        if !m[i] {
-                            continue;
-                        }
-                    }
-                    let av = match am {
-                        In::Base(b) => self.i64s[b + i],
-                        In::Imm(v) => v,
-                    };
-                    let a = lane_addr(av)?;
-                    let v = self.shared.load(ty, a)?;
-                    self.set_lane(ty, d, i, v);
-                }
+        self.trace_access(AccessKind::Load, size as u32, am, bits);
+        // A unit-stride run is checked once for all its lanes.
+        let run = am.affine(n, size as u32, bits).filter(|a| a.stride == size).map(|a| a.base);
+        let (global, addr) = (self.ctx.global, |i| am.at(&self.i64s, i));
+        match ty {
+            Type::F32 => {
+                let p = &mut self.f32s;
+                load(global, run, bits, n, size, addr, |i, r| p[d + i] = f32::from_bits(r as u32))
             }
-        }
-        if space == Space::Global {
-            self.local.bytes_read += lanes * size;
-        }
+            Type::F64 => {
+                let p = &mut self.f64s;
+                load(global, run, bits, n, size, addr, |i, r| p[d + i] = f64::from_bits(r))
+            }
+            Type::I32 => {
+                let p = &mut self.i32s;
+                load(global, run, bits, n, size, addr, |i, r| p[d + i] = r as u32 as i32)
+            }
+            Type::I64 => {
+                // Destination and address lanes share one pool: read it
+                // through cells, each lane's address before its value.
+                let p = Cell::from_mut(&mut self.i64s[..]).as_slice_of_cells();
+                let addr = |i: usize| am.form.map_or_else(|| p[am.lanes + i].get(), |f| f.at(i));
+                load(global, run, bits, n, size, addr, |i, r| p[d + i].set(r as i64))
+            }
+            Type::Bool => unreachable!("bool ld rejected by validation"),
+        }?;
+        self.local.bytes_read += mask.lanes * size;
         Ok(())
     }
 
@@ -1159,82 +1295,41 @@ impl<'a> VInterp<'a> {
         space: Space,
         addr: LvSrc,
         value: LvSrc,
-        bits: Option<&[bool]>,
+        mask: &MaskSet,
     ) -> Result<()> {
-        let n = self.n;
-        let am = resolve(addr, n, dec_i64);
-        if space == Space::Global {
-            self.trace_access(AccessKind::Store, ty.size() as u32, am, bits);
+        let (n, bits) = (self.n, mask.bits.as_deref());
+        let am = self.addrs(addr);
+        if space == Space::Shared {
+            return for_each_lane(bits, n, |i| {
+                let a = lane_addr(am.at(&self.i64s, i))?;
+                self.shared.store(a, self.read_value(ty, value, i))
+            });
         }
         let size = ty.size();
-        let global = self.ctx.global;
-        let mut lanes = 0u64;
-        match space {
-            Space::Global => match ty {
-                Type::F32 => {
-                    let (addrs, pool) = (&self.i64s, &self.f32s);
-                    let vm = resolve(value, n, dec_f32);
-                    for_each_lane(bits, n, |i| {
-                        let a = lane_addr(rd(addrs, am, i))?;
-                        global.write_raw(a, size, u64::from(rd(pool, vm, i).to_bits()))?;
-                        lanes += 1;
-                        Ok(())
-                    })?;
-                }
-                Type::F64 => {
-                    let (addrs, pool) = (&self.i64s, &self.f64s);
-                    let vm = resolve(value, n, dec_f64);
-                    for_each_lane(bits, n, |i| {
-                        let a = lane_addr(rd(addrs, am, i))?;
-                        global.write_raw(a, size, rd(pool, vm, i).to_bits())?;
-                        lanes += 1;
-                        Ok(())
-                    })?;
-                }
-                Type::I32 => {
-                    let (addrs, pool) = (&self.i64s, &self.i32s);
-                    let vm = resolve(value, n, dec_i32);
-                    for_each_lane(bits, n, |i| {
-                        let a = lane_addr(rd(addrs, am, i))?;
-                        global.write_raw(a, size, u64::from(rd(pool, vm, i) as u32))?;
-                        lanes += 1;
-                        Ok(())
-                    })?;
-                }
-                Type::I64 => {
-                    // Address and value share the i64 pool; both reads
-                    // are shared borrows, so the generic shape still fits.
-                    let pool = &self.i64s;
-                    let vm = resolve(value, n, dec_i64);
-                    for_each_lane(bits, n, |i| {
-                        let a = lane_addr(rd(pool, am, i))?;
-                        global.write_raw(a, size, rd(pool, vm, i) as u64)?;
-                        lanes += 1;
-                        Ok(())
-                    })?;
-                }
-                Type::Bool => unreachable!("bool st rejected by validation"),
-            },
-            Space::Shared => {
-                for i in 0..n {
-                    if let Some(m) = bits {
-                        if !m[i] {
-                            continue;
-                        }
-                    }
-                    let av = match am {
-                        In::Base(b) => self.i64s[b + i],
-                        In::Imm(v) => v,
-                    };
-                    let a = lane_addr(av)?;
-                    let v = self.read_value(ty, value, i);
-                    self.shared.store(a, v)?;
-                }
+        self.trace_access(AccessKind::Store, size as u32, am, bits);
+        let run = am.affine(n, size as u32, bits).filter(|a| a.stride == size).map(|a| a.base);
+        let (global, addrs) = (self.ctx.global, &self.i64s);
+        let addr = |i| am.at(addrs, i);
+        match ty {
+            Type::F32 => {
+                let (p, vm) = (&self.f32s, resolve(value, n, dec_f32));
+                store(global, run, bits, n, size, addr, |i| u64::from(rd(p, vm, i).to_bits()))
             }
-        }
-        if space == Space::Global {
-            self.local.bytes_written += lanes * size;
-        }
+            Type::F64 => {
+                let (p, vm) = (&self.f64s, resolve(value, n, dec_f64));
+                store(global, run, bits, n, size, addr, |i| rd(p, vm, i).to_bits())
+            }
+            Type::I32 => {
+                let (p, vm) = (&self.i32s, resolve(value, n, dec_i32));
+                store(global, run, bits, n, size, addr, |i| u64::from(rd(p, vm, i) as u32))
+            }
+            Type::I64 => {
+                let vm = resolve(value, n, dec_i64);
+                store(global, run, bits, n, size, addr, |i| rd(addrs, vm, i) as u64)
+            }
+            Type::Bool => unreachable!("bool st rejected by validation"),
+        }?;
+        self.local.bytes_written += mask.lanes * size;
         Ok(())
     }
 
@@ -1247,13 +1342,14 @@ impl<'a> VInterp<'a> {
         addr: LvSrc,
         value: LvSrc,
         dst: Option<u32>,
-        bits: Option<&[bool]>,
+        mask: &MaskSet,
     ) -> Result<()> {
+        let (am, bits) = (self.addrs(addr), mask.bits.as_deref());
+        self.local.atomics += mask.lanes;
         if space == Space::Global {
-            return self.global_atomic(op, ty, addr, value, dst, bits);
+            return self.global_atomic(op, ty, am, value, dst, bits);
         }
         let n = self.n;
-        let mut lanes = 0u64;
         // Warp-round-robin commit order, identical to the scalar tier's
         // `round_robin` (the order is a function of the warp width).
         for i in crate::exec::round_robin_indices(n, self.w) {
@@ -1262,11 +1358,7 @@ impl<'a> VInterp<'a> {
                     continue;
                 }
             }
-            let av = match addr {
-                LvSrc::Slot(s) => self.i64s[s as usize * n + i],
-                LvSrc::Imm(b) => dec_i64(b),
-            };
-            let a = lane_addr(av)?;
+            let a = lane_addr(am.at(&self.i64s, i))?;
             let v = self.read_value(ty, value, i);
             // Single interpreter thread per block: plain RMW, exactly
             // like the scalar tier.
@@ -1281,9 +1373,7 @@ impl<'a> VInterp<'a> {
             if let Some(dslot) = dst {
                 self.set_lane(ty, dslot as usize * n, i, cur);
             }
-            lanes += 1;
         }
-        self.local.atomics += lanes;
         Ok(())
     }
 
@@ -1296,27 +1386,24 @@ impl<'a> VInterp<'a> {
         &mut self,
         op: AtomicOp,
         ty: Type,
-        addr: LvSrc,
+        am: Addrs,
         value: LvSrc,
         dst: Option<u32>,
         bits: Option<&[bool]>,
     ) -> Result<()> {
         let n = self.n;
-        let am = resolve(addr, n, dec_i64);
         self.trace_access(AccessKind::Atomic, ty.size() as u32, am, bits);
         let mut run = std::mem::take(&mut self.atomic_run);
-        let mut lanes = 0u64;
         let mut order = crate::exec::round_robin_indices(n, self.w)
             .filter(|&i| bits.is_none_or(|m| m[i]))
             .peekable();
         while let Some(i) = order.next() {
-            let a = lane_addr(rd(&self.i64s, am, i))?;
+            let a = lane_addr(am.at(&self.i64s, i))?;
             let v = self.read_value(ty, value, i);
-            lanes += 1;
             // The run ends where the next lane leaves this lane's word (a
             // negative next address never shares it, so a lane whose
             // address fails always starts a run).
-            let ends = order.peek().is_none_or(|&j| rd(&self.i64s, am, j) as u64 / 8 != a / 8);
+            let ends = order.peek().is_none_or(|&j| am.at(&self.i64s, j) as u64 / 8 != a / 8);
             if ends && run.ops.is_empty() {
                 // A lone lane, the common case for scattered atomics, skips
                 // the run buffers.
@@ -1333,7 +1420,6 @@ impl<'a> VInterp<'a> {
             }
         }
         self.atomic_run = run;
-        self.local.atomics += lanes;
         Ok(())
     }
 

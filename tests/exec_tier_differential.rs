@@ -2,25 +2,35 @@
 //! reference interpreter and the lowered lane-vector tier must be
 //! indistinguishable from outside — byte-identical buffers, identical
 //! counter snapshots, identical errors — on every vendor device, for
-//! randomly generated well-formed kernels and for the analyzer's seeded
-//! defect corpus alike. Also pins the contracts around the tier knob:
-//! `run_block_racecheck` stays on the scalar tier no matter what the
-//! process-wide override says, and the 27-cell frontend sweep reports the
-//! same support pattern under both tiers.
+//! randomly generated well-formed kernels, for the analyzer's seeded
+//! defect corpus, and for the edges of the vectorized tier's affine
+//! register forms and once-per-range memory checks. Also pins the
+//! contracts around the tier knob: `run_block_racecheck` stays on the
+//! scalar tier no matter what the process-wide override says, and the
+//! 27-cell frontend sweep reports the same support pattern under both
+//! tiers.
 
 use many_models::babelstream::runner::{sweep, unsupported_count, verified_count};
 use many_models::gpu_sim::counters::{Counters, LaunchStats};
 use many_models::gpu_sim::device::{Device, ExecTier, KernelArg, LaunchConfig};
 use many_models::gpu_sim::exec::{run_block, run_block_racecheck, BlockCtx};
-use many_models::gpu_sim::ir::{BinOp, CmpOp, KernelBuilder, KernelIr, Space, Type, Value};
+use many_models::gpu_sim::ir::{
+    BinOp, CmpOp, KernelBuilder, KernelIr, Space, Special, Type, Value,
+};
 use many_models::gpu_sim::lower::lower;
-use many_models::gpu_sim::mem::GlobalMemory;
+use many_models::gpu_sim::mem::{DevicePtr, GlobalMemory};
 use many_models::gpu_sim::vexec::run_block_lv;
-use many_models::gpu_sim::{set_process_config, DeviceSpec, OptLevel, SimConfig};
+use many_models::gpu_sim::{
+    set_process_config, DeviceSpec, MemStats, OptLevel, SimConfig, SimError,
+};
 use mcmm_analyze::portability::portability;
 use mcmm_analyze::{analyze, corpus, MCA003};
 use proptest::prelude::*;
 use std::sync::Mutex;
+
+#[path = "common/affine.rs"]
+mod affine;
+use affine::{affine_index, arb_index};
 
 /// Serializes the tests that touch the process-wide config override, so
 /// they cannot race each other (or leak a forced setting into a test
@@ -29,12 +39,14 @@ static TIER_LOCK: Mutex<()> = Mutex::new(());
 
 /// A randomly-shaped but always well-formed kernel: an f64 op chain, a
 /// data-dependent branch, and a lane-indexed loop — together covering
-/// loads, stores, arithmetic, comparisons, divergence, and reconvergence.
+/// loads, stores, arithmetic, comparisons, divergence, and reconvergence —
+/// plus a load and a store at an affine index (see [`affine::affine_index`]).
 #[derive(Debug, Clone)]
 struct RandKernel {
     chain: Vec<(u8, f64)>,
     threshold: f64,
     trips_mod: i32,
+    index: (i32, i32),
 }
 
 impl RandKernel {
@@ -50,6 +62,9 @@ impl RandKernel {
             let x = k.ld_elem(Space::Global, Type::F64, xp, i);
             let acc = k.imm(Value::F64(0.0));
             k.assign(acc, x);
+            let at = affine_index(k, i, n, this.index);
+            let x_at = k.ld_elem(Space::Global, Type::F64, xp, at);
+            k.bin_assign(BinOp::Add, acc, x_at);
             for &(op, c) in &this.chain {
                 let op = match op % 5 {
                     0 => BinOp::Add,
@@ -80,36 +95,61 @@ impl RandKernel {
                 },
             );
             k.st_elem(Space::Global, yp, i, acc);
+            // Distinct lanes store to distinct elements past `y[..n]`,
+            // unless every lane has the one index.
+            if this.index.0 != 0 {
+                let past = k.bin(BinOp::Add, at, n);
+                k.st_elem(Space::Global, yp, past, acc);
+            }
         });
         k.finish()
     }
 }
 
 fn arb_kernel() -> impl Strategy<Value = RandKernel> {
-    (proptest::collection::vec((any::<u8>(), -3.0..3.0f64), 1..8), -2.0..2.0f64, 1..9i32)
-        .prop_map(|(chain, threshold, trips_mod)| RandKernel { chain, threshold, trips_mod })
+    (
+        proptest::collection::vec((any::<u8>(), -3.0..3.0f64), 1..8),
+        -2.0..2.0f64,
+        1..9i32,
+        arb_index(),
+    )
+        .prop_map(|(chain, threshold, trips_mod, index)| RandKernel {
+            chain,
+            threshold,
+            trips_mod,
+            index,
+        })
+}
+
+/// Launch `kernel` (a [`RandKernel`]) over `n` lanes on a fresh device:
+/// `x` holds `5n` inputs and `y` `6n` zeros, room for every affine
+/// index. Returns `y`'s bytes and the launch's counters.
+fn launch_rand(
+    kernel: &KernelIr,
+    spec: &DeviceSpec,
+    config: SimConfig,
+    n: usize,
+) -> (Vec<u8>, LaunchStats) {
+    let inputs: Vec<f64> = (0..5 * n).map(|i| (i as f64) * 0.731 - 11.0).collect();
+    let dev = Device::with_config(spec.clone(), config);
+    let dx = dev.alloc_copy_f64(&inputs).unwrap();
+    let dy = dev.alloc_copy_f64(&vec![0.0; 6 * n]).unwrap();
+    let report = dev
+        .launch_kernel(
+            kernel,
+            LaunchConfig::linear(n as u64, 64),
+            &[KernelArg::Ptr(dx), KernelArg::Ptr(dy), KernelArg::I32(n as i32)],
+        )
+        .unwrap();
+    (dev.memcpy_d2h(dy, 6 * n as u64 * 8).unwrap().0, report.stats)
 }
 
 /// Launch `kernel` on both tiers of one vendor device (per-device
 /// config — no global state) and require identical buffers and counter
 /// totals.
 fn tiers_agree_on_device(kernel: &KernelIr, spec: DeviceSpec, n: usize) {
-    let inputs: Vec<f64> = (0..n).map(|i| (i as f64) * 0.731 - 11.0).collect();
-    let run_tier = |tier: ExecTier| {
-        let dev =
-            Device::with_config(spec.clone(), SimConfig { exec: tier, ..SimConfig::from_env() });
-        let dx = dev.alloc_copy_f64(&inputs).unwrap();
-        let dy = dev.alloc_copy_f64(&vec![0.0; n]).unwrap();
-        let report = dev
-            .launch_kernel(
-                kernel,
-                LaunchConfig::linear(n as u64, 64),
-                &[KernelArg::Ptr(dx), KernelArg::Ptr(dy), KernelArg::I32(n as i32)],
-            )
-            .unwrap();
-        let bytes = dev.memcpy_d2h(dy, n as u64 * 8).unwrap().0;
-        (bytes, report.stats)
-    };
+    let run_tier =
+        |exec| launch_rand(kernel, &spec, SimConfig { exec, ..SimConfig::from_env() }, n);
     let (scalar_bytes, scalar_stats) = run_tier(ExecTier::Scalar);
     let (vec_bytes, vec_stats) = run_tier(ExecTier::Vectorized);
     assert_eq!(scalar_bytes, vec_bytes, "buffers diverge on {}", spec.name);
@@ -129,22 +169,8 @@ fn semantic_counters(s: &LaunchStats) -> (u64, u64, u64, u64, u64) {
 /// byte-identical output buffers and identical semantic counters across
 /// all six runs.
 fn levels_agree_on_device(kernel: &KernelIr, spec: &DeviceSpec, n: usize) {
-    let inputs: Vec<f64> = (0..n).map(|i| (i as f64) * 0.731 - 11.0).collect();
-    let run = |tier: ExecTier, level: OptLevel| {
-        let config = SimConfig { exec: tier, opt: level, ..SimConfig::from_env() };
-        let dev = Device::with_config(spec.clone(), config);
-        let dx = dev.alloc_copy_f64(&inputs).unwrap();
-        let dy = dev.alloc_copy_f64(&vec![0.0; n]).unwrap();
-        let report = dev
-            .launch_kernel(
-                kernel,
-                LaunchConfig::linear(n as u64, 64),
-                &[KernelArg::Ptr(dx), KernelArg::Ptr(dy), KernelArg::I32(n as i32)],
-            )
-            .unwrap();
-        let bytes = dev.memcpy_d2h(dy, n as u64 * 8).unwrap().0;
-        (bytes, report.stats)
-    };
+    let run =
+        |exec, opt| launch_rand(kernel, spec, SimConfig { exec, opt, ..SimConfig::from_env() }, n);
     let (ref_bytes, ref_stats) = run(ExecTier::Scalar, OptLevel::O0);
     for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
         for tier in [ExecTier::Scalar, ExecTier::Vectorized] {
@@ -188,6 +214,184 @@ proptest! {
             levels_agree_on_device(&kernel, &spec, 192);
         }
     }
+}
+
+/// A launch's result (its error, or its counters and replayed memory
+/// stats) and the bytes of the range read back after it.
+type Outcome = (Result<(LaunchStats, Option<MemStats>), SimError>, Vec<u8>);
+
+/// Buffers for an edge-case launch: its arguments and the range to read
+/// back.
+type Setup<'a> = &'a dyn Fn(&Device) -> (Vec<KernelArg>, DevicePtr, u64);
+
+fn outcome(
+    spec: &DeviceSpec,
+    (exec, opt): (ExecTier, OptLevel),
+    kernel: &KernelIr,
+    cfg: LaunchConfig,
+    setup: Setup,
+) -> Outcome {
+    let config = SimConfig { exec, opt, tracing: true, ..SimConfig::from_env() };
+    let dev = Device::with_config(spec.clone(), config);
+    let (args, back, len) = setup(&dev);
+    let res = dev.launch_kernel(kernel, cfg, &args).map(|r| (r.stats, r.mem));
+    (res, dev.memcpy_d2h(back, len).unwrap().0)
+}
+
+/// Launch `kernel` on a fresh traced device of every preset, on the
+/// scalar tier and on the vectorized tier at O0 and O2, and require the
+/// same error, or the same counters (only the semantic ones at O2) and
+/// memory stats, and the same bytes. Returns the scalar results.
+fn edge_case_agrees(
+    name: &str,
+    kernel: &KernelIr,
+    cfg: LaunchConfig,
+    setup: Setup,
+) -> Vec<Result<(LaunchStats, Option<MemStats>), SimError>> {
+    let semantic = |r: &Result<(LaunchStats, Option<MemStats>), SimError>| {
+        r.as_ref().map(|(stats, mem)| (semantic_counters(stats), *mem)).map_err(Clone::clone)
+    };
+    let mut results = Vec::new();
+    for spec in DeviceSpec::presets() {
+        let run = |tier| outcome(&spec, tier, kernel, cfg, setup);
+        let (want, want_bytes) = run((ExecTier::Scalar, OptLevel::O0));
+        let (o0, o0_bytes) = run((ExecTier::Vectorized, OptLevel::O0));
+        assert_eq!(o0, want, "{name} on {}: O0 results", spec.name);
+        assert_eq!(o0_bytes, want_bytes, "{name} on {}: O0 bytes", spec.name);
+        let (o2, o2_bytes) = run((ExecTier::Vectorized, OptLevel::O2));
+        assert_eq!(semantic(&o2), semantic(&want), "{name} on {}: O2 results", spec.name);
+        assert_eq!(o2_bytes, want_bytes, "{name} on {}: O2 bytes", spec.name);
+        results.push(want);
+    }
+    results
+}
+
+/// The edges of the vectorized tier's affine forms and its once-per-range
+/// checks, each held to the scalar tier at O0 and O2 on every preset.
+#[test]
+fn tiers_agree_on_affine_edge_cases() {
+    // i32 lanes that wrap before their widening to i64, which therefore
+    // sign-extends lane by lane: `i·2^30` from lane 2 on and
+    // `i + i32::MAX - 100` from lane 101 on. Both are stored as i64, and
+    // the wrapped i32 lanes as themselves. Full-mask comparisons of the
+    // wrapping forms, against 0 and against each other, see each lane as
+    // an i32; a `Sel` on each stores a flag per lane.
+    let mut k = KernelBuilder::new("wrap_then_widen");
+    let (wide, narrow, flags) = (k.param(Type::I64), k.param(Type::I64), k.param(Type::I64));
+    let i = k.thread_id_x();
+    let big = k.bin(BinOp::Mul, i, Value::I32(1 << 30));
+    let near_max = k.bin(BinOp::Add, i, Value::I32(i32::MAX - 100));
+    let (wide_big, wide_near) = (k.cvt(Type::I64, big), k.cvt(Type::I64, near_max));
+    let sum = k.bin(BinOp::Add, wide_big, wide_near);
+    k.st_elem(Space::Global, wide, i, sum);
+    k.st_elem(Space::Global, narrow, i, near_max);
+    let negative = k.cmp(CmpOp::Lt, near_max, Value::I32(0));
+    let below = k.cmp(CmpOp::Lt, big, near_max);
+    let neg_flag = k.sel(negative, Value::I32(1), Value::I32(0));
+    let below_flag = k.sel(below, Value::I32(2), Value::I32(0));
+    let flag = k.bin(BinOp::Or, neg_flag, below_flag);
+    k.st_elem(Space::Global, flags, i, flag);
+    let results =
+        edge_case_agrees("wrap_then_widen", &k.finish(), LaunchConfig::linear(256, 256), &|dev| {
+            let p = dev.alloc(256 * 16).unwrap();
+            let args = [p, p.offset(256 * 8), p.offset(256 * 12)].map(KernelArg::Ptr);
+            (args.into(), p, 256 * 16)
+        });
+    assert!(results.iter().all(Result::is_ok));
+
+    // A unit-stride load, and a unit-stride store, that run off the end
+    // of memory at lane 20 of 64: each fails there, and the store's lanes
+    // 0..20 commit first.
+    for store in [false, true] {
+        let name = if store { "store_off_the_end" } else { "load_off_the_end" };
+        let mut k = KernelBuilder::new(name);
+        let (tail, out) = (k.param(Type::I64), k.param(Type::I64));
+        let i = k.thread_id_x();
+        let v =
+            if store { k.cvt(Type::F64, i) } else { k.ld_elem(Space::Global, Type::F64, tail, i) };
+        k.st_elem(Space::Global, if store { tail } else { out }, i, v);
+        let results = edge_case_agrees(name, &k.finish(), LaunchConfig::linear(64, 64), &|dev| {
+            let tail = dev.spec().mem_bytes - 20 * 8;
+            let out = dev.alloc(64 * 8).unwrap();
+            (vec![KernelArg::I64(tail as i64), KernelArg::Ptr(out)], DevicePtr(tail), 20 * 8)
+        });
+        for (res, spec) in results.iter().zip(DeviceSpec::presets()) {
+            let want = SimError::OutOfBounds { addr: spec.mem_bytes, len: 8 };
+            assert_eq!(res.as_ref().err(), Some(&want), "{name} on {}", spec.name);
+        }
+    }
+
+    // A unit-stride f64 load from a base 4 bytes off alignment: lane 0
+    // is misaligned.
+    let mut k = KernelBuilder::new("misaligned_base");
+    let (base, out) = (k.param(Type::I64), k.param(Type::I64));
+    let i = k.thread_id_x();
+    let v = k.ld_elem(Space::Global, Type::F64, base, i);
+    k.st_elem(Space::Global, out, i, v);
+    let at = std::cell::Cell::new(0);
+    let results =
+        edge_case_agrees("misaligned_base", &k.finish(), LaunchConfig::linear(64, 64), &|dev| {
+            let (p, out) = (dev.alloc(65 * 8).unwrap(), dev.alloc(64 * 8).unwrap());
+            at.set(p.0 + 4);
+            (vec![KernelArg::I64(p.0 as i64 + 4), KernelArg::Ptr(out)], out, 64 * 8)
+        });
+    let want = SimError::Misaligned { addr: at.get(), align: 8 };
+    assert!(results.iter().all(|res| res.as_ref().err() == Some(&want)));
+
+    // 150 lanes in blocks of 64: the last block's branch on `i < n` runs
+    // 22 of its lanes, whose int forms are written out and whose loads
+    // and stores go lane by lane.
+    let mut k = KernelBuilder::new("partial_last_block");
+    let (x, y, z, n) =
+        (k.param(Type::I64), k.param(Type::I64), k.param(Type::I64), k.param(Type::I32));
+    let i = k.global_thread_id_x();
+    let ok = k.cmp(CmpOp::Lt, i, n);
+    k.if_(ok, |k| {
+        let v = k.ld_elem(Space::Global, Type::F64, x, i);
+        let w = k.bin(BinOp::Mul, v, Value::F64(2.0));
+        k.st_elem(Space::Global, y, i, w);
+        let four_i = k.bin(BinOp::Shl, i, Value::I32(2));
+        let three_i = k.bin(BinOp::Sub, four_i, i);
+        k.st_elem(Space::Global, z, i, three_i);
+    });
+    let results = edge_case_agrees(
+        "partial_last_block",
+        &k.finish(),
+        LaunchConfig::linear(150, 64),
+        &|dev| {
+            let xs: Vec<f64> = (0..192).map(|i| f64::from(i) * 0.5 - 3.0).collect();
+            let (x, out) = (dev.alloc_copy_f64(&xs).unwrap(), dev.alloc(192 * 12).unwrap());
+            let args = vec![
+                KernelArg::Ptr(x),
+                KernelArg::Ptr(out),
+                KernelArg::Ptr(out.offset(192 * 8)),
+                KernelArg::I32(150),
+            ];
+            (args, out, 192 * 12)
+        },
+    );
+    assert!(results.iter().all(Result::is_ok));
+
+    // `LaneId` under a divergent mask: odd lanes overwrite a thread-id
+    // form with their lane id, so the form is written out first and the
+    // even lanes keep their thread id.
+    let mut k = KernelBuilder::new("lane_id_divergent");
+    let out = k.param(Type::I64);
+    let i = k.thread_id_x();
+    let v = k.mov(i);
+    let bit = k.bin(BinOp::And, i, Value::I32(1));
+    let odd = k.cmp(CmpOp::Ne, bit, Value::I32(0));
+    k.if_(odd, |k| {
+        let lane = k.special(Special::LaneId);
+        k.assign(v, lane);
+    });
+    k.st_elem(Space::Global, out, i, v);
+    let results =
+        edge_case_agrees("lane_id_divergent", &k.finish(), LaunchConfig::linear(96, 96), &|dev| {
+            let p = dev.alloc(96 * 4).unwrap();
+            (vec![KernelArg::Ptr(p)], p, 96 * 4)
+        });
+    assert!(results.iter().all(Result::is_ok));
 }
 
 /// The analyzer's seeded defect corpus, block-level: some of these

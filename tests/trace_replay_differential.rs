@@ -1,11 +1,13 @@
 //! Differential validation of traced launches on real kernels: the two
 //! execution tiers must replay randomly generated kernels to
 //! bit-identical [`MemStats`] and byte-identical output buffers across
-//! all three vendor presets. The vectorized tier records full-mask
-//! unit-stride and single-address accesses in affine form while the
-//! scalar tier records every lane, so equal stats pin the coalescer's
-//! affine expansion to the per-lane reference, on full blocks and on a
-//! partial last block that falls back to per-lane records. (The memhier
+//! all three vendor presets. The vectorized tier records a full-mask
+//! access whose address form is unit-stride or single-address in affine
+//! form while the scalar tier records every lane, so equal stats pin the
+//! coalescer's affine expansion to the per-lane reference, on full blocks
+//! and on a partial last block that falls back to per-lane records, and
+//! the vectorized tier's per-lane records of reversed and non-unit
+//! strides to the scalar tier's. (The memhier
 //! unit tests pin the replay pipeline itself to a serial,
 //! one-sector-at-a-time reference.) Also pins the scratch-pool
 //! lifecycle: per-worker scratch reuse never leaks cache or trace state
@@ -16,8 +18,13 @@ use many_models::gpu_sim::device::{Device, ExecTier, KernelArg, LaunchConfig, Ti
 use many_models::gpu_sim::ir::{
     AtomicOp, BinOp, CmpOp, KernelBuilder, KernelIr, Space, Type, Value,
 };
+use many_models::gpu_sim::mem::DevicePtr;
 use many_models::gpu_sim::{set_process_config, DeviceSpec, MemStats, OptLevel, SimConfig};
 use proptest::prelude::*;
+
+#[path = "common/affine.rs"]
+mod affine;
+use affine::{affine_index, arb_index};
 
 const N: usize = 1536;
 const BLOCK: u32 = 128;
@@ -29,15 +36,17 @@ fn traced() -> SimConfig {
 
 /// A randomly-shaped but always well-formed kernel whose *memory
 /// behavior* varies run to run: a unit-stride load, a strided gather
-/// (stressing coalescing and L1 reuse differently per draw), an op
-/// chain, a data-dependent branch, a unit-stride store, and optionally
-/// a global atomic — every traced access kind.
+/// (stressing coalescing and L1 reuse differently per draw), a load and
+/// a store at an affine index (see [`affine::affine_index`]), an op chain, a
+/// data-dependent branch, a unit-stride store, and optionally a global
+/// atomic — every traced access kind.
 #[derive(Debug, Clone)]
 struct RandKernel {
     chain: Vec<(u8, f64)>,
     stride: i32,
     threshold: f64,
     with_atomic: bool,
+    index: (i32, i32),
 }
 
 impl RandKernel {
@@ -58,6 +67,9 @@ impl RandKernel {
             let acc = k.imm(Value::F64(0.0));
             k.assign(acc, x);
             k.bin_assign(BinOp::Add, acc, xj);
+            let at = affine_index(k, i, n, this.index);
+            let x_at = k.ld_elem(Space::Global, Type::F64, xp, at);
+            k.bin_assign(BinOp::Add, acc, x_at);
             for &(op, c) in &this.chain {
                 let op = match op % 5 {
                     0 => BinOp::Add,
@@ -76,6 +88,12 @@ impl RandKernel {
                 |k| k.bin_assign(BinOp::Add, acc, Value::F64(0.5)),
             );
             k.st_elem(Space::Global, yp, i, acc);
+            // Distinct lanes store to distinct elements past `y[..n]`,
+            // unless every lane has the one index.
+            if this.index.0 != 0 {
+                let past = k.bin(BinOp::Add, at, n);
+                k.st_elem(Space::Global, yp, past, acc);
+            }
             if this.with_atomic {
                 k.atomic(AtomicOp::Add, Space::Global, sp, Value::F64(1.0));
             }
@@ -98,13 +116,28 @@ fn arb_kernel() -> impl Strategy<Value = RandKernel> {
         1..33i32,
         -2.0..2.0f64,
         any::<bool>(),
+        arb_index(),
     )
-        .prop_map(|(chain, stride, threshold, with_atomic)| RandKernel {
+        .prop_map(|(chain, stride, threshold, with_atomic, index)| RandKernel {
             chain,
             stride,
             threshold,
             with_atomic,
+            index,
         })
+}
+
+/// Fresh buffers for a [`RandKernel`] launch of up to `N` lanes on `dev`:
+/// `x` holds `5N` inputs and `y` `6N` zeros, room for every affine index,
+/// and `s` the atomic's cell. Returns the arguments, `y` and `s`.
+fn buffers(dev: &Device, n: usize) -> ([KernelArg; 4], DevicePtr, DevicePtr) {
+    let xs: Vec<f64> = (0..5 * N).map(|i| i as f64 * 0.43 - 77.0).collect();
+    let dx = dev.alloc_copy_f64(&xs).unwrap();
+    let dy = dev.alloc_copy_f64(&vec![0.0; 6 * N]).unwrap();
+    let ds = dev.alloc_copy_f64(&[0.0]).unwrap();
+    let args =
+        [KernelArg::Ptr(dx), KernelArg::Ptr(dy), KernelArg::Ptr(ds), KernelArg::I32(n as i32)];
+    (args, dy, ds)
 }
 
 /// One traced launch of `n` threads on a fresh device on the given
@@ -112,18 +145,9 @@ fn arb_kernel() -> impl Strategy<Value = RandKernel> {
 /// `MemStats`.
 fn run(kernel: &KernelIr, n: usize, spec: &DeviceSpec, tier: ExecTier) -> (Vec<u8>, MemStats) {
     let dev = Device::with_config(spec.clone(), SimConfig { exec: tier, ..traced() });
-    let xs: Vec<f64> = (0..N).map(|i| i as f64 * 0.43 - 77.0).collect();
-    let dx = dev.alloc_copy_f64(&xs).unwrap();
-    let dy = dev.alloc_copy_f64(&vec![0.0; N]).unwrap();
-    let ds = dev.alloc_copy_f64(&[0.0]).unwrap();
-    let report = dev
-        .launch_kernel(
-            kernel,
-            LaunchConfig::linear(n as u64, BLOCK),
-            &[KernelArg::Ptr(dx), KernelArg::Ptr(dy), KernelArg::Ptr(ds), KernelArg::I32(n as i32)],
-        )
-        .unwrap();
-    let mut bytes = dev.memcpy_d2h(dy, N as u64 * 8).unwrap().0;
+    let (args, dy, ds) = buffers(&dev, n);
+    let report = dev.launch_kernel(kernel, LaunchConfig::linear(n as u64, BLOCK), &args).unwrap();
+    let mut bytes = dev.memcpy_d2h(dy, 6 * N as u64 * 8).unwrap().0;
     bytes.extend(dev.memcpy_d2h(ds, 8).unwrap().0);
     (bytes, report.mem.expect("traced launch must produce mem stats"))
 }
@@ -159,8 +183,14 @@ proptest! {
 
 /// A strided mixed-access kernel used by the lifecycle tests below.
 fn mixed_kernel() -> KernelIr {
-    RandKernel { chain: vec![(0, 1.25), (2, 0.5)], stride: 17, threshold: 0.0, with_atomic: true }
-        .build()
+    RandKernel {
+        chain: vec![(0, 1.25), (2, 0.5)],
+        stride: 17,
+        threshold: 0.0,
+        with_atomic: true,
+        index: (3, 5),
+    }
+    .build()
 }
 
 /// Per-worker scratch reuse (trace arenas, L1 caches, coalescer
@@ -173,12 +203,7 @@ fn scratch_reuse_never_leaks_across_launches() {
     let (_, fresh) = run(&kernel, N, &DeviceSpec::nvidia_a100(), ExecTier::Vectorized);
 
     let dev = Device::with_config(DeviceSpec::nvidia_a100(), traced());
-    let xs: Vec<f64> = (0..N).map(|i| i as f64 * 0.43 - 77.0).collect();
-    let dx = dev.alloc_copy_f64(&xs).unwrap();
-    let dy = dev.alloc_copy_f64(&vec![0.0; N]).unwrap();
-    let ds = dev.alloc_copy_f64(&[0.0]).unwrap();
-    let args =
-        [KernelArg::Ptr(dx), KernelArg::Ptr(dy), KernelArg::Ptr(ds), KernelArg::I32(N as i32)];
+    let (args, _, _) = buffers(&dev, N);
     let mut merged = MemStats::default();
     for round in 0..5 {
         let report =
@@ -212,17 +237,8 @@ fn failed_launch_does_not_poison_the_scratch_pool() {
         dev.launch_kernel(&oob, LaunchConfig::linear(1024, 128), &[KernelArg::I64(bad as i64)]);
     assert!(res.is_err(), "OOB launch must fail");
 
-    let xs: Vec<f64> = (0..N).map(|i| i as f64 * 0.43 - 77.0).collect();
-    let dx = dev.alloc_copy_f64(&xs).unwrap();
-    let dy = dev.alloc_copy_f64(&vec![0.0; N]).unwrap();
-    let ds = dev.alloc_copy_f64(&[0.0]).unwrap();
-    let report = dev
-        .launch_kernel(
-            &kernel,
-            LaunchConfig::linear(N as u64, BLOCK),
-            &[KernelArg::Ptr(dx), KernelArg::Ptr(dy), KernelArg::Ptr(ds), KernelArg::I32(N as i32)],
-        )
-        .unwrap();
+    let (args, _, _) = buffers(&dev, N);
+    let report = dev.launch_kernel(&kernel, LaunchConfig::linear(N as u64, BLOCK), &args).unwrap();
     assert_eq!(report.mem.expect("traced"), fresh, "stale scratch leaked past a failed launch");
 }
 
