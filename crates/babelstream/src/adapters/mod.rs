@@ -171,7 +171,6 @@ impl StreamBackend for FrontendAdapter {
             dot,
             verified: crate::verify(&a, &b, &c, gold) && dot_ok,
             programs: session.device().program_cache_stats(),
-            opt: session.device().opt_stats(),
             mem: (session.device().mem_launches() > 0).then(|| session.device().mem_stats()),
         })
     }

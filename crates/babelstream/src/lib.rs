@@ -25,7 +25,7 @@ pub mod runner;
 
 use mcmm_core::taxonomy::Vendor;
 use mcmm_gpu_sim::timing::ModeledTime;
-use mcmm_gpu_sim::{MemStats, OptStats, ProgramCacheStats};
+use mcmm_gpu_sim::{MemStats, ProgramCacheStats};
 use std::fmt;
 
 /// The five BabelStream kernels.
@@ -126,9 +126,6 @@ pub struct RunResult {
     /// Lowered-program cache traffic on this run's device (sessions own a
     /// fresh device, so this is exactly what the run itself generated).
     pub programs: ProgramCacheStats,
-    /// Middle-end statistics for kernels the run's device lowered at
-    /// O1/O2; all-zero at the default O0 (the middle-end is bypassed).
-    pub opt: OptStats,
     /// Memory-hierarchy statistics summed over this run's launches, when
     /// the device traced them (`MCMM_MEM_TRACE` / trace-driven timing);
     /// `None` on untraced runs.

@@ -4,7 +4,7 @@ use crate::adapters::all_backends;
 use crate::{RunResult, StreamError};
 use mcmm_core::taxonomy::Vendor;
 use mcmm_frontend::{shared_cache, CacheStats, ProgramCacheStats};
-use mcmm_gpu_sim::{MemStats, OptStats};
+use mcmm_gpu_sim::MemStats;
 use std::ops::Deref;
 
 /// The outcome of one (model, vendor) cell of the sweep.
@@ -34,9 +34,6 @@ pub struct Sweep {
     /// (each session brings up a fresh device, so per-run stats add up
     /// cleanly — no delta needed).
     pub programs: ProgramCacheStats,
-    /// Middle-end statistics summed over every cell that ran; all-zero
-    /// at the default O0.
-    pub opt: OptStats,
     /// Memory-hierarchy statistics summed over every traced cell, `None`
     /// when no cell traced (the default: tracing off, analytic timing).
     pub mem: Option<MemStats>,
@@ -83,10 +80,6 @@ pub fn sweep(n: usize, iters: usize) -> Sweep {
         .iter()
         .filter_map(|e| e.outcome.as_ref().ok())
         .fold(ProgramCacheStats::default(), |acc, r| acc.merged(r.programs));
-    let opt = entries
-        .iter()
-        .filter_map(|e| e.outcome.as_ref().ok())
-        .fold(OptStats::default(), |acc, r| acc.merged(r.opt));
     let mem = entries
         .iter()
         .filter_map(|e| e.outcome.as_ref().ok())
@@ -97,7 +90,6 @@ pub fn sweep(n: usize, iters: usize) -> Sweep {
         cache_hits: after.hits.saturating_sub(before.hits),
         cache_misses: after.misses.saturating_sub(before.misses),
         programs,
-        opt,
         mem,
     }
 }

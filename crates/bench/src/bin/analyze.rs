@@ -12,9 +12,9 @@
 //! false positives on the clean twins.
 //!
 //! Always writes `BENCH_analyze.json` (per-code counts, analysis
-//! throughput, differential tally). Exits non-zero on any miss, false
-//! positive, or static/dynamic disagreement, so this binary doubles as a
-//! CI gate for the whole analyzer.
+//! throughput, host core count, differential tally). Exits non-zero on
+//! any miss, false positive, or static/dynamic disagreement, so this
+//! binary doubles as a CI gate for the whole analyzer.
 
 use mcmm_analyze::corpus::{BreakMode, PortabilityKernel};
 use mcmm_analyze::portability::portability;
@@ -170,11 +170,13 @@ fn main() {
         elapsed * 1e3
     );
 
+    let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
     let code_json: Vec<String> =
         per_code.iter().map(|(c, n)| format!("    \"{c}\": {n}")).collect();
     let json = format!(
         "{{\n  \"per_code\": {{\n{}\n  }},\n  \"corpus_kernels\": {},\n  \
-         \"throughput_analyses_per_s\": {throughput:.0},\n  \"smoke\": {smoke},\n  \
+         \"throughput_analyses_per_s\": {throughput:.0},\n  \"host_cores\": {host_cores},\n  \
+         \"smoke\": {smoke},\n  \
          \"differential_cells_checked\": {differential_cells}\n}}",
         code_json.join(",\n"),
         kernels.len()

@@ -1,10 +1,8 @@
 //! X5 — execution tiers: time the four deterministic STREAM-style shapes
 //! (Copy, Mul, Add, Triad) through the scalar reference interpreter and
-//! the lowered lane-vector tier — at O0 (kernels lowered as written) and
-//! O2 (through the SSA middle-end) — on one simulated A100, verify every
-//! tier/level produces byte-identical buffers, and report per-tier
-//! ns/element with the vectorized speedups and the lowered-program cache
-//! hit rate.
+//! the lowered lane-vector tier on one simulated A100, verify both tiers
+//! produce byte-identical buffers, and report per-tier ns/element with
+//! the vectorized speedups and the lowered-program cache hit rate.
 //!
 //! Dot is excluded on purpose: its cross-block f64 atomics retire in
 //! scheduler order, so its *bits* are run-to-run nondeterministic either
@@ -15,17 +13,16 @@
 //! [--n N] [--iters K] [--json]`. A full run (no `--smoke`) rewrites
 //! `BENCH_exec.json`, the artifact the README performance table is
 //! generated from. Exits non-zero if the vectorized tier is slower than
-//! scalar in aggregate, if any checksum differs between tiers or
-//! optimization levels, if O2 failed to keep (smoke: roughly, within
-//! wall-clock noise) or beat (full: strictly above 11.9x aggregate) the
-//! O0 speedup, or if the program cache failed to serve repeat launches —
-//! so this binary doubles as the CI performance gate.
+//! scalar in aggregate, if a full run's aggregate speedup is not
+//! strictly above 11.9x, if any checksum differs between tiers, or if
+//! the program cache failed to serve repeat launches — so this binary
+//! doubles as the CI performance gate.
 
 use mcmm_babelstream::adapters::stream_kernels;
 use mcmm_babelstream::{SCALAR, START_A, START_B, START_C};
 use mcmm_gpu_sim::device::{Device, ExecTier, KernelArg, LaunchConfig};
 use mcmm_gpu_sim::ir::KernelIr;
-use mcmm_gpu_sim::{DeviceSpec, OptLevel, OptStats, SimConfig};
+use mcmm_gpu_sim::{DeviceSpec, SimConfig};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -35,17 +32,12 @@ struct ShapeTiming {
     name: &'static str,
     scalar_ns_per_elem: f64,
     vectorized_ns_per_elem: f64,
-    vectorized_o2_ns_per_elem: f64,
     checksums_match: bool,
 }
 
 impl ShapeTiming {
     fn speedup(&self) -> f64 {
         self.scalar_ns_per_elem / self.vectorized_ns_per_elem.max(f64::MIN_POSITIVE)
-    }
-
-    fn speedup_o2(&self) -> f64 {
-        self.scalar_ns_per_elem / self.vectorized_o2_ns_per_elem.max(f64::MIN_POSITIVE)
     }
 }
 
@@ -61,18 +53,11 @@ fn fnv1a(chunks: &[Vec<u8>]) -> u64 {
     h
 }
 
-/// Run `iters` timed launches of one kernel on one tier at one
-/// optimization level (fresh device, fresh buffers, one warmup launch),
-/// returning (ns/element, checksum of the three arrays afterwards,
-/// program-cache hits, middle-end stats).
-fn run_shape(
-    kernel: &KernelIr,
-    tier: ExecTier,
-    opt: OptLevel,
-    n: usize,
-    iters: usize,
-) -> (f64, u64, u64, OptStats) {
-    let config = SimConfig { exec: tier, opt, ..SimConfig::resolve() };
+/// Run `iters` timed launches of one kernel on one tier (fresh device,
+/// fresh buffers, one warmup launch), returning (ns/element, checksum of
+/// the three arrays afterwards, program-cache hits).
+fn run_shape(kernel: &KernelIr, tier: ExecTier, n: usize, iters: usize) -> (f64, u64, u64) {
+    let config = SimConfig { exec: tier, ..SimConfig::resolve() };
     let dev: Arc<Device> = Device::with_config(DeviceSpec::nvidia_a100(), config);
     let da = dev.alloc_copy_f64(&vec![START_A; n]).unwrap();
     let db = dev.alloc_copy_f64(&vec![START_B; n]).unwrap();
@@ -100,7 +85,7 @@ fn run_shape(
     let ns_per_elem = best_ns / n as f64;
     let bytes: Vec<Vec<u8>> =
         [da, db, dc].into_iter().map(|p| dev.memcpy_d2h(p, n as u64 * 8).unwrap().0).collect();
-    (ns_per_elem, fnv1a(&bytes), dev.program_cache_stats().hits, dev.opt_stats())
+    (ns_per_elem, fnv1a(&bytes), dev.program_cache_stats().hits)
 }
 
 fn main() {
@@ -120,7 +105,7 @@ fn main() {
         .unwrap_or(if smoke { 2 } else { 5 });
 
     eprintln!(
-        "timing scalar vs vectorized (O0, O2) execution tiers: n = {n}, iters = {iters}, \
+        "timing scalar vs vectorized execution tiers: n = {n}, iters = {iters}, \
          block_dim = {BLOCK_DIM} (host wall-clock)…"
     );
 
@@ -128,49 +113,38 @@ fn main() {
     let shapes = [("Copy", 0usize), ("Mul", 1), ("Add", 2), ("Triad", 3)];
     let mut timings = Vec::new();
     let mut program_hits = 0u64;
-    let mut opt = OptStats::default();
     for (name, idx) in shapes {
-        let (s_ns, s_sum, _, _) =
-            run_shape(&kernels[idx], ExecTier::Scalar, OptLevel::O0, n, iters);
-        let (v_ns, v_sum, hits, _) =
-            run_shape(&kernels[idx], ExecTier::Vectorized, OptLevel::O0, n, iters);
-        let (o2_ns, o2_sum, o2_hits, o2_opt) =
-            run_shape(&kernels[idx], ExecTier::Vectorized, OptLevel::O2, n, iters);
-        program_hits += hits + o2_hits;
-        opt = opt.merged(o2_opt);
+        let (s_ns, s_sum, _) = run_shape(&kernels[idx], ExecTier::Scalar, n, iters);
+        let (v_ns, v_sum, hits) = run_shape(&kernels[idx], ExecTier::Vectorized, n, iters);
+        program_hits += hits;
         timings.push(ShapeTiming {
             name,
             scalar_ns_per_elem: s_ns,
             vectorized_ns_per_elem: v_ns,
-            vectorized_o2_ns_per_elem: o2_ns,
-            checksums_match: s_sum == v_sum && s_sum == o2_sum,
+            checksums_match: s_sum == v_sum,
         });
     }
 
     // Every vectorized launch after the per-shape warmup must have been
-    // served from the program cache: iters hits per (shape, level).
-    let expected_hits = (2 * iters * shapes.len()) as u64;
-    let hit_rate = program_hits as f64 / (program_hits + 2 * shapes.len() as u64) as f64;
+    // served from the program cache: iters hits per shape.
+    let expected_hits = (iters * shapes.len()) as u64;
+    let hit_rate = program_hits as f64 / (program_hits + shapes.len() as u64) as f64;
 
     let scalar_total: f64 = timings.iter().map(|t| t.scalar_ns_per_elem).sum();
     let vectorized_total: f64 = timings.iter().map(|t| t.vectorized_ns_per_elem).sum();
-    let vectorized_o2_total: f64 = timings.iter().map(|t| t.vectorized_o2_ns_per_elem).sum();
     let aggregate_speedup = scalar_total / vectorized_total.max(f64::MIN_POSITIVE);
-    let aggregate_speedup_o2 = scalar_total / vectorized_o2_total.max(f64::MIN_POSITIVE);
 
     let shape_json: Vec<String> = timings
         .iter()
         .map(|t| {
             format!(
                 "    {{ \"shape\": \"{}\", \"scalar_ns_per_elem\": {:.3}, \
-                 \"vectorized_ns_per_elem\": {:.3}, \"vectorized_o2_ns_per_elem\": {:.3}, \
-                 \"speedup\": {:.2}, \"speedup_o2\": {:.2}, \"checksums_match\": {} }}",
+                 \"vectorized_ns_per_elem\": {:.3}, \"speedup\": {:.2}, \
+                 \"checksums_match\": {} }}",
                 t.name,
                 t.scalar_ns_per_elem,
                 t.vectorized_ns_per_elem,
-                t.vectorized_o2_ns_per_elem,
                 t.speedup(),
-                t.speedup_o2(),
                 t.checksums_match
             )
         })
@@ -179,13 +153,9 @@ fn main() {
         "{{\n  \"n\": {n},\n  \"iters\": {iters},\n  \"block_dim\": {BLOCK_DIM},\n  \
          \"host_cores\": {host_cores},\n  \"stream_scalar\": {SCALAR},\n  \"shapes\": [\n{}\n  ],\n  \
          \"aggregate_speedup\": {aggregate_speedup:.2},\n  \
-         \"aggregate_speedup_o2\": {aggregate_speedup_o2:.2},\n  \
-         \"o2_instrs_before\": {},\n  \"o2_instrs_after\": {},\n  \
          \"program_cache_hits\": {program_hits},\n  \
          \"program_cache_hit_rate\": {hit_rate:.3}\n}}",
         shape_json.join(",\n"),
-        opt.instrs_before,
-        opt.instrs_after,
     );
 
     if json {
@@ -193,27 +163,22 @@ fn main() {
     } else {
         println!("── Execution tiers (X5): scalar vs lane-vector, host wall-clock ──");
         println!(
-            "{:<7} {:>15} {:>12} {:>12} {:>8} {:>8}  bit-identical",
-            "shape", "scalar ns/elem", "O0 ns/elem", "O2 ns/elem", "O0", "O2"
+            "{:<7} {:>15} {:>18} {:>8}  bit-identical",
+            "shape", "scalar ns/elem", "vectorized ns/elem", "speedup"
         );
         for t in &timings {
             println!(
-                "{:<7} {:>15.2} {:>12.2} {:>12.2} {:>7.1}x {:>7.1}x  {}",
+                "{:<7} {:>15.2} {:>18.2} {:>7.1}x  {}",
                 t.name,
                 t.scalar_ns_per_elem,
                 t.vectorized_ns_per_elem,
-                t.vectorized_o2_ns_per_elem,
                 t.speedup(),
-                t.speedup_o2(),
                 if t.checksums_match { "yes" } else { "NO" }
             );
         }
         println!(
-            "aggregate speedup {aggregate_speedup:.1}x at O0, {aggregate_speedup_o2:.1}x at O2 \
-             ({} -> {} instrs); program cache {program_hits} hits ({:.0}% hit rate); \
-             {host_cores} host cores",
-            opt.instrs_before,
-            opt.instrs_after,
+            "aggregate speedup {aggregate_speedup:.1}x; program cache {program_hits} hits \
+             ({:.0}% hit rate); {host_cores} host cores",
             hit_rate * 100.0
         );
     }
@@ -227,7 +192,7 @@ fn main() {
     let mut failed = false;
     for t in &timings {
         if !t.checksums_match {
-            eprintln!("FAIL: {} buffers differ between tiers/levels", t.name);
+            eprintln!("FAIL: {} buffers differ between tiers", t.name);
             failed = true;
         }
     }
@@ -238,25 +203,8 @@ fn main() {
         );
         failed = true;
     }
-    // Speedup monotonicity: the middle-end must not make the vectorized
-    // tier slower. Smoke runs measure a few milliseconds per cell, so
-    // they get a noise allowance; a full run holds the strict bound.
-    let noise = if smoke { 1.15 } else { 1.0 };
-    if vectorized_o2_total > vectorized_total * noise {
-        eprintln!(
-            "FAIL: O2 slower than O0 in aggregate \
-             ({vectorized_o2_total:.2} vs {vectorized_total:.2} ns/elem)"
-        );
-        failed = true;
-    }
-    if !smoke && aggregate_speedup_o2 <= 11.9 {
-        eprintln!(
-            "FAIL: O2 aggregate speedup {aggregate_speedup_o2:.2}x did not beat the 11.9x bar"
-        );
-        failed = true;
-    }
-    if opt.kernels == 0 || opt.removed() == 0 {
-        eprintln!("FAIL: O2 runs did not go through the middle-end ({opt:?})");
+    if !smoke && aggregate_speedup <= 11.9 {
+        eprintln!("FAIL: aggregate speedup {aggregate_speedup:.2}x did not beat the 11.9x bar");
         failed = true;
     }
     if program_hits != expected_hits {
@@ -266,8 +214,5 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-    eprintln!(
-        "exec tier invariants hold (vectorized {aggregate_speedup:.1}x at O0, \
-         {aggregate_speedup_o2:.1}x at O2)"
-    );
+    eprintln!("exec tier invariants hold (vectorized {aggregate_speedup:.1}x)");
 }

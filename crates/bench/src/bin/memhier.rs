@@ -206,10 +206,6 @@ fn main() {
         "--n must be a multiple of {BLOCK_DIM} and at least 512"
     );
     let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
-    // Every run fixes the settings it compares and takes the others (the
-    // opt level, and both tiers of the overhead runs) from the
-    // environment.
-    let base = SimConfig::resolve();
 
     type SpecFn = fn() -> DeviceSpec;
     let vendors: [(&'static str, SpecFn); 3] = [
@@ -236,7 +232,7 @@ fn main() {
     for (vendor, spec) in vendors {
         for (shape, kernel) in &shapes {
             let run = |tracing, timing| {
-                let config = SimConfig { exec: ExecTier::Vectorized, timing, tracing, ..base };
+                let config = SimConfig { exec: ExecTier::Vectorized, timing, tracing };
                 run_case(spec(), kernel, n, config)
             };
             let (no_mem, analytic_us, base_sum) = run(false, TimingTier::Analytic);
@@ -274,8 +270,7 @@ fn main() {
     for (vendor, spec) in vendors {
         for (shape, kernel) in &shapes {
             let run = |exec| {
-                let config =
-                    SimConfig { exec, timing: TimingTier::Analytic, tracing: true, ..base };
+                let config = SimConfig { exec, timing: TimingTier::Analytic, tracing: true };
                 run_case(spec(), kernel, tier_n, config)
                     .0
                     .expect("traced launch must produce mem stats")
@@ -343,8 +338,9 @@ fn main() {
     }
 
     // Wall-clock tracing overhead on the STREAM shapes: untraced vs
-    // traced, one warm device each.
+    // traced, one warm device each, both tiers taken from the environment.
     eprintln!("measuring wall-clock tracing overhead on the STREAM shapes…");
+    let base = SimConfig::resolve();
     let (warmup, iters) = if smoke { (1, 3) } else { (2, 5) };
     let mut overhead: Vec<OverheadRow> = Vec::new();
     for (vendor, spec) in vendors {

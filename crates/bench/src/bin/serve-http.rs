@@ -8,7 +8,8 @@
 //! [--jobs N] [--seed S] [--clients C] [--shards K] [--duplicates P]
 //! [--json]`. `--smoke` shrinks the workload for CI; the full run drives
 //! ≥100k requests. Writes `BENCH_serve_http.json` (latency percentiles,
-//! dedupe ratio, cold-vs-warm cache hit rates) on full runs. Exits
+//! dedupe ratio, cold-vs-warm cache hit rates, host core count) on full
+//! runs. Exits
 //! non-zero if any invariant fails, so this binary doubles as the
 //! end-to-end smoke gate for the gateway.
 //!
@@ -228,6 +229,7 @@ fn main() {
     let dedupe_ratio = dedupe_joins as f64
         / (cold_stats.coalesce_leads + warm_stats.coalesce_leads + dedupe_joins).max(1) as f64;
 
+    let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
     let report = format!(
         concat!(
             "{{\n",
@@ -236,6 +238,7 @@ fn main() {
             "  \"n\": {n},\n",
             "  \"clients\": {clients},\n",
             "  \"shards\": {shards},\n",
+            "  \"host_cores\": {host_cores},\n",
             "  \"duplicate_percent\": {dup},\n",
             "  \"requests_total\": {requests_total},\n",
             "  \"dedupe_ratio\": {dedupe_ratio:.4},\n",
@@ -253,6 +256,7 @@ fn main() {
         n = n,
         clients = clients,
         shards = shards,
+        host_cores = host_cores,
         dup = duplicate_percent,
         requests_total = requests_total,
         dedupe_ratio = dedupe_ratio,
@@ -386,7 +390,6 @@ fn main() {
         }
     }
     if !smoke && jobs == 100_000 && clients == 8 && shards == 4 {
-        let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
         let budget = if host_cores >= 4 { 1.2 } else { 2.5 };
         for (name, p99, baseline) in [
             ("cold", cold_latency.p99_us, BASELINE_COLD_P99_US),

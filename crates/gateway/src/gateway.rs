@@ -97,15 +97,6 @@ pub struct GatewayStats {
     pub disk_invalid: u64,
     /// Distinct tenants seen.
     pub tenants: usize,
-    /// Kernels run through the optimizer middle-end across every shard
-    /// device (all-zero at the default O0).
-    pub opt_kernels: u64,
-    /// Middle-end rewrites (folds + DCE + CSE + LICM + strength reduction
-    /// + vendor passes) across every shard device.
-    pub opt_rewrites: u64,
-    /// Instructions removed by optimization (before − after) across every
-    /// shard device.
-    pub opt_instrs_removed: u64,
     /// Traced launches merged into the memory rows across every shard
     /// device (> 0 whenever serve-side tracing is on, the default).
     pub mem_traced_launches: u64,
@@ -252,15 +243,6 @@ impl Gateway {
             cache_misses += c.misses;
         }
         let disk = self.disk.as_ref().map(|d| d.stats()).unwrap_or_default();
-        let opt = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                mcmm_core::taxonomy::Vendor::ALL
-                    .into_iter()
-                    .map(|v| s.service().device(v).opt_stats())
-            })
-            .fold(mcmm_gpu_sim::OptStats::default(), |acc, s| acc.merged(s));
         let (mem, mem_traced_launches) = self
             .shards
             .iter()
@@ -285,9 +267,6 @@ impl Gateway {
             disk_fills: disk.fills,
             disk_invalid: disk.invalid,
             tenants: self.governor.tenant_count(),
-            opt_kernels: opt.kernels,
-            opt_rewrites: opt.rewrites(),
-            opt_instrs_removed: opt.removed(),
             mem_traced_launches,
             mem_l1_hit_rate: mem.l1_hit_rate(),
             mem_l2_hit_rate: mem.l2_hit_rate(),

@@ -21,7 +21,6 @@ use crate::mem::{DevicePtr, GlobalMemory};
 use crate::memhier::{MemHierSpec, MemStats};
 use crate::pool::{run_indexed, ScratchPool};
 use crate::sched::SchedulePolicy;
-use crate::ssa::OptLevel;
 use crate::timing::{kernel_time, kernel_time_traced, transfer_time, ModeledTime};
 use crate::trace::{TraceScratch, TraceSink};
 use crate::vexec::run_block_lv;
@@ -85,9 +84,8 @@ pub enum TimingTier {
 
 /// The simulator's settings, fixed for a device's whole life. No setting
 /// changes what a kernel computes: buffers are byte-identical under every
-/// value of every field, and only modeled times, counters that the
-/// optimizer legitimately shrinks, and whether [`MemStats`] are collected
-/// differ.
+/// value of every field, and only modeled times and whether [`MemStats`]
+/// are collected differ.
 ///
 /// [`Device::new`] starts a device on [`SimConfig::resolve`];
 /// [`Device::with_config`] takes one explicitly.
@@ -101,10 +99,15 @@ pub struct SimConfig {
     /// [`LaunchReport::mem`] and [`Device::mem_stats`], even when the
     /// timing tier does not need one.
     pub tracing: bool,
-    /// The level the vectorized tier lowers kernels at (the scalar
-    /// reference tier always runs kernels as written); also the level the
-    /// toolchain compiles at.
-    pub opt: OptLevel,
+}
+
+/// The optimization level a device reports. Kernels are always lowered as
+/// written, so `O0` is the only level; this exists only for the
+/// benchmark's configuration line ([`Device::opt_level`]).
+#[derive(Debug, Clone, Copy)]
+pub enum OptLevel {
+    /// Kernels lowered as written.
+    O0,
 }
 
 /// The process-wide override [`SimConfig::resolve`] returns when set.
@@ -126,9 +129,7 @@ impl SimConfig {
     /// * `MCMM_EXEC_TIER`: `scalar` (any case) selects the scalar tier;
     /// * `MCMM_TIMING_TIER`: `traced` or `trace-driven` (any case) selects
     ///   trace-driven timing;
-    /// * `MCMM_MEM_TRACE`: `1`, `on`, `ON`, `true` or `TRUE` turns tracing on;
-    /// * `MCMM_OPT_LEVEL`: `1` or `o1`, `2` or `o2` (any case) selects
-    ///   `O1` or `O2`.
+    /// * `MCMM_MEM_TRACE`: `1`, `on`, `ON`, `true` or `TRUE` turns tracing on.
     pub fn from_env() -> Self {
         let var = |name| std::env::var(name).unwrap_or_default();
         let lower = |name| var(name).to_ascii_lowercase();
@@ -142,11 +143,6 @@ impl SimConfig {
                 _ => TimingTier::Analytic,
             },
             tracing: matches!(var("MCMM_MEM_TRACE").as_str(), "1" | "on" | "ON" | "true" | "TRUE"),
-            opt: match lower("MCMM_OPT_LEVEL").as_str() {
-                "1" | "o1" => OptLevel::O1,
-                "2" | "o2" => OptLevel::O2,
-                _ => OptLevel::O0,
-            },
         }
     }
 
@@ -460,22 +456,15 @@ impl Device {
         *self.transfers.lock()
     }
 
-    /// The optimization level this device lowers kernels at (vectorized
-    /// tier only; the scalar reference tier always runs kernels as
-    /// written).
+    /// Always [`OptLevel::O0`]. Kept only for the benchmark's
+    /// configuration line, which prints it.
     pub fn opt_level(&self) -> OptLevel {
-        self.config.opt
+        OptLevel::O0
     }
 
     /// Hit/miss statistics of the lowered-program cache.
     pub fn program_cache_stats(&self) -> ProgramCacheStats {
         self.programs.stats()
-    }
-
-    /// Cumulative middle-end statistics over this device's optimized
-    /// lowerings (all-zero while the device stays on `O0`).
-    pub fn opt_stats(&self) -> crate::ssa::OptStats {
-        self.programs.opt_stats()
     }
 
     /// The device model.
@@ -719,9 +708,7 @@ impl Device {
         // Lower once per launch (cache-hit after the first); every block of
         // the grid then shares the same flat program.
         let program = match self.exec_tier() {
-            ExecTier::Vectorized => {
-                Some(self.programs.get_or_lower(kernel, self.opt_level(), &self.spec))
-            }
+            ExecTier::Vectorized => Some(self.programs.get_or_lower(kernel)),
             ExecTier::Scalar => None,
         };
 

@@ -714,7 +714,7 @@ pub(crate) fn int_bin(op: BinOp, x: i64, y: i64) -> Result<i64> {
     })
 }
 
-pub(crate) fn un_value(op: UnOp, a: Value) -> Value {
+fn un_value(op: UnOp, a: Value) -> Value {
     use UnOp::*;
     match a {
         Value::F32(x) => Value::F32(match op {
@@ -752,7 +752,7 @@ pub(crate) fn un_value(op: UnOp, a: Value) -> Value {
     }
 }
 
-pub(crate) fn cmp_value(op: CmpOp, a: Value, b: Value) -> bool {
+fn cmp_value(op: CmpOp, a: Value, b: Value) -> bool {
     use std::cmp::Ordering::*;
     let ord = match (a, b) {
         (Value::F32(x), Value::F32(y)) => x.partial_cmp(&y),
@@ -772,7 +772,7 @@ pub(crate) fn cmp_value(op: CmpOp, a: Value, b: Value) -> bool {
     }
 }
 
-pub(crate) fn convert(v: Value, to: Type) -> Value {
+fn convert(v: Value, to: Type) -> Value {
     let as_f64 = match v {
         Value::F32(x) => f64::from(x),
         Value::F64(x) => x,

@@ -16,7 +16,10 @@
 //! * [`mem`] — device global memory on a lock-free word-atomic backing
 //!   store, with an allocator and host↔device transfers;
 //! * [`exec`] — a SIMT interpreter executing one block as a wide lane
-//!   vector with divergence masks;
+//!   vector with divergence masks: the scalar reference tier;
+//! * [`lower`] + [`vexec`] — the default vectorized tier: each kernel is
+//!   lowered once, as written, into flat typed lane-vector bytecode,
+//!   cached per device by IR fingerprint;
 //! * [`pool`] + [`sched`] — per-launch scoped worker threads and block
 //!   schedulers distributing blocks over simulated compute units;
 //! * [`stream`] + [`event`] — asynchronous in-order queues and events;
@@ -87,7 +90,6 @@ pub mod mem;
 pub mod memhier;
 pub mod pool;
 pub mod sched;
-pub mod ssa;
 pub mod stream;
 pub mod timing;
 pub mod trace;
@@ -110,7 +112,6 @@ pub mod prelude {
     pub use crate::mem::DevicePtr;
     pub use crate::memhier::{MemHierSpec, MemStats};
     pub use crate::sched::SchedulePolicy;
-    pub use crate::ssa::{OptLevel, OptStats};
     pub use crate::stream::Stream;
     pub use crate::timing::ModeledTime;
     pub use crate::SimError;
@@ -122,7 +123,6 @@ pub use device::{
 pub use isa::{IsaKind, Module};
 pub use lower::ProgramCacheStats;
 pub use memhier::{MemHierSpec, MemStats};
-pub use ssa::{OptLevel, OptStats};
 
 /// Errors surfaced by the simulator.
 #[derive(Debug, Clone, PartialEq)]

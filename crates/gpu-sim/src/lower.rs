@@ -29,11 +29,9 @@
 //! module disassembly validates explicitly). Type consistency guaranteed
 //! there is what lets the lowered ops carry a single `Type` tag.
 
-use crate::device::DeviceSpec;
 use crate::ir::{
     AtomicOp, BinOp, CmpOp, Instr, KernelIr, Operand, Reg, Space, Special, Type, UnOp, Value,
 };
-use crate::ssa::{OptLevel, OptStats};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -504,24 +502,15 @@ impl ProgramCacheStats {
     }
 }
 
-/// Device-level cache of lowered programs. Unbounded like the device's
-/// kernel cache: programs are small (a flat op vector) and the
-/// distinct-kernel population is bounded by what was loaded onto the
-/// device.
-///
-/// The key is *not* the kernel fingerprint alone: the middle-end
-/// ([`crate::ssa`]) makes the lowered program a function of the
-/// optimization level, and the vendor passes make it a function of the
-/// target's execution width — so the key is
-/// `(fingerprint, opt tag, warp width)`. Two devices with different warp
-/// widths must never share an entry even at the same level, and flipping
-/// a device's opt level must re-lower rather than serve a stale program.
+/// Device-level cache of lowered programs, keyed by
+/// [`KernelIr::fingerprint`]. Unbounded like the device's kernel cache:
+/// programs are small (a flat op vector) and the distinct-kernel
+/// population is bounded by what was loaded onto the device.
 #[derive(Debug, Default)]
 pub struct ProgramCache {
-    map: Mutex<HashMap<(u64, u8, u32), Arc<LvProgram>>>,
+    map: Mutex<HashMap<u64, Arc<LvProgram>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    opt: Mutex<OptStats>,
 }
 
 impl ProgramCache {
@@ -530,33 +519,17 @@ impl ProgramCache {
         Self::default()
     }
 
-    /// The lowered program for `kernel` at `opt` targeting `spec`,
-    /// optimizing + lowering at most once per distinct key. At `O0` the
-    /// kernel is lowered exactly as written (the pre-middle-end
-    /// behaviour, bit for bit).
-    pub fn get_or_lower(
-        &self,
-        kernel: &KernelIr,
-        opt: OptLevel,
-        spec: &DeviceSpec,
-    ) -> Arc<LvProgram> {
-        let key = (kernel.fingerprint(), opt.tag(), spec.warp_width);
+    /// The lowered program for `kernel`, lowering at most once per
+    /// distinct fingerprint.
+    pub fn get_or_lower(&self, kernel: &KernelIr) -> Arc<LvProgram> {
+        let key = kernel.fingerprint();
         if let Some(p) = self.map.lock().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(p);
         }
-        // Optimize + lower outside the lock: both are pure, so a racing
-        // duplicate is wasted work at worst, and the first insert wins
-        // below.
-        let program = if opt == OptLevel::O0 {
-            Arc::new(lower(kernel))
-        } else {
-            let (optimized, stats) = crate::ssa::optimize(kernel, opt, Some(spec));
-            let mut cumulative = self.opt.lock();
-            *cumulative = cumulative.merged(stats);
-            drop(cumulative);
-            Arc::new(lower(&optimized))
-        };
+        // Lower outside the lock: lowering is pure, so a racing duplicate
+        // is wasted work at worst, and the first insert wins below.
+        let program = Arc::new(lower(kernel));
         self.misses.fetch_add(1, Ordering::Relaxed);
         Arc::clone(self.map.lock().entry(key).or_insert(program))
     }
@@ -568,11 +541,6 @@ impl ProgramCache {
             misses: self.misses.load(Ordering::Relaxed),
             entries: self.map.lock().len(),
         }
-    }
-
-    /// Cumulative middle-end statistics over every optimized lowering.
-    pub fn opt_stats(&self) -> OptStats {
-        *self.opt.lock()
     }
 }
 
@@ -669,51 +637,21 @@ mod tests {
     #[test]
     fn program_cache_lowers_once_per_fingerprint() {
         let cache = ProgramCache::new();
-        let spec = DeviceSpec::nvidia_a100();
         let k = saxpy();
-        let p1 = cache.get_or_lower(&k, OptLevel::O0, &spec);
-        let p2 = cache.get_or_lower(&k, OptLevel::O0, &spec);
+        let p1 = cache.get_or_lower(&k);
+        let p2 = cache.get_or_lower(&k);
         assert!(Arc::ptr_eq(&p1, &p2));
         let other = {
             let mut k = KernelBuilder::new("other");
             let _ = k.param(Type::I64);
             k.finish()
         };
-        let _ = cache.get_or_lower(&other, OptLevel::O0, &spec);
+        let _ = cache.get_or_lower(&other);
         let s = cache.stats();
         assert_eq!(s.hits, 1);
         assert_eq!(s.misses, 2);
         assert_eq!(s.entries, 2);
         assert!((s.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
-        assert_eq!(cache.opt_stats(), OptStats::default(), "O0 never runs the middle-end");
-    }
-
-    #[test]
-    fn program_cache_never_shares_entries_across_warp_widths() {
-        // Regression: the cache used to key on the fingerprint alone, so
-        // two devices of different execution widths sharing a cache
-        // would serve each other's programs — wrong as soon as lowering
-        // becomes width-dependent (the O2 vendor passes).
-        let cache = ProgramCache::new();
-        let k = saxpy();
-        let a100 = DeviceSpec::nvidia_a100();
-        let mi250x = DeviceSpec::amd_mi250x();
-        assert_ne!(a100.warp_width, mi250x.warp_width);
-        for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
-            let pa = cache.get_or_lower(&k, level, &a100);
-            let pb = cache.get_or_lower(&k, level, &mi250x);
-            assert!(!Arc::ptr_eq(&pa, &pb), "{level}: entry shared across warp widths");
-        }
-        let s = cache.stats();
-        assert_eq!(s.hits, 0);
-        assert_eq!(s.misses, 6);
-        assert_eq!(s.entries, 6);
-        // Flipping the level alone must also miss, not serve stale code.
-        let p0 = cache.get_or_lower(&k, OptLevel::O0, &a100);
-        let p2 = cache.get_or_lower(&k, OptLevel::O2, &a100);
-        assert!(!Arc::ptr_eq(&p0, &p2));
-        assert_eq!(cache.stats().hits, 2);
-        assert!(cache.opt_stats().kernels >= 4, "O1/O2 lowerings ran the middle-end");
     }
 
     #[test]

@@ -102,51 +102,6 @@ pub struct ProgramsReport {
     pub hit_rate: f64,
 }
 
-/// Middle-end optimizer activity, summed over the three devices —
-/// mirrors [`mcmm_gpu_sim::OptStats`] for serialization. All-zero at the
-/// default O0, where the vectorized tier lowers kernels as written.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct OptReport {
-    /// Kernels run through the middle-end (per device, per level).
-    pub kernels: u64,
-    /// Instruction count entering the pass pipeline.
-    pub instrs_before: u64,
-    /// Instruction count after the pipeline (reconstructed form).
-    pub instrs_after: u64,
-    /// Individual pass executions across all pass-manager sweeps.
-    pub pass_runs: u64,
-    /// Operations replaced by constants or copies (constant folding).
-    pub folded: u64,
-    /// Dead operations removed.
-    pub dce_removed: u64,
-    /// Redundant expressions merged (CSE, loads included).
-    pub cse_merged: u64,
-    /// Loop-invariant operations hoisted.
-    pub licm_hoisted: u64,
-    /// Operations rewritten to cheaper forms (strength reduction).
-    pub strength_reduced: u64,
-    /// Rewrites by the vendor-parameterized passes (divergence
-    /// flattening, address-chain folding).
-    pub vendor_rewrites: u64,
-}
-
-impl From<mcmm_gpu_sim::OptStats> for OptReport {
-    fn from(s: mcmm_gpu_sim::OptStats) -> Self {
-        OptReport {
-            kernels: s.kernels,
-            instrs_before: s.instrs_before,
-            instrs_after: s.instrs_after,
-            pass_runs: s.pass_runs,
-            folded: s.folded,
-            dce_removed: s.dce_removed,
-            cse_merged: s.cse_merged,
-            licm_hoisted: s.licm_hoisted,
-            strength_reduced: s.strength_reduced,
-            vendor_rewrites: s.vendor_rewrites,
-        }
-    }
-}
-
 /// Job accounting, mirrored from [`ServiceCounts`] for serialization.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct JobsReport {
@@ -197,8 +152,6 @@ pub struct ServeReport {
     pub cache: CacheReport,
     /// Lowered-program cache behaviour (vectorized execution tier).
     pub programs: ProgramsReport,
-    /// Middle-end optimizer activity (all-zero at the default O0).
-    pub opt: OptReport,
     /// Modeled latency summary (admission → retirement, queueing included).
     pub latency: LatencyStats,
     /// Modeled makespan: the slowest device clock (seconds).
@@ -233,10 +186,6 @@ impl ServeReport {
             .into_iter()
             .map(|v| service.device(v).program_cache_stats())
             .fold(mcmm_gpu_sim::ProgramCacheStats::default(), |acc, s| acc.merged(s));
-        let opt = Vendor::ALL
-            .into_iter()
-            .map(|v| service.device(v).opt_stats())
-            .fold(mcmm_gpu_sim::OptStats::default(), |acc, s| acc.merged(s));
         let latencies: Vec<f64> = completions.iter().map(|c| c.latency.seconds()).collect();
 
         let clocks: Vec<(Vendor, f64, u64, String, TransferStats, Option<MemStats>)> = Vendor::ALL
@@ -293,7 +242,6 @@ impl ServeReport {
                 entries: programs.entries,
                 hit_rate: programs.hit_rate(),
             },
-            opt: OptReport::from(opt),
             latency: LatencyStats::from_seconds(&latencies),
             makespan_s: makespan,
             throughput_jobs_per_s: if makespan > 0.0 {

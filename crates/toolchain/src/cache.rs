@@ -25,7 +25,7 @@ use crate::compiler::{CompileError, VirtualCompiler};
 use crate::diskcache::{DiskStats, DiskTier};
 use mcmm_core::taxonomy::{Language, Model, Vendor};
 use mcmm_gpu_sim::ir::KernelIr;
-use mcmm_gpu_sim::{Module, SimConfig};
+use mcmm_gpu_sim::Module;
 use parking_lot::Mutex;
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
@@ -61,10 +61,6 @@ pub struct CacheKey {
     pub language: Language,
     /// Target vendor.
     pub vendor: Vendor,
-    /// Middle-end optimization level tag ([`mcmm_gpu_sim::OptLevel::tag`])
-    /// the artifact was compiled at. O0 and O2 builds of the same kernel
-    /// emit different code, so they must never share an artifact.
-    pub opt: u8,
 }
 
 /// Per-entry statistics, readable while the cache is live.
@@ -210,7 +206,6 @@ impl CompileCache {
             model,
             language,
             vendor,
-            opt: SimConfig::resolve().opt.tag(),
         };
         {
             let mut inner = self.inner.lock();

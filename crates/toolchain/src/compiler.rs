@@ -7,7 +7,6 @@ use mcmm_core::route::{Completeness, Route, RouteKind};
 use mcmm_core::taxonomy::{Language, Model, Vendor};
 use mcmm_gpu_sim::ir::KernelIr;
 use mcmm_gpu_sim::isa::{assemble, Module};
-use mcmm_gpu_sim::{OptLevel, SimConfig};
 use std::fmt;
 
 /// Why a compilation was refused — each variant corresponds to a hole the
@@ -192,32 +191,7 @@ impl VirtualCompiler {
                 });
             }
         }
-        // The middle-end: at O1/O2 the kernel is optimized for the target
-        // vendor's device shape before assembly. The gates above ran on
-        // the kernel *as written* — those verdicts are authoritative. As
-        // defense in depth the sanitizer checks re-run on the optimized
-        // IR; a finding here can only mean an optimizer bug (the passes
-        // are semantics-preserving), so it refuses the compile rather
-        // than emit a miscompiled artifact.
-        let level = SimConfig::resolve().opt;
-        let optimized;
-        let emitted: &KernelIr = if level == OptLevel::O0 {
-            kernel
-        } else {
-            let spec = crate::vendor_device_spec(vendor);
-            let (opt_ir, _stats) = mcmm_gpu_sim::ssa::optimize(kernel, level, Some(&spec));
-            let post = analyze_with(&opt_ir, &AnalysisOptions::default(), &self.lint_checks());
-            if !post.is_clean() {
-                return Err(CompileError::Lint {
-                    toolchain: self.name.to_owned(),
-                    diagnostics: post.diagnostics,
-                });
-            }
-            optimized = opt_ir;
-            &optimized
-        };
-        assemble(emitted, vendor_isa(vendor))
-            .map_err(|e| CompileError::InvalidKernel(e.to_string()))
+        assemble(kernel, vendor_isa(vendor)).map_err(|e| CompileError::InvalidKernel(e.to_string()))
     }
 
     /// Does this route's software kind involve compiling IR at all?

@@ -122,14 +122,8 @@ impl DiskTier {
             .map(|c| if c.is_ascii_alphanumeric() { c.to_ascii_lowercase() } else { '_' })
             .collect();
         self.dir.join(format!(
-            "k{:016x}-r{:016x}-{}-{}{}{}-o{}.mcmmart",
-            key.kernel,
-            key.route,
-            toolchain,
-            key.model as u8,
-            key.language as u8,
-            key.vendor as u8,
-            key.opt
+            "k{:016x}-r{:016x}-{}-{}{}{}.mcmmart",
+            key.kernel, key.route, toolchain, key.model as u8, key.language as u8, key.vendor as u8
         ))
     }
 
@@ -259,7 +253,6 @@ mod tests {
             model: Model::Cuda,
             language: Language::Cpp,
             vendor: Vendor::Nvidia,
-            opt: 0,
         }
     }
 
@@ -298,8 +291,6 @@ mod tests {
         assert_ne!(tier.entry_path(&key_for(1)), tier.entry_path(&key_for(2)));
         let other = CacheKey { vendor: Vendor::Amd, ..key_for(1) };
         assert_ne!(tier.entry_path(&key_for(1)), tier.entry_path(&other));
-        let opted = CacheKey { opt: 2, ..key_for(1) };
-        assert_ne!(tier.entry_path(&key_for(1)), tier.entry_path(&opted));
     }
 
     #[test]

@@ -20,11 +20,8 @@ use many_models::gpu_sim::ir::{
 use many_models::gpu_sim::lower::lower;
 use many_models::gpu_sim::mem::{DevicePtr, GlobalMemory};
 use many_models::gpu_sim::vexec::run_block_lv;
-use many_models::gpu_sim::{
-    set_process_config, DeviceSpec, MemStats, OptLevel, SimConfig, SimError,
-};
-use mcmm_analyze::portability::portability;
-use mcmm_analyze::{analyze, corpus, MCA003};
+use many_models::gpu_sim::{set_process_config, DeviceSpec, MemStats, SimConfig, SimError};
+use mcmm_analyze::{corpus, MCA003};
 use proptest::prelude::*;
 use std::sync::Mutex;
 
@@ -156,36 +153,6 @@ fn tiers_agree_on_device(kernel: &KernelIr, spec: DeviceSpec, n: usize) {
     assert_eq!(scalar_stats, vec_stats, "counters diverge on {}", spec.name);
 }
 
-/// The counters optimization is not allowed to change: what the kernel
-/// does to memory and how the launch was shaped. (`warp_instructions`,
-/// `warp_arith`, and `bytes_read` legitimately shrink when the
-/// middle-end removes arithmetic or merges redundant loads.)
-fn semantic_counters(s: &LaunchStats) -> (u64, u64, u64, u64, u64) {
-    (s.bytes_written, s.atomics, s.barriers, s.blocks, s.warps)
-}
-
-/// Launch `kernel` at every optimization level on both tiers of one
-/// vendor device (per-device config — no global state) and require
-/// byte-identical output buffers and identical semantic counters across
-/// all six runs.
-fn levels_agree_on_device(kernel: &KernelIr, spec: &DeviceSpec, n: usize) {
-    let run =
-        |exec, opt| launch_rand(kernel, spec, SimConfig { exec, opt, ..SimConfig::from_env() }, n);
-    let (ref_bytes, ref_stats) = run(ExecTier::Scalar, OptLevel::O0);
-    for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
-        for tier in [ExecTier::Scalar, ExecTier::Vectorized] {
-            let (bytes, stats) = run(tier, level);
-            assert_eq!(ref_bytes, bytes, "buffers diverge at {level} on {} ({tier:?})", spec.name);
-            assert_eq!(
-                semantic_counters(&ref_stats),
-                semantic_counters(&stats),
-                "semantic counters diverge at {level} on {} ({tier:?})",
-                spec.name
-            );
-        }
-    }
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -201,19 +168,6 @@ proptest! {
             tiers_agree_on_device(&kernel, spec, 192);
         }
     }
-
-    /// Random well-formed kernels produce byte-identical buffers and
-    /// identical semantic counters at every optimization level × tier ×
-    /// vendor combination — the middle-end's end-to-end soundness
-    /// contract, exercised against the scalar-O0 reference.
-    #[test]
-    fn opt_levels_agree_on_random_kernels(rk in arb_kernel()) {
-        let kernel = rk.build();
-        prop_assert_eq!(kernel.validate(), Ok(()));
-        for spec in DeviceSpec::presets() {
-            levels_agree_on_device(&kernel, &spec, 192);
-        }
-    }
 }
 
 /// A launch's result (its error, or its counters and replayed memory
@@ -226,48 +180,41 @@ type Setup<'a> = &'a dyn Fn(&Device) -> (Vec<KernelArg>, DevicePtr, u64);
 
 fn outcome(
     spec: &DeviceSpec,
-    (exec, opt): (ExecTier, OptLevel),
+    exec: ExecTier,
     kernel: &KernelIr,
     cfg: LaunchConfig,
     setup: Setup,
 ) -> Outcome {
-    let config = SimConfig { exec, opt, tracing: true, ..SimConfig::from_env() };
+    let config = SimConfig { exec, tracing: true, ..SimConfig::from_env() };
     let dev = Device::with_config(spec.clone(), config);
     let (args, back, len) = setup(&dev);
     let res = dev.launch_kernel(kernel, cfg, &args).map(|r| (r.stats, r.mem));
     (res, dev.memcpy_d2h(back, len).unwrap().0)
 }
 
-/// Launch `kernel` on a fresh traced device of every preset, on the
-/// scalar tier and on the vectorized tier at O0 and O2, and require the
-/// same error, or the same counters (only the semantic ones at O2) and
-/// memory stats, and the same bytes. Returns the scalar results.
+/// Launch `kernel` on a fresh traced device of every preset, on both
+/// tiers, and require the same error, or the same counters and memory
+/// stats, and the same bytes. Returns the scalar results.
 fn edge_case_agrees(
     name: &str,
     kernel: &KernelIr,
     cfg: LaunchConfig,
     setup: Setup,
 ) -> Vec<Result<(LaunchStats, Option<MemStats>), SimError>> {
-    let semantic = |r: &Result<(LaunchStats, Option<MemStats>), SimError>| {
-        r.as_ref().map(|(stats, mem)| (semantic_counters(stats), *mem)).map_err(Clone::clone)
-    };
     let mut results = Vec::new();
     for spec in DeviceSpec::presets() {
         let run = |tier| outcome(&spec, tier, kernel, cfg, setup);
-        let (want, want_bytes) = run((ExecTier::Scalar, OptLevel::O0));
-        let (o0, o0_bytes) = run((ExecTier::Vectorized, OptLevel::O0));
-        assert_eq!(o0, want, "{name} on {}: O0 results", spec.name);
-        assert_eq!(o0_bytes, want_bytes, "{name} on {}: O0 bytes", spec.name);
-        let (o2, o2_bytes) = run((ExecTier::Vectorized, OptLevel::O2));
-        assert_eq!(semantic(&o2), semantic(&want), "{name} on {}: O2 results", spec.name);
-        assert_eq!(o2_bytes, want_bytes, "{name} on {}: O2 bytes", spec.name);
+        let (want, want_bytes) = run(ExecTier::Scalar);
+        let (got, got_bytes) = run(ExecTier::Vectorized);
+        assert_eq!(got, want, "{name} on {}: results", spec.name);
+        assert_eq!(got_bytes, want_bytes, "{name} on {}: bytes", spec.name);
         results.push(want);
     }
     results
 }
 
 /// The edges of the vectorized tier's affine forms and its once-per-range
-/// checks, each held to the scalar tier at O0 and O2 on every preset.
+/// checks, each held to the scalar tier on every preset.
 #[test]
 fn tiers_agree_on_affine_edge_cases() {
     // i32 lanes that wrap before their widening to i64, which therefore
@@ -503,63 +450,4 @@ fn conformance_sweep_is_tier_invariant() {
         assert_eq!(verified_count(&s), 23, "{tier:?} verified cells");
         assert_eq!(unsupported_count(&s), 4, "{tier:?} matrix holes");
     }
-}
-
-/// The 27-cell sweep also reports the same support pattern at every
-/// optimization level: the middle-end may make cells faster, never
-/// change whether they verify. At O1/O2 the sweep's devices must in fact
-/// have routed kernels through the middle-end (non-zero `OptStats`).
-#[test]
-fn conformance_sweep_is_opt_level_invariant() {
-    let _guard = TIER_LOCK.lock().unwrap();
-    for level in [OptLevel::O0, OptLevel::O1, OptLevel::O2] {
-        set_process_config(Some(SimConfig { opt: level, ..SimConfig::from_env() }));
-        let s = sweep(256, 1);
-        set_process_config(None);
-        assert_eq!(s.entries.len(), 27, "{level}");
-        assert_eq!(verified_count(&s), 23, "{level} verified cells");
-        assert_eq!(unsupported_count(&s), 4, "{level} matrix holes");
-        if level == OptLevel::O0 {
-            assert_eq!(s.opt.kernels, 0, "O0 must bypass the middle-end");
-        } else {
-            assert!(s.opt.kernels > 0, "{level} sweep never reached the middle-end");
-        }
-    }
-}
-
-/// The analyzer's verdicts are a property of the kernel as written:
-/// every seeded-defect diagnosis and every portability report is
-/// identical no matter what the process-wide optimization level says.
-/// (The compile path's own post-optimization re-lint is defense in
-/// depth; the authoritative verdicts must never move.)
-#[test]
-fn analyzer_verdicts_are_opt_level_invariant() {
-    let _guard = TIER_LOCK.lock().unwrap();
-    let snapshot = || {
-        let mut out = String::new();
-        for entry in corpus::seeded_defects() {
-            let report = analyze(&entry.kernel, &entry.opts);
-            out.push_str(&format!("{}: {report:?}\n", entry.kernel.name));
-            assert!(
-                report.diagnostics.iter().any(|d| d.code == entry.expect),
-                "`{}` lost its {} verdict",
-                entry.kernel.name,
-                entry.expect
-            );
-        }
-        for entry in corpus::portability_corpus() {
-            let report = portability(&entry.kernel, &entry.opts);
-            out.push_str(&format!("{}: {report:?}\n", entry.kernel.name));
-        }
-        out
-    };
-    let at_level = |opt| {
-        set_process_config(Some(SimConfig { opt, ..SimConfig::from_env() }));
-        snapshot()
-    };
-    let at_o0 = at_level(OptLevel::O0);
-    for level in [OptLevel::O1, OptLevel::O2] {
-        assert_eq!(at_o0, at_level(level), "analyzer verdicts moved at {level}");
-    }
-    set_process_config(None);
 }

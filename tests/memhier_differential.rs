@@ -86,8 +86,7 @@ fn run(
     tracing: bool,
     timing: TimingTier,
 ) -> (Vec<u8>, many_models::gpu_sim::counters::LaunchStats, Option<MemStats>) {
-    let dev: Arc<Device> =
-        Device::with_config(spec, SimConfig { exec, timing, tracing, ..SimConfig::resolve() });
+    let dev: Arc<Device> = Device::with_config(spec, SimConfig { exec, timing, tracing });
     let xs: Vec<f64> = (0..N).map(|i| i as f64 * 0.37 - 100.0).collect();
     let dx = dev.alloc_copy_f64(&xs).unwrap();
     let dy = dev.alloc_copy_f64(&vec![0.0; N]).unwrap();

@@ -19,7 +19,7 @@ use many_models::gpu_sim::ir::{
     AtomicOp, BinOp, CmpOp, KernelBuilder, KernelIr, Space, Type, Value,
 };
 use many_models::gpu_sim::mem::DevicePtr;
-use many_models::gpu_sim::{set_process_config, DeviceSpec, MemStats, OptLevel, SimConfig};
+use many_models::gpu_sim::{set_process_config, DeviceSpec, MemStats, SimConfig};
 use proptest::prelude::*;
 
 #[path = "common/affine.rs"]
@@ -257,13 +257,11 @@ fn process_config_override_reaches_new_devices() {
             TimingTier::Analytic
         },
         tracing: !env.tracing,
-        opt: if env.opt == OptLevel::O2 { OptLevel::O1 } else { OptLevel::O2 },
     };
     let fields = |d: &Device| SimConfig {
         exec: d.exec_tier(),
         timing: d.timing_tier(),
         tracing: d.tracing(),
-        opt: d.opt_level(),
     };
     set_process_config(Some(forced));
     let overridden = Device::new(DeviceSpec::intel_pvc());
