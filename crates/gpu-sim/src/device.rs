@@ -8,15 +8,18 @@
 //! serve as *calibration*, not measurement — see EXPERIMENTS.md.
 //!
 //! A [`Device`] owns global memory, a block-execution worker count sized
-//! to the host, a module cache, and a modeled clock accumulating
-//! [`crate::timing::ModeledTime`].
+//! to the host, a kernel cache, and a modeled clock accumulating
+//! [`crate::timing::ModeledTime`]. The kernel cache keys each kernel by the
+//! fingerprint its [`Module`] carries and holds it decoded and lowered, so
+//! a kernel is decoded, checked and lowered once per device and every later
+//! load or launch is one lookup.
 
 use crate::counters::{Counters, LaunchStats, StatsCell};
 use crate::exec::{injected_block_crash, run_block, BlockCtx};
 use crate::fault::{LaunchFault, TransferFault};
 use crate::ir::{KernelIr, Value};
 use crate::isa::{disassemble, IsaKind, Module};
-use crate::lower::{ProgramCache, ProgramCacheStats};
+use crate::lower::{lower, LvProgram};
 use crate::mem::{DevicePtr, GlobalMemory};
 use crate::memhier::{MemHierSpec, MemStats};
 use crate::pool::{run_indexed, ScratchPool};
@@ -26,10 +29,8 @@ use crate::trace::{TraceScratch, TraceSink};
 use crate::vexec::run_block_lv;
 use crate::{Result, SimError};
 use parking_lot::Mutex;
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Which execution engine a device uses for kernel blocks.
@@ -42,9 +43,10 @@ use std::sync::Arc;
 ///   [`Value`]. Slow, simple, and the only tier with race-detection
 ///   hooks ([`crate::exec::run_block_racecheck`] always uses it).
 /// * [`ExecTier::Vectorized`] — the performance tier: the kernel is
-///   lowered once by [`crate::lower`] into flat typed bytecode, cached in
-///   the device's [`ProgramCache`], and executed by [`crate::vexec`] over
-///   dense per-type lane vectors with a full-mask fast path.
+///   lowered once by [`crate::lower`] into flat typed bytecode, kept beside
+///   the kernel in the device's kernel cache, and executed by
+///   [`crate::vexec`] over dense per-type lane vectors with a full-mask
+///   fast path.
 ///
 /// The default is `Vectorized`; a device takes its tier from its
 /// [`SimConfig`].
@@ -372,7 +374,8 @@ pub struct Device {
     memory: GlobalMemory,
     /// Host threads a launch runs blocks on besides the caller's.
     workers: usize,
-    kernel_cache: Mutex<HashMap<u64, Arc<KernelIr>>>,
+    /// Every kernel loaded or launched here, decoded and lowered once.
+    kernels: KernelCache,
     clock: Mutex<f64>,
     /// Cumulative per-device counters, merged once per completed launch
     /// under a lock so concurrent readers get consistent snapshots.
@@ -392,8 +395,85 @@ pub struct Device {
     mem_cumulative: crate::counters::MemStatsCell,
     /// Cumulative host↔device transfer volume.
     transfers: Mutex<TransferStats>,
-    /// Lowered lane-vector programs, keyed by kernel fingerprint.
-    programs: ProgramCache,
+}
+
+/// How a device's kernel cache has performed so far.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProgramCacheStats {
+    /// Lookups served from the cache.
+    pub hits: u64,
+    /// Lookups that had to decode and lower.
+    pub misses: u64,
+    /// Distinct kernels currently cached.
+    pub entries: usize,
+}
+
+impl ProgramCacheStats {
+    /// Fraction of lookups served from the cache (0 when never queried).
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+
+    /// Field-wise sum, for aggregating across devices.
+    pub fn merged(self, other: ProgramCacheStats) -> ProgramCacheStats {
+        ProgramCacheStats {
+            hits: self.hits + other.hits,
+            misses: self.misses + other.misses,
+            entries: self.entries + other.entries,
+        }
+    }
+}
+
+/// A kernel as a device holds it: the decoded IR the scalar tier walks and
+/// the program the vectorized tier runs.
+#[derive(Clone)]
+struct Loaded {
+    kernel: Arc<KernelIr>,
+    program: Arc<LvProgram>,
+}
+
+/// A device's kernels, keyed by [`KernelIr::fingerprint`]. Unbounded:
+/// programs are small (a flat op vector) and the distinct-kernel
+/// population is bounded by what was loaded onto the device.
+#[derive(Default)]
+struct KernelCache {
+    map: Mutex<HashMap<u64, Loaded>>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl KernelCache {
+    /// The kernel under `fingerprint`, decoding and lowering it on a miss.
+    /// A failed decode caches nothing.
+    fn get_or_insert(
+        &self,
+        fingerprint: u64,
+        decode: impl FnOnce() -> Result<KernelIr>,
+    ) -> Result<Loaded> {
+        if let Some(loaded) = self.map.lock().get(&fingerprint) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(loaded.clone());
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        // Decode and lower outside the lock: both are pure, so a racing
+        // duplicate is wasted work at worst, and the first insert wins.
+        let kernel = decode()?;
+        let loaded = Loaded { program: Arc::new(lower(&kernel)), kernel: Arc::new(kernel) };
+        Ok(self.map.lock().entry(fingerprint).or_insert(loaded).clone())
+    }
+
+    fn stats(&self) -> ProgramCacheStats {
+        ProgramCacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries: self.map.lock().len(),
+        }
+    }
 }
 
 impl Device {
@@ -412,7 +492,7 @@ impl Device {
         Arc::new(Self {
             memory: GlobalMemory::new(spec.mem_bytes),
             workers: workers.min(8),
-            kernel_cache: Mutex::new(HashMap::new()),
+            kernels: KernelCache::default(),
             clock: Mutex::new(0.0),
             cumulative: StatsCell::new(),
             config,
@@ -420,7 +500,6 @@ impl Device {
             l2_scratch: Arc::new(parking_lot::Mutex::new(None)),
             mem_cumulative: crate::counters::MemStatsCell::new(),
             transfers: Mutex::new(TransferStats::default()),
-            programs: ProgramCache::new(),
             spec,
         })
     }
@@ -462,9 +541,10 @@ impl Device {
         OptLevel::O0
     }
 
-    /// Hit/miss statistics of the lowered-program cache.
+    /// Hit/miss statistics of the kernel cache, counting one lookup per
+    /// [`Device::load`] and per launch, on either tier.
     pub fn program_cache_stats(&self) -> ProgramCacheStats {
-        self.programs.stats()
+        self.kernels.stats()
     }
 
     /// The device model.
@@ -590,21 +670,19 @@ impl Device {
         Ok(bytes.chunks_exact(8).map(|c| f64::from_le_bytes(c.try_into().unwrap())).collect())
     }
 
-    /// Load (decode + validate + cache) a module. Rejects foreign ISAs —
-    /// the hard compatibility wall of the paper's matrix.
+    /// Load a module: one lookup on the fingerprint it carries. A kernel
+    /// this device has not seen is decoded, checked against that
+    /// fingerprint and lowered, once. Rejects foreign ISAs — the hard
+    /// compatibility wall of the paper's matrix.
     pub fn load(&self, module: &Module) -> Result<Arc<KernelIr>> {
+        Ok(self.resolve(module)?.kernel)
+    }
+
+    fn resolve(&self, module: &Module) -> Result<Loaded> {
         if module.isa != self.spec.isa {
             return Err(SimError::IsaMismatch { module: module.isa, device: self.spec.isa });
         }
-        let mut hasher = DefaultHasher::new();
-        module.bytes.hash(&mut hasher);
-        let key = hasher.finish();
-        if let Some(k) = self.kernel_cache.lock().get(&key) {
-            return Ok(Arc::clone(k));
-        }
-        let kernel = Arc::new(disassemble(module)?);
-        self.kernel_cache.lock().insert(key, Arc::clone(&kernel));
-        Ok(kernel)
+        self.kernels.get_or_insert(module.fingerprint, || disassemble(module))
     }
 
     /// Launch a kernel and wait for completion. Returns counters and the
@@ -615,23 +693,10 @@ impl Device {
         cfg: LaunchConfig,
         args: &[KernelArg],
     ) -> Result<LaunchReport> {
-        let kernel = self.load(module)?;
-        self.launch_kernel(&kernel, cfg, args)
+        self.launch_faulted(module, cfg, args, None)
     }
 
-    /// [`Device::launch`] with an optional injected launch fault.
-    pub fn launch_faulted(
-        &self,
-        module: &Module,
-        cfg: LaunchConfig,
-        args: &[KernelArg],
-        fault: Option<&LaunchFault>,
-    ) -> Result<LaunchReport> {
-        let kernel = self.load(module)?;
-        self.launch_kernel_faulted(&kernel, cfg, args, fault)
-    }
-
-    /// [`Device::launch_kernel`] with an optional injected launch fault:
+    /// [`Device::launch`] with an optional injected launch fault:
     ///
     /// * [`LaunchFault::Refuse`] — fails before any block runs; launch
     ///   latency is paid, memory untouched.
@@ -641,15 +706,16 @@ impl Device {
     /// * [`LaunchFault::CrashBlock`] — one block (index modulo the grid)
     ///   crashes before issuing; sibling blocks may already have written,
     ///   so a retry must use fresh buffers.
-    pub fn launch_kernel_faulted(
+    pub fn launch_faulted(
         &self,
-        kernel: &KernelIr,
+        module: &Module,
         cfg: LaunchConfig,
         args: &[KernelArg],
         fault: Option<&LaunchFault>,
     ) -> Result<LaunchReport> {
+        let loaded = self.resolve(module)?;
         match fault {
-            None => self.launch_kernel(kernel, cfg, args),
+            None => self.run(&loaded, cfg, args, None),
             Some(LaunchFault::Refuse(reason)) => {
                 self.advance_clock(ModeledTime::from_seconds(self.spec.launch_latency_us * 1e-6));
                 Err(SimError::FaultInjected(format!("launch refused: {reason}")))
@@ -663,28 +729,31 @@ impl Device {
                 )))
             }
             Some(LaunchFault::CrashBlock(b)) => {
-                self.launch_kernel_inner(kernel, cfg, args, Some(b % cfg.grid_dim.max(1)))
+                self.run(&loaded, cfg, args, Some(b % cfg.grid_dim.max(1)))
             }
         }
     }
 
-    /// Launch a pre-loaded kernel.
+    /// Launch a kernel given as IR, cached under its
+    /// [`KernelIr::fingerprint`] like a loaded module's.
     pub fn launch_kernel(
         &self,
         kernel: &KernelIr,
         cfg: LaunchConfig,
         args: &[KernelArg],
     ) -> Result<LaunchReport> {
-        self.launch_kernel_inner(kernel, cfg, args, None)
+        let loaded = self.kernels.get_or_insert(kernel.fingerprint(), || Ok(kernel.clone()))?;
+        self.run(&loaded, cfg, args, None)
     }
 
-    fn launch_kernel_inner(
+    fn run(
         &self,
-        kernel: &KernelIr,
+        loaded: &Loaded,
         cfg: LaunchConfig,
         args: &[KernelArg],
         crash_block: Option<u32>,
     ) -> Result<LaunchReport> {
+        let kernel: &KernelIr = &loaded.kernel;
         if cfg.block_dim == 0 || cfg.grid_dim == 0 {
             return Err(SimError::BadLaunch("zero grid or block dimension".into()));
         }
@@ -704,13 +773,6 @@ impl Device {
             return Err(SimError::BadLaunch(format!("efficiency {} out of (0,1]", cfg.efficiency)));
         }
         let values: Vec<Value> = args.iter().map(|a| a.to_value()).collect();
-
-        // Lower once per launch (cache-hit after the first); every block of
-        // the grid then shares the same flat program.
-        let program = match self.exec_tier() {
-            ExecTier::Vectorized => Some(self.programs.get_or_lower(kernel)),
-            ExecTier::Scalar => None,
-        };
 
         let timing = self.timing_tier();
         // The trace-driven timing tier needs a trace; the tracing flag
@@ -735,7 +797,7 @@ impl Device {
             error.lock().get_or_insert(e);
             failed.store(true, Ordering::Relaxed);
         };
-        run_indexed(self.workers, cfg.grid_dim as usize, cfg.policy.claim(), |block| {
+        run_indexed(self.workers, cfg.grid_dim as usize, cfg.policy, |block| {
             if failed.load(Ordering::Relaxed) {
                 return; // a sibling block already failed — stop early
             }
@@ -753,9 +815,9 @@ impl Device {
                 fail(injected_block_crash(&ctx));
                 return;
             }
-            let res = match &program {
-                Some(p) => run_block_lv(&ctx, p, &values),
-                None => run_block(&ctx, &values),
+            let res = match self.exec_tier() {
+                ExecTier::Vectorized => run_block_lv(&ctx, &loaded.program, &values),
+                ExecTier::Scalar => run_block(&ctx, &values),
             };
             if let Err(e) = res {
                 fail(e);
@@ -946,13 +1008,48 @@ mod tests {
     }
 
     #[test]
-    fn module_cache_returns_same_kernel() {
+    fn program_cache_lowers_once_per_fingerprint() {
+        // Loads and both launch paths share one entry per kernel.
         let kernel = saxpy_kernel();
         let dev = Device::new(DeviceSpec::nvidia_a100());
         let module = assemble(&kernel, IsaKind::PtxLike).unwrap();
         let k1 = dev.load(&module).unwrap();
         let k2 = dev.load(&module).unwrap();
         assert!(Arc::ptr_eq(&k1, &k2));
+        let p = dev.alloc_copy_f32(&[0.0; 32]).unwrap();
+        let args = [KernelArg::F32(1.0), KernelArg::Ptr(p), KernelArg::Ptr(p), KernelArg::I32(32)];
+        dev.launch(&module, LaunchConfig::linear(32, 32), &args).unwrap();
+        dev.launch_kernel(&kernel, LaunchConfig::linear(32, 32), &args).unwrap();
+        let s = dev.program_cache_stats();
+        assert_eq!((s.misses, s.hits, s.entries), (1, 3, 1));
+        assert_eq!(s.hit_rate(), 0.75);
+    }
+
+    #[test]
+    fn forged_module_is_refused_and_caches_nothing() {
+        // Kernel A's bytes carrying kernel B's fingerprint.
+        let mut b = KernelBuilder::new("fill");
+        let out = b.param(Type::I64);
+        let i = b.global_thread_id_x();
+        b.st_elem(Space::Global, out, i, Value::F32(7.0));
+        let real = assemble(&b.finish(), IsaKind::PtxLike).unwrap();
+        let a = assemble(&saxpy_kernel(), IsaKind::PtxLike).unwrap();
+        let forged = Module { fingerprint: real.fingerprint, ..a };
+        let dev = Device::new(DeviceSpec::nvidia_a100());
+        let p = dev.alloc_copy_f32(&[0.0; 32]).unwrap();
+        let cfg = LaunchConfig::linear(32, 32);
+        assert!(matches!(dev.load(&forged), Err(SimError::InvalidModule(_))));
+        let launched = dev.launch(&forged, cfg, &[KernelArg::Ptr(p)]);
+        assert!(matches!(launched, Err(SimError::InvalidModule(_))));
+        dev.launch(&real, cfg, &[KernelArg::Ptr(p)]).unwrap();
+        assert_eq!(dev.read_f32(p, 32).unwrap(), vec![7.0; 32]);
+    }
+
+    #[test]
+    fn stats_merge_sums_fields() {
+        let a = ProgramCacheStats { hits: 1, misses: 2, entries: 3 };
+        let b = ProgramCacheStats { hits: 10, misses: 20, entries: 30 };
+        assert_eq!(a.merged(b), ProgramCacheStats { hits: 11, misses: 22, entries: 33 });
     }
 
     #[test]

@@ -12,6 +12,11 @@
 //! version, and opcode numbering, so modules are genuinely not
 //! interchangeable at the byte level. [`disassemble`] decodes a module back
 //! to validated [`KernelIr`] (it is what the executor uses to load code).
+//!
+//! A module also carries its kernel's identity, [`KernelIr::fingerprint`],
+//! computed once by [`assemble`]. Devices cache kernels on it without
+//! reading the bytes, and [`disassemble`] refuses bytes that decode to any
+//! other kernel, so a module cannot name one kernel and carry another.
 
 use crate::ir::{
     AtomicOp, BinOp, CmpOp, Instr, KernelIr, Operand, Reg, Space, Special, Type, UnOp, Value,
@@ -67,15 +72,11 @@ const VERSION: u16 = 1;
 pub struct Module {
     /// Which ISA the bytes are encoded in.
     pub isa: IsaKind,
+    /// [`KernelIr::fingerprint`] of the encoded kernel: the module's
+    /// identity, which [`disassemble`] checks against the bytes.
+    pub fingerprint: u64,
     /// The encoded bytes (magic + version + kernel).
     pub bytes: Vec<u8>,
-}
-
-impl Module {
-    /// Size of the binary artifact.
-    pub fn size(&self) -> usize {
-        self.bytes.len()
-    }
 }
 
 /// Assemble a kernel into a module of the given ISA. Fails if the kernel
@@ -96,11 +97,12 @@ pub fn assemble(kernel: &KernelIr, isa: IsaKind) -> Result<Module> {
     }
     w.u64(kernel.shared_bytes);
     w.block(&kernel.body);
-    Ok(Module { isa, bytes: w.out })
+    Ok(Module { isa, fingerprint: kernel.fingerprint(), bytes: w.out })
 }
 
-/// Decode a module back into validated IR. Checks magic, version, and runs
-/// the full [`KernelIr::validate`] on the result.
+/// Decode a module back into validated IR. Checks magic, version, runs the
+/// full [`KernelIr::validate`] on the result, and checks that the result is
+/// the kernel [`Module::fingerprint`] names.
 pub fn disassemble(module: &Module) -> Result<KernelIr> {
     let sniffed = IsaKind::sniff(&module.bytes)
         .ok_or_else(|| SimError::InvalidModule("unrecognized magic".into()))?;
@@ -133,6 +135,13 @@ pub fn disassemble(module: &Module) -> Result<KernelIr> {
     }
     let kernel = KernelIr { name, params, regs, shared_bytes, body };
     kernel.validate().map_err(SimError::InvalidModule)?;
+    let fingerprint = kernel.fingerprint();
+    if fingerprint != module.fingerprint {
+        return Err(SimError::InvalidModule(format!(
+            "bytes encode kernel {fingerprint:016x}, module names {:016x}",
+            module.fingerprint
+        )));
+    }
     Ok(kernel)
 }
 
@@ -584,7 +593,7 @@ mod tests {
         // A GCN module relabeled as PTX must be rejected.
         let kernel = sample_kernel();
         let gcn = assemble(&kernel, IsaKind::GcnLike).unwrap();
-        let forged = Module { isa: IsaKind::PtxLike, bytes: gcn.bytes.clone() };
+        let forged = Module { isa: IsaKind::PtxLike, ..gcn.clone() };
         match disassemble(&forged) {
             Err(SimError::IsaMismatch { .. }) => {}
             other => panic!("expected IsaMismatch, got {other:?}"),
@@ -593,8 +602,18 @@ mod tests {
         // the magic to PTX but keep GCN opcodes.
         let mut bytes = gcn.bytes.clone();
         bytes[..4].copy_from_slice(&IsaKind::PtxLike.magic());
-        let forged = Module { isa: IsaKind::PtxLike, bytes };
+        let forged = Module { isa: IsaKind::PtxLike, fingerprint: gcn.fingerprint, bytes };
         assert!(disassemble(&forged).is_err());
+    }
+
+    #[test]
+    fn bytes_of_another_kernel_do_not_decode() {
+        // Kernel A's bytes under kernel B's fingerprint: every byte is a
+        // valid module, but not the one the fingerprint names.
+        let a = assemble(&sample_kernel(), IsaKind::PtxLike).unwrap();
+        let b = assemble(&KernelBuilder::new("b").finish(), IsaKind::PtxLike).unwrap();
+        let forged = Module { fingerprint: b.fingerprint, ..a };
+        assert!(matches!(disassemble(&forged), Err(SimError::InvalidModule(_))));
     }
 
     #[test]
@@ -602,7 +621,7 @@ mod tests {
         let kernel = sample_kernel();
         let m = assemble(&kernel, IsaKind::PtxLike).unwrap();
         for cut in [5, 10, m.bytes.len() / 2, m.bytes.len() - 1] {
-            let t = Module { isa: IsaKind::PtxLike, bytes: m.bytes[..cut].to_vec() };
+            let t = Module { bytes: m.bytes[..cut].to_vec(), ..m.clone() };
             assert!(disassemble(&t).is_err(), "cut at {cut} decoded");
         }
     }
@@ -618,24 +637,17 @@ mod tests {
     #[test]
     fn corrupted_bytes_never_panic() {
         // Deterministic fuzz: flip each byte in turn; decoding must return
-        // (Ok or Err), never panic, and if Ok the kernel must validate.
+        // (Ok or Err), never panic, and if Ok the kernel must be the one
+        // the module names.
         let kernel = sample_kernel();
         let m = assemble(&kernel, IsaKind::PtxLike).unwrap();
         for i in 4..m.bytes.len() {
             let mut bytes = m.bytes.clone();
             bytes[i] ^= 0xFF;
-            let module = Module { isa: IsaKind::PtxLike, bytes };
+            let module = Module { bytes, ..m.clone() };
             if let Ok(k) = disassemble(&module) {
-                assert_eq!(k.validate(), Ok(()));
+                assert_eq!(k, kernel, "flipping byte {i} decoded another kernel");
             }
         }
-    }
-
-    #[test]
-    fn module_size_reported() {
-        let kernel = sample_kernel();
-        let m = assemble(&kernel, IsaKind::SpirvLike).unwrap();
-        assert_eq!(m.size(), m.bytes.len());
-        assert!(m.size() > 32);
     }
 }

@@ -19,7 +19,8 @@
 //!   vector with divergence masks: the scalar reference tier;
 //! * [`lower`] + [`vexec`] — the default vectorized tier: each kernel is
 //!   lowered once, as written, into flat typed lane-vector bytecode,
-//!   cached per device by IR fingerprint;
+//!   cached per device beside the decoded kernel under the fingerprint its
+//!   module carries;
 //! * [`pool`] + [`sched`] — per-launch scoped worker threads and block
 //!   schedulers distributing blocks over simulated compute units;
 //! * [`stream`] + [`event`] — asynchronous in-order queues and events;
@@ -99,8 +100,8 @@ pub mod vexec;
 pub mod prelude {
     pub use crate::counters::{LaunchStats, StatsCell};
     pub use crate::device::{
-        set_process_config, Device, DeviceSpec, ExecTier, KernelArg, LaunchConfig, SimConfig,
-        TimingTier, TransferStats,
+        set_process_config, Device, DeviceSpec, ExecTier, KernelArg, LaunchConfig,
+        ProgramCacheStats, SimConfig, TimingTier, TransferStats,
     };
     pub use crate::event::Event;
     pub use crate::fault::{LaunchFault, TransferFault};
@@ -108,7 +109,6 @@ pub mod prelude {
         AtomicOp, BinOp, CmpOp, KernelBuilder, KernelIr, Reg, Space, Type, UnOp, Value,
     };
     pub use crate::isa::{assemble, disassemble, IsaKind, Module};
-    pub use crate::lower::{ProgramCache, ProgramCacheStats};
     pub use crate::mem::DevicePtr;
     pub use crate::memhier::{MemHierSpec, MemStats};
     pub use crate::sched::SchedulePolicy;
@@ -118,10 +118,10 @@ pub mod prelude {
 }
 
 pub use device::{
-    set_process_config, Device, DeviceSpec, ExecTier, SimConfig, TimingTier, TransferStats,
+    set_process_config, Device, DeviceSpec, ExecTier, ProgramCacheStats, SimConfig, TimingTier,
+    TransferStats,
 };
 pub use isa::{IsaKind, Module};
-pub use lower::ProgramCacheStats;
 pub use memhier::{MemHierSpec, MemStats};
 
 /// Errors surfaced by the simulator.

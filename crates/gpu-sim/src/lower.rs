@@ -19,10 +19,11 @@
 //!   *pre-summed*, so counter accounting is two multiplications per
 //!   segment instead of two atomic RMWs per instruction.
 //!
-//! Programs are pure functions of the kernel IR, so they are cached in a
-//! device-level [`ProgramCache`] keyed by [`KernelIr::fingerprint`] — the
-//! same structural hash the toolchain's `CompileCache` uses — and lowered
-//! once per distinct kernel, not once per launch.
+//! Programs are pure functions of the kernel IR, so a device lowers each
+//! distinct kernel once, when it first loads it, and keeps the program
+//! beside the decoded kernel under [`KernelIr::fingerprint`] — the
+//! identity an [`crate::isa::Module`] carries (see
+//! [`crate::device::Device::load`]).
 //!
 //! Lowering assumes a kernel that passed [`KernelIr::validate`] (every
 //! kernel the device layer sees has: builders validate by construction,
@@ -32,10 +33,6 @@
 use crate::ir::{
     AtomicOp, BinOp, CmpOp, Instr, KernelIr, Operand, Reg, Space, Special, Type, UnOp, Value,
 };
-use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Number of slots in each typed register pool of a lowered program.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -229,13 +226,11 @@ pub enum LvNode {
 }
 
 /// A lowered, executable lane-vector program. Immutable once built;
-/// shared across launches via `Arc` from the [`ProgramCache`].
+/// shared across launches through the device's kernel cache.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LvProgram {
     /// Kernel name (for trap messages and diagnostics).
     pub name: String,
-    /// The source kernel's structural fingerprint (the cache key).
-    pub fingerprint: u64,
     /// Shared memory bytes per block.
     pub shared_bytes: u64,
     /// Parameter types, in argument order.
@@ -274,7 +269,6 @@ pub fn lower(kernel: &KernelIr) -> LvProgram {
     let ops = lw.ops;
     LvProgram {
         name: kernel.name.clone(),
-        fingerprint: kernel.fingerprint(),
         shared_bytes: kernel.shared_bytes,
         params: kernel.params.clone(),
         reg_slots,
@@ -470,80 +464,6 @@ fn imm_bits(v: Value) -> u64 {
     }
 }
 
-/// How a [`ProgramCache`] has performed so far.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProgramCacheStats {
-    /// Lookups served from the cache.
-    pub hits: u64,
-    /// Lookups that had to lower.
-    pub misses: u64,
-    /// Distinct programs currently cached.
-    pub entries: usize,
-}
-
-impl ProgramCacheStats {
-    /// Fraction of lookups served from the cache (0 when never queried).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Field-wise sum, for aggregating across devices.
-    pub fn merged(self, other: ProgramCacheStats) -> ProgramCacheStats {
-        ProgramCacheStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
-            entries: self.entries + other.entries,
-        }
-    }
-}
-
-/// Device-level cache of lowered programs, keyed by
-/// [`KernelIr::fingerprint`]. Unbounded like the device's kernel cache:
-/// programs are small (a flat op vector) and the distinct-kernel
-/// population is bounded by what was loaded onto the device.
-#[derive(Debug, Default)]
-pub struct ProgramCache {
-    map: Mutex<HashMap<u64, Arc<LvProgram>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl ProgramCache {
-    /// An empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The lowered program for `kernel`, lowering at most once per
-    /// distinct fingerprint.
-    pub fn get_or_lower(&self, kernel: &KernelIr) -> Arc<LvProgram> {
-        let key = kernel.fingerprint();
-        if let Some(p) = self.map.lock().get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(p);
-        }
-        // Lower outside the lock: lowering is pure, so a racing duplicate
-        // is wasted work at worst, and the first insert wins below.
-        let program = Arc::new(lower(kernel));
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        Arc::clone(self.map.lock().entry(key).or_insert(program))
-    }
-
-    /// Consistent-enough snapshot of cache performance.
-    pub fn stats(&self) -> ProgramCacheStats {
-        ProgramCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.map.lock().len(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -632,32 +552,5 @@ mod tests {
                 if *bits == u64::from(2.5f32.to_bits()))
         });
         assert!(found, "immediate not encoded as raw bits: {:?}", p.ops);
-    }
-
-    #[test]
-    fn program_cache_lowers_once_per_fingerprint() {
-        let cache = ProgramCache::new();
-        let k = saxpy();
-        let p1 = cache.get_or_lower(&k);
-        let p2 = cache.get_or_lower(&k);
-        assert!(Arc::ptr_eq(&p1, &p2));
-        let other = {
-            let mut k = KernelBuilder::new("other");
-            let _ = k.param(Type::I64);
-            k.finish()
-        };
-        let _ = cache.get_or_lower(&other);
-        let s = cache.stats();
-        assert_eq!(s.hits, 1);
-        assert_eq!(s.misses, 2);
-        assert_eq!(s.entries, 2);
-        assert!((s.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn stats_merge_sums_fields() {
-        let a = ProgramCacheStats { hits: 1, misses: 2, entries: 3 };
-        let b = ProgramCacheStats { hits: 10, misses: 20, entries: 30 };
-        assert_eq!(a.merged(b), ProgramCacheStats { hits: 11, misses: 22, entries: 33 });
     }
 }

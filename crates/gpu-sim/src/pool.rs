@@ -3,16 +3,17 @@
 //! Simulated compute units execute a launch's thread blocks concurrently:
 //! [`run_indexed`] runs `f(0..n)` on scoped threads for the duration of
 //! one call (the calling thread participates), claiming indices by a
-//! [`ClaimStrategy`]. [`ScratchPool`] recycles the buffers those
+//! [`SchedulePolicy`]. [`ScratchPool`] recycles the buffers those
 //! participants need from one call to the next.
 
+use crate::sched::SchedulePolicy;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Run `f(0..n)` on `workers` scoped threads plus the calling thread and
 /// wait for completion (the caller participates, so one worker still
 /// overlaps with the host). Never spawns more participants than indices.
-pub fn run_indexed<F>(workers: usize, n: usize, chunk_claim: ClaimStrategy, f: F)
+pub fn run_indexed<F>(workers: usize, n: usize, policy: SchedulePolicy, f: F)
 where
     F: Fn(usize) + Send + Sync,
 {
@@ -24,33 +25,22 @@ where
     let (f, claim) = (&f, &claim);
     std::thread::scope(|scope| {
         for worker_idx in 1..participants {
-            scope.spawn(move || claim_loop(n, worker_idx, participants, chunk_claim, claim, f));
+            scope.spawn(move || claim_loop(n, worker_idx, participants, policy, claim, f));
         }
-        claim_loop(n, 0, participants, chunk_claim, claim, f);
+        claim_loop(n, 0, participants, policy, claim, f);
     });
-}
-
-/// How indices are claimed in [`run_indexed`] — the block
-/// scheduling ablation (DESIGN.md A2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClaimStrategy {
-    /// Contiguous pre-partitioned ranges (static scheduling).
-    Static,
-    /// A shared atomic counter; each participant grabs the next index
-    /// (dynamic self-scheduling — what real GPU block dispatchers do).
-    Dynamic,
 }
 
 fn claim_loop(
     n: usize,
     me: usize,
     participants: usize,
-    strategy: ClaimStrategy,
+    policy: SchedulePolicy,
     claim: &AtomicUsize,
     f: &(impl Fn(usize) + Send + Sync),
 ) {
-    match strategy {
-        ClaimStrategy::Static => {
+    match policy {
+        SchedulePolicy::Static => {
             let per = n.div_ceil(participants);
             let start = me * per;
             let end = ((me + 1) * per).min(n);
@@ -58,7 +48,7 @@ fn claim_loop(
                 f(i);
             }
         }
-        ClaimStrategy::Dynamic => loop {
+        SchedulePolicy::Dynamic => loop {
             let i = claim.fetch_add(1, Ordering::Relaxed);
             if i >= n {
                 break;
@@ -127,7 +117,7 @@ mod tests {
     #[test]
     fn run_indexed_covers_every_index_dynamic() {
         let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
-        run_indexed(4, 1000, ClaimStrategy::Dynamic, |i| {
+        run_indexed(4, 1000, SchedulePolicy::Dynamic, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         for (i, h) in hits.iter().enumerate() {
@@ -143,7 +133,7 @@ mod tests {
     #[test]
     fn run_indexed_covers_every_index_static() {
         let hits: Vec<AtomicU64> = (0..97).map(|_| AtomicU64::new(0)).collect();
-        run_indexed(3, 97, ClaimStrategy::Static, |i| {
+        run_indexed(3, 97, SchedulePolicy::Static, |i| {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
@@ -151,13 +141,13 @@ mod tests {
 
     #[test]
     fn run_indexed_zero_is_noop() {
-        run_indexed(2, 0, ClaimStrategy::Dynamic, |_| panic!("must not run"));
+        run_indexed(2, 0, SchedulePolicy::Dynamic, |_| panic!("must not run"));
     }
 
     #[test]
     fn run_indexed_n_smaller_than_workers() {
         let hits = AtomicU64::new(0);
-        run_indexed(8, 3, ClaimStrategy::Static, |_| {
+        run_indexed(8, 3, SchedulePolicy::Static, |_| {
             hits.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(hits.load(Ordering::Relaxed), 3);
@@ -166,7 +156,7 @@ mod tests {
     #[test]
     fn single_worker_pool_still_works() {
         let sum = AtomicU64::new(0);
-        run_indexed(1, 10, ClaimStrategy::Dynamic, |i| {
+        run_indexed(1, 10, SchedulePolicy::Dynamic, |i| {
             sum.fetch_add(i as u64, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 45);

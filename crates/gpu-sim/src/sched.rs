@@ -6,26 +6,16 @@
 //! skewed per-block cost. Both are provided for the scheduling ablation
 //! (DESIGN.md experiment A2).
 
-use crate::pool::ClaimStrategy;
-
-/// Block scheduling policy for kernel launches.
+/// Block scheduling policy for kernel launches: how
+/// [`crate::pool::run_indexed`] hands out block indices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulePolicy {
-    /// Dynamic self-scheduling (hardware-like). Default.
+    /// Dynamic self-scheduling (hardware-like): each participant claims
+    /// the next index from a shared atomic counter. Default.
     #[default]
     Dynamic,
-    /// Static contiguous partitioning.
+    /// Static contiguous partitioning into pre-assigned ranges.
     Static,
-}
-
-impl SchedulePolicy {
-    /// Map to the pool's claiming strategy.
-    pub(crate) fn claim(self) -> ClaimStrategy {
-        match self {
-            SchedulePolicy::Dynamic => ClaimStrategy::Dynamic,
-            SchedulePolicy::Static => ClaimStrategy::Static,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -35,11 +25,5 @@ mod tests {
     #[test]
     fn default_is_dynamic() {
         assert_eq!(SchedulePolicy::default(), SchedulePolicy::Dynamic);
-    }
-
-    #[test]
-    fn maps_to_claim_strategies() {
-        assert_eq!(SchedulePolicy::Dynamic.claim(), ClaimStrategy::Dynamic);
-        assert_eq!(SchedulePolicy::Static.claim(), ClaimStrategy::Static);
     }
 }

@@ -86,17 +86,17 @@ pub struct CacheReport {
     pub hit_rate: f64,
 }
 
-/// Lowered-program cache behaviour, summed over the three devices. The
+/// Device kernel-cache behaviour, summed over the three devices. The
 /// compile cache above deduplicates *route compilations*; this one
-/// deduplicates the *lane-vector lowering* the vectorized execution tier
-/// performs per distinct kernel per device.
+/// deduplicates the *decode and lane-vector lowering* each device performs
+/// per distinct kernel, on either execution tier.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct ProgramsReport {
-    /// Launches served by an already-lowered program.
+    /// Launches served by an already-decoded and lowered kernel.
     pub hits: u64,
-    /// Lowerings actually performed.
+    /// Decodes and lowerings actually performed.
     pub misses: u64,
-    /// Distinct programs cached across the devices.
+    /// Distinct kernels cached across the devices.
     pub entries: usize,
     /// `hits / (hits + misses)`.
     pub hit_rate: f64,
@@ -150,7 +150,7 @@ pub struct ServeReport {
     pub jobs: JobsReport,
     /// Compile-cache behaviour.
     pub cache: CacheReport,
-    /// Lowered-program cache behaviour (vectorized execution tier).
+    /// Device kernel-cache behaviour (either execution tier).
     pub programs: ProgramsReport,
     /// Modeled latency summary (admission → retirement, queueing included).
     pub latency: LatencyStats,

@@ -15,8 +15,8 @@
 //!   a new key.
 //! * **Bounded** — entries beyond [`CompileCache::capacity`] are evicted
 //!   least-recently-used first.
-//! * **Observable** — global hit/miss/eviction counters plus per-entry
-//!   statistics ([`EntryStats`]) feed the serving layer's reports.
+//! * **Observable** — hit/miss/eviction counters ([`CacheStats`]) and the
+//!   disk tier's counters feed the serving layer's reports.
 //! * **Failure-transparent** — compile errors are returned but never
 //!   cached; a route that refuses a kernel refuses it on every attempt,
 //!   exactly like the underlying compiler.
@@ -33,21 +33,11 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Stable content fingerprint of a kernel IR.
-///
-/// Delegates to [`KernelIr::fingerprint`]: one structural pass over the
-/// name, parameter and register tables, shared-memory size, and every
-/// instruction (float immediates by bit pattern), so structurally
-/// identical kernels collide, any edit produces a new fingerprint, and
-/// the warm-cache path never formats or allocates.
-pub fn kernel_fingerprint(kernel: &KernelIr) -> u64 {
-    kernel.fingerprint()
-}
-
 /// The cache key: kernel content × route identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CacheKey {
-    /// [`kernel_fingerprint`] of the kernel IR.
+    /// [`KernelIr::fingerprint`] of the kernel IR: the identity the
+    /// compiled [`Module`] carries.
     pub kernel: u64,
     /// Fingerprint of the route metadata (completeness, maintenance, …)
     /// that shapes the lint gate — two matrices carrying the same
@@ -61,19 +51,6 @@ pub struct CacheKey {
     pub language: Language,
     /// Target vendor.
     pub vendor: Vendor,
-}
-
-/// Per-entry statistics, readable while the cache is live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EntryStats {
-    /// Times this entry was served from the cache after its fill.
-    pub hits: u64,
-    /// Size of the cached artifact in bytes.
-    pub artifact_bytes: usize,
-    /// Logical fill time (monotone cache tick at insertion).
-    pub filled_at: u64,
-    /// Logical last-use time (monotone cache tick).
-    pub last_used: u64,
 }
 
 /// Aggregate cache counters.
@@ -103,8 +80,6 @@ impl CacheStats {
 
 struct Entry {
     module: Arc<Module>,
-    hits: u64,
-    filled_at: u64,
     last_used: u64,
 }
 
@@ -200,7 +175,7 @@ impl CompileCache {
             h.finish()
         };
         let key = CacheKey {
-            kernel: kernel_fingerprint(kernel),
+            kernel: kernel.fingerprint(),
             route,
             toolchain: compiler.name,
             model,
@@ -212,7 +187,6 @@ impl CompileCache {
             inner.tick += 1;
             let tick = inner.tick;
             if let Some(e) = inner.map.get_mut(&key) {
-                e.hits += 1;
                 e.last_used = tick;
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 return Ok((Arc::clone(&e.module), true));
@@ -254,12 +228,7 @@ impl CompileCache {
         let mut inner = self.inner.lock();
         inner.tick += 1;
         let tick = inner.tick;
-        let resident = inner.map.entry(key).or_insert(Entry {
-            module,
-            hits: 0,
-            filled_at: tick,
-            last_used: tick,
-        });
+        let resident = inner.map.entry(key).or_insert(Entry { module, last_used: tick });
         let module = Arc::clone(&resident.module);
         while inner.map.len() > self.capacity {
             let lru = inner
@@ -282,28 +251,6 @@ impl CompileCache {
             evictions: self.evictions.load(Ordering::Relaxed),
             entries: self.inner.lock().map.len(),
         }
-    }
-
-    /// Per-entry statistics for every resident artifact.
-    pub fn entry_stats(&self) -> Vec<(CacheKey, EntryStats)> {
-        let inner = self.inner.lock();
-        let mut out: Vec<_> = inner
-            .map
-            .iter()
-            .map(|(k, e)| {
-                (
-                    *k,
-                    EntryStats {
-                        hits: e.hits,
-                        artifact_bytes: e.module.size(),
-                        filled_at: e.filled_at,
-                        last_used: e.last_used,
-                    },
-                )
-            })
-            .collect();
-        out.sort_by_key(|(k, _)| *k);
-        out
     }
 
     /// Drop every resident artifact (counters are preserved).
@@ -368,9 +315,9 @@ mod tests {
             ir
         };
         // Same name, different body → different keys.
-        assert_ne!(kernel_fingerprint(&mk("k", 0)), kernel_fingerprint(&mk("k", 1)));
+        assert_ne!(mk("k", 0).fingerprint(), mk("k", 1).fingerprint());
         // Identical content → identical keys.
-        assert_eq!(kernel_fingerprint(&mk("k", 2)), kernel_fingerprint(&mk("k", 2)));
+        assert_eq!(mk("k", 2).fingerprint(), mk("k", 2).fingerprint());
     }
 
     #[test]
@@ -454,23 +401,6 @@ mod tests {
         assert!(hit, "a resident artifact must ride out a toolchain fault");
     }
 
-    #[test]
-    fn entry_stats_track_hits_and_recency() {
-        let cache = CompileCache::new(8);
-        let c = native_cuda();
-        let k = smoke_kernel();
-        cache.compile(&c, &k, Model::Cuda, Language::Cpp, Vendor::Nvidia).unwrap();
-        cache.compile(&c, &k, Model::Cuda, Language::Cpp, Vendor::Nvidia).unwrap();
-        cache.compile(&c, &k, Model::Cuda, Language::Cpp, Vendor::Nvidia).unwrap();
-        let entries = cache.entry_stats();
-        assert_eq!(entries.len(), 1);
-        let (key, stats) = entries[0];
-        assert_eq!(key.toolchain, c.name);
-        assert_eq!(stats.hits, 2);
-        assert!(stats.artifact_bytes > 0);
-        assert!(stats.last_used > stats.filled_at);
-    }
-
     fn disk_dir(tag: &str) -> std::path::PathBuf {
         let dir =
             std::env::temp_dir().join(format!("mcmm-cache-disk-{tag}-{}", std::process::id()));
@@ -546,6 +476,46 @@ mod tests {
         let again = CompileCache::with_disk(8, Arc::new(DiskTier::open(&dir).unwrap()));
         let (_, hit) = again.compile(&c, &k, Model::Cuda, Language::Cpp, Vendor::Nvidia).unwrap();
         assert!(hit, "re-filled entry must serve the next restart");
+    }
+
+    #[test]
+    fn another_kernels_disk_entry_is_an_invalid_miss() {
+        let dir = disk_dir("swap");
+        let c = native_cuda();
+        let compile = |cache: &CompileCache, k: &KernelIr| {
+            cache.compile(&c, k, Model::Cuda, Language::Cpp, Vendor::Nvidia).unwrap()
+        };
+        let a = smoke_kernel();
+        let b = {
+            let mut k = KernelBuilder::new("b");
+            let _ = k.param(Type::I64);
+            k.finish()
+        };
+        let cold = CompileCache::with_disk(8, Arc::new(DiskTier::open(&dir).unwrap()));
+        compile(&cold, &a);
+        let (mb, _) = compile(&cold, &b);
+        // Copy A's intact entry over B's file on the same route: its
+        // checksum and ISA tag still agree, only the kernel is wrong.
+        let entry_of = |k: &KernelIr| {
+            let prefix = format!("k{:016x}-", k.fingerprint());
+            std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().path())
+                .find(|p| p.file_name().unwrap().to_string_lossy().starts_with(&prefix))
+                .unwrap()
+        };
+        std::fs::copy(entry_of(&a), entry_of(&b)).unwrap();
+        let warm = CompileCache::with_disk(8, Arc::new(DiskTier::open(&dir).unwrap()));
+        let (m, hit) = compile(&warm, &b);
+        assert!(!hit, "another kernel's entry must not be served");
+        assert_eq!(*m, *mb, "the miss must compile B");
+        let ds = warm.disk_stats().unwrap();
+        assert_eq!((ds.invalid, ds.fills), (1, 1));
+        // The re-fill is B's: one more restart serves it warm.
+        let again = CompileCache::with_disk(8, Arc::new(DiskTier::open(&dir).unwrap()));
+        let (m, hit) = compile(&again, &b);
+        assert!(hit, "re-filled entry must serve the next restart");
+        assert_eq!(*m, *mb);
     }
 
     #[test]

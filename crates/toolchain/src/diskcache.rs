@@ -19,13 +19,16 @@
 //!   and is treated as a **miss** (the artifact is recompiled and the
 //!   entry re-filled). Corruption can cost a compile, never a panic and
 //!   never a wrong artifact.
+//! * **Checked identity** — a payload must decode to the kernel its key
+//!   names ([`disassemble`] against the key's fingerprint), so an intact
+//!   entry copied over another key's file is a miss as well.
 //! * **Best-effort writes** — I/O failures while storing are counted
 //!   ([`DiskStats::write_errors`]) and swallowed; the cache degrades to
 //!   memory-only instead of failing the compile.
 
 use crate::cache::CacheKey;
 use mcmm_gpu_sim::diffval::fnv1a;
-use mcmm_gpu_sim::isa::IsaKind;
+use mcmm_gpu_sim::isa::{disassemble, IsaKind};
 use mcmm_gpu_sim::Module;
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -45,8 +48,9 @@ pub struct DiskStats {
     /// Probes that found no entry file.
     pub misses: u64,
     /// Probes that found an entry file but rejected it (bad magic, short
-    /// header, length mismatch, checksum mismatch) — each one is also a
-    /// miss from the caller's point of view.
+    /// header, length mismatch, checksum mismatch, a payload that does not
+    /// decode to the key's kernel) — each one is also a miss from the
+    /// caller's point of view.
     pub invalid: u64,
     /// Entries written (including re-fills over rejected entries).
     pub fills: u64,
@@ -128,8 +132,9 @@ impl DiskTier {
     }
 
     /// Probe the tier. Returns the persisted module only if the entry file
-    /// exists and passes every structural and checksum validation;
-    /// anything else — missing, empty, truncated, corrupt — is a miss.
+    /// exists, passes every structural and checksum validation, and
+    /// decodes to the kernel the key names; anything else — missing,
+    /// empty, truncated, corrupt, another kernel's — is a miss.
     pub fn load(&self, key: &CacheKey) -> Option<Module> {
         let path = self.entry_path(key);
         let bytes = match std::fs::read(&path) {
@@ -139,7 +144,7 @@ impl DiskTier {
                 return None;
             }
         };
-        match decode(&bytes) {
+        match decode(&bytes, key.kernel) {
             Some(module) => {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 Some(module)
@@ -211,8 +216,9 @@ fn isa_from_tag(tag: u8) -> Option<IsaKind> {
     }
 }
 
-/// Validate and decode one entry file's bytes. `None` on any violation.
-fn decode(bytes: &[u8]) -> Option<Module> {
+/// Validate and decode one entry file's bytes as the module of kernel
+/// `fingerprint`. `None` on any violation.
+fn decode(bytes: &[u8], fingerprint: u64) -> Option<Module> {
     if bytes.len() < HEADER || &bytes[..8] != MAGIC {
         return None;
     }
@@ -223,18 +229,16 @@ fn decode(bytes: &[u8]) -> Option<Module> {
     if payload.len() != len || fnv1a(payload) != checksum {
         return None;
     }
-    // The payload is a vendor-ISA module: its own magic must agree with
-    // the header's ISA tag, or someone renamed an entry across keys.
-    if IsaKind::sniff(payload) != Some(isa) {
-        return None;
-    }
-    Some(Module { isa, bytes: payload.to_vec() })
+    // Decoding checks the payload's magic against the header's ISA tag and
+    // the decoded kernel against the key's fingerprint.
+    let module = Module { isa, fingerprint, bytes: payload.to_vec() };
+    disassemble(&module).ok()?;
+    Some(module)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cache::kernel_fingerprint;
     use crate::probe::smoke_kernel;
     use mcmm_core::taxonomy::{Language, Model, Vendor};
     use mcmm_gpu_sim::isa::assemble;
@@ -263,7 +267,7 @@ mod tests {
     #[test]
     fn round_trip_and_stats() {
         let tier = DiskTier::open(temp_dir("roundtrip")).unwrap();
-        let key = key_for(kernel_fingerprint(&smoke_kernel()));
+        let key = key_for(smoke_kernel().fingerprint());
         assert!(tier.load(&key).is_none(), "empty dir must miss");
         let m = module();
         tier.store(&key, &m);
@@ -277,7 +281,7 @@ mod tests {
     #[test]
     fn warm_across_reopen() {
         let dir = temp_dir("reopen");
-        let key = key_for(1);
+        let key = key_for(smoke_kernel().fingerprint());
         let m = module();
         DiskTier::open(&dir).unwrap().store(&key, &m);
         // A fresh process-equivalent: new tier over the same directory.
@@ -305,7 +309,7 @@ mod tests {
     #[test]
     fn truncated_entry_is_an_invalid_miss_then_refills() {
         let tier = DiskTier::open(temp_dir("trunc")).unwrap();
-        let key = key_for(4);
+        let key = key_for(smoke_kernel().fingerprint());
         let m = module();
         tier.store(&key, &m);
         let path = tier.entry_path(&key);

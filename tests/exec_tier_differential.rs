@@ -409,9 +409,8 @@ fn racecheck_stays_on_the_scalar_tier() {
     assert!(!findings.is_empty(), "racecheck lost its findings under a forced vectorized tier");
 }
 
-/// A vectorized device lowers each distinct kernel once and serves every
-/// further launch from its program cache; a scalar device never touches
-/// the cache at all.
+/// A device of either tier lowers each distinct kernel once and serves
+/// every further launch from its kernel cache.
 #[test]
 fn program_cache_serves_repeat_launches() {
     let mut k = KernelBuilder::new("cached");
@@ -420,7 +419,7 @@ fn program_cache_serves_repeat_launches() {
     k.st_elem(Space::Global, out, i, i);
     let kernel = k.finish();
 
-    for (tier, want_misses, want_hits) in [(ExecTier::Vectorized, 1, 2), (ExecTier::Scalar, 0, 0)] {
+    for tier in [ExecTier::Vectorized, ExecTier::Scalar] {
         let dev = Device::with_config(
             DeviceSpec::amd_mi250x(),
             SimConfig { exec: tier, ..SimConfig::from_env() },
@@ -431,8 +430,8 @@ fn program_cache_serves_repeat_launches() {
             dev.launch_kernel(&kernel, cfg, &[KernelArg::Ptr(p)]).unwrap();
         }
         let stats = dev.program_cache_stats();
-        assert_eq!(stats.misses, want_misses, "{tier:?} lowering count");
-        assert_eq!(stats.hits, want_hits, "{tier:?} cache hits");
+        assert_eq!(stats.misses, 1, "{tier:?} lowering count");
+        assert_eq!(stats.hits, 2, "{tier:?} cache hits");
     }
 }
 
