@@ -157,7 +157,8 @@ pub fn seeded_defects() -> Vec<SeededKernel> {
 
 /// How a seeded portability defect manifests when the kernel is actually
 /// executed on the vendor devices (the dynamic face of each `MCA006`–
-/// `MCA010` claim, observed through `mcmm_gpu_sim::diffval`).
+/// `MCA010` claim, observed through the `mcmm-gpu-sim-ref` crate's
+/// `diffval`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BreakMode {
     /// Completes on every device with identical output checksums.

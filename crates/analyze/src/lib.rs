@@ -40,7 +40,7 @@
 //! ([`portability::portability`]), which re-runs the width-parametric
 //! analyses once per vendor [`mcmm_gpu_sim::DeviceSpec`] and reports a
 //! verdict per device. Every "breaks on vendor X" claim is differentially
-//! validated against the simulator (three devices × two execution tiers)
+//! validated against the simulator (three devices × two block engines)
 //! by `tests/portability_differential.rs` and the `analyze --smoke` gate.
 //!
 //! Seeded-defect kernels demonstrating each code live in [`corpus`].
@@ -51,7 +51,7 @@
 //! suite is engineered for **zero false positives**: range checks fire
 //! only on finite, provable out-of-range intervals; race checks report
 //! only concrete lane/byte conflicts (each reproducible by the dynamic
-//! racecheck in `mcmm-gpu-sim`); divergence taint is exact on the
+//! racecheck in `mcmm-gpu-sim-ref`); divergence taint is exact on the
 //! structured tree.
 
 #![warn(missing_docs)]

@@ -14,7 +14,7 @@
 //! float-derived conditions, unknown trip counts) degrades to `Unknown`
 //! and is simply *not logged* — the analysis reports **definite races
 //! only**, which is what lets every static finding be confirmed by the
-//! dynamic racecheck in `mcmm-gpu-sim`.
+//! dynamic racecheck in `mcmm-gpu-sim-ref`.
 
 use crate::cfg::Loc;
 use crate::{AnalysisOptions, Diagnostic, MCA003};

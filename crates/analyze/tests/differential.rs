@@ -1,13 +1,14 @@
 //! Differential validation of the static race checker: every kernel the
-//! static MCA003 analysis flags must also race under the interpreter's
-//! dynamic racecheck mode (same block, same launch shape), and kernels
-//! that are statically clean must be dynamically clean too.
+//! static MCA003 analysis flags must also race under the reference
+//! interpreter's dynamic racecheck mode (same block, same launch shape),
+//! and kernels that are statically clean must be dynamically clean too.
 
 use mcmm_analyze::{analyze, corpus, AnalysisOptions, MCA003};
 use mcmm_gpu_sim::counters::Counters;
-use mcmm_gpu_sim::exec::{run_block_racecheck, BlockCtx, RaceFinding};
+use mcmm_gpu_sim::exec::BlockCtx;
 use mcmm_gpu_sim::ir::{BinOp, CmpOp, KernelBuilder, KernelIr, Space, Type, Value};
 use mcmm_gpu_sim::mem::GlobalMemory;
+use mcmm_gpu_sim_ref::{run_block_racecheck, RaceFinding};
 
 fn dynamic_races(kernel: &KernelIr, opts: &AnalysisOptions) -> Vec<RaceFinding> {
     let mem = GlobalMemory::new(1 << 16);

@@ -1,6 +1,6 @@
 //! A1/A2 — simulator ablations.
 //!
-//! * **A1 (SIMT width)**: the interpreter executes a whole block as a wide
+//! * **A1 (SIMT width)**: the block engine executes a whole block as a wide
 //!   lane vector; launching the same total work as 1-thread blocks forces
 //!   scalar-style interpretation, exposing the dispatch amortisation.
 //! * **A2 (block scheduling)**: static contiguous partitioning vs dynamic

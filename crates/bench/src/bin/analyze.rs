@@ -6,23 +6,25 @@
 //!
 //! With `--smoke`, additionally *differentially validates* the
 //! portability suite: every portability-corpus kernel is executed on all
-//! three simulated vendor devices under both execution tiers, and each
-//! static breaks-on-vendor claim must match the observed behavior —
-//! refused launch, barrier deadlock, or checksum divergence — with zero
-//! false positives on the clean twins.
+//! three simulated vendor devices on both block engines (the device's own
+//! and the `mcmm-gpu-sim-ref` reference interpreter), and each static
+//! breaks-on-vendor claim must match the observed behavior — refused
+//! launch, barrier deadlock, or checksum divergence — with zero false
+//! positives on the clean twins.
 //!
-//! Always writes `BENCH_analyze.json` (per-code counts, analysis
-//! throughput, host core count, differential tally). Exits non-zero on
-//! any miss, false positive, or static/dynamic disagreement, so this
-//! binary doubles as a CI gate for the whole analyzer.
+//! A full run (no `--smoke`) rewrites `BENCH_analyze.json` (per-code
+//! counts, analysis throughput, host core count, differential tally).
+//! Exits non-zero on any miss, false positive, or static/dynamic
+//! disagreement, so this binary doubles as a CI gate for the whole
+//! analyzer.
 
 use mcmm_analyze::corpus::{BreakMode, PortabilityKernel};
 use mcmm_analyze::portability::portability;
 use mcmm_analyze::{analyze, corpus, AnalysisOptions};
 use mcmm_babelstream::adapters::stream_kernels;
-use mcmm_gpu_sim::device::ExecTier;
-use mcmm_gpu_sim::diffval::{observe, Observation};
 use mcmm_gpu_sim::DeviceSpec;
+use mcmm_gpu_sim_ref::diffval::{observe, Observation};
+use mcmm_gpu_sim_ref::Engine;
 use mcmm_toolchain::probe::smoke_kernel;
 use mcmm_toolchain::Registry;
 use std::collections::BTreeMap;
@@ -131,7 +133,7 @@ fn main() {
     let mut differential_cells = 0usize;
     if smoke {
         println!();
-        println!("Differential validation (3 devices × 2 tiers per corpus kernel):");
+        println!("Differential validation (3 devices × 2 engines per corpus kernel):");
         for entry in &port_corpus {
             match validate_against_execution(entry) {
                 Ok(cells) => {
@@ -181,8 +183,11 @@ fn main() {
         code_json.join(",\n"),
         kernels.len()
     );
-    std::fs::write("BENCH_analyze.json", format!("{json}\n")).expect("write BENCH_analyze.json");
-    eprintln!("wrote BENCH_analyze.json");
+    if !smoke {
+        std::fs::write("BENCH_analyze.json", format!("{json}\n"))
+            .expect("write BENCH_analyze.json");
+        eprintln!("wrote BENCH_analyze.json");
+    }
 
     println!();
     if failed {
@@ -196,40 +201,29 @@ fn main() {
         real.len(),
         port_corpus.len(),
         if smoke {
-            format!(", {differential_cells} device×tier cells differentially validated")
+            format!(", {differential_cells} device×engine cells differentially validated")
         } else {
             String::new()
         }
     );
 }
 
-/// Execute one portability-corpus kernel on every preset device under
-/// both tiers and check the observations against the entry's static
-/// claim. Returns the number of device×tier cells exercised.
+/// Execute one portability-corpus kernel on every preset device on both
+/// block engines and check the observations against the entry's static
+/// claim. Returns the number of device×engine cells exercised.
 fn validate_against_execution(entry: &PortabilityKernel) -> Result<usize, String> {
     let devices = DeviceSpec::presets();
     let mut observations = Vec::new();
     let mut cells = 0usize;
     for spec in &devices {
-        let scalar = observe(
-            spec,
-            ExecTier::Scalar,
-            &entry.kernel,
-            entry.opts.block_dim,
-            entry.opts.grid_dim,
-        );
-        let vectorized = observe(
-            spec,
-            ExecTier::Vectorized,
-            &entry.kernel,
-            entry.opts.block_dim,
-            entry.opts.grid_dim,
-        );
+        let [reference, vectorized] = Engine::BOTH.map(|engine| {
+            observe(spec, engine, &entry.kernel, entry.opts.block_dim, entry.opts.grid_dim)
+        });
         cells += 2;
-        if scalar != vectorized {
-            return Err(format!("tiers disagree on {}: {scalar} vs {vectorized}", spec.name));
+        if reference != vectorized {
+            return Err(format!("engines disagree on {}: {reference} vs {vectorized}", spec.name));
         }
-        observations.push(scalar);
+        observations.push(reference);
     }
 
     let clean_checksums: Vec<u64> = devices

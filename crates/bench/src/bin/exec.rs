@@ -1,28 +1,31 @@
-//! X5 — execution tiers: time the four deterministic STREAM-style shapes
-//! (Copy, Mul, Add, Triad) through the scalar reference interpreter and
-//! the lowered lane-vector tier on one simulated A100, verify both tiers
-//! produce byte-identical buffers, and report per-tier ns/element with
-//! the vectorized speedups and the lowered-program cache hit rate.
+//! X5 — block engines: time the four deterministic STREAM-style shapes
+//! (Copy, Mul, Add, Triad) through the scalar reference interpreter
+//! (`mcmm-gpu-sim-ref`) and the device's lowered lane-vector engine on one
+//! simulated A100, verify both engines produce byte-identical buffers, and
+//! report per-engine ns/element with the vectorized speedups and the
+//! lowered-program cache hit rate.
 //!
 //! Dot is excluded on purpose: its cross-block f64 atomics retire in
-//! scheduler order, so its *bits* are run-to-run nondeterministic either
-//! tier — the tier-equivalence contract for it lives in the block-level
-//! differential suite instead.
+//! scheduler order, so its *bits* are run-to-run nondeterministic on
+//! either engine — the engine-equivalence contract for it lives in the
+//! block-level differential suite instead.
 //!
 //! Usage: `cargo run --release -p mcmm-bench --bin exec [--] [--smoke]
 //! [--n N] [--iters K] [--json]`. A full run (no `--smoke`) rewrites
 //! `BENCH_exec.json`, the artifact the README performance table is
-//! generated from. Exits non-zero if the vectorized tier is slower than
+//! generated from. Exits non-zero if the vectorized engine is slower than
 //! scalar in aggregate, if a full run's aggregate speedup is not
-//! strictly above 11.9x, if any checksum differs between tiers, or if
+//! strictly above 11.9x, if any checksum differs between engines, or if
 //! the program cache failed to serve repeat launches — so this binary
 //! doubles as the CI performance gate.
 
 use mcmm_babelstream::adapters::stream_kernels;
 use mcmm_babelstream::{SCALAR, START_A, START_B, START_C};
-use mcmm_gpu_sim::device::{Device, ExecTier, KernelArg, LaunchConfig};
+use mcmm_gpu_sim::device::{Device, KernelArg, LaunchConfig};
+use mcmm_gpu_sim::diffval::fnv1a;
 use mcmm_gpu_sim::ir::KernelIr;
-use mcmm_gpu_sim::{DeviceSpec, SimConfig};
+use mcmm_gpu_sim::DeviceSpec;
+use mcmm_gpu_sim_ref::{launch_kernel, Engine};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -41,24 +44,11 @@ impl ShapeTiming {
     }
 }
 
-/// FNV-1a over a byte stream — stable, dependency-free checksum.
-fn fnv1a(chunks: &[Vec<u8>]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for chunk in chunks {
-        for &b in chunk {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
-/// Run `iters` timed launches of one kernel on one tier (fresh device,
+/// Run `iters` timed launches of one kernel on one engine (fresh device,
 /// fresh buffers, one warmup launch), returning (ns/element, checksum of
 /// the three arrays afterwards, program-cache hits).
-fn run_shape(kernel: &KernelIr, tier: ExecTier, n: usize, iters: usize) -> (f64, u64, u64) {
-    let config = SimConfig { exec: tier, ..SimConfig::resolve() };
-    let dev: Arc<Device> = Device::with_config(DeviceSpec::nvidia_a100(), config);
+fn run_shape(kernel: &KernelIr, engine: Engine, n: usize, iters: usize) -> (f64, u64, u64) {
+    let dev: Arc<Device> = Device::new(DeviceSpec::nvidia_a100());
     let da = dev.alloc_copy_f64(&vec![START_A; n]).unwrap();
     let db = dev.alloc_copy_f64(&vec![START_B; n]).unwrap();
     let dc = dev.alloc_copy_f64(&vec![START_C; n]).unwrap();
@@ -71,7 +61,8 @@ fn run_shape(kernel: &KernelIr, tier: ExecTier, n: usize, iters: usize) -> (f64,
         KernelArg::I32(n as i32),
     ];
     let cfg = LaunchConfig::linear(n as u64, BLOCK_DIM);
-    dev.launch_kernel(kernel, cfg, &args).unwrap(); // warmup + lowering
+    let launch = || launch_kernel(&dev, engine, kernel, cfg, &args).unwrap();
+    launch(); // warmup + lowering
 
     // Best-of-iters, the BabelStream convention: each launch is timed
     // separately and the minimum is reported, so a scheduler hiccup in
@@ -79,12 +70,12 @@ fn run_shape(kernel: &KernelIr, tier: ExecTier, n: usize, iters: usize) -> (f64,
     let mut best_ns = f64::INFINITY;
     for _ in 0..iters {
         let wall = Instant::now();
-        dev.launch_kernel(kernel, cfg, &args).unwrap();
+        launch();
         best_ns = best_ns.min(wall.elapsed().as_nanos() as f64);
     }
     let ns_per_elem = best_ns / n as f64;
-    let bytes: Vec<Vec<u8>> =
-        [da, db, dc].into_iter().map(|p| dev.memcpy_d2h(p, n as u64 * 8).unwrap().0).collect();
+    let bytes: Vec<u8> =
+        [da, db, dc].into_iter().flat_map(|p| dev.memcpy_d2h(p, n as u64 * 8).unwrap().0).collect();
     (ns_per_elem, fnv1a(&bytes), dev.program_cache_stats().hits)
 }
 
@@ -105,7 +96,7 @@ fn main() {
         .unwrap_or(if smoke { 2 } else { 5 });
 
     eprintln!(
-        "timing scalar vs vectorized execution tiers: n = {n}, iters = {iters}, \
+        "timing scalar vs vectorized block engines: n = {n}, iters = {iters}, \
          block_dim = {BLOCK_DIM} (host wall-clock)…"
     );
 
@@ -114,8 +105,8 @@ fn main() {
     let mut timings = Vec::new();
     let mut program_hits = 0u64;
     for (name, idx) in shapes {
-        let (s_ns, s_sum, _) = run_shape(&kernels[idx], ExecTier::Scalar, n, iters);
-        let (v_ns, v_sum, hits) = run_shape(&kernels[idx], ExecTier::Vectorized, n, iters);
+        let (s_ns, s_sum, _) = run_shape(&kernels[idx], Engine::Reference, n, iters);
+        let (v_ns, v_sum, hits) = run_shape(&kernels[idx], Engine::Vectorized, n, iters);
         program_hits += hits;
         timings.push(ShapeTiming {
             name,
@@ -161,7 +152,7 @@ fn main() {
     if json {
         println!("{report}");
     } else {
-        println!("── Execution tiers (X5): scalar vs lane-vector, host wall-clock ──");
+        println!("── Block engines (X5): scalar reference vs lane-vector, host wall-clock ──");
         println!(
             "{:<7} {:>15} {:>18} {:>8}  bit-identical",
             "shape", "scalar ns/elem", "vectorized ns/elem", "speedup"
@@ -192,13 +183,13 @@ fn main() {
     let mut failed = false;
     for t in &timings {
         if !t.checksums_match {
-            eprintln!("FAIL: {} buffers differ between tiers", t.name);
+            eprintln!("FAIL: {} buffers differ between engines", t.name);
             failed = true;
         }
     }
     if vectorized_total > scalar_total {
         eprintln!(
-            "FAIL: vectorized tier slower than scalar in aggregate \
+            "FAIL: vectorized engine slower than scalar in aggregate \
              ({vectorized_total:.2} vs {scalar_total:.2} ns/elem)"
         );
         failed = true;
@@ -214,5 +205,5 @@ fn main() {
     if failed {
         std::process::exit(1);
     }
-    eprintln!("exec tier invariants hold (vectorized {aggregate_speedup:.1}x)");
+    eprintln!("block engine invariants hold (vectorized {aggregate_speedup:.1}x)");
 }

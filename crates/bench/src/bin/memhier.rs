@@ -7,8 +7,8 @@
 //!   buffers (checksums identical across all run modes);
 //! * the cache replay is deterministic (identical `MemStats` when the
 //!   same launch is traced twice);
-//! * both execution tiers replay to identical `MemStats` on every
-//!   vendor × shape;
+//! * the device's block engine and the `mcmm-gpu-sim-ref` reference
+//!   interpreter replay to identical `MemStats` on every vendor × shape;
 //! * the fully-coalesced Copy achieves ≥95% sector utilization on every
 //!   vendor while the strided gather stays far below it;
 //! * the warp-width-sensitive gather produces genuinely different L1 hit
@@ -27,9 +27,11 @@
 
 use mcmm_babelstream::adapters::stream_kernels;
 use mcmm_babelstream::{START_A, START_B, START_C};
-use mcmm_gpu_sim::device::{Device, ExecTier, KernelArg, LaunchConfig, TimingTier};
+use mcmm_gpu_sim::device::{Device, KernelArg, LaunchConfig, TimingTier};
+use mcmm_gpu_sim::diffval::fnv1a;
 use mcmm_gpu_sim::ir::{BinOp, CmpOp, KernelBuilder, KernelIr, Space, Type, Value};
 use mcmm_gpu_sim::{DeviceSpec, MemStats, SimConfig};
+use mcmm_gpu_sim_ref::{launch_kernel, Engine};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -81,25 +83,15 @@ fn shared_tiled_kernel() -> KernelIr {
     k.finish()
 }
 
-/// FNV-1a over a byte stream — stable, dependency-free checksum.
-fn fnv1a(chunks: &[Vec<u8>]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for chunk in chunks {
-        for &b in chunk {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    h
-}
-
-/// One launch of `kernel` on a fresh device under `config`: (mem stats
-/// if traced, modeled µs, checksum of the arrays afterwards).
+/// One launch of `kernel` on a fresh device under `config`, its blocks run
+/// by `engine`: (mem stats if traced, modeled µs, checksum of the arrays
+/// afterwards).
 fn run_case(
     spec: DeviceSpec,
     kernel: &KernelIr,
     n: usize,
     config: SimConfig,
+    engine: Engine,
 ) -> (Option<MemStats>, f64, u64) {
     let dev: Arc<Device> = Device::with_config(spec, config);
     let da = dev.alloc_copy_f64(&vec![START_A; n]).unwrap();
@@ -113,10 +105,10 @@ fn run_case(
         KernelArg::Ptr(dsum),
         KernelArg::I32(n as i32),
     ];
-    let report =
-        dev.launch_kernel(kernel, LaunchConfig::linear(n as u64, BLOCK_DIM), &args).unwrap();
-    let bytes: Vec<Vec<u8>> =
-        [da, db, dc].into_iter().map(|p| dev.memcpy_d2h(p, n as u64 * 8).unwrap().0).collect();
+    let cfg = LaunchConfig::linear(n as u64, BLOCK_DIM);
+    let report = launch_kernel(&dev, engine, kernel, cfg, &args).unwrap();
+    let bytes: Vec<u8> =
+        [da, db, dc].into_iter().flat_map(|p| dev.memcpy_d2h(p, n as u64 * 8).unwrap().0).collect();
     (report.mem, report.time.micros(), fnv1a(&bytes))
 }
 
@@ -232,8 +224,7 @@ fn main() {
     for (vendor, spec) in vendors {
         for (shape, kernel) in &shapes {
             let run = |tracing, timing| {
-                let config = SimConfig { exec: ExecTier::Vectorized, timing, tracing };
-                run_case(spec(), kernel, n, config)
+                run_case(spec(), kernel, n, SimConfig { timing, tracing }, Engine::Vectorized)
             };
             let (no_mem, analytic_us, base_sum) = run(false, TimingTier::Analytic);
             let (traced_mem, _, traced_sum) = run(true, TimingTier::Analytic);
@@ -263,20 +254,20 @@ fn main() {
         }
     }
 
-    // Both execution tiers feed the same pipeline: at a reduced size the
-    // scalar interpreter's trace must replay to the stats the vectorized
-    // tier produced.
-    let tier_n = n.min(1 << 12);
+    // Both block engines feed the same pipeline: at a reduced size the
+    // reference interpreter's trace must replay to the stats the vectorized
+    // engine produced.
+    let engine_n = n.min(1 << 12);
     for (vendor, spec) in vendors {
         for (shape, kernel) in &shapes {
-            let run = |exec| {
-                let config = SimConfig { exec, timing: TimingTier::Analytic, tracing: true };
-                run_case(spec(), kernel, tier_n, config)
+            let run = |engine| {
+                let config = SimConfig { timing: TimingTier::Analytic, tracing: true };
+                run_case(spec(), kernel, engine_n, config, engine)
                     .0
                     .expect("traced launch must produce mem stats")
             };
-            if run(ExecTier::Scalar) != run(ExecTier::Vectorized) {
-                eprintln!("FAIL: {vendor}/{shape}: scalar tier diverges at n = {tier_n}");
+            if run(Engine::Reference) != run(Engine::Vectorized) {
+                eprintln!("FAIL: {vendor}/{shape}: reference engine diverges at n = {engine_n}");
                 failed = true;
             }
         }
@@ -338,7 +329,8 @@ fn main() {
     }
 
     // Wall-clock tracing overhead on the STREAM shapes: untraced vs
-    // traced, one warm device each, both tiers taken from the environment.
+    // traced, one warm device each, the timing tier taken from the
+    // environment.
     eprintln!("measuring wall-clock tracing overhead on the STREAM shapes…");
     let base = SimConfig::resolve();
     let (warmup, iters) = if smoke { (1, 3) } else { (2, 5) };

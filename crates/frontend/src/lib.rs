@@ -40,4 +40,4 @@ pub use error::FrontendError;
 pub use registry::{Frontend, FrontendRegistry};
 pub use session::{shared_cache, DeviceBuffer, ExecutionSession};
 
-pub use mcmm_toolchain::{CacheStats, CompileCache, ExecTier, ProgramCacheStats};
+pub use mcmm_toolchain::{CacheStats, CompileCache, ProgramCacheStats};

@@ -83,9 +83,9 @@ impl Counters {
 /// Block-local counter accumulator: plain `u64`s an interpreter bumps on
 /// its own stack while a block runs, flushed to the shared atomic
 /// [`Counters`] exactly once at block exit — one relaxed RMW per field
-/// instead of one per instruction. Both execution tiers (the scalar
-/// reference interpreter and the vectorized bytecode tier) accumulate
-/// through this, which is also what makes their reported totals
+/// instead of one per instruction. Both block engines (the vectorized
+/// engine and the reference interpreter of the `mcmm-gpu-sim-ref` crate)
+/// accumulate through this, which is also what makes their reported totals
 /// bit-identical: the same additions land in the same single flush.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LocalCounters {
@@ -219,8 +219,8 @@ impl StatsCell {
 }
 
 /// [`StatsCell`]'s counterpart for memory-hierarchy statistics: a
-/// consistent accumulator of per-launch [`MemStats`]
-/// (`crate::memhier::MemStats`). Traced launches merge a whole
+/// consistent accumulator of per-launch
+/// [`MemStats`](crate::memhier::MemStats). Traced launches merge a whole
 /// snapshot under one mutex; readers (serve/gateway reporting threads)
 /// always see launch-granular totals, never a torn view.
 #[derive(Debug, Default)]

@@ -15,7 +15,7 @@
 //! load or launch is one lookup.
 
 use crate::counters::{Counters, LaunchStats, StatsCell};
-use crate::exec::{injected_block_crash, run_block, BlockCtx};
+use crate::exec::{injected_block_crash, BlockCtx};
 use crate::fault::{LaunchFault, TransferFault};
 use crate::ir::{KernelIr, Value};
 use crate::isa::{disassemble, IsaKind, Module};
@@ -33,29 +33,13 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Which execution engine a device uses for kernel blocks.
-///
-/// Both tiers implement identical semantics — every launch produces
-/// byte-identical buffers and identical counter totals on either one:
-///
-/// * [`ExecTier::Scalar`] — the reference interpreter in [`crate::exec`]:
-///   walks [`KernelIr`] directly, boxing each lane value in
-///   [`Value`]. Slow, simple, and the only tier with race-detection
-///   hooks ([`crate::exec::run_block_racecheck`] always uses it).
-/// * [`ExecTier::Vectorized`] — the performance tier: the kernel is
-///   lowered once by [`crate::lower`] into flat typed bytecode, kept beside
-///   the kernel in the device's kernel cache, and executed by
-///   [`crate::vexec`] over dense per-type lane vectors with a full-mask
-///   fast path.
-///
-/// The default is `Vectorized`; a device takes its tier from its
-/// [`SimConfig`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+/// The engine a device runs kernel blocks on. Every device runs the
+/// lowered lane-vector bytecode of [`crate::lower`] + [`crate::vexec`], so
+/// `Vectorized` is the only value; this exists only for the benchmark's
+/// configuration line ([`Device::exec_tier`]).
+#[derive(Debug, Clone, Copy)]
 pub enum ExecTier {
-    /// Reference scalar interpreter ([`crate::exec`]).
-    Scalar,
     /// Lowered lane-vector bytecode ([`crate::lower`] + [`crate::vexec`]).
-    #[default]
     Vectorized,
 }
 
@@ -93,8 +77,6 @@ pub enum TimingTier {
 /// [`Device::with_config`] takes one explicitly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimConfig {
-    /// The engine kernel blocks run on.
-    pub exec: ExecTier,
     /// The model launch times are derived with.
     pub timing: TimingTier,
     /// Record every launch's memory-access trace and replay it into
@@ -128,7 +110,6 @@ impl SimConfig {
     /// (a process may set a variable after start-up). A variable that is
     /// unset or holds anything else leaves its field at the default:
     ///
-    /// * `MCMM_EXEC_TIER`: `scalar` (any case) selects the scalar tier;
     /// * `MCMM_TIMING_TIER`: `traced` or `trace-driven` (any case) selects
     ///   trace-driven timing;
     /// * `MCMM_MEM_TRACE`: `1`, `on`, `ON`, `true` or `TRUE` turns tracing on.
@@ -136,10 +117,6 @@ impl SimConfig {
         let var = |name| std::env::var(name).unwrap_or_default();
         let lower = |name| var(name).to_ascii_lowercase();
         Self {
-            exec: match lower("MCMM_EXEC_TIER").as_str() {
-                "scalar" => ExecTier::Scalar,
-                _ => ExecTier::Vectorized,
-            },
             timing: match lower("MCMM_TIMING_TIER").as_str() {
                 "traced" | "trace-driven" => TimingTier::TraceDriven,
                 _ => TimingTier::Analytic,
@@ -429,8 +406,8 @@ impl ProgramCacheStats {
     }
 }
 
-/// A kernel as a device holds it: the decoded IR the scalar tier walks and
-/// the program the vectorized tier runs.
+/// A kernel as a device holds it: the decoded IR [`Device::load`] returns
+/// and the lowered program its blocks run.
 #[derive(Clone)]
 struct Loaded {
     kernel: Arc<KernelIr>,
@@ -504,9 +481,10 @@ impl Device {
         })
     }
 
-    /// The execution tier this device launches on.
+    /// Always [`ExecTier::Vectorized`]. Kept only for the benchmark's
+    /// configuration line, which prints it.
     pub fn exec_tier(&self) -> ExecTier {
-        self.config.exec
+        ExecTier::Vectorized
     }
 
     /// The timing tier this device models launch times with.
@@ -542,7 +520,7 @@ impl Device {
     }
 
     /// Hit/miss statistics of the kernel cache, counting one lookup per
-    /// [`Device::load`] and per launch, on either tier.
+    /// [`Device::load`] and per launch.
     pub fn program_cache_stats(&self) -> ProgramCacheStats {
         self.kernels.stats()
     }
@@ -715,7 +693,7 @@ impl Device {
     ) -> Result<LaunchReport> {
         let loaded = self.resolve(module)?;
         match fault {
-            None => self.run(&loaded, cfg, args, None),
+            None => self.run(&loaded, cfg, args, None, run_block_lv),
             Some(LaunchFault::Refuse(reason)) => {
                 self.advance_clock(ModeledTime::from_seconds(self.spec.launch_latency_us * 1e-6));
                 Err(SimError::FaultInjected(format!("launch refused: {reason}")))
@@ -729,7 +707,7 @@ impl Device {
                 )))
             }
             Some(LaunchFault::CrashBlock(b)) => {
-                self.run(&loaded, cfg, args, Some(b % cfg.grid_dim.max(1)))
+                self.run(&loaded, cfg, args, Some(b % cfg.grid_dim.max(1)), run_block_lv)
             }
         }
     }
@@ -742,8 +720,24 @@ impl Device {
         cfg: LaunchConfig,
         args: &[KernelArg],
     ) -> Result<LaunchReport> {
+        self.launch_kernel_with(kernel, cfg, args, run_block_lv)
+    }
+
+    /// [`Device::launch_kernel`] with each block run by `run_block`, which
+    /// is handed the block's context, the kernel's lowered program and the
+    /// arguments. Exists so tests can substitute the reference engine of
+    /// the `mcmm-gpu-sim-ref` crate: the launch checks, scheduling,
+    /// tracing, counters, modeled time and kernel cache stay the device's
+    /// own, so a differential compares two block engines and nothing else.
+    pub fn launch_kernel_with(
+        &self,
+        kernel: &KernelIr,
+        cfg: LaunchConfig,
+        args: &[KernelArg],
+        run_block: impl Fn(&BlockCtx<'_>, &LvProgram, &[Value]) -> Result<()> + Sync,
+    ) -> Result<LaunchReport> {
         let loaded = self.kernels.get_or_insert(kernel.fingerprint(), || Ok(kernel.clone()))?;
-        self.run(&loaded, cfg, args, None)
+        self.run(&loaded, cfg, args, None, run_block)
     }
 
     fn run(
@@ -752,6 +746,7 @@ impl Device {
         cfg: LaunchConfig,
         args: &[KernelArg],
         crash_block: Option<u32>,
+        run_block: impl Fn(&BlockCtx<'_>, &LvProgram, &[Value]) -> Result<()> + Sync,
     ) -> Result<LaunchReport> {
         let kernel: &KernelIr = &loaded.kernel;
         if cfg.block_dim == 0 || cfg.grid_dim == 0 {
@@ -815,11 +810,7 @@ impl Device {
                 fail(injected_block_crash(&ctx));
                 return;
             }
-            let res = match self.exec_tier() {
-                ExecTier::Vectorized => run_block_lv(&ctx, &loaded.program, &values),
-                ExecTier::Scalar => run_block(&ctx, &values),
-            };
-            if let Err(e) = res {
+            if let Err(e) = run_block(&ctx, &loaded.program, &values) {
                 fail(e);
             }
         });

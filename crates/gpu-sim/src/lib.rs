@@ -15,12 +15,14 @@
 //!   memory bandwidth);
 //! * [`mem`] — device global memory on a lock-free word-atomic backing
 //!   store, with an allocator and host↔device transfers;
-//! * [`exec`] — a SIMT interpreter executing one block as a wide lane
-//!   vector with divergence masks: the scalar reference tier;
-//! * [`lower`] + [`vexec`] — the default vectorized tier: each kernel is
-//!   lowered once, as written, into flat typed lane-vector bytecode,
-//!   cached per device beside the decoded kernel under the fingerprint its
-//!   module carries;
+//! * [`lower`] + [`vexec`] — the block engine: each kernel is lowered
+//!   once, as written, into flat typed lane-vector bytecode, cached per
+//!   device beside the decoded kernel under the fingerprint its module
+//!   carries, and each block runs it as a wide lane vector with
+//!   divergence masks;
+//! * [`exec`] — what a block engine is handed ([`exec::BlockCtx`]) and the
+//!   semantics it shares with the scalar reference interpreter that the
+//!   test-only `mcmm-gpu-sim-ref` crate holds;
 //! * [`pool`] + [`sched`] — per-launch scoped worker threads and block
 //!   schedulers distributing blocks over simulated compute units;
 //! * [`stream`] + [`event`] — asynchronous in-order queues and events;
@@ -100,8 +102,8 @@ pub mod vexec;
 pub mod prelude {
     pub use crate::counters::{LaunchStats, StatsCell};
     pub use crate::device::{
-        set_process_config, Device, DeviceSpec, ExecTier, KernelArg, LaunchConfig,
-        ProgramCacheStats, SimConfig, TimingTier, TransferStats,
+        set_process_config, Device, DeviceSpec, KernelArg, LaunchConfig, ProgramCacheStats,
+        SimConfig, TimingTier, TransferStats,
     };
     pub use crate::event::Event;
     pub use crate::fault::{LaunchFault, TransferFault};
@@ -118,8 +120,7 @@ pub mod prelude {
 }
 
 pub use device::{
-    set_process_config, Device, DeviceSpec, ExecTier, ProgramCacheStats, SimConfig, TimingTier,
-    TransferStats,
+    set_process_config, Device, DeviceSpec, ProgramCacheStats, SimConfig, TimingTier, TransferStats,
 };
 pub use isa::{IsaKind, Module};
 pub use memhier::{MemHierSpec, MemStats};

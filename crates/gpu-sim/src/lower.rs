@@ -1,8 +1,9 @@
 //! Lowering pass: compile [`KernelIr`] into a flat, typed, register-resolved
 //! lane-vector bytecode ([`LvProgram`]) executed by [`crate::vexec`].
 //!
-//! The scalar interpreter in [`crate::exec`] re-derives everything per
-//! instruction per lane: operands are pattern-matched (`Operand::Reg` vs
+//! Interpreting the IR directly, as the reference interpreter of the
+//! `mcmm-gpu-sim-ref` crate does, re-derives everything per instruction per
+//! lane: operands are pattern-matched (`Operand::Reg` vs
 //! `Operand::Imm`), register values round-trip through the boxed [`Value`]
 //! enum, and instruction/arith issue counts are recomputed on every step.
 //! Lowering hoists all of that to compile time:
@@ -337,8 +338,8 @@ impl Lowerer<'_> {
         nodes
     }
 
-    /// Lower one non-control-flow instruction; the bool says whether the
-    /// scalar tier counts it as an arithmetic issue.
+    /// Lower one non-control-flow instruction; the bool says whether it
+    /// counts as an arithmetic issue.
     fn lower_straight(&self, instr: &Instr) -> (LvOp, bool) {
         match instr {
             Instr::Mov { dst, src } => (

@@ -135,7 +135,7 @@ impl GlobalMemory {
     }
 
     /// Read a raw little-endian scalar of up to 8 bytes at a naturally
-    /// aligned address. `pub(crate)` so the vectorized tier's typed
+    /// aligned address. `pub(crate)` so the vectorized engine's typed
     /// load/store loops skip the `Value` round-trip while inheriting the
     /// exact bounds/alignment checks.
     pub(crate) fn read_raw(&self, addr: u64, len: u64) -> Result<u64> {
@@ -155,7 +155,7 @@ impl GlobalMemory {
 
     /// Read `n` consecutive `width`-byte scalars from `addr` into
     /// `put(k, raw)` after one bounds check for the whole range: the
-    /// vectorized tier's unit-stride loads, whose base its address form
+    /// vectorized engine's unit-stride loads, whose base its address form
     /// has already aligned to `width`. Nothing is read if the check fails.
     pub(crate) fn read_range(
         &self,

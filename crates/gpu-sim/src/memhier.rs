@@ -798,7 +798,7 @@ mod tests {
     type AccessDraw = (u8, u8, u8, u64, u64);
 
     /// Block `block` of a random launch with `block_dim` lanes per block,
-    /// recorded as the tiers record it on a `warp_width`-wide device. Each
+    /// recorded as the block engines record it on a `warp_width`-wide device. Each
     /// access is a load, store or atomic of 1, 4 or 8 bytes inside a 4 KiB
     /// window, at one of 16 places 2 KiB apart (34 KiB in all, twice the
     /// shrunken L2), so accesses and blocks share lines. A quarter of the

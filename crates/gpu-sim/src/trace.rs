@@ -1,6 +1,6 @@
 //! Per-warp memory-access tracing.
 //!
-//! Both execution tiers can optionally record every **global-memory**
+//! Both block engines can optionally record every **global-memory**
 //! access a block performs: which lanes were active, which byte address
 //! each lane touched, how wide the access was, and whether it was a
 //! load, store, or atomic. The trace is the input to the coalescer and
@@ -29,14 +29,15 @@
 //!   vendor, into the same sector requests the lane records would
 //!   produce. [`AccessView::lanes`] names the two forms ([`Lanes`]), so
 //!   no consumer can read an affine access as an empty lane list.
-//! * **Tier-equivalent.** The scalar and vectorized tiers must describe
-//!   the same accesses for the same launch. The scalar tier, the
-//!   reference, records every access lane by lane: in ascending lane
-//!   order for loads/stores and in the device's warp-round-robin commit
-//!   order for atomics (the order both tiers actually commit them in).
-//!   The vectorized tier records the same lanes, except that it takes
-//!   the affine form when the address's form is full-mask unit-stride or
-//!   single-address; the coalescer maps both to identical requests.
+//! * **Engine-equivalent.** The vectorized engine and the reference
+//!   interpreter of the `mcmm-gpu-sim-ref` crate must describe the same
+//!   accesses for the same launch. The reference records every access
+//!   lane by lane: in ascending lane order for loads/stores and in the
+//!   device's warp-round-robin commit order for atomics (the order both
+//!   engines actually commit them in). The vectorized engine records the
+//!   same lanes, except that it takes the affine form when the address's
+//!   form is full-mask unit-stride or single-address; the coalescer maps
+//!   both to identical requests.
 //! * **Deterministic replay.** Blocks run on worker threads and finish
 //!   in nondeterministic order; the shared-state stage sorts by block
 //!   id first, so replay is stable run-to-run.
@@ -47,7 +48,7 @@
 //! L2-request stream; [`TraceSink::finish`] then replays the
 //! block-id-sorted streams through the shared L2. The memhier unit tests
 //! pin this split to a serial walk of the whole launch, one sector at a
-//! time, with bit-identical [`MemStats`](crate::memhier::MemStats).
+//! time, with bit-identical [`MemStats`].
 
 use crate::cache::SectoredCache;
 use crate::memhier::{replay_block_l1, replay_l2, BlockL2Stream, L1Scratch, MemHierSpec};
@@ -235,7 +236,7 @@ pub struct TraceScratch {
 
 /// Launch-wide collector blocks record into.
 ///
-/// Exec tiers call [`begin_block`](Self::begin_block) when a traced
+/// Block engines call [`begin_block`](Self::begin_block) when a traced
 /// block starts and [`finish_block`](Self::finish_block) when it exits;
 /// the device calls [`finish`](Self::finish) after the block phase to
 /// obtain the launch's [`MemStats`]. A block that fails mid-flight

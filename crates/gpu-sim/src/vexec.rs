@@ -1,14 +1,13 @@
-//! The vectorized execution tier: run a lowered [`LvProgram`] over a
-//! whole thread block.
+//! The block engine: run a lowered [`LvProgram`] over a whole thread
+//! block.
 //!
-//! Where the scalar interpreter ([`crate::exec`]) walks the IR tree and
-//! boxes every register access in [`Value`], this tier executes the flat
-//! typed bytecode produced by [`crate::lower`]: registers live in dense
-//! per-type pools (`Vec<f32>`, `Vec<i64>`, …) laid out slot-major, each op
-//! dispatches on op×type **once** and then runs a monomorphic per-lane
-//! loop, and immediates are decoded once per op instead of once per lane.
+//! The engine executes the flat typed bytecode produced by
+//! [`crate::lower`]: registers live in dense per-type pools (`Vec<f32>`,
+//! `Vec<i64>`, …) laid out slot-major, each op dispatches on op×type
+//! **once** and then runs a monomorphic per-lane loop, and immediates are
+//! decoded once per op instead of once per lane.
 //!
-//! Divergence is tracked by a [`MaskSet`] whose `bits: None` state is the
+//! Divergence is tracked by a mask set whose "no bits" state is the
 //! **full-mask fast path**: while no lane has diverged, per-lane loops
 //! iterate `0..n` with no mask load at all, and branch splits/loop
 //! narrowings that keep every lane active stay on the fast path.
@@ -16,8 +15,8 @@
 //! charge their pre-summed issue counts with two multiplications, into a
 //! [`LocalCounters`] flushed once at block exit.
 //!
-//! **Affine forms.** An i32 or i64 slot may hold a [`Form`] instead of
-//! lanes: lane `i` is `base + i·stride` (stride 0: uniform), like a GPU's
+//! **Affine forms.** An i32 or i64 slot may hold a form instead of lanes:
+//! lane `i` is `base + i·stride` (stride 0: uniform), like a GPU's
 //! uniform registers, so index math (`ctaid·ntid + tid`, widened, scaled
 //! to bytes) runs once per block. Int slots start as uniform 0, int
 //! arguments as uniform. Under a full mask `TidX`, `CtaIdX`, `NTidX`,
@@ -27,28 +26,30 @@
 //! forms it reads and the slot it writes written out into lanes first.
 //! Memory ops read addresses off a form: a full-mask global load or store
 //! stepping by its width checks its range once and moves words in a
-//! straight loop ([`GlobalMemory::read_range`]); any other access checks
-//! each lane, failing and committing as the scalar tier does.
+//! straight loop; any other access checks each lane, failing and
+//! committing lane by lane.
 //!
-//! Semantics are bit-identical to the scalar tier by construction: every
-//! lane loop and every form uses the exact computation the scalar helpers
-//! use (including wrapping int arithmetic, i32 shifts promoted through
-//! i64, conversions routed through f64, and NaN comparison behaviour),
-//! shared memory reuses [`SharedMem`](crate::exec), and atomics/global
-//! accesses go through the same [`GlobalMemory`] checks. The differential
-//! suite in `tests/exec_tier_differential.rs` holds the two tiers to
-//! byte-identical buffers, identical errors and identical counter totals.
+//! Semantics are bit-identical to the scalar reference interpreter of the
+//! `mcmm-gpu-sim-ref` crate: every lane loop and every form uses the exact
+//! computation the interpreter does (including wrapping int arithmetic,
+//! i32 shifts promoted through i64, conversions routed through f64, and
+//! NaN comparison behaviour), shared memory is the one [`SharedMem`],
+//! binary operators share [`bin_value`], and atomics and global accesses
+//! go through the same [`GlobalMemory`] checks. That crate's block-level
+//! differentials and `tests/exec_tier_differential.rs` hold the two
+//! engines to byte-identical buffers, identical errors and identical
+//! counter totals.
 //!
 //! A traced full-mask global access whose address form is unit-stride or
 //! single-address is recorded in the trace's affine form, one header
 //! instead of one record per lane, without reading a lane; global
 //! atomics commit each run of consecutive lanes on one 8-byte word with
-//! one `fetch_update` ([`GlobalMemory::atomic_rmw_run`]). Both are
-//! invisible to everything but the host clock.
+//! one read-modify-write. Both are invisible to everything but the host
+//! clock.
 //!
-//! Race checking stays on the scalar tier
-//! ([`crate::exec::run_block_racecheck`]): the shadow access log needs
-//! per-access interleaving hooks that would un-vectorize these loops.
+//! Race checking stays in the reference crate: its shadow access log
+//! needs per-access interleaving hooks that would un-vectorize these
+//! loops.
 
 use crate::counters::LocalCounters;
 use crate::exec::{bin_value, BlockCtx, SharedMem};
@@ -59,7 +60,7 @@ use crate::trace::{AccessKind, Affine, TraceScratch};
 use crate::{Result, SimError};
 use std::cell::Cell;
 
-/// Execute one thread block through the vectorized tier.
+/// Execute one thread block of `prog`.
 pub fn run_block_lv(ctx: &BlockCtx<'_>, prog: &LvProgram, args: &[Value]) -> Result<()> {
     let n = ctx.block_dim as usize;
     if args.len() != prog.params.len() {
@@ -387,7 +388,7 @@ fn fill<T>(dst: &mut [T], bits: Option<&[bool]>, n: usize, d: usize, f: impl Fn(
 }
 
 /// Comparison loop into the bool pool, the operator hoisted out of the
-/// lane loop. Native operators reproduce the scalar tier's `partial_cmp`
+/// lane loop. Native operators reproduce the reference interpreter's `partial_cmp`
 /// exactly (every ordering comparison is false on NaN, `!=` is true).
 fn cmp_loop<T: PartialOrd>(
     dst: &mut [bool],
@@ -516,7 +517,7 @@ struct VInterp<'a> {
     ctx: &'a BlockCtx<'a>,
     prog: &'a LvProgram,
     n: usize,
-    /// Warp width, clamped to ≥1 (same clamp as the scalar tier).
+    /// Warp width, clamped to ≥1 (same clamp as the reference interpreter).
     w: usize,
     f32s: Vec<f32>,
     f64s: Vec<f64>,
@@ -666,7 +667,7 @@ impl<'a> VInterp<'a> {
                 }
                 LvNode::If { cond, then_, else_ } => {
                     // The If itself issues once under the incoming mask,
-                    // exactly like the scalar tier's `step`.
+                    // exactly like the reference interpreter's `step`.
                     self.local.warp_instructions += mask.warps;
                     let (t, e) = self.split(*cond, mask);
                     if t.lanes > 0 {
@@ -909,7 +910,7 @@ impl<'a> VInterp<'a> {
                     Type::Bool => {
                         // Operands and result share the bool pool: reuse
                         // the same-pool map. bool's operators order
-                        // false < true exactly like the scalar `cmp`.
+                        // false < true exactly like the reference `cmp`.
                         let (a, b) = (resolve(*a, n, dec_bool), resolve(*b, n, dec_bool));
                         let p = out;
                         match op {
@@ -984,7 +985,7 @@ impl<'a> VInterp<'a> {
                 self.atomic(*op, *ty, *space, *addr, *value, *dst, mask)?;
             }
             LvOp::Bar => {
-                // Same divergence contract as the scalar tier: a barrier
+                // Same divergence contract as the reference: a barrier
                 // under a partial mask deadlocks real hardware, so report
                 // it with the identical error.
                 if let Some(m) = bits {
@@ -1037,7 +1038,7 @@ impl<'a> VInterp<'a> {
         }
     }
 
-    /// i32 arithmetic. The scalar tier promotes through i64
+    /// i32 arithmetic. The reference promotes through i64
     /// (`int_bin(i64::from(x), ...) as i32`); each arm below is the
     /// algebraically-equal direct form — except shifts, where promotion
     /// is semantically load-bearing (the shift count masks with 63, not
@@ -1134,7 +1135,7 @@ impl<'a> VInterp<'a> {
         }
     }
 
-    /// Conversions, routed exactly as the scalar `convert`: everything
+    /// Conversions, routed exactly as the reference's `convert`: everything
     /// goes through f64 except integer→integer, and `F32→F32` keeps the
     /// (exact) f64 round-trip so the computation is literally the same.
     fn cvt(&mut self, from: Type, to: Type, dst: u32, a: LvSrc, bits: Option<&[bool]>) {
@@ -1190,7 +1191,7 @@ impl<'a> VInterp<'a> {
                 cvt_into(&self.i32s, &mut self.i64s, bits, n, d, resolve(a, n, dec_i32), i64::from)
             }
             (Type::I64, Type::F32) => {
-                // Double rounding (i64→f64→f32) is the scalar semantics.
+                // Double rounding (i64→f64→f32) is the reference semantics.
                 cvt_into(&self.i64s, &mut self.f32s, bits, n, d, resolve(a, n, dec_i64), |x| {
                     (x as f64) as f32
                 })
@@ -1215,7 +1216,7 @@ impl<'a> VInterp<'a> {
     /// Record one traced global access straight into the block's trace
     /// arena: as one affine header when the mask is full and the address
     /// form qualifies ([`Addrs::affine`]), else lane by lane in the order
-    /// the scalar tier records (ascending for loads and stores, commit
+    /// the reference interpreter records (ascending for loads and stores, commit
     /// order for atomics), before an I64 load may overwrite its address.
     /// Negative addresses are skipped — the execution loop faults on them
     /// and the trace of a failed launch is never consumed.
@@ -1251,7 +1252,7 @@ impl<'a> VInterp<'a> {
         let am = self.addrs(addr);
         if space == Space::Shared {
             // Shared traffic is not counted and not hot: stay on the
-            // scalar tier's Value-based path for identical behaviour.
+            // reference interpreter's Value-based path for identical behaviour.
             return for_each_lane(bits, n, |i| {
                 let v = self.shared.load(ty, lane_addr(am.at(&self.i64s, i))?)?;
                 self.set_lane(ty, d, i, v);
@@ -1350,7 +1351,7 @@ impl<'a> VInterp<'a> {
             return self.global_atomic(op, ty, am, value, dst, bits);
         }
         let n = self.n;
-        // Warp-round-robin commit order, identical to the scalar tier's
+        // Warp-round-robin commit order, identical to the reference's
         // `round_robin` (the order is a function of the warp width).
         for i in crate::exec::round_robin_indices(n, self.w) {
             if let Some(m) = bits {
@@ -1361,7 +1362,7 @@ impl<'a> VInterp<'a> {
             let a = lane_addr(am.at(&self.i64s, i))?;
             let v = self.read_value(ty, value, i);
             // Single interpreter thread per block: plain RMW, exactly
-            // like the scalar tier.
+            // like the reference interpreter.
             let cur = self.shared.load(ty, a)?;
             let new = match op {
                 AtomicOp::Add => bin_value(BinOp::Add, cur, v)?,
@@ -1377,11 +1378,11 @@ impl<'a> VInterp<'a> {
         Ok(())
     }
 
-    /// A global atomic, in the scalar tier's warp-round-robin commit
+    /// A global atomic, in the reference's warp-round-robin commit
     /// order, committing each run of consecutive lanes on one 8-byte
     /// word as a single read-modify-write. A lane whose address fails
-    /// commits the lanes before it, then returns the error the scalar
-    /// tier gives for that lane.
+    /// commits the lanes before it, then returns the error the reference
+    /// interpreter gives for that lane.
     fn global_atomic(
         &mut self,
         op: AtomicOp,
@@ -1442,326 +1443,5 @@ impl<'a> VInterp<'a> {
         run.lanes.clear();
         run.ops.clear();
         Ok(())
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::counters::Counters;
-    use crate::exec::run_block;
-    use crate::ir::{KernelBuilder, KernelIr, UnOp};
-    use crate::lower::lower;
-    use crate::mem::{DevicePtr, GlobalMemory};
-
-    /// Run one block of `kernel` under both tiers, each on a fresh memory
-    /// prepared by `setup` (allocation order is deterministic, so pointers
-    /// agree across the two runs), and require identical results, identical
-    /// counter snapshots, and byte-identical buffer contents. Returns
-    /// the error both tiers failed with, if any.
-    fn differential(
-        kernel: &KernelIr,
-        block_dim: u32,
-        warp_width: u32,
-        setup: impl Fn(&GlobalMemory) -> (Vec<Value>, Vec<(DevicePtr, u64)>),
-    ) -> Option<SimError> {
-        let prog = lower(kernel);
-        let run_tier = |vectorized: bool| {
-            let mem = GlobalMemory::new(1 << 20);
-            let (args, bufs) = setup(&mem);
-            let counters = Counters::new();
-            let ctx = BlockCtx {
-                kernel,
-                global: &mem,
-                counters: &counters,
-                block_id: 0,
-                grid_dim: 1,
-                block_dim,
-                warp_width,
-                trace: None,
-            };
-            let res =
-                if vectorized { run_block_lv(&ctx, &prog, &args) } else { run_block(&ctx, &args) };
-            let bytes: Vec<Vec<u8>> =
-                bufs.iter().map(|&(p, len)| mem.read_bytes(p, len).unwrap()).collect();
-            (res, counters.snapshot(), bytes)
-        };
-        let (scalar_res, scalar_stats, scalar_bytes) = run_tier(false);
-        let (vec_res, vec_stats, vec_bytes) = run_tier(true);
-        assert_eq!(scalar_res, vec_res, "tier results diverge");
-        assert_eq!(scalar_stats, vec_stats, "tier counters diverge");
-        assert_eq!(scalar_bytes, vec_bytes, "tier buffers diverge");
-        scalar_res.err()
-    }
-
-    #[test]
-    fn saxpy_full_mask_matches_scalar() {
-        // Straight-line kernel: stays on the full-mask fast path throughout.
-        let mut k = KernelBuilder::new("saxpy");
-        let a = k.param(Type::F32);
-        let x = k.param(Type::I64);
-        let y = k.param(Type::I64);
-        let i = k.thread_id_x();
-        let xi = k.ld_elem(Space::Global, Type::F32, x, i);
-        let yi = k.ld_elem(Space::Global, Type::F32, y, i);
-        let ax = k.bin(BinOp::Mul, a, xi);
-        let s = k.bin(BinOp::Add, ax, yi);
-        k.st_elem(Space::Global, y, i, s);
-        let kernel = k.finish();
-        differential(&kernel, 64, 32, |mem| {
-            let xp = mem.alloc(64 * 4).unwrap();
-            let yp = mem.alloc(64 * 4).unwrap();
-            for i in 0..64u64 {
-                mem.store(xp.0 + i * 4, Value::F32(i as f32 * 0.25)).unwrap();
-                mem.store(yp.0 + i * 4, Value::F32(1.5)).unwrap();
-            }
-            (
-                vec![Value::F32(2.0), Value::I64(xp.0 as i64), Value::I64(yp.0 as i64)],
-                vec![(yp, 64 * 4)],
-            )
-        });
-    }
-
-    #[test]
-    fn divergent_if_else_matches_scalar_on_every_warp_width() {
-        let mut k = KernelBuilder::new("div");
-        let out = k.param(Type::I64);
-        let i = k.thread_id_x();
-        let two = k.imm(Value::I32(2));
-        let r = k.bin(BinOp::Rem, i, two);
-        let even = k.cmp(CmpOp::Eq, r, Value::I32(0));
-        k.if_else(
-            even,
-            |k| k.st_elem(Space::Global, out, i, Value::I32(1)),
-            |k| k.st_elem(Space::Global, out, i, Value::I32(2)),
-        );
-        let kernel = k.finish();
-        for ww in [16, 32, 64] {
-            differential(&kernel, 96, ww, |mem| {
-                let p = mem.alloc(96 * 4).unwrap();
-                (vec![Value::I64(p.0 as i64)], vec![(p, 96 * 4)])
-            });
-        }
-    }
-
-    #[test]
-    fn while_loop_with_divergent_trip_counts_matches_scalar() {
-        let mut k = KernelBuilder::new("tri");
-        let out = k.param(Type::I64);
-        let i = k.thread_id_x();
-        let acc = k.imm(Value::I32(0));
-        let j = k.imm(Value::I32(0));
-        k.while_(
-            |k| k.cmp(CmpOp::Lt, j, i),
-            |k| {
-                k.bin_assign(BinOp::Add, acc, j);
-                k.bin_assign(BinOp::Add, j, Value::I32(1));
-            },
-        );
-        k.st_elem(Space::Global, out, i, acc);
-        let kernel = k.finish();
-        differential(&kernel, 48, 32, |mem| {
-            let p = mem.alloc(48 * 4).unwrap();
-            (vec![Value::I64(p.0 as i64)], vec![(p, 48 * 4)])
-        });
-    }
-
-    #[test]
-    fn shared_memory_reduction_matches_scalar() {
-        let mut k = KernelBuilder::new("reduce");
-        let out = k.param(Type::I64);
-        let sh = k.shared_alloc(64 * 4);
-        let tid = k.thread_id_x();
-        let tid_f = k.cvt(Type::F32, tid);
-        k.st_elem(Space::Shared, sh, tid, tid_f);
-        k.barrier();
-        let zero = k.imm(Value::I32(0));
-        let is0 = k.cmp(CmpOp::Eq, tid, zero);
-        k.if_(is0, |k| {
-            let acc = k.imm(Value::F32(0.0));
-            let j = k.imm(Value::I32(0));
-            k.while_(
-                |k| k.cmp(CmpOp::Lt, j, Value::I32(64)),
-                |k| {
-                    let v = k.ld_elem(Space::Shared, Type::F32, sh, j);
-                    k.bin_assign(BinOp::Add, acc, v);
-                    k.bin_assign(BinOp::Add, j, Value::I32(1));
-                },
-            );
-            k.st_elem(Space::Global, out, zero, acc);
-        });
-        let kernel = k.finish();
-        differential(&kernel, 64, 32, |mem| {
-            let p = mem.alloc(4).unwrap();
-            (vec![Value::I64(p.0 as i64)], vec![(p, 4)])
-        });
-    }
-
-    #[test]
-    fn global_atomics_match_scalar() {
-        // Every lane atomically adds into out[0] and records the fetched
-        // value; single interpreter thread per block, so the fetch order is
-        // deterministic and must agree across tiers.
-        let mut k = KernelBuilder::new("atom");
-        let out = k.param(Type::I64);
-        let old = k.param(Type::I64);
-        let i = k.thread_id_x();
-        let got = k.atomic(AtomicOp::Add, Space::Global, out, Value::I32(3));
-        k.st_elem(Space::Global, old, i, got);
-        let kernel = k.finish();
-        differential(&kernel, 32, 32, |mem| {
-            let p = mem.alloc(4).unwrap();
-            let q = mem.alloc(32 * 4).unwrap();
-            mem.store(p.0, Value::I32(0)).unwrap();
-            (vec![Value::I64(p.0 as i64), Value::I64(q.0 as i64)], vec![(p, 4), (q, 32 * 4)])
-        });
-    }
-
-    #[test]
-    fn atomic_runs_and_lone_lanes_match_scalar() {
-        // Every lane adds into one f64 and one i32 cell, then into one of
-        // five i32 bins, and reads back the value it replaced. The cells
-        // commit each warp-round-robin run as one read-modify-write, which
-        // must round every partial float sum and hand out every old value
-        // exactly as per-lane commits do; the bins mix lone lanes with
-        // runs over both halves of one word.
-        let mut k = KernelBuilder::new("cell_runs");
-        let fcell = k.param(Type::I64);
-        let icell = k.param(Type::I64);
-        let bins = k.param(Type::I64);
-        let fold = k.param(Type::I64);
-        let iold = k.param(Type::I64);
-        let bold = k.param(Type::I64);
-        let i = k.thread_id_x();
-        let fi = k.cvt(Type::F64, i);
-        let fv = k.bin(BinOp::Mul, fi, Value::F64(0.1));
-        let gotf = k.atomic(AtomicOp::Add, Space::Global, fcell, fv);
-        k.st_elem(Space::Global, fold, i, gotf);
-        let goti = k.atomic(AtomicOp::Add, Space::Global, icell, i);
-        k.st_elem(Space::Global, iold, i, goti);
-        let i7 = k.bin(BinOp::Mul, i, Value::I32(7));
-        let bin = k.bin(BinOp::Rem, i7, Value::I32(5));
-        let baddr = k.elem_addr(Type::I32, bins, bin);
-        let gotb = k.atomic(AtomicOp::Add, Space::Global, baddr, i);
-        k.st_elem(Space::Global, bold, i, gotb);
-        let kernel = k.finish();
-        for ww in [16, 32, 64] {
-            differential(&kernel, 96, ww, |mem| {
-                let f = mem.alloc(8).unwrap();
-                let c = mem.alloc(4).unwrap();
-                let b = mem.alloc(5 * 4).unwrap();
-                let fo = mem.alloc(96 * 8).unwrap();
-                let io = mem.alloc(96 * 4).unwrap();
-                let bo = mem.alloc(96 * 4).unwrap();
-                mem.store(f.0, Value::F64(0.25)).unwrap();
-                mem.store(c.0, Value::I32(7)).unwrap();
-                let args = [f, c, b, fo, io, bo].map(|p| Value::I64(p.0 as i64));
-                let bufs = vec![(f, 8), (c, 4), (b, 20), (fo, 96 * 8), (io, 96 * 4), (bo, 96 * 4)];
-                (args.into(), bufs)
-            });
-        }
-    }
-
-    #[test]
-    fn out_of_bounds_lane_mid_run_fails_like_scalar() {
-        // The cell is the last word of memory and lane 37 aims 4 bytes
-        // past it: an 8-byte access that shares the cell's word but runs
-        // off the end, in the middle of a run. The lanes committed before
-        // it, the error, and the memory left behind must all match.
-        let mut k = KernelBuilder::new("oob_run");
-        let cell = k.param(Type::I64);
-        let i = k.thread_id_x();
-        let bad = k.cmp(CmpOp::Eq, i, Value::I32(37));
-        let off = k.sel(bad, Value::I64(4), Value::I64(0));
-        let addr = k.bin(BinOp::Add, cell, off);
-        let fi = k.cvt(Type::F64, i);
-        let fv = k.bin(BinOp::Mul, fi, Value::F64(0.1));
-        let _ = k.atomic(AtomicOp::Add, Space::Global, addr, fv);
-        let kernel = k.finish();
-        let last = DevicePtr((1 << 20) - 8);
-        for ww in [16, 32, 64] {
-            let err = differential(&kernel, 64, ww, |mem| {
-                mem.store(last.0, Value::F64(1.5)).unwrap();
-                (vec![Value::I64(last.0 as i64)], vec![(last, 8)])
-            });
-            assert_eq!(err, Some(SimError::OutOfBounds { addr: last.0 + 4, len: 8 }));
-        }
-    }
-
-    #[test]
-    fn integer_edge_ops_and_conversions_match_scalar() {
-        // Shifts with out-of-range amounts, signed div/rem, and a
-        // conversion chain — the arms most sensitive to semantic drift.
-        let mut k = KernelBuilder::new("edges");
-        let out = k.param(Type::I64);
-        let i = k.thread_id_x();
-        let big = k.imm(Value::I32(71)); // shift amount > 63: masked mod 64
-        let sh = k.bin(BinOp::Shl, i, big);
-        let neg = k.un(UnOp::Neg, i);
-        let seven = k.imm(Value::I32(7));
-        let d = k.bin(BinOp::Div, neg, seven);
-        let r = k.bin(BinOp::Rem, neg, seven);
-        let wide = k.cvt(Type::I64, i);
-        let f = k.cvt(Type::F32, wide);
-        let back = k.cvt(Type::I32, f);
-        let t1 = k.bin(BinOp::Add, sh, d);
-        let t2 = k.bin(BinOp::Add, t1, r);
-        let t3 = k.bin(BinOp::Add, t2, back);
-        k.st_elem(Space::Global, out, i, t3);
-        let kernel = k.finish();
-        differential(&kernel, 64, 32, |mem| {
-            let p = mem.alloc(64 * 4).unwrap();
-            (vec![Value::I64(p.0 as i64)], vec![(p, 64 * 4)])
-        });
-    }
-
-    #[test]
-    fn division_by_zero_traps_identically() {
-        let mut k = KernelBuilder::new("crash");
-        let out = k.param(Type::I64);
-        let i = k.thread_id_x();
-        let zero = k.imm(Value::I32(0));
-        let d = k.bin(BinOp::Div, i, zero);
-        k.st_elem(Space::Global, out, i, d);
-        let kernel = k.finish();
-        differential(&kernel, 32, 32, |mem| {
-            let p = mem.alloc(32 * 4).unwrap();
-            (vec![Value::I64(p.0 as i64)], vec![(p, 32 * 4)])
-        });
-    }
-
-    #[test]
-    fn out_of_bounds_store_fails_identically() {
-        let mut k = KernelBuilder::new("oob");
-        let out = k.param(Type::I64);
-        let i = k.thread_id_x();
-        k.st_elem(Space::Global, out, i, Value::I32(1));
-        let kernel = k.finish();
-        // Unallocated address far past the heap: both tiers must report the
-        // same OutOfBounds error and leave the counters untouched.
-        differential(&kernel, 32, 32, |mem| {
-            let p = mem.alloc(4).unwrap();
-            (vec![Value::I64(1 << 19)], vec![(p, 4)])
-        });
-    }
-
-    #[test]
-    fn full_mask_fast_path_survives_unanimous_branches() {
-        // A branch every lane takes keeps `bits: None`; results and counters
-        // still match the scalar tier exactly.
-        let mut k = KernelBuilder::new("unanimous");
-        let out = k.param(Type::I64);
-        let i = k.thread_id_x();
-        let yes = k.cmp(CmpOp::Ge, i, Value::I32(0));
-        k.if_(yes, |k| {
-            let two = k.imm(Value::I32(2));
-            let v = k.bin(BinOp::Mul, i, two);
-            k.st_elem(Space::Global, out, i, v);
-        });
-        let kernel = k.finish();
-        differential(&kernel, 64, 32, |mem| {
-            let p = mem.alloc(64 * 4).unwrap();
-            (vec![Value::I64(p.0 as i64)], vec![(p, 64 * 4)])
-        });
     }
 }

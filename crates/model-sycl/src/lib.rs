@@ -279,7 +279,7 @@ impl Queue {
 }
 
 /// The SYCL column as a spine [`Frontend`]: one model, all three vendors
-/// (§6: SYCL "supports all three GPU platform[s]").
+/// (§6: SYCL "supports all three GPU platform\[s\]").
 pub struct SyclFrontend;
 
 impl Frontend for SyclFrontend {

@@ -12,9 +12,11 @@
 //!   workload seed so two runs of one seed book identical backoff.
 //! * **Route failover** — when a route keeps failing, the router asks the
 //!   matrix for the next-best-rated alternative for the same cell
-//!   ([`mcmm_core::query::advise`] + [`Cell::routes_by_rating`]),
+//!   ([`mcmm_core::query::advise`] +
+//!   [`Cell::routes_by_rating`](mcmm_core::Cell::routes_by_rating)),
 //!   health-checks it ([`mcmm_toolchain::probe::route_health`]), and
-//!   recompiles the job through the shared [`CompileCache`] on the new
+//!   recompiles the job through the shared
+//!   [`CompileCache`](mcmm_toolchain::CompileCache) on the new
 //!   route. Results are byte-identical across routes — only ratings,
 //!   efficiency, and failure behaviour differ — which is exactly the
 //!   paper's portability argument in executable form.

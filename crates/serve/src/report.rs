@@ -89,7 +89,7 @@ pub struct CacheReport {
 /// Device kernel-cache behaviour, summed over the three devices. The
 /// compile cache above deduplicates *route compilations*; this one
 /// deduplicates the *decode and lane-vector lowering* each device performs
-/// per distinct kernel, on either execution tier.
+/// per distinct kernel.
 #[derive(Debug, Clone, Copy, Serialize)]
 pub struct ProgramsReport {
     /// Launches served by an already-decoded and lowered kernel.
@@ -150,7 +150,7 @@ pub struct ServeReport {
     pub jobs: JobsReport,
     /// Compile-cache behaviour.
     pub cache: CacheReport,
-    /// Device kernel-cache behaviour (either execution tier).
+    /// Device kernel-cache behaviour.
     pub programs: ProgramsReport,
     /// Modeled latency summary (admission → retirement, queueing included).
     pub latency: LatencyStats,

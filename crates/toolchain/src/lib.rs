@@ -24,7 +24,7 @@ pub mod registry;
 pub use cache::{CacheStats, CompileCache};
 pub use compiler::{CompileError, VirtualCompiler};
 pub use diskcache::{DiskStats, DiskTier};
-pub use mcmm_gpu_sim::{ExecTier, ProgramCacheStats};
+pub use mcmm_gpu_sim::ProgramCacheStats;
 pub use registry::{select, select_best, Registry};
 
 use mcmm_core::taxonomy::Vendor;

@@ -1,38 +1,34 @@
-//! Differential validation of the two execution tiers: the scalar
-//! reference interpreter and the lowered lane-vector tier must be
-//! indistinguishable from outside — byte-identical buffers, identical
-//! counter snapshots, identical errors — on every vendor device, for
-//! randomly generated well-formed kernels, for the analyzer's seeded
-//! defect corpus, and for the edges of the vectorized tier's affine
-//! register forms and once-per-range memory checks. Also pins the
-//! contracts around the tier knob: `run_block_racecheck` stays on the
-//! scalar tier no matter what the process-wide override says, and the
-//! 27-cell frontend sweep reports the same support pattern under both
-//! tiers.
+//! Differential validation of the two block engines: the scalar
+//! reference interpreter (`mcmm-gpu-sim-ref`) and the device's lowered
+//! lane-vector engine must be indistinguishable from outside —
+//! byte-identical buffers, identical counter snapshots, identical errors
+//! — on every vendor device, for randomly generated well-formed kernels,
+//! for the analyzer's seeded defect corpus, for the five STREAM kernels
+//! the 27-cell frontend sweep launches, and for the edges of the
+//! vectorized engine's affine register forms and once-per-range memory
+//! checks. The reference runs through the device's own launch path
+//! (`Device::launch_kernel_with`), so only the block engine differs.
 
+use many_models::babelstream::adapters::stream_kernels;
 use many_models::babelstream::runner::{sweep, unsupported_count, verified_count};
+use many_models::babelstream::{START_A, START_B, START_C};
 use many_models::gpu_sim::counters::{Counters, LaunchStats};
-use many_models::gpu_sim::device::{Device, ExecTier, KernelArg, LaunchConfig};
-use many_models::gpu_sim::exec::{run_block, run_block_racecheck, BlockCtx};
+use many_models::gpu_sim::device::{Device, KernelArg, LaunchConfig};
+use many_models::gpu_sim::exec::BlockCtx;
 use many_models::gpu_sim::ir::{
     BinOp, CmpOp, KernelBuilder, KernelIr, Space, Special, Type, Value,
 };
 use many_models::gpu_sim::lower::lower;
 use many_models::gpu_sim::mem::{DevicePtr, GlobalMemory};
 use many_models::gpu_sim::vexec::run_block_lv;
-use many_models::gpu_sim::{set_process_config, DeviceSpec, MemStats, SimConfig, SimError};
-use mcmm_analyze::{corpus, MCA003};
+use many_models::gpu_sim::{DeviceSpec, MemStats, SimConfig, SimError};
+use mcmm_analyze::corpus;
+use mcmm_gpu_sim_ref::{launch_kernel, run_block, Engine};
 use proptest::prelude::*;
-use std::sync::Mutex;
 
 #[path = "common/affine.rs"]
 mod affine;
 use affine::{affine_index, arb_index};
-
-/// Serializes the tests that touch the process-wide config override, so
-/// they cannot race each other (or leak a forced setting into a test
-/// that assumed the default).
-static TIER_LOCK: Mutex<()> = Mutex::new(());
 
 /// A randomly-shaped but always well-formed kernel: an f64 op chain, a
 /// data-dependent branch, and a lane-indexed loop — together covering
@@ -118,46 +114,40 @@ fn arb_kernel() -> impl Strategy<Value = RandKernel> {
         })
 }
 
-/// Launch `kernel` (a [`RandKernel`]) over `n` lanes on a fresh device:
-/// `x` holds `5n` inputs and `y` `6n` zeros, room for every affine
-/// index. Returns `y`'s bytes and the launch's counters.
+/// Launch `kernel` (a [`RandKernel`]) over `n` lanes on a fresh device,
+/// its blocks run by `engine`: `x` holds `5n` inputs and `y` `6n` zeros,
+/// room for every affine index. Returns `y`'s bytes and the launch's
+/// counters.
 fn launch_rand(
     kernel: &KernelIr,
     spec: &DeviceSpec,
-    config: SimConfig,
+    engine: Engine,
     n: usize,
 ) -> (Vec<u8>, LaunchStats) {
     let inputs: Vec<f64> = (0..5 * n).map(|i| (i as f64) * 0.731 - 11.0).collect();
-    let dev = Device::with_config(spec.clone(), config);
+    let dev = Device::new(spec.clone());
     let dx = dev.alloc_copy_f64(&inputs).unwrap();
     let dy = dev.alloc_copy_f64(&vec![0.0; 6 * n]).unwrap();
-    let report = dev
-        .launch_kernel(
-            kernel,
-            LaunchConfig::linear(n as u64, 64),
-            &[KernelArg::Ptr(dx), KernelArg::Ptr(dy), KernelArg::I32(n as i32)],
-        )
-        .unwrap();
+    let args = [KernelArg::Ptr(dx), KernelArg::Ptr(dy), KernelArg::I32(n as i32)];
+    let report =
+        launch_kernel(&dev, engine, kernel, LaunchConfig::linear(n as u64, 64), &args).unwrap();
     (dev.memcpy_d2h(dy, 6 * n as u64 * 8).unwrap().0, report.stats)
 }
 
-/// Launch `kernel` on both tiers of one vendor device (per-device
-/// config — no global state) and require identical buffers and counter
-/// totals.
+/// Launch `kernel` on both engines of one vendor device and require
+/// identical buffers and counter totals.
 fn tiers_agree_on_device(kernel: &KernelIr, spec: DeviceSpec, n: usize) {
-    let run_tier =
-        |exec| launch_rand(kernel, &spec, SimConfig { exec, ..SimConfig::from_env() }, n);
-    let (scalar_bytes, scalar_stats) = run_tier(ExecTier::Scalar);
-    let (vec_bytes, vec_stats) = run_tier(ExecTier::Vectorized);
-    assert_eq!(scalar_bytes, vec_bytes, "buffers diverge on {}", spec.name);
-    assert_eq!(scalar_stats, vec_stats, "counters diverge on {}", spec.name);
+    let (ref_bytes, ref_stats) = launch_rand(kernel, &spec, Engine::Reference, n);
+    let (vec_bytes, vec_stats) = launch_rand(kernel, &spec, Engine::Vectorized, n);
+    assert_eq!(ref_bytes, vec_bytes, "buffers diverge on {}", spec.name);
+    assert_eq!(ref_stats, vec_stats, "counters diverge on {}", spec.name);
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random well-formed kernels produce byte-identical buffers and
-    /// identical counter snapshots under both tiers on all three vendor
+    /// identical counter snapshots on both engines on all three vendor
     /// devices (whose warp widths — 64/32/16 — stress the issue
     /// accounting differently).
     #[test]
@@ -180,21 +170,21 @@ type Setup<'a> = &'a dyn Fn(&Device) -> (Vec<KernelArg>, DevicePtr, u64);
 
 fn outcome(
     spec: &DeviceSpec,
-    exec: ExecTier,
+    engine: Engine,
     kernel: &KernelIr,
     cfg: LaunchConfig,
     setup: Setup,
 ) -> Outcome {
-    let config = SimConfig { exec, tracing: true, ..SimConfig::from_env() };
-    let dev = Device::with_config(spec.clone(), config);
+    let dev =
+        Device::with_config(spec.clone(), SimConfig { tracing: true, ..SimConfig::from_env() });
     let (args, back, len) = setup(&dev);
-    let res = dev.launch_kernel(kernel, cfg, &args).map(|r| (r.stats, r.mem));
+    let res = launch_kernel(&dev, engine, kernel, cfg, &args).map(|r| (r.stats, r.mem));
     (res, dev.memcpy_d2h(back, len).unwrap().0)
 }
 
 /// Launch `kernel` on a fresh traced device of every preset, on both
-/// tiers, and require the same error, or the same counters and memory
-/// stats, and the same bytes. Returns the scalar results.
+/// engines, and require the same error, or the same counters and memory
+/// stats, and the same bytes. Returns the reference's results.
 fn edge_case_agrees(
     name: &str,
     kernel: &KernelIr,
@@ -203,9 +193,9 @@ fn edge_case_agrees(
 ) -> Vec<Result<(LaunchStats, Option<MemStats>), SimError>> {
     let mut results = Vec::new();
     for spec in DeviceSpec::presets() {
-        let run = |tier| outcome(&spec, tier, kernel, cfg, setup);
-        let (want, want_bytes) = run(ExecTier::Scalar);
-        let (got, got_bytes) = run(ExecTier::Vectorized);
+        let run = |engine| outcome(&spec, engine, kernel, cfg, setup);
+        let (want, want_bytes) = run(Engine::Reference);
+        let (got, got_bytes) = run(Engine::Vectorized);
         assert_eq!(got, want, "{name} on {}: results", spec.name);
         assert_eq!(got_bytes, want_bytes, "{name} on {}: bytes", spec.name);
         results.push(want);
@@ -213,8 +203,8 @@ fn edge_case_agrees(
     results
 }
 
-/// The edges of the vectorized tier's affine forms and its once-per-range
-/// checks, each held to the scalar tier on every preset.
+/// The edges of the vectorized engine's affine forms and its
+/// once-per-range checks, each held to the reference on every preset.
 #[test]
 fn tiers_agree_on_affine_edge_cases() {
     // i32 lanes that wrap before their widening to i64, which therefore
@@ -343,14 +333,14 @@ fn tiers_agree_on_affine_edge_cases() {
 
 /// The analyzer's seeded defect corpus, block-level: some of these
 /// kernels error at runtime, some run clean — in every case the two
-/// tiers must agree on the outcome, and when both succeed, on the
+/// engines must agree on the outcome, and when both succeed, on the
 /// counter totals.
 #[test]
 fn tiers_agree_on_analyzer_corpus() {
     for entry in corpus::seeded_defects() {
         let kernel = &entry.kernel;
         let prog = lower(kernel);
-        let run_tier = |vectorized: bool| {
+        let run_engine = |vectorized: bool| {
             let mem = GlobalMemory::new(1 << 16);
             let counters = Counters::new();
             let ctx = BlockCtx {
@@ -367,50 +357,21 @@ fn tiers_agree_on_analyzer_corpus() {
                 if vectorized { run_block_lv(&ctx, &prog, &[]) } else { run_block(&ctx, &[]) };
             (res, counters.snapshot())
         };
-        let (scalar_res, scalar_stats) = run_tier(false);
-        let (vec_res, vec_stats) = run_tier(true);
-        assert_eq!(scalar_res, vec_res, "tiers disagree on corpus kernel `{}`", kernel.name);
-        if scalar_res.is_ok() {
+        let (ref_res, ref_stats) = run_engine(false);
+        let (vec_res, vec_stats) = run_engine(true);
+        assert_eq!(ref_res, vec_res, "engines disagree on corpus kernel `{}`", kernel.name);
+        if ref_res.is_ok() {
             assert_eq!(
-                scalar_stats, vec_stats,
-                "tier counters disagree on corpus kernel `{}`",
+                ref_stats, vec_stats,
+                "engine counters disagree on corpus kernel `{}`",
                 kernel.name
             );
         }
     }
 }
 
-/// `run_block_racecheck` is pinned to the scalar tier: even with the
-/// process-wide override forcing vectorized execution, the dynamic race
-/// detector keeps working (its shadow access log needs the scalar
-/// interpreter's per-access hooks).
-#[test]
-fn racecheck_stays_on_the_scalar_tier() {
-    let _guard = TIER_LOCK.lock().unwrap();
-    set_process_config(Some(SimConfig { exec: ExecTier::Vectorized, ..SimConfig::from_env() }));
-    let racy = corpus::seeded_defects()
-        .into_iter()
-        .find(|e| e.expect == MCA003)
-        .expect("corpus seeds at least one race kernel");
-    let mem = GlobalMemory::new(1 << 16);
-    let counters = Counters::new();
-    let ctx = BlockCtx {
-        kernel: &racy.kernel,
-        global: &mem,
-        counters: &counters,
-        block_id: 0,
-        grid_dim: racy.opts.grid_dim,
-        block_dim: racy.opts.block_dim,
-        warp_width: racy.opts.warp_width,
-        trace: None,
-    };
-    let findings = run_block_racecheck(&ctx, &[]).expect("race kernel takes no arguments");
-    set_process_config(None);
-    assert!(!findings.is_empty(), "racecheck lost its findings under a forced vectorized tier");
-}
-
-/// A device of either tier lowers each distinct kernel once and serves
-/// every further launch from its kernel cache.
+/// A device lowers each distinct kernel once and serves every further
+/// launch from its kernel cache, whichever engine runs the blocks.
 #[test]
 fn program_cache_serves_repeat_launches() {
     let mut k = KernelBuilder::new("cached");
@@ -419,34 +380,87 @@ fn program_cache_serves_repeat_launches() {
     k.st_elem(Space::Global, out, i, i);
     let kernel = k.finish();
 
-    for tier in [ExecTier::Vectorized, ExecTier::Scalar] {
-        let dev = Device::with_config(
-            DeviceSpec::amd_mi250x(),
-            SimConfig { exec: tier, ..SimConfig::from_env() },
-        );
+    for engine in [Engine::Vectorized, Engine::Reference] {
+        let dev = Device::new(DeviceSpec::amd_mi250x());
         let p = dev.alloc(256 * 4).unwrap();
         let cfg = LaunchConfig::linear(256, 128);
         for _ in 0..3 {
-            dev.launch_kernel(&kernel, cfg, &[KernelArg::Ptr(p)]).unwrap();
+            launch_kernel(&dev, engine, &kernel, cfg, &[KernelArg::Ptr(p)]).unwrap();
         }
         let stats = dev.program_cache_stats();
-        assert_eq!(stats.misses, 1, "{tier:?} lowering count");
-        assert_eq!(stats.hits, 2, "{tier:?} cache hits");
+        assert_eq!(stats.misses, 1, "{engine:?} lowering count");
+        assert_eq!(stats.hits, 2, "{engine:?} cache hits");
     }
 }
 
-/// The 27-cell model × vendor sweep reports the same support pattern —
-/// 23 verified, 4 matrix holes — when every session's device is forced
-/// onto either tier.
+/// One launch of each STREAM kernel in the sweep's order (Copy, Mul, Add,
+/// Triad, Dot) over `n` elements on a fresh device, its blocks run by
+/// `engine`: after each launch, its counters and the bytes of `a`, `b`,
+/// `c` and the sum cell.
+fn stream_launches(spec: &DeviceSpec, engine: Engine, n: usize) -> Vec<(LaunchStats, Vec<u8>)> {
+    let dev = Device::new(spec.clone());
+    let arrays = [START_A, START_B, START_C].map(|x| dev.alloc_copy_f64(&vec![x; n]).unwrap());
+    let sum = dev.alloc_copy_f64(&[0.0]).unwrap();
+    let mut args: Vec<KernelArg> =
+        arrays.iter().chain([&sum]).map(|&p| KernelArg::Ptr(p)).collect();
+    args.push(KernelArg::I32(n as i32));
+    let cfg = LaunchConfig::linear(n as u64, 256);
+    stream_kernels()
+        .iter()
+        .map(|kernel| {
+            let stats = launch_kernel(&dev, engine, kernel, cfg, &args).unwrap().stats;
+            let mut bytes: Vec<u8> = Vec::new();
+            for (p, len) in arrays.iter().map(|&p| (p, n as u64 * 8)).chain([(sum, 8)]) {
+                bytes.extend(dev.memcpy_d2h(p, len).unwrap().0);
+            }
+            (stats, bytes)
+        })
+        .collect()
+}
+
+/// The five STREAM kernels behind every cell of the 27-cell sweep, on
+/// every preset: both engines leave equal counters and equal bytes after
+/// each launch. Dot's sum cell is compared by value, not bytes: its
+/// cross-block f64 atomics retire in scheduler order, so its last bits
+/// differ from run to run on either engine.
 #[test]
-fn conformance_sweep_is_tier_invariant() {
-    let _guard = TIER_LOCK.lock().unwrap();
-    for tier in [ExecTier::Scalar, ExecTier::Vectorized] {
-        set_process_config(Some(SimConfig { exec: tier, ..SimConfig::from_env() }));
-        let s = sweep(256, 1);
-        set_process_config(None);
-        assert_eq!(s.entries.len(), 27, "{tier:?}");
-        assert_eq!(verified_count(&s), 23, "{tier:?} verified cells");
-        assert_eq!(unsupported_count(&s), 4, "{tier:?} matrix holes");
+fn stream_kernels_agree_on_every_preset() {
+    const N: usize = 1000; // four blocks of 256, the last one partial
+    let names = ["Copy", "Mul", "Add", "Triad", "Dot"];
+    for spec in DeviceSpec::presets() {
+        let want = stream_launches(&spec, Engine::Reference, N);
+        let got = stream_launches(&spec, Engine::Vectorized, N);
+        for ((name, (want_stats, want_bytes)), (got_stats, got_bytes)) in
+            names.iter().zip(&want).zip(&got)
+        {
+            assert_eq!(got_stats, want_stats, "{name} on {}: counters", spec.name);
+            let arrays = 3 * N * 8;
+            assert_eq!(
+                got_bytes[..arrays],
+                want_bytes[..arrays],
+                "{name} on {}: arrays",
+                spec.name
+            );
+            let cell = |b: &[u8]| f64::from_le_bytes(b[arrays..].try_into().unwrap());
+            let (want_sum, got_sum) = (cell(want_bytes), cell(got_bytes));
+            if *name == "Dot" {
+                let tolerance = 1e-12 * want_sum.abs();
+                assert!((got_sum - want_sum).abs() <= tolerance, "Dot on {}: sum", spec.name);
+            } else {
+                assert_eq!(got_sum.to_bits(), want_sum.to_bits(), "{name} on {}: sum", spec.name);
+            }
+        }
     }
+}
+
+/// The 27-cell model × vendor sweep reports the paper's support pattern:
+/// 23 verified, 4 matrix holes. The cells launch only the five STREAM
+/// kernels, which [`stream_kernels_agree_on_every_preset`] holds to the
+/// reference engine.
+#[test]
+fn conformance_sweep_verifies_23_cells() {
+    let s = sweep(256, 1);
+    assert_eq!(s.entries.len(), 27);
+    assert_eq!(verified_count(&s), 23, "verified cells");
+    assert_eq!(unsupported_count(&s), 4, "matrix holes");
 }

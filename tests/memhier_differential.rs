@@ -1,17 +1,18 @@
 //! Differential validation of the memory-hierarchy subsystem: tracing is
 //! an observer. Computed buffers and launch counters must be byte-for-byte
-//! identical across {scalar, vectorized} execution × {tracing off, on} ×
-//! {analytic, trace-driven} timing, the two execution tiers must emit
+//! identical across {reference, vectorized} block engines × {tracing off,
+//! on} × {analytic, trace-driven} timing, the two engines must emit
 //! *identical traces* (same replayed `MemStats`), replay must be
 //! deterministic, and the per-vendor cache geometry must actually matter:
 //! a unit-stride copy fills its sectors everywhere while a 128-byte-strided
 //! gather's L1 hit rate splits the three warp widths apart.
 
-use many_models::gpu_sim::device::{Device, ExecTier, KernelArg, LaunchConfig, TimingTier};
+use many_models::gpu_sim::device::{Device, KernelArg, LaunchConfig, TimingTier};
 use many_models::gpu_sim::ir::{
     AtomicOp, BinOp, CmpOp, KernelBuilder, KernelIr, Space, Type, Value,
 };
 use many_models::gpu_sim::{DeviceSpec, MemStats, SimConfig};
+use mcmm_gpu_sim_ref::{launch_kernel, Engine};
 use std::sync::Arc;
 
 const N: usize = 2048;
@@ -76,37 +77,34 @@ fn gather_kernel() -> KernelIr {
     k.finish()
 }
 
-/// One launch on a fresh device with the given knobs: returns the raw
-/// bytes of both arrays and the sum cell, the launch stats, and the mem
-/// stats (present only when traced).
+/// One launch on a fresh device with the given knobs, its blocks run by
+/// `engine`: returns the raw bytes of both arrays and the sum cell, the
+/// launch stats, and the mem stats (present only when traced).
 fn run(
     spec: DeviceSpec,
     kernel: &KernelIr,
-    exec: ExecTier,
+    engine: Engine,
     tracing: bool,
     timing: TimingTier,
 ) -> (Vec<u8>, many_models::gpu_sim::counters::LaunchStats, Option<MemStats>) {
-    let dev: Arc<Device> = Device::with_config(spec, SimConfig { exec, timing, tracing });
+    let dev: Arc<Device> = Device::with_config(spec, SimConfig { timing, tracing });
     let xs: Vec<f64> = (0..N).map(|i| i as f64 * 0.37 - 100.0).collect();
     let dx = dev.alloc_copy_f64(&xs).unwrap();
     let dy = dev.alloc_copy_f64(&vec![0.0; N]).unwrap();
     let ds = dev.alloc_copy_f64(&[0.0]).unwrap();
-    let report = dev
-        .launch_kernel(
-            kernel,
-            LaunchConfig::linear(N as u64, BLOCK),
-            &[KernelArg::Ptr(dx), KernelArg::Ptr(dy), KernelArg::Ptr(ds), KernelArg::I32(N as i32)],
-        )
-        .unwrap();
+    let args =
+        [KernelArg::Ptr(dx), KernelArg::Ptr(dy), KernelArg::Ptr(ds), KernelArg::I32(N as i32)];
+    let report =
+        launch_kernel(&dev, engine, kernel, LaunchConfig::linear(N as u64, BLOCK), &args).unwrap();
     let mut bytes = dev.memcpy_d2h(dy, N as u64 * 8).unwrap().0;
     bytes.extend(dev.memcpy_d2h(ds, 8).unwrap().0);
     (bytes, report.stats, report.mem)
 }
 
-/// Trace one launch of `kernel` on `spec` (vectorized tier) and return
+/// Trace one launch of `kernel` on `spec` (vectorized engine) and return
 /// the replayed statistics.
 fn traced_stats(spec: DeviceSpec, kernel: &KernelIr) -> MemStats {
-    let (_, _, mem) = run(spec, kernel, ExecTier::Vectorized, true, TimingTier::Analytic);
+    let (_, _, mem) = run(spec, kernel, Engine::Vectorized, true, TimingTier::Analytic);
     mem.expect("traced launch must produce mem stats")
 }
 
@@ -115,27 +113,27 @@ fn buffers_and_counters_survive_every_tier_combination() {
     let kernel = mixed_kernel();
     for spec in DeviceSpec::presets() {
         let (base_bytes, base_stats, base_mem) =
-            run(spec.clone(), &kernel, ExecTier::Scalar, false, TimingTier::Analytic);
+            run(spec.clone(), &kernel, Engine::Reference, false, TimingTier::Analytic);
         assert!(base_mem.is_none(), "untraced launch produced mem stats on {}", spec.name);
-        for exec in [ExecTier::Scalar, ExecTier::Vectorized] {
+        for engine in Engine::BOTH {
             for tracing in [false, true] {
                 for timing in [TimingTier::Analytic, TimingTier::TraceDriven] {
-                    let (bytes, stats, mem) = run(spec.clone(), &kernel, exec, tracing, timing);
+                    let (bytes, stats, mem) = run(spec.clone(), &kernel, engine, tracing, timing);
                     assert_eq!(
                         bytes, base_bytes,
-                        "{}: buffers diverged ({exec:?}, tracing {tracing}, {timing:?})",
+                        "{}: buffers diverged ({engine:?}, tracing {tracing}, {timing:?})",
                         spec.name
                     );
                     assert_eq!(
                         stats, base_stats,
-                        "{}: counters diverged ({exec:?}, tracing {tracing}, {timing:?})",
+                        "{}: counters diverged ({engine:?}, tracing {tracing}, {timing:?})",
                         spec.name
                     );
                     let expect_mem = tracing || timing == TimingTier::TraceDriven;
                     assert_eq!(
                         mem.is_some(),
                         expect_mem,
-                        "{}: mem stats presence wrong ({exec:?}, tracing {tracing}, {timing:?})",
+                        "{}: mem stats presence wrong ({engine:?}, tracing {tracing}, {timing:?})",
                         spec.name
                     );
                 }
@@ -148,14 +146,14 @@ fn buffers_and_counters_survive_every_tier_combination() {
 fn scalar_and_vectorized_tiers_emit_identical_traces() {
     let kernel = mixed_kernel();
     for spec in DeviceSpec::presets() {
-        let (_, _, scalar) =
-            run(spec.clone(), &kernel, ExecTier::Scalar, true, TimingTier::Analytic);
+        let (_, _, reference) =
+            run(spec.clone(), &kernel, Engine::Reference, true, TimingTier::Analytic);
         let (_, _, vector) =
-            run(spec.clone(), &kernel, ExecTier::Vectorized, true, TimingTier::Analytic);
+            run(spec.clone(), &kernel, Engine::Vectorized, true, TimingTier::Analytic);
         assert_eq!(
-            scalar.unwrap(),
+            reference.unwrap(),
             vector.unwrap(),
-            "execution tiers replay to different mem stats on {}",
+            "block engines replay to different mem stats on {}",
             spec.name
         );
     }

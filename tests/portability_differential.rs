@@ -2,45 +2,34 @@
 //! MCA010): every static "breaks on vendor X" claim must match what the
 //! simulator actually does when the kernel runs on X — a refused launch,
 //! a barrier deadlock, or output bytes that diverge from the other
-//! vendors — under *both* execution tiers, with zero false positives on
+//! vendors — on *both* block engines, with zero false positives on
 //! defect-free kernels.
 
-use many_models::gpu_sim::device::ExecTier;
-use many_models::gpu_sim::diffval::{observe, Observation};
 use many_models::gpu_sim::ir::{BinOp, CmpOp, KernelBuilder, KernelIr, Space, Type, Value};
 use many_models::gpu_sim::DeviceSpec;
 use mcmm_analyze::corpus::{self, BreakMode, PortabilityKernel};
 use mcmm_analyze::portability::{portability, portability_on, PortabilityReport};
 use mcmm_analyze::AnalysisOptions;
+use mcmm_gpu_sim_ref::diffval::{observe, Observation};
+use mcmm_gpu_sim_ref::Engine;
 use proptest::prelude::*;
 
 /// Run one corpus kernel on every preset device, requiring the two
-/// execution tiers to agree on each observation; returns one observation
+/// block engines to agree on each observation; returns one observation
 /// per device, in preset order.
 fn observe_everywhere(entry: &PortabilityKernel) -> Vec<Observation> {
     DeviceSpec::presets()
         .iter()
         .map(|spec| {
-            let scalar = observe(
-                spec,
-                ExecTier::Scalar,
-                &entry.kernel,
-                entry.opts.block_dim,
-                entry.opts.grid_dim,
-            );
-            let vectorized = observe(
-                spec,
-                ExecTier::Vectorized,
-                &entry.kernel,
-                entry.opts.block_dim,
-                entry.opts.grid_dim,
-            );
+            let [reference, vectorized] = Engine::BOTH.map(|engine| {
+                observe(spec, engine, &entry.kernel, entry.opts.block_dim, entry.opts.grid_dim)
+            });
             assert_eq!(
-                scalar, vectorized,
-                "tiers disagree for `{}` on {}",
+                reference, vectorized,
+                "engines disagree for `{}` on {}",
                 entry.kernel.name, spec.name
             );
-            scalar
+            reference
         })
         .collect()
 }

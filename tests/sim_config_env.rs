@@ -1,15 +1,16 @@
-//! How `SimConfig::from_env` reads the three `MCMM_*` simulator variables:
+//! How `SimConfig::from_env` reads the two `MCMM_*` simulator variables:
 //! every accepted spelling selects its setting, and anything else leaves
 //! the default. The benchmark's sweep-stream workload turns tracing on
 //! only through `MCMM_MEM_TRACE=1`, so a parse slip there would silently
-//! drop its traces. Lives in its own integration-test binary because it
+//! drop its traces. A leftover `MCMM_EXEC_TIER`, the retired block-engine
+//! knob, changes nothing. Lives in its own integration-test binary because it
 //! sets process environment variables, which would race any other test
 //! that builds a device.
 
 use many_models::core::taxonomy::{Language, Model, Vendor};
 use many_models::gpu_sim::ir::{BinOp, KernelBuilder, KernelIr, Space, Type, Value};
 use many_models::gpu_sim::isa::disassemble;
-use many_models::gpu_sim::{ExecTier, SimConfig, TimingTier};
+use many_models::gpu_sim::{SimConfig, TimingTier};
 use many_models::toolchain::select_best;
 use std::sync::{Mutex, PoisonError};
 
@@ -27,15 +28,14 @@ fn from_env_reads_every_accepted_spelling() {
     let default = SimConfig::default();
     assert_eq!(SimConfig::from_env(), default, "unset variables must leave the defaults");
 
-    let exec = |exec| SimConfig { exec, ..default };
     let timing = |timing| SimConfig { timing, ..default };
     let tracing = |tracing| SimConfig { tracing, ..default };
     let cases = [
-        ("MCMM_EXEC_TIER", "scalar", exec(ExecTier::Scalar)),
-        ("MCMM_EXEC_TIER", "SCALAR", exec(ExecTier::Scalar)),
-        ("MCMM_EXEC_TIER", "Scalar", exec(ExecTier::Scalar)),
-        ("MCMM_EXEC_TIER", "vectorized", exec(ExecTier::Vectorized)),
-        ("MCMM_EXEC_TIER", "simd", exec(ExecTier::Vectorized)),
+        ("MCMM_EXEC_TIER", "scalar", default),
+        ("MCMM_EXEC_TIER", "SCALAR", default),
+        ("MCMM_EXEC_TIER", "Scalar", default),
+        ("MCMM_EXEC_TIER", "vectorized", default),
+        ("MCMM_EXEC_TIER", "simd", default),
         ("MCMM_TIMING_TIER", "traced", timing(TimingTier::TraceDriven)),
         ("MCMM_TIMING_TIER", "TRACED", timing(TimingTier::TraceDriven)),
         ("MCMM_TIMING_TIER", "trace-driven", timing(TimingTier::TraceDriven)),

@@ -1,25 +1,26 @@
 //! Differential validation of traced launches on real kernels: the two
-//! execution tiers must replay randomly generated kernels to
+//! block engines must replay randomly generated kernels to
 //! bit-identical [`MemStats`] and byte-identical output buffers across
-//! all three vendor presets. The vectorized tier records a full-mask
+//! all three vendor presets. The vectorized engine records a full-mask
 //! access whose address form is unit-stride or single-address in affine
-//! form while the scalar tier records every lane, so equal stats pin the
-//! coalescer's affine expansion to the per-lane reference, on full blocks
-//! and on a partial last block that falls back to per-lane records, and
-//! the vectorized tier's per-lane records of reversed and non-unit
-//! strides to the scalar tier's. (The memhier
+//! form while the reference interpreter records every lane, so equal
+//! stats pin the coalescer's affine expansion to the per-lane reference,
+//! on full blocks and on a partial last block that falls back to per-lane
+//! records, and the vectorized engine's per-lane records of reversed and
+//! non-unit strides to the reference's. (The memhier
 //! unit tests pin the replay pipeline itself to a serial,
 //! one-sector-at-a-time reference.) Also pins the scratch-pool
 //! lifecycle: per-worker scratch reuse never leaks cache or trace state
 //! across launches, and a failed launch never poisons the pool; and the
 //! process-wide config override reaches new devices and nothing else.
 
-use many_models::gpu_sim::device::{Device, ExecTier, KernelArg, LaunchConfig, TimingTier};
+use many_models::gpu_sim::device::{Device, KernelArg, LaunchConfig, TimingTier};
 use many_models::gpu_sim::ir::{
     AtomicOp, BinOp, CmpOp, KernelBuilder, KernelIr, Space, Type, Value,
 };
 use many_models::gpu_sim::mem::DevicePtr;
 use many_models::gpu_sim::{set_process_config, DeviceSpec, MemStats, SimConfig};
+use mcmm_gpu_sim_ref::{launch_kernel, Engine};
 use proptest::prelude::*;
 
 #[path = "common/affine.rs"]
@@ -140,13 +141,14 @@ fn buffers(dev: &Device, n: usize) -> ([KernelArg; 4], DevicePtr, DevicePtr) {
     (args, dy, ds)
 }
 
-/// One traced launch of `n` threads on a fresh device on the given
-/// tier: output bytes (both arrays + the atomic cell) and the replayed
-/// `MemStats`.
-fn run(kernel: &KernelIr, n: usize, spec: &DeviceSpec, tier: ExecTier) -> (Vec<u8>, MemStats) {
-    let dev = Device::with_config(spec.clone(), SimConfig { exec: tier, ..traced() });
+/// One traced launch of `n` threads on a fresh device, its blocks run by
+/// `engine`: output bytes (both arrays + the atomic cell) and the
+/// replayed `MemStats`.
+fn run(kernel: &KernelIr, n: usize, spec: &DeviceSpec, engine: Engine) -> (Vec<u8>, MemStats) {
+    let dev = Device::with_config(spec.clone(), traced());
     let (args, dy, ds) = buffers(&dev, n);
-    let report = dev.launch_kernel(kernel, LaunchConfig::linear(n as u64, BLOCK), &args).unwrap();
+    let cfg = LaunchConfig::linear(n as u64, BLOCK);
+    let report = launch_kernel(&dev, engine, kernel, cfg, &args).unwrap();
     let mut bytes = dev.memcpy_d2h(dy, 6 * N as u64 * 8).unwrap().0;
     bytes.extend(dev.memcpy_d2h(ds, 8).unwrap().0);
     (bytes, report.mem.expect("traced launch must produce mem stats"))
@@ -156,9 +158,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// For random kernels, on every vendor preset (warp widths
-    /// 64/32/16, different cache geometries), the scalar tier's per-lane
-    /// records and the vectorized tier's affine ones replay to the same
-    /// `MemStats`, and the two tiers leave the same buffers, with and
+    /// 64/32/16, different cache geometries), the reference's per-lane
+    /// records and the vectorized engine's affine ones replay to the same
+    /// `MemStats`, and the two engines leave the same buffers, with and
     /// without a partial last block.
     #[test]
     fn tiers_agree_on_traced_random_kernels(rk in arb_kernel(), partial in partial_launch()) {
@@ -166,15 +168,15 @@ proptest! {
         prop_assert_eq!(kernel.validate(), Ok(()));
         for n in [N, partial] {
             for spec in DeviceSpec::presets() {
-                let (scalar_bytes, scalar_mem) = run(&kernel, n, &spec, ExecTier::Scalar);
-                let (vector_bytes, vector_mem) = run(&kernel, n, &spec, ExecTier::Vectorized);
+                let (ref_bytes, ref_mem) = run(&kernel, n, &spec, Engine::Reference);
+                let (vector_bytes, vector_mem) = run(&kernel, n, &spec, Engine::Vectorized);
                 prop_assert_eq!(
-                    scalar_mem, vector_mem,
-                    "MemStats diverge between tiers on {} (n = {})", spec.name, n
+                    ref_mem, vector_mem,
+                    "MemStats diverge between engines on {} (n = {})", spec.name, n
                 );
                 prop_assert_eq!(
-                    &scalar_bytes, &vector_bytes,
-                    "buffers diverge between tiers on {} (n = {})", spec.name, n
+                    &ref_bytes, &vector_bytes,
+                    "buffers diverge between engines on {} (n = {})", spec.name, n
                 );
             }
         }
@@ -200,7 +202,7 @@ fn mixed_kernel() -> KernelIr {
 #[test]
 fn scratch_reuse_never_leaks_across_launches() {
     let kernel = mixed_kernel();
-    let (_, fresh) = run(&kernel, N, &DeviceSpec::nvidia_a100(), ExecTier::Vectorized);
+    let (_, fresh) = run(&kernel, N, &DeviceSpec::nvidia_a100(), Engine::Vectorized);
 
     let dev = Device::with_config(DeviceSpec::nvidia_a100(), traced());
     let (args, _, _) = buffers(&dev, N);
@@ -222,7 +224,7 @@ fn scratch_reuse_never_leaks_across_launches() {
 #[test]
 fn failed_launch_does_not_poison_the_scratch_pool() {
     let kernel = mixed_kernel();
-    let (_, fresh) = run(&kernel, N, &DeviceSpec::nvidia_a100(), ExecTier::Vectorized);
+    let (_, fresh) = run(&kernel, N, &DeviceSpec::nvidia_a100(), Engine::Vectorized);
 
     let mut k = KernelBuilder::new("oob");
     let out = k.param(Type::I64);
@@ -250,7 +252,6 @@ fn process_config_override_reaches_new_devices() {
     let env = SimConfig::from_env();
     // Every field differs from the environment's.
     let forced = SimConfig {
-        exec: if env.exec == ExecTier::Scalar { ExecTier::Vectorized } else { ExecTier::Scalar },
         timing: if env.timing == TimingTier::Analytic {
             TimingTier::TraceDriven
         } else {
@@ -258,11 +259,7 @@ fn process_config_override_reaches_new_devices() {
         },
         tracing: !env.tracing,
     };
-    let fields = |d: &Device| SimConfig {
-        exec: d.exec_tier(),
-        timing: d.timing_tier(),
-        tracing: d.tracing(),
-    };
+    let fields = |d: &Device| SimConfig { timing: d.timing_tier(), tracing: d.tracing() };
     set_process_config(Some(forced));
     let overridden = Device::new(DeviceSpec::intel_pvc());
     let explicit = Device::with_config(DeviceSpec::intel_pvc(), env);
