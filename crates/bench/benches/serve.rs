@@ -112,7 +112,7 @@ fn bench_workload(c: &mut Criterion) {
                 ids.push(h.id);
                 handles.push(h);
             }
-            for h in handles {
+            for h in &handles {
                 black_box(h.wait());
             }
         })

@@ -25,6 +25,8 @@
 //! * `/v1/stats` reports live memory rows (`mem_traced_launches > 0`) —
 //!   the default-on trace pipeline is actually running under load, not
 //!   silently disabled;
+//! * once every request has been answered, every shard device is back to
+//!   its full capacity — a job's buffers go when its handle does;
 //! * on the default full workload, cold and warm p99 latency stay within
 //!   20% of the committed full run's (`BENCH_serve_http.json`, tracing on
 //!   by default, 2 host cores, taken at the commit that last set the
@@ -32,6 +34,7 @@
 //!   replay to overlap with; hosts under 4 cores get a 2.5× regression
 //!   backstop instead.
 
+use mcmm_core::taxonomy::Vendor;
 use mcmm_gateway::{Gateway, GatewayConfig, HttpClient, SubmitRequest, SubmitResponse};
 use mcmm_gateway::{HttpServer, TenantPolicy};
 use mcmm_gpu_sim::diffval::fnv1a;
@@ -60,6 +63,18 @@ fn to_wire(job: &PlannedJob, tenant: &str) -> SubmitRequest {
         x,
         y: job.y.clone(),
     }
+}
+
+/// Device bytes still allocated across every shard device. Each job's
+/// handle is dropped before its response is written, so this reads 0
+/// whenever no request is in flight.
+fn held_bytes(gateway: &Gateway) -> u64 {
+    gateway
+        .shards()
+        .iter()
+        .flat_map(|shard| Vendor::ALL.map(|v| shard.service().device(v).memory()))
+        .map(|mem| mem.capacity() - mem.free_bytes())
+        .sum()
 }
 
 /// One run's wire-level outcome.
@@ -187,7 +202,7 @@ fn main() {
     };
 
     // Cold process: every route compiles once, artifacts persist to disk.
-    let (cold, cold_stats, wire_mem_launches) = {
+    let (cold, cold_stats, wire_mem_launches, cold_held) = {
         let gateway = Arc::new(Gateway::new(cfg()).expect("cold gateway up"));
         let server = HttpServer::start("127.0.0.1:0", gateway, clients.min(8)).expect("bind");
         let outcome = drive(server.addr(), &bodies, clients);
@@ -202,17 +217,19 @@ fn main() {
         let wire_mem_launches =
             wire["mem_traced_launches"].as_u64().expect("stats carry mem_traced_launches");
         let stats = server.gateway().stats();
+        let held = held_bytes(server.gateway());
         server.shutdown();
-        (outcome, stats, wire_mem_launches)
+        (outcome, stats, wire_mem_launches, held)
     };
     // Warm restart: a new process image over the same artifact directory.
-    let (warm, warm_stats) = {
+    let (warm, warm_stats, warm_held) = {
         let gateway = Arc::new(Gateway::new(cfg()).expect("warm gateway up"));
         let server = HttpServer::start("127.0.0.1:0", gateway, clients.min(8)).expect("bind");
         let outcome = drive(server.addr(), &bodies, clients);
         let stats = server.gateway().stats();
+        let held = held_bytes(server.gateway());
         server.shutdown();
-        (outcome, stats)
+        (outcome, stats, held)
     };
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -355,6 +372,12 @@ fn main() {
     if warm_stats.disk_fills != 0 {
         eprintln!("FAIL: warm restart recompiled {} artifacts", warm_stats.disk_fills);
         failed = true;
+    }
+    for (name, held) in [("cold", cold_held), ("warm", warm_held)] {
+        if held != 0 {
+            eprintln!("FAIL: {name} run left {held} bytes allocated on the shard devices");
+            failed = true;
+        }
     }
     if wire_mem_launches == 0 {
         eprintln!(

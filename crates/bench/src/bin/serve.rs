@@ -11,6 +11,7 @@
 
 use mcmm_analyze::portability::portability;
 use mcmm_analyze::AnalysisOptions;
+use mcmm_core::taxonomy::Vendor;
 use mcmm_serve::workload::{run_serial, KernelShape, Workload, WorkloadConfig};
 use mcmm_serve::{
     JobCompletion, JobId, PortabilityRow, ServeConfig, ServeReport, Service, SubmitError,
@@ -99,6 +100,16 @@ fn main() {
         eprintln!("FAIL: {} workload jobs failed", counts.failed);
         failed = true;
     }
+    // The replay's handles are gone and the streams drained, so every
+    // job's buffers must be back on its device.
+    for vendor in Vendor::ALL {
+        let mem = service.device(vendor).memory();
+        if mem.free_bytes() != mem.capacity() {
+            let held = mem.capacity() - mem.free_bytes();
+            eprintln!("FAIL: the {vendor} device still holds {held} bytes after the run");
+            failed = true;
+        }
+    }
     // The 80% floor is a consequence of the key budget (4 shapes × ~24
     // routable combos ≈ 97 distinct cache keys), so it only holds once the
     // workload is large enough to amortize the compulsory misses.
@@ -134,10 +145,13 @@ fn main() {
 
 /// Submit the plan, absorbing admission-control rejections by retiring
 /// the oldest outstanding job and retrying. Returns completions in plan
-/// order and the number of retries.
+/// order and the number of retries. Every handle is kept until the replay
+/// ends, so later jobs can chain onto any earlier one; returning drops
+/// them all.
 fn replay(service: &Service, workload: &Workload) -> (Vec<JobCompletion>, u64) {
     let mut ids: Vec<JobId> = Vec::with_capacity(workload.jobs.len());
     let mut outstanding: VecDeque<(usize, mcmm_serve::JobHandle)> = VecDeque::new();
+    let mut retired: Vec<mcmm_serve::JobHandle> = Vec::new();
     let mut completions: Vec<Option<JobCompletion>> = Vec::new();
     completions.resize_with(workload.jobs.len(), || None);
     let mut retries = 0u64;
@@ -155,6 +169,7 @@ fn replay(service: &Service, workload: &Workload) -> (Vec<JobCompletion>, u64) {
                     let (idx, handle) =
                         outstanding.pop_front().expect("queue full with nothing outstanding");
                     completions[idx] = Some(handle.wait());
+                    retired.push(handle);
                 }
                 Err(e) => {
                     eprintln!("FAIL: planned job {i} refused: {e}");
@@ -163,8 +178,8 @@ fn replay(service: &Service, workload: &Workload) -> (Vec<JobCompletion>, u64) {
             }
         }
     }
-    for (idx, handle) in outstanding {
-        completions[idx] = Some(handle.wait());
+    for (idx, handle) in &outstanding {
+        completions[*idx] = Some(handle.wait());
     }
     (completions.into_iter().map(|c| c.expect("every job completes")).collect(), retries)
 }

@@ -8,9 +8,9 @@
 //!    paper's compatibility holes made operational: the frontend refuses
 //!    the vendor *before* any device work happens.
 //! 2. **Toolchain** — an executable route exists but the compile fails
-//!    (lint gate, invalid kernel, injected toolchain fault).
+//!    (lint gate, invalid kernel).
 //! 3. **Device** — the compiled module fails at transfer or launch time
-//!    (ISA walls, OOM, traps, injected transfer/launch faults).
+//!    (ISA walls, OOM, traps).
 //!
 //! Model crates wrap [`FrontendError`] into their idiomatic error enums
 //! (`CudaError`, `SyclError`, …) but must keep the cause chain: the
@@ -58,13 +58,6 @@ impl FrontendError {
     /// failure of an accepted route?
     pub fn is_refusal(&self) -> bool {
         matches!(self, FrontendError::NoRoute { .. } | FrontendError::Discontinued { .. })
-    }
-
-    /// Was this failure synthesized by fault injection (and therefore
-    /// worth retrying), rather than an organic incompatibility?
-    pub fn is_injected(&self) -> bool {
-        matches!(self, FrontendError::Compile(CompileError::ToolchainFault { .. }))
-            || matches!(self, FrontendError::Device(SimError::FaultInjected(_)))
     }
 
     /// The vendor involved, when the error identifies one. Refusals
@@ -148,18 +141,5 @@ mod tests {
         let src = e.source().expect("device errors carry a source");
         assert_eq!(src.to_string(), inner.to_string());
         assert!(!e.is_refusal());
-    }
-
-    #[test]
-    fn injected_faults_are_recognized() {
-        let e = FrontendError::Device(SimError::FaultInjected("h2d abort".into()));
-        assert!(e.is_injected());
-        let e = FrontendError::Compile(CompileError::ToolchainFault {
-            toolchain: "nvcc".into(),
-            reason: "crashed".into(),
-        });
-        assert!(e.is_injected());
-        let e = FrontendError::Device(SimError::Trap("real bug".into()));
-        assert!(!e.is_injected());
     }
 }

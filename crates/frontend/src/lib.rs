@@ -12,11 +12,10 @@
 //!            │ typed H2D/D2H transfer (Element: f32/f64)
 //!            │ CompileCache + per-route lint gate
 //!            │ launch with route efficiency
-//!            │ chaos fault hooks on every stage
 //!                 mcmm-gpu-sim devices                   (substrate)
 //! ```
 //!
-//! * [`ExecutionSession`] — device acquisition, tracked buffers, typed
+//! * [`ExecutionSession`] — device acquisition, owned buffers, typed
 //!   transfers, cached compilation, launch; opened per (model, language,
 //!   vendor) and refusing exactly where the matrix refuses.
 //! * [`Element`] — the `f32`/`f64` transfer trait that replaces the

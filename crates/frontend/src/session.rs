@@ -1,11 +1,10 @@
 //! The execution session: one vendor-bound spine instance.
 //!
 //! An [`ExecutionSession`] is what every model frontend *is* underneath:
-//! a device, a resolved toolchain route, a compile cache, and (optionally)
-//! a fault injector. The session owns the mechanics — allocation, typed
-//! transfer, cached+linted compilation, launch — while the model crates
-//! keep their paper-faithful surfaces and map [`FrontendError`] into their
-//! idiomatic error enums.
+//! a device, a resolved toolchain route and a compile cache. The session
+//! owns the mechanics — allocation, typed transfer, cached+linted
+//! compilation, launch — while the model crates keep their paper-faithful
+//! surfaces and map [`FrontendError`] into their idiomatic error enums.
 //!
 //! ## Route resolution
 //!
@@ -21,18 +20,15 @@
 
 use crate::element::Element;
 use crate::error::FrontendError;
-use mcmm_chaos::{AttemptCtx, AttemptFaults, FaultInjector};
 use mcmm_core::route::Route;
 use mcmm_core::taxonomy::{Language, Model, Vendor};
-use mcmm_gpu_sim::device::{Device, KernelArg, LaunchConfig, LaunchReport};
+use mcmm_gpu_sim::device::{Device, DeviceAlloc, KernelArg, LaunchConfig, LaunchReport};
 use mcmm_gpu_sim::ir::KernelIr;
 use mcmm_gpu_sim::isa::Module;
 use mcmm_gpu_sim::mem::DevicePtr;
 use mcmm_gpu_sim::timing::ModeledTime;
 use mcmm_toolchain::{isa_vendor, vendor_device_spec, CompileCache, Registry, VirtualCompiler};
-use parking_lot::Mutex;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// The process-wide compile cache every session uses unless it is given
@@ -44,35 +40,11 @@ pub fn shared_cache() -> Arc<CompileCache> {
     Arc::clone(CACHE.get_or_init(|| Arc::new(CompileCache::default())))
 }
 
-/// Fault-injection state for one session: the injector, the job identity
-/// faults are rolled under, and the current attempt's undrained faults.
-struct Chaos {
-    injector: Arc<FaultInjector>,
-    job: u64,
-    attempt: AtomicU32,
-    pending: Mutex<AttemptFaults>,
-}
-
-impl Chaos {
-    fn roll(&self, model: Model, language: Language, vendor: Vendor, route: &str) {
-        let faults = self.injector.decide(&AttemptCtx {
-            job: self.job,
-            attempt: self.attempt.load(Ordering::Relaxed),
-            model,
-            language,
-            vendor,
-            route,
-        });
-        *self.pending.lock() = faults;
-    }
-}
-
-/// A tracked, typed device allocation. Freed on drop — the session's
-/// answer to the manual `alloc`/`free` pairs the model crates used to
-/// carry.
+/// A typed view over one [`DeviceAlloc`]: `len` elements of `T`. The
+/// allocation frees itself when the buffer drops — the session's answer
+/// to the manual `alloc`/`free` pairs the model crates used to carry.
 pub struct DeviceBuffer<T: Element> {
-    device: Arc<Device>,
-    ptr: DevicePtr,
+    alloc: DeviceAlloc,
     len: usize,
     _elem: PhantomData<T>,
 }
@@ -81,7 +53,7 @@ impl<T: Element> DeviceBuffer<T> {
     /// The raw device pointer (for kernel arguments and crates whose
     /// public API hands out pointers).
     pub fn ptr(&self) -> DevicePtr {
-        self.ptr
+        self.alloc.ptr()
     }
 
     /// Element count.
@@ -96,23 +68,17 @@ impl<T: Element> DeviceBuffer<T> {
 
     /// Size in bytes on the device.
     pub fn byte_len(&self) -> u64 {
-        (self.len * T::BYTES) as u64
+        self.alloc.len()
     }
 
     /// This buffer as a kernel pointer argument.
     pub fn arg(&self) -> KernelArg {
-        KernelArg::Ptr(self.ptr)
-    }
-}
-
-impl<T: Element> Drop for DeviceBuffer<T> {
-    fn drop(&mut self) {
-        self.device.free(self.ptr, self.byte_len());
+        self.alloc.arg()
     }
 }
 
 /// One model × language frontend bound to one vendor's device, with the
-/// route, cache, and fault hooks resolved. See the module docs.
+/// route and cache resolved. See the module docs.
 pub struct ExecutionSession {
     device: Arc<Device>,
     model: Model,
@@ -120,7 +86,6 @@ pub struct ExecutionSession {
     vendor: Vendor,
     compiler: VirtualCompiler,
     cache: Arc<CompileCache>,
-    chaos: Option<Chaos>,
 }
 
 impl std::fmt::Debug for ExecutionSession {
@@ -130,7 +95,6 @@ impl std::fmt::Debug for ExecutionSession {
             .field("language", &self.language)
             .field("vendor", &self.vendor)
             .field("toolchain", &self.compiler.name)
-            .field("chaos", &self.chaos.is_some())
             .finish()
     }
 }
@@ -221,39 +185,13 @@ impl ExecutionSession {
         vendor: Vendor,
         compiler: VirtualCompiler,
     ) -> Self {
-        Self { device, model, language, vendor, compiler, cache: shared_cache(), chaos: None }
+        Self { device, model, language, vendor, compiler, cache: shared_cache() }
     }
 
     /// Use a private compile cache instead of the process-wide one.
     pub fn with_cache(mut self, cache: Arc<CompileCache>) -> Self {
         self.cache = cache;
         self
-    }
-
-    /// Thread a fault injector through every subsequent transfer,
-    /// compile, and launch of this session, rolling faults under the
-    /// given job identity. The injector decides at most one fault per
-    /// attempt; [`ExecutionSession::next_attempt`] re-rolls after a
-    /// failure so retries are not doomed.
-    pub fn with_chaos(mut self, injector: Arc<FaultInjector>, job: u64) -> Self {
-        let chaos = Chaos {
-            injector,
-            job,
-            attempt: AtomicU32::new(0),
-            pending: Mutex::new(AttemptFaults::none()),
-        };
-        chaos.roll(self.model, self.language, self.vendor, self.compiler.name);
-        self.chaos = Some(chaos);
-        self
-    }
-
-    /// Begin the next attempt: re-roll the fault decision for the new
-    /// attempt number. A no-op without chaos.
-    pub fn next_attempt(&self) {
-        if let Some(c) = &self.chaos {
-            c.attempt.fetch_add(1, Ordering::Relaxed);
-            c.roll(self.model, self.language, self.vendor, self.compiler.name);
-        }
     }
 
     // ───────────────────────── accessors ─────────────────────────
@@ -305,10 +243,10 @@ impl ExecutionSession {
 
     // ────────────────── allocation and transfer ──────────────────
 
-    /// Allocate a tracked, typed device buffer of `len` elements.
+    /// Allocate a typed device buffer of `len` elements, freed on drop.
     pub fn alloc<T: Element>(&self, len: usize) -> Result<DeviceBuffer<T>, FrontendError> {
-        let ptr = self.device.alloc((len * T::BYTES) as u64)?;
-        Ok(DeviceBuffer { device: Arc::clone(&self.device), ptr, len, _elem: PhantomData })
+        let alloc = self.device.alloc_owned((len * T::BYTES) as u64)?;
+        Ok(DeviceBuffer { alloc, len, _elem: PhantomData })
     }
 
     /// Allocate a buffer and upload `data` into it.
@@ -324,12 +262,12 @@ impl ExecutionSession {
         buf: &DeviceBuffer<T>,
         data: &[T],
     ) -> Result<ModeledTime, FrontendError> {
-        self.upload_raw(buf.ptr, data)
+        self.upload_raw(buf.ptr(), data)
     }
 
     /// Download the whole buffer back to the host.
     pub fn download<T: Element>(&self, buf: &DeviceBuffer<T>) -> Result<Vec<T>, FrontendError> {
-        self.download_raw(buf.ptr, buf.len)
+        self.download_raw(buf.ptr(), buf.len)
     }
 
     /// Typed upload to a raw device pointer — the primitive under the
@@ -339,9 +277,8 @@ impl ExecutionSession {
         dst: DevicePtr,
         data: &[T],
     ) -> Result<ModeledTime, FrontendError> {
-        let fault = self.chaos.as_ref().and_then(|c| c.pending.lock().upload.take());
         let bytes = T::to_device_bytes(data);
-        Ok(self.device.memcpy_h2d_faulted(dst, &bytes, fault.as_ref())?)
+        Ok(self.device.memcpy_h2d(dst, &bytes)?)
     }
 
     /// Typed download of `len` elements from a raw device pointer.
@@ -350,19 +287,17 @@ impl ExecutionSession {
         src: DevicePtr,
         len: usize,
     ) -> Result<Vec<T>, FrontendError> {
-        let fault = self.chaos.as_ref().and_then(|c| c.pending.lock().read_back.take());
-        let (bytes, _) =
-            self.device.memcpy_d2h_faulted(src, (len * T::BYTES) as u64, fault.as_ref())?;
+        let (bytes, _) = self.device.memcpy_d2h(src, (len * T::BYTES) as u64)?;
         Ok(T::from_device_bytes(&bytes))
     }
 
-    /// Untracked byte allocation, for crates whose public surface owns
+    /// Unowned byte allocation, for crates whose public surface owns
     /// raw pointers (SYCL USM). Pair with [`ExecutionSession::free_bytes`].
     pub fn alloc_bytes(&self, bytes: u64) -> Result<DevicePtr, FrontendError> {
         Ok(self.device.alloc(bytes)?)
     }
 
-    /// Free an untracked allocation from [`ExecutionSession::alloc_bytes`].
+    /// Free an unowned allocation from [`ExecutionSession::alloc_bytes`].
     pub fn free_bytes(&self, ptr: DevicePtr, bytes: u64) {
         self.device.free(ptr, bytes);
     }
@@ -371,17 +306,10 @@ impl ExecutionSession {
 
     /// Compile a kernel through the resolved route: served from the
     /// shared cache when resident, otherwise lint-gated and assembled
-    /// once. Chaos may fail a cold compile with a transient fault.
+    /// once.
     pub fn compile(&self, kernel: &KernelIr) -> Result<Arc<Module>, FrontendError> {
-        let fault = self.chaos.as_ref().and_then(|c| c.pending.lock().compile.take());
-        let (module, _hit) = self.cache.compile_faulted(
-            &self.compiler,
-            kernel,
-            self.model,
-            self.language,
-            self.vendor,
-            fault.as_deref(),
-        )?;
+        let (module, _hit) =
+            self.cache.compile(&self.compiler, kernel, self.model, self.language, self.vendor)?;
         Ok(module)
     }
 
@@ -392,16 +320,14 @@ impl ExecutionSession {
         LaunchConfig::linear(n, block_dim).with_efficiency(self.efficiency())
     }
 
-    /// Launch a compiled module. Chaos may refuse, stall, or crash a
-    /// block of the launch.
+    /// Launch a compiled module.
     pub fn launch(
         &self,
         module: &Module,
         cfg: LaunchConfig,
         args: &[KernelArg],
     ) -> Result<LaunchReport, FrontendError> {
-        let fault = self.chaos.as_ref().and_then(|c| c.pending.lock().launch.take());
-        Ok(self.device.launch_faulted(module, cfg, args, fault.as_ref())?)
+        Ok(self.device.launch(module, cfg, args)?)
     }
 
     /// Compile-and-launch over `n` linear elements with the route's
@@ -495,7 +421,6 @@ fn no_route_detail(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcmm_chaos::ChaosConfig;
     use mcmm_gpu_sim::ir::{BinOp, CmpOp, KernelBuilder, Space, Type};
 
     /// y[i] = a * x[i] + y[i] over f64.
@@ -592,27 +517,6 @@ mod tests {
         b.compile(&k).unwrap();
         let after = b.cache().stats();
         assert!(after.hits > before.hits, "second session must hit the artifact the first filled");
-    }
-
-    #[test]
-    fn chaos_faults_surface_as_injected_errors() {
-        let mut cfg = ChaosConfig::quiet(7);
-        cfg.upload_p = 1.0; // every attempt's first roll is an upload abort
-        cfg.budget = 64; // quiet() zeroes the budget; give the faults room
-        let injector = Arc::new(FaultInjector::new(cfg));
-        let s = ExecutionSession::open(Model::Cuda, Language::Cpp, Vendor::Nvidia)
-            .unwrap()
-            .with_chaos(Arc::clone(&injector), 0);
-        let buf = s.alloc::<f64>(16).unwrap();
-        let err = s.upload_into(&buf, &[1.0f64; 16]).unwrap_err();
-        assert!(err.is_injected(), "{err}");
-        // The fault is consumed: the same attempt does not fault twice.
-        s.upload_into(&buf, &[1.0f64; 16]).unwrap();
-        // The next attempt re-rolls (p = 1.0, so it faults again).
-        s.next_attempt();
-        let err = s.upload_into(&buf, &[1.0f64; 16]).unwrap_err();
-        assert!(err.is_injected(), "{err}");
-        assert!(!injector.records().is_empty());
     }
 
     #[test]

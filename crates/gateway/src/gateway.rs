@@ -95,7 +95,7 @@ pub struct GatewayStats {
     pub disk_fills: u64,
     /// Disk-tier invalid (rejected) entries.
     pub disk_invalid: u64,
-    /// Distinct tenants seen.
+    /// Tenants currently tracked.
     pub tenants: usize,
     /// Traced launches merged into the memory rows across every shard
     /// device (> 0 whenever serve-side tracing is on, the default).

@@ -374,6 +374,43 @@ pub struct Device {
     transfers: Mutex<TransferStats>,
 }
 
+/// `len` bytes of one device's memory, freed when this owner drops, so
+/// every exit path of its holder gives the memory back. Made by
+/// [`Device::alloc_owned`]; share one with `Arc` to alias it.
+pub struct DeviceAlloc {
+    device: Arc<Device>,
+    ptr: DevicePtr,
+    len: u64,
+}
+
+impl DeviceAlloc {
+    /// Where the allocation starts.
+    pub fn ptr(&self) -> DevicePtr {
+        self.ptr
+    }
+
+    /// Its size in bytes, as requested.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// Was it requested zero bytes long?
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The allocation as a kernel pointer argument.
+    pub fn arg(&self) -> KernelArg {
+        KernelArg::Ptr(self.ptr)
+    }
+}
+
+impl Drop for DeviceAlloc {
+    fn drop(&mut self) {
+        self.device.free(self.ptr, self.len);
+    }
+}
+
 /// How a device's kernel cache has performed so far.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProgramCacheStats {
@@ -564,6 +601,13 @@ impl Device {
     /// Free a device allocation.
     pub fn free(&self, ptr: DevicePtr, len: u64) {
         self.memory.free(ptr, len);
+    }
+
+    /// Allocate `len` bytes of device memory that the returned
+    /// [`DeviceAlloc`] owns and frees when it drops.
+    pub fn alloc_owned(self: &Arc<Self>, len: u64) -> Result<DeviceAlloc> {
+        let ptr = self.alloc(len)?;
+        Ok(DeviceAlloc { device: Arc::clone(self), ptr, len })
     }
 
     /// Host → device transfer; advances the modeled clock and records
@@ -856,6 +900,20 @@ mod tests {
             k.st_elem(Space::Global, y, i, s);
         });
         k.finish()
+    }
+
+    #[test]
+    fn owned_allocations_free_when_their_last_owner_drops() {
+        let dev = Device::new(DeviceSpec::nvidia_a100());
+        let whole = dev.memory().free_bytes();
+        let a = dev.alloc_owned(1000).unwrap();
+        let b = Arc::new(dev.alloc_owned(8).unwrap());
+        let alias = Arc::clone(&b);
+        assert_eq!(whole - dev.memory().free_bytes(), 1024 + 256);
+        drop((a, b));
+        assert_eq!(whole - dev.memory().free_bytes(), 256, "the alias still owns its bytes");
+        drop(alias);
+        assert_eq!(dev.memory().free_bytes(), whole);
     }
 
     #[test]

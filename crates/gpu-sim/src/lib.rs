@@ -12,7 +12,8 @@
 //!   real load-time failure rather than a flag;
 //! * [`device`] — device models for the three vendors with public-spec
 //!   attributes (compute units, warp/wavefront/sub-group width, clocks,
-//!   memory bandwidth);
+//!   memory bandwidth), and [`DeviceAlloc`], device memory that frees
+//!   itself on drop;
 //! * [`mem`] — device global memory on a lock-free word-atomic backing
 //!   store, with an allocator and host↔device transfers;
 //! * [`lower`] + [`vexec`] — the block engine: each kernel is lowered
@@ -102,8 +103,8 @@ pub mod vexec;
 pub mod prelude {
     pub use crate::counters::{LaunchStats, StatsCell};
     pub use crate::device::{
-        set_process_config, Device, DeviceSpec, KernelArg, LaunchConfig, ProgramCacheStats,
-        SimConfig, TimingTier, TransferStats,
+        set_process_config, Device, DeviceAlloc, DeviceSpec, KernelArg, LaunchConfig,
+        ProgramCacheStats, SimConfig, TimingTier, TransferStats,
     };
     pub use crate::event::Event;
     pub use crate::fault::{LaunchFault, TransferFault};
@@ -120,7 +121,8 @@ pub mod prelude {
 }
 
 pub use device::{
-    set_process_config, Device, DeviceSpec, ProgramCacheStats, SimConfig, TimingTier, TransferStats,
+    set_process_config, Device, DeviceAlloc, DeviceSpec, ProgramCacheStats, SimConfig, TimingTier,
+    TransferStats,
 };
 pub use isa::{IsaKind, Module};
 pub use memhier::{MemHierSpec, MemStats};

@@ -165,15 +165,15 @@ impl ExecSpace {
         views: &[&View],
         body: impl FnOnce(&mut KernelBuilder, Reg, &[Reg]) -> Reg,
     ) -> KokkosResult<f64> {
-        let cell = self.session.alloc_bytes(8).map_err(|e| KokkosError::Runtime(e.to_string()))?;
+        let cell = self.session.alloc::<f64>(1).map_err(|e| KokkosError::Runtime(e.to_string()))?;
         self.session
             .device()
             .memory()
-            .store(cell.0, Value::F64(0.0))
+            .store(cell.ptr().0, Value::F64(0.0))
             .map_err(|e| KokkosError::Runtime(e.to_string()))?;
         let ptrs: Vec<DevicePtr> = views.iter().map(|v| v.ptr).collect();
         let nviews = ptrs.len();
-        self.run(n, &ptrs, &[KernelArg::Ptr(cell)], |b, i, bases| {
+        self.run(n, &ptrs, &[cell.arg()], |b, i, bases| {
             let contribution = body(b, i, bases);
             let cell_reg = Reg(nviews as u16); // param right after the views
             let _ = b.atomic(AtomicOp::Add, Space::Global, cell_reg, contribution);
@@ -182,9 +182,8 @@ impl ExecSpace {
             .session
             .device()
             .memory()
-            .load(Type::F64, cell.0)
+            .load(Type::F64, cell.ptr().0)
             .map_err(|e| KokkosError::Runtime(e.to_string()))?;
-        self.session.free_bytes(cell, 8);
         match out {
             Value::F64(x) => Ok(x),
             _ => unreachable!("reduction cell is f64"),
@@ -348,6 +347,24 @@ mod tests {
             })
             .unwrap();
         assert_eq!(sum, data.iter().sum::<f64>());
+    }
+
+    #[test]
+    fn a_refused_reduction_gives_its_cell_back() {
+        // A barrier under the range guard fails the route's lint gate
+        // after the reduction cell was allocated.
+        let space = ExecSpace::new(Device::new(DeviceSpec::nvidia_a100())).unwrap();
+        let v = space.view_from_host("data", &[1.0; 64]).unwrap();
+        let memory = space.session.device().memory();
+        let before = memory.free_bytes();
+        let err = space
+            .parallel_reduce_sum(64, &[&v], |b, i, bases| {
+                b.barrier();
+                b.ld_elem(Space::Global, Type::F64, bases[0], i)
+            })
+            .unwrap_err();
+        assert!(err.to_string().contains("MCA002"), "{err}");
+        assert_eq!(memory.free_bytes(), before, "the reduction cell leaked");
     }
 
     #[test]

@@ -18,10 +18,9 @@
 //!   as description 36 does.
 
 use mcmm_core::taxonomy::{Language, Model, Vendor};
-use mcmm_frontend::{ExecutionSession, Frontend, FrontendError};
+use mcmm_frontend::{DeviceBuffer, ExecutionSession, Frontend, FrontendError};
 use mcmm_gpu_sim::device::{Device, KernelArg, LaunchConfig};
 use mcmm_gpu_sim::ir::{KernelBuilder, Reg, Type};
-use mcmm_gpu_sim::mem::DevicePtr;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -120,7 +119,7 @@ impl AccDevice {
         &self,
         n: usize,
         schedule: LoopSchedule,
-        arrays: &[(DevicePtr, usize)],
+        arrays: &[KernelArg],
         body: impl FnOnce(&mut KernelBuilder, Reg, &[Reg]),
     ) -> AccResult<()> {
         let mut b = KernelBuilder::new("acc_parallel_loop");
@@ -145,7 +144,7 @@ impl AccDevice {
             policy: Default::default(),
             efficiency: self.session.efficiency(),
         };
-        let mut args: Vec<KernelArg> = arrays.iter().map(|&(p, _)| KernelArg::Ptr(p)).collect();
+        let mut args = arrays.to_vec();
         args.push(KernelArg::I32(n as i32));
         self.session
             .launch(&module, cfg, &args)
@@ -170,9 +169,10 @@ impl Frontend for OpenAccFrontend {
 
 /// A structured `#pragma acc data` region: arrays are attached with
 /// copyin/copyout/create semantics and transferred when the region closes.
+/// Dropping the region, closed or not, frees its arrays.
 pub struct DataRegion<'a> {
     acc: &'a AccDevice,
-    arrays: Vec<(DevicePtr, usize, Transfer)>,
+    arrays: Vec<(DeviceBuffer<f64>, Transfer)>,
     names: HashMap<&'static str, usize>,
 }
 
@@ -185,40 +185,27 @@ enum Transfer {
 
 impl<'a> DataRegion<'a> {
     /// `copyin(name[0:n])` — upload now, discard at region end.
-    pub fn copyin(mut self, name: &'static str, data: &[f64]) -> AccResult<Self> {
-        let ptr = self
-            .acc
-            .session
-            .alloc_bytes(data.len() as u64 * 8)
-            .map_err(|e| AccError::Runtime(e.to_string()))?;
-        self.acc.session.upload_raw(ptr, data).map_err(|e| AccError::Runtime(e.to_string()))?;
-        self.names.insert(name, self.arrays.len());
-        self.arrays.push((ptr, data.len(), Transfer::CopyIn));
-        Ok(self)
+    pub fn copyin(self, name: &'static str, data: &[f64]) -> AccResult<Self> {
+        let buf = self.acc.session.upload(data).map_err(|e| AccError::Runtime(e.to_string()))?;
+        Ok(self.attach(name, buf, Transfer::CopyIn))
     }
 
     /// `copyout(name[0:n])` — allocate now, download at region end.
-    pub fn copyout(mut self, name: &'static str, len: usize) -> AccResult<Self> {
-        let ptr = self
-            .acc
-            .session
-            .alloc_bytes(len as u64 * 8)
-            .map_err(|e| AccError::Runtime(e.to_string()))?;
-        self.names.insert(name, self.arrays.len());
-        self.arrays.push((ptr, len, Transfer::CopyOut));
-        Ok(self)
+    pub fn copyout(self, name: &'static str, len: usize) -> AccResult<Self> {
+        let buf = self.acc.session.alloc(len).map_err(|e| AccError::Runtime(e.to_string()))?;
+        Ok(self.attach(name, buf, Transfer::CopyOut))
     }
 
     /// `create(name[0:n])` — device-only scratch.
-    pub fn create(mut self, name: &'static str, len: usize) -> AccResult<Self> {
-        let ptr = self
-            .acc
-            .session
-            .alloc_bytes(len as u64 * 8)
-            .map_err(|e| AccError::Runtime(e.to_string()))?;
+    pub fn create(self, name: &'static str, len: usize) -> AccResult<Self> {
+        let buf = self.acc.session.alloc(len).map_err(|e| AccError::Runtime(e.to_string()))?;
+        Ok(self.attach(name, buf, Transfer::Create))
+    }
+
+    fn attach(mut self, name: &'static str, buf: DeviceBuffer<f64>, transfer: Transfer) -> Self {
         self.names.insert(name, self.arrays.len());
-        self.arrays.push((ptr, len, Transfer::Create));
-        Ok(self)
+        self.arrays.push((buf, transfer));
+        self
     }
 
     /// `#pragma acc parallel loop` over `0..n`. The body receives base
@@ -229,7 +216,7 @@ impl<'a> DataRegion<'a> {
         schedule: LoopSchedule,
         body: impl FnOnce(&mut KernelBuilder, Reg, &[Reg]),
     ) -> AccResult<()> {
-        let arrays: Vec<(DevicePtr, usize)> = self.arrays.iter().map(|&(p, l, _)| (p, l)).collect();
+        let arrays: Vec<KernelArg> = self.arrays.iter().map(|(buf, _)| buf.arg()).collect();
         self.acc.launch_loop(n, schedule, &arrays, body)
     }
 
@@ -249,8 +236,7 @@ impl<'a> DataRegion<'a> {
             .names
             .get(name)
             .ok_or_else(|| AccError::Runtime(format!("no array named {name}")))?;
-        let (ptr, len, _) = self.arrays[idx];
-        self.acc.session.download_raw(ptr, len).map_err(|e| AccError::Runtime(e.to_string()))
+        self.acc.session.download(&self.arrays[idx].0).map_err(|e| AccError::Runtime(e.to_string()))
     }
 
     /// `#pragma acc update device(name)` — push host data mid-region.
@@ -259,13 +245,13 @@ impl<'a> DataRegion<'a> {
             .names
             .get(name)
             .ok_or_else(|| AccError::Runtime(format!("no array named {name}")))?;
-        let (ptr, len, _) = self.arrays[idx];
-        if data.len() > len {
+        let buf = &self.arrays[idx].0;
+        if data.len() > buf.len() {
             return Err(AccError::Runtime(format!("update device overflows {name}")));
         }
         self.acc
             .session
-            .upload_raw(ptr, data)
+            .upload_into(buf, data)
             .map(|_| ())
             .map_err(|e| AccError::Runtime(e.to_string()))
     }
@@ -278,19 +264,13 @@ impl<'a> DataRegion<'a> {
                 .names
                 .get(name)
                 .ok_or_else(|| AccError::Runtime(format!("no array named {name}")))?;
-            let (ptr, len, transfer) = self.arrays[idx];
-            if transfer != Transfer::CopyOut {
+            let (buf, transfer) = &self.arrays[idx];
+            if *transfer != Transfer::CopyOut {
                 return Err(AccError::Runtime(format!("{name} is not a copyout array")));
             }
-            let data: Vec<f64> = self
-                .acc
-                .session
-                .download_raw(ptr, len)
-                .map_err(|e| AccError::Runtime(e.to_string()))?;
+            let data: Vec<f64> =
+                self.acc.session.download(buf).map_err(|e| AccError::Runtime(e.to_string()))?;
             host.copy_from_slice(&data);
-        }
-        for (ptr, len, _) in self.arrays {
-            self.acc.session.free_bytes(ptr, len as u64 * 8);
         }
         Ok(())
     }

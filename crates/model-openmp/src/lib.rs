@@ -17,10 +17,9 @@
 //! the executable form of the "some support" rating.
 
 use mcmm_core::taxonomy::{Language, Model, Vendor};
-use mcmm_frontend::{ExecutionSession, Frontend, FrontendError};
+use mcmm_frontend::{DeviceBuffer, ExecutionSession, Frontend, FrontendError};
 use mcmm_gpu_sim::device::{Device, KernelArg};
 use mcmm_gpu_sim::ir::{AtomicOp, KernelBuilder, Reg, Space, Type};
-use mcmm_gpu_sim::mem::DevicePtr;
 use std::fmt;
 use std::sync::Arc;
 
@@ -266,38 +265,38 @@ impl OmpDevice {
             }
         }
 
-        // Map "to"/"tofrom" data in.
-        let mut ptrs: Vec<(DevicePtr, usize)> = Vec::with_capacity(maps.len());
+        // Map "to"/"tofrom" data in. Every buffer frees itself on return.
+        let mut bufs: Vec<DeviceBuffer<f64>> = Vec::with_capacity(maps.len());
         for m in maps.iter() {
-            let ptr = self
+            let buf = self
                 .session
-                .alloc_bytes(m.host.len() as u64 * 8)
+                .alloc::<f64>(m.host.len())
                 .map_err(|e| OmpError::Runtime(e.to_string()))?;
             if matches!(m.dir, MapDir::To | MapDir::ToFrom) {
                 self.session
-                    .upload_raw(ptr, m.host)
+                    .upload_into(&buf, m.host)
                     .map_err(|e| OmpError::Runtime(e.to_string()))?;
             }
-            ptrs.push((ptr, m.host.len()));
+            bufs.push(buf);
         }
-        let red_ptr = match reduction {
+        let red_cell = match reduction {
             Some(r) => {
-                let p =
-                    self.session.alloc_bytes(8).map_err(|e| OmpError::Runtime(e.to_string()))?;
+                let cell =
+                    self.session.alloc::<f64>(1).map_err(|e| OmpError::Runtime(e.to_string()))?;
                 self.session
                     .device()
                     .memory()
-                    .store(p.0, Value::F64(r.identity()))
+                    .store(cell.ptr().0, Value::F64(r.identity()))
                     .map_err(|e| OmpError::Runtime(e.to_string()))?;
-                Some(p)
+                Some(cell)
             }
             None => None,
         };
 
         // Build the kernel.
         let mut b = KernelBuilder::new("omp_target_region");
-        let mut bases: Vec<Reg> = ptrs.iter().map(|_| b.param(Type::I64)).collect();
-        if red_ptr.is_some() {
+        let mut bases: Vec<Reg> = bufs.iter().map(|_| b.param(Type::I64)).collect();
+        if red_cell.is_some() {
             bases.push(b.param(Type::I64));
         }
         let n_param = b.param(Type::I32);
@@ -312,35 +311,31 @@ impl OmpDevice {
         });
         let kernel = b.finish();
 
-        let mut args: Vec<KernelArg> = ptrs.iter().map(|&(p, _)| KernelArg::Ptr(p)).collect();
-        if let Some(p) = red_ptr {
-            args.push(KernelArg::Ptr(p));
+        let mut args: Vec<KernelArg> = bufs.iter().map(DeviceBuffer::arg).collect();
+        if let Some(cell) = &red_cell {
+            args.push(cell.arg());
         }
         args.push(KernelArg::I32(n as i32));
         self.session
             .run(&kernel, n as u64, 256, &args)
             .map_err(|e| OmpError::Runtime(e.to_string()))?;
 
-        // Map "from"/"tofrom" data out; free everything.
-        for (m, &(ptr, len)) in maps.iter_mut().zip(&ptrs) {
+        // Map "from"/"tofrom" data out.
+        for (m, buf) in maps.iter_mut().zip(&bufs) {
             if matches!(m.dir, MapDir::From | MapDir::ToFrom) {
-                let out: Vec<f64> = self
-                    .session
-                    .download_raw(ptr, len)
-                    .map_err(|e| OmpError::Runtime(e.to_string()))?;
+                let out: Vec<f64> =
+                    self.session.download(buf).map_err(|e| OmpError::Runtime(e.to_string()))?;
                 m.host.copy_from_slice(&out);
             }
-            self.session.free_bytes(ptr, len as u64 * 8);
         }
-        let result = match red_ptr {
-            Some(p) => {
+        let result = match red_cell {
+            Some(cell) => {
                 let v = self
                     .session
                     .device()
                     .memory()
-                    .load(Type::F64, p.0)
+                    .load(Type::F64, cell.ptr().0)
                     .map_err(|e| OmpError::Runtime(e.to_string()))?;
-                self.session.free_bytes(p, 8);
                 match v {
                     Value::F64(x) => Some(x),
                     _ => unreachable!("reduction cell is f64"),
@@ -367,9 +362,10 @@ impl OmpDevice {
 /// A persistent `#pragma omp target data` region. Arrays mapped into the
 /// region stay on the device across [`TargetData::parallel_for`] calls;
 /// [`TargetData::update_from`] mirrors `#pragma omp target update from`.
+/// Dropping the region frees its arrays.
 pub struct TargetData<'a> {
     omp: &'a OmpDevice,
-    arrays: Vec<(DevicePtr, usize)>,
+    arrays: Vec<DeviceBuffer<f64>>,
 }
 
 impl<'a> TargetData<'a> {
@@ -378,19 +374,16 @@ impl<'a> TargetData<'a> {
         let index = self.map_alloc(data.len())?;
         self.omp
             .session
-            .upload_raw(self.arrays[index].0, data)
+            .upload_into(&self.arrays[index], data)
             .map_err(|e| OmpError::Runtime(e.to_string()))?;
         Ok(index)
     }
 
     /// `map(alloc: …[0:n])` — device-only allocation.
     pub fn map_alloc(&mut self, len: usize) -> OmpResult<usize> {
-        let ptr = self
-            .omp
-            .session
-            .alloc_bytes(len as u64 * 8)
-            .map_err(|e| OmpError::Runtime(e.to_string()))?;
-        self.arrays.push((ptr, len));
+        let buf =
+            self.omp.session.alloc::<f64>(len).map_err(|e| OmpError::Runtime(e.to_string()))?;
+        self.arrays.push(buf);
         Ok(self.arrays.len() - 1)
     }
 
@@ -415,8 +408,7 @@ impl<'a> TargetData<'a> {
             }
         });
         let kernel = b.finish();
-        let mut args: Vec<KernelArg> =
-            self.arrays.iter().map(|&(p, _)| KernelArg::Ptr(p)).collect();
+        let mut args: Vec<KernelArg> = self.arrays.iter().map(DeviceBuffer::arg).collect();
         args.push(KernelArg::I32(n as i32));
         self.omp
             .session
@@ -426,16 +418,11 @@ impl<'a> TargetData<'a> {
 
     /// `#pragma omp target update from(...)` — read an array back.
     pub fn update_from(&self, index: usize) -> OmpResult<Vec<f64>> {
-        let (ptr, len) = self.arrays[index];
-        self.omp.session.download_raw(ptr, len).map_err(|e| OmpError::Runtime(e.to_string()))
+        self.omp.session.download(&self.arrays[index]).map_err(|e| OmpError::Runtime(e.to_string()))
     }
 
-    /// Close the region, freeing device memory.
-    pub fn close(self) {
-        for (ptr, len) in self.arrays {
-            self.omp.session.free_bytes(ptr, len as u64 * 8);
-        }
-    }
+    /// Close the region, freeing device memory (as dropping it does).
+    pub fn close(self) {}
 }
 
 /// The OpenMP column as a spine [`Frontend`] (§6: "supported on all three

@@ -318,11 +318,12 @@ impl PyRuntime {
                 a.dtype.name()
             )));
         }
-        let cell = self.session.alloc_bytes(8).map_err(|e| PyError::RuntimeError(e.to_string()))?;
+        let cell =
+            self.session.alloc::<f64>(1).map_err(|e| PyError::RuntimeError(e.to_string()))?;
         self.session
             .device()
             .memory()
-            .store(cell.0, Value::F64(0.0))
+            .store(cell.ptr().0, Value::F64(0.0))
             .map_err(|e| PyError::RuntimeError(e.to_string()))?;
         let mut k = KernelBuilder::new("py_sum");
         let pa = k.param(Type::I64);
@@ -334,14 +335,13 @@ impl PyRuntime {
             let v = k.ld_elem(Space::Global, Type::F64, pa, i);
             let _ = k.atomic(mcmm_gpu_sim::ir::AtomicOp::Add, Space::Global, pc, v);
         });
-        self.launch(&k.finish(), a.len, &[a.ptr, cell])?;
+        self.launch(&k.finish(), a.len, &[a.ptr, cell.ptr()])?;
         let out = self
             .session
             .device()
             .memory()
-            .load(Type::F64, cell.0)
+            .load(Type::F64, cell.ptr().0)
             .map_err(|e| PyError::RuntimeError(e.to_string()))?;
-        self.session.free_bytes(cell, 8);
         match out {
             Value::F64(x) => Ok(x),
             _ => unreachable!("sum cell is f64"),

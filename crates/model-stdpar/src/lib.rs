@@ -169,13 +169,13 @@ impl Policy {
 
     /// `std::reduce(policy, v.begin(), v.end(), init)` — atomic-add tree.
     pub fn reduce(&self, v: &DeviceVec, init: f64) -> StdparResult<f64> {
-        let cell = self.session.alloc_bytes(8).map_err(|e| StdparError::Runtime(e.to_string()))?;
+        let cell = self.session.alloc::<f64>(1).map_err(|e| StdparError::Runtime(e.to_string()))?;
         self.session
             .device()
             .memory()
-            .store(cell.0, Value::F64(init))
+            .store(cell.ptr().0, Value::F64(init))
             .map_err(|e| StdparError::Runtime(e.to_string()))?;
-        self.run(v.len, &[v.ptr], &[KernelArg::Ptr(cell)], |b, i, bases| {
+        self.run(v.len, &[v.ptr], &[cell.arg()], |b, i, bases| {
             let x = b.ld_elem(Space::Global, Type::F64, bases[0], i);
             let cell_reg = mcmm_gpu_sim::ir::Reg(1); // second param
             let _ = b.atomic(AtomicOp::Add, Space::Global, cell_reg, x);
@@ -184,9 +184,8 @@ impl Policy {
             .session
             .device()
             .memory()
-            .load(Type::F64, cell.0)
+            .load(Type::F64, cell.ptr().0)
             .map_err(|e| StdparError::Runtime(e.to_string()))?;
-        self.session.free_bytes(cell, 8);
         match out {
             Value::F64(x) => Ok(x),
             _ => unreachable!("reduction cell is f64"),
@@ -200,9 +199,12 @@ impl Policy {
         if n == 0 {
             return Ok(());
         }
-        let tmp = DeviceVec::zeroed(self, n)?;
+        let tmp = self
+            .session
+            .upload(&vec![0.0f64; n])
+            .map_err(|e| StdparError::Runtime(e.to_string()))?;
         let mut src = v.ptr;
-        let mut dst = tmp.ptr;
+        let mut dst = tmp.ptr();
         let mut offset = 1usize;
         let mut flipped = false;
         while offset < n {
@@ -236,7 +238,6 @@ impl Policy {
                 .copy_within(src, v.ptr, n as u64 * 8)
                 .map_err(|e| StdparError::Runtime(e.to_string()))?;
         }
-        self.session.free_bytes(tmp.ptr, n as u64 * 8);
         Ok(())
     }
 

@@ -36,7 +36,7 @@
 //! routes trip breakers — replays exactly from the seed alone.
 
 use crate::job::{JobCompletion, JobId};
-use crate::service::{Service, SubmitOptions};
+use crate::service::{JobHandle, Service, SubmitOptions};
 use crate::workload::Workload;
 use mcmm_chaos::{AttemptCtx, FaultInjector};
 use mcmm_core::matrix::CompatMatrix;
@@ -260,14 +260,18 @@ impl FailoverRouter {
     /// Run a workload job by job, reacting to failures. Returns each
     /// job's read-back bytes (`None` = the job was lost). With failover
     /// enabled and a bounded fault budget, no job should be lost; with it
-    /// disabled, every injected fault costs its job.
+    /// disabled, every injected fault costs its job. Every served job's
+    /// handle is kept until the run ends, so a later job can chain onto
+    /// any earlier one.
     pub fn run(&mut self, workload: &Workload) -> Vec<Option<Vec<u8>>> {
         let mut ids: Vec<JobId> = Vec::with_capacity(workload.jobs.len());
+        let mut handles: Vec<JobHandle> = Vec::with_capacity(workload.jobs.len());
         let mut outputs = Vec::with_capacity(workload.jobs.len());
         for (plan_idx, job) in workload.jobs.iter().enumerate() {
             match self.run_job(plan_idx as u64, job, &ids) {
-                Some((id, bytes, _route)) => {
-                    ids.push(id);
+                Some((handle, bytes, _route)) => {
+                    ids.push(handle.id);
+                    handles.push(handle);
                     outputs.push(Some(bytes));
                 }
                 None => {
@@ -398,13 +402,14 @@ impl FailoverRouter {
         }
     }
 
-    /// Run one planned job to success or loss.
+    /// Run one planned job to success or loss. A served job comes back
+    /// with its handle, which keeps it nameable as a dependency.
     fn run_job(
         &mut self,
         plan_idx: u64,
         job: &crate::workload::PlannedJob,
         ids: &[JobId],
-    ) -> Option<(JobId, Vec<u8>, String)> {
+    ) -> Option<(JobHandle, Vec<u8>, String)> {
         let plan = self.plan_for(job.model, job.language, job.vendor);
         if plan.is_empty() {
             if self.record {
@@ -463,13 +468,12 @@ impl FailoverRouter {
                             if trace.rating_delta > 0 {
                                 self.stats.degraded += 1;
                             }
-                            let id = done.id;
                             let bytes = done.output.clone().unwrap_or_default();
                             if self.record {
                                 self.traces.push(trace);
                                 self.completions.push(done);
                             }
-                            return Some((id, bytes, route.name));
+                            return Some((handle, bytes, route.name));
                         }
                         Some(e) => e.to_string(),
                     }

@@ -15,6 +15,12 @@
 //!   releases the admission slot and classifies the outcome — it fires
 //!   even if the job failed, so slots can never leak.
 //!
+//! A job's buffers are [`DeviceAlloc`]s shared by its record, its stream
+//! operations and any dependent that aliases them; the last holder to go
+//! frees them. The record lives as long as the job's [`JobHandle`]: a
+//! dependency can be named only while its producer's handle is held, and
+//! naming a released job is [`SubmitError::UnknownDependency`].
+//!
 //! Job failures are **job-local**: operation closures route errors into
 //! the job's error slot and report success to the stream, so one tenant's
 //! out-of-bounds access never poisons the stream for its neighbours.
@@ -22,9 +28,8 @@
 use crate::job::{ArgSpec, JobCompletion, JobId, JobSpec, SubmitError};
 use mcmm_chaos::AttemptFaults;
 use mcmm_core::taxonomy::Vendor;
-use mcmm_gpu_sim::device::{Device, KernelArg, LaunchConfig};
+use mcmm_gpu_sim::device::{Device, DeviceAlloc, KernelArg, LaunchConfig};
 use mcmm_gpu_sim::event::Event;
-use mcmm_gpu_sim::mem::DevicePtr;
 use mcmm_gpu_sim::stream::Stream;
 use mcmm_gpu_sim::timing::ModeledTime;
 use mcmm_gpu_sim::{Module, SimConfig, SimError};
@@ -110,17 +115,24 @@ struct Lane {
     in_flight: Arc<AtomicUsize>,
 }
 
-/// Book-keeping for an accepted job, kept for dependency resolution.
+/// Book-keeping for an accepted job, kept for dependency resolution
+/// while its [`JobHandle`] lives.
 struct JobRecord {
     vendor: Vendor,
-    /// Per-argument device buffers: `(ptr, len)` for buffer args, `None`
-    /// for scalars.
-    buffers: Vec<Option<(DevicePtr, u64)>>,
+    /// Per-argument device buffers, `None` for scalars.
+    buffers: Vec<Option<Arc<DeviceAlloc>>>,
     /// Retired when the job's last stream operation has run.
     done: Event,
 }
 
-/// A handle to one accepted job.
+/// The records of the jobs whose handles are alive, shared with those
+/// handles so that dropping one removes its record.
+type JobTable = Arc<Mutex<HashMap<JobId, JobRecord>>>;
+
+/// A handle to one accepted job. While it lives, later submissions can
+/// name the job as a dependency; dropping it releases the job's record,
+/// and its buffers once no queued operation or dependent still uses them.
+/// A dropped handle never cancels the job.
 pub struct JobHandle {
     /// The job's service-wide id.
     pub id: JobId,
@@ -132,11 +144,14 @@ pub struct JobHandle {
     error: Arc<Mutex<Option<SimError>>>,
     output: Arc<Mutex<Option<Vec<u8>>>>,
     admitted_at: ModeledTime,
+    jobs: JobTable,
 }
 
 impl JobHandle {
-    /// Block until the job retires and return its completion record.
-    pub fn wait(self) -> JobCompletion {
+    /// Block until the job retires and return its completion record. The
+    /// read-back bytes move into the first call's record; a later call
+    /// returns the same record without them.
+    pub fn wait(&self) -> JobCompletion {
         let at = self.done.wait();
         let latency =
             ModeledTime::from_seconds((at.seconds() - self.admitted_at.seconds()).max(0.0));
@@ -144,7 +159,7 @@ impl JobHandle {
             id: self.id,
             vendor: self.vendor,
             output: self.output.lock().take(),
-            error: self.error.lock().take(),
+            error: self.error.lock().clone(),
             latency,
             cache_hit: self.cache_hit,
         }
@@ -156,12 +171,20 @@ impl JobHandle {
     }
 }
 
+impl Drop for JobHandle {
+    fn drop(&mut self) {
+        // Take the record out under the lock, free its buffers after it.
+        let record = self.jobs.lock().remove(&self.id);
+        drop(record);
+    }
+}
+
 /// The concurrent kernel-execution service over the executable matrix.
 pub struct Service {
     registry: Registry,
     cache: Arc<CompileCache>,
     lanes: BTreeMap<Vendor, Lane>,
-    jobs: Mutex<HashMap<JobId, JobRecord>>,
+    jobs: JobTable,
     next_id: AtomicU64,
     queue_depth: usize,
     submitted: Arc<AtomicU64>,
@@ -242,7 +265,7 @@ impl Service {
             registry,
             cache,
             lanes,
-            jobs: Mutex::new(HashMap::new()),
+            jobs: Arc::new(Mutex::new(HashMap::new())),
             next_id: AtomicU64::new(1),
             queue_depth: cfg.queue_depth.max(1),
             submitted: Arc::new(AtomicU64::new(0)),
@@ -390,14 +413,14 @@ impl Service {
         // remaining uploads are skipped via the job-local error slot, the
         // same path an organic transfer failure takes.
         let mut upload_fault = opts.faults.upload;
-        for (ptr, bytes) in resolved.uploads {
+        for (buf, bytes) in resolved.uploads {
             let slot = Arc::clone(&error);
             let fault = upload_fault.take();
             stream.exec(move |dev| {
                 if slot.lock().is_some() {
                     return Ok(()); // a prior op of *this job* failed
                 }
-                if let Err(e) = dev.memcpy_h2d_faulted(ptr, &bytes, fault.as_ref()) {
+                if let Err(e) = dev.memcpy_h2d_faulted(buf.ptr(), &bytes, fault.as_ref()) {
                     slot.lock().get_or_insert(e);
                 }
                 Ok(()) // job-local error: never poison the stream
@@ -408,8 +431,12 @@ impl Service {
             let module: Arc<Module> = Arc::clone(&module);
             let cfg = LaunchConfig::linear(spec.n, spec.block_dim).with_efficiency(efficiency);
             let args = resolved.args;
+            // The launch holds every buffer it touches, so a handle dropped
+            // before the job runs cannot free memory the kernel still uses.
+            let held: Vec<Arc<DeviceAlloc>> = resolved.buffers.iter().flatten().cloned().collect();
             let fault = opts.faults.launch;
             stream.exec(move |dev| {
+                let _held = held;
                 if slot.lock().is_some() {
                     return Ok(());
                 }
@@ -419,7 +446,7 @@ impl Service {
                 Ok(())
             });
         }
-        if let Some((ptr, len)) = resolved.read_back {
+        if let Some(buf) = resolved.read_back {
             let slot = Arc::clone(&error);
             let out = Arc::clone(&output);
             let fault = opts.faults.read_back;
@@ -427,7 +454,7 @@ impl Service {
                 if slot.lock().is_some() {
                     return Ok(());
                 }
-                match dev.memcpy_d2h_faulted(ptr, len, fault.as_ref()) {
+                match dev.memcpy_d2h_faulted(buf.ptr(), buf.len(), fault.as_ref()) {
                     Ok((bytes, _)) => *out.lock() = Some(bytes),
                     Err(e) => {
                         slot.lock().get_or_insert(e);
@@ -460,7 +487,16 @@ impl Service {
             id,
             JobRecord { vendor: spec.vendor, buffers: resolved.buffers, done: done.clone() },
         );
-        Ok(JobHandle { id, vendor: spec.vendor, cache_hit, done, error, output, admitted_at })
+        Ok(JobHandle {
+            id,
+            vendor: spec.vendor,
+            cache_hit,
+            done,
+            error,
+            output,
+            admitted_at,
+            jobs: Arc::clone(&self.jobs),
+        })
     }
 
     /// Block until every stream on every device has drained.
@@ -475,7 +511,8 @@ impl Service {
     }
 
     /// Resolve `spec.args` into device pointers, uploads, and dependency
-    /// events. Allocates fresh buffers; aliases dependency buffers.
+    /// events. Allocates fresh buffers; aliases dependency buffers. A
+    /// refusal drops what it allocated, which frees it.
     fn bind_args(&self, spec: &JobSpec, device: &Arc<Device>) -> Result<ResolvedArgs, SubmitError> {
         let jobs = self.jobs.lock();
         let mut wait_on = Vec::new();
@@ -504,67 +541,42 @@ impl Service {
         let mut args = Vec::with_capacity(spec.args.len());
         let mut buffers = Vec::with_capacity(spec.args.len());
         let mut uploads = Vec::new();
-        let mut fresh: Vec<(DevicePtr, u64)> = Vec::new();
-        let mut alloc = |len: u64| -> Result<DevicePtr, SubmitError> {
-            let ptr = device.alloc(len).map_err(SubmitError::Alloc)?;
-            fresh.push((ptr, len));
-            Ok(ptr)
-        };
-        let mut failed = None;
+        let alloc = |len: u64| device.alloc_owned(len).map(Arc::new).map_err(SubmitError::Alloc);
         for a in &spec.args {
-            match a {
+            let buf = match a {
                 ArgSpec::Scalar(k) => {
                     args.push(*k);
                     buffers.push(None);
+                    continue;
                 }
-                ArgSpec::In(bytes) => match alloc(bytes.len() as u64) {
-                    Ok(ptr) => {
-                        uploads.push((ptr, bytes.clone()));
-                        args.push(KernelArg::Ptr(ptr));
-                        buffers.push(Some((ptr, bytes.len() as u64)));
-                    }
-                    Err(e) => {
-                        failed = Some(e);
-                        break;
-                    }
-                },
-                ArgSpec::Zeroed(len) => match alloc(*len) {
-                    Ok(ptr) => {
-                        uploads.push((ptr, vec![0u8; *len as usize]));
-                        args.push(KernelArg::Ptr(ptr));
-                        buffers.push(Some((ptr, *len)));
-                    }
-                    Err(e) => {
-                        failed = Some(e);
-                        break;
-                    }
-                },
+                ArgSpec::In(bytes) => {
+                    let buf = alloc(bytes.len() as u64)?;
+                    uploads.push((Arc::clone(&buf), bytes.clone()));
+                    buf
+                }
+                ArgSpec::Zeroed(len) => {
+                    let buf = alloc(*len)?;
+                    uploads.push((Arc::clone(&buf), vec![0u8; *len as usize]));
+                    buf
+                }
                 ArgSpec::Output(id, idx) => {
                     let rec = jobs.get(id).ok_or(SubmitError::UnknownDependency(*id))?;
-                    let (ptr, len) = rec
-                        .buffers
+                    rec.buffers
                         .get(*idx)
-                        .copied()
+                        .cloned()
                         .flatten()
-                        .ok_or(SubmitError::BadBuffer { job: *id, arg: *idx })?;
-                    args.push(KernelArg::Ptr(ptr));
-                    buffers.push(Some((ptr, len)));
+                        .ok_or(SubmitError::BadBuffer { job: *id, arg: *idx })?
                 }
-            }
-        }
-        if let Some(e) = failed {
-            // Give back what this job allocated before the failure.
-            for (ptr, len) in fresh {
-                device.free(ptr, len);
-            }
-            return Err(e);
+            };
+            args.push(buf.arg());
+            buffers.push(Some(buf));
         }
         let read_back = match spec.read_back {
             None => None,
             Some(idx) => Some(
                 buffers
                     .get(idx)
-                    .copied()
+                    .cloned()
                     .flatten()
                     .ok_or(SubmitError::BadBuffer { job: JobId(0), arg: idx })?,
             ),
@@ -577,11 +589,11 @@ struct ResolvedArgs {
     /// Kernel arguments in signature order.
     args: Vec<KernelArg>,
     /// Per-argument buffer table (for later jobs' [`ArgSpec::Output`]).
-    buffers: Vec<Option<(DevicePtr, u64)>>,
+    buffers: Vec<Option<Arc<DeviceAlloc>>>,
     /// Host data to upload in stream order before the launch.
-    uploads: Vec<(DevicePtr, Vec<u8>)>,
+    uploads: Vec<(Arc<DeviceAlloc>, Vec<u8>)>,
     /// Dependency completion events to wait on.
     wait_on: Vec<Event>,
     /// Buffer to read back after the launch.
-    read_back: Option<(DevicePtr, u64)>,
+    read_back: Option<Arc<DeviceAlloc>>,
 }

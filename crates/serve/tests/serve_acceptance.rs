@@ -17,10 +17,12 @@ use std::collections::VecDeque;
 
 /// Submit a planned workload, retrying admission-control rejections by
 /// waiting out the oldest outstanding job. Returns completions in plan
-/// order plus the number of explicit rejections absorbed.
+/// order plus the number of explicit rejections absorbed. Every handle is
+/// kept until the run ends, so later jobs can chain onto any earlier one.
 fn run_concurrent(service: &Service, workload: &Workload) -> (Vec<JobCompletion>, u64) {
     let mut ids: Vec<JobId> = Vec::with_capacity(workload.jobs.len());
     let mut outstanding: VecDeque<(usize, mcmm_serve::JobHandle)> = VecDeque::new();
+    let mut retired: Vec<mcmm_serve::JobHandle> = Vec::new();
     let mut completions: Vec<Option<JobCompletion>> = Vec::new();
     completions.resize_with(workload.jobs.len(), || None);
     let mut rejections = 0u64;
@@ -39,13 +41,14 @@ fn run_concurrent(service: &Service, workload: &Workload) -> (Vec<JobCompletion>
                     let (idx, handle) =
                         outstanding.pop_front().expect("queue full with nothing outstanding");
                     completions[idx] = Some(handle.wait());
+                    retired.push(handle);
                 }
                 Err(e) => panic!("planned job {i} refused: {e}"),
             }
         }
     }
-    for (idx, handle) in outstanding {
-        completions[idx] = Some(handle.wait());
+    for (idx, handle) in &outstanding {
+        completions[*idx] = Some(handle.wait());
     }
     let completions: Vec<JobCompletion> =
         completions.into_iter().map(|c| c.expect("every planned job completes")).collect();

@@ -25,6 +25,11 @@
 //! * **Best-effort writes** — I/O failures while storing are counted
 //!   ([`DiskStats::write_errors`]) and swallowed; the cache degrades to
 //!   memory-only instead of failing the compile.
+//!
+//! Opening a directory deletes every entry file whose name does not have
+//! the form [`DiskTier::entry_path`] gives names now (such as names from
+//! before the opt-level suffix was dropped): no key maps to them, so no
+//! probe would ever read one.
 
 use crate::cache::CacheKey;
 use mcmm_gpu_sim::diffval::fnv1a;
@@ -74,10 +79,19 @@ pub struct DiskTier {
 }
 
 impl DiskTier {
-    /// Open (creating if needed) an artifact directory.
+    /// Open (creating if needed) an artifact directory, deleting the
+    /// entry files no key names any more. Temp files and files that are
+    /// not entries are left alone.
     pub fn open(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
+        for entry in std::fs::read_dir(&dir)?.filter_map(|e| e.ok()) {
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            if name.ends_with(".mcmmart") && !is_entry_name(&name) {
+                let _ = std::fs::remove_file(entry.path());
+            }
+        }
         Ok(Self {
             dir,
             hits: AtomicU64::new(0),
@@ -106,12 +120,13 @@ impl DiskTier {
         }
     }
 
-    /// Entry files currently present (any validity).
+    /// Entry files currently present under names a key can map to (any
+    /// validity).
     pub fn entry_count(&self) -> usize {
         std::fs::read_dir(&self.dir)
             .map(|rd| {
                 rd.filter_map(|e| e.ok())
-                    .filter(|e| e.path().extension().is_some_and(|x| x == "mcmmart"))
+                    .filter(|e| is_entry_name(&e.file_name().to_string_lossy()))
                     .count()
             })
             .unwrap_or(0)
@@ -197,6 +212,22 @@ impl std::fmt::Debug for DiskTier {
             .field("fills", &s.fills)
             .finish()
     }
+}
+
+/// Does a file name have the form of [`DiskTier::entry_path`]:
+/// `k<16 hex>-r<16 hex>-<toolchain>-<axes>.mcmmart`, with the toolchain
+/// in lowercase letters, digits and `_`, and the axes in digits?
+fn is_entry_name(name: &str) -> bool {
+    let Some(stem) = name.strip_suffix(".mcmmart") else { return false };
+    let hex16 =
+        |s: &str| s.len() == 16 && s.bytes().all(|b| matches!(b, b'0'..=b'9' | b'a'..=b'f'));
+    let word = |s: &str, ok: fn(u8) -> bool| !s.is_empty() && s.bytes().all(ok);
+    let parts: Vec<&str> = stem.split('-').collect();
+    let [kernel, route, toolchain, axes] = parts[..] else { return false };
+    kernel.strip_prefix('k').is_some_and(hex16)
+        && route.strip_prefix('r').is_some_and(hex16)
+        && word(toolchain, |b| b.is_ascii_lowercase() || b.is_ascii_digit() || b == b'_')
+        && word(axes, |b| b.is_ascii_digit())
 }
 
 fn isa_tag(isa: IsaKind) -> u8 {
@@ -286,6 +317,33 @@ mod tests {
         DiskTier::open(&dir).unwrap().store(&key, &m);
         // A fresh process-equivalent: new tier over the same directory.
         let tier = DiskTier::open(&dir).unwrap();
+        assert_eq!(tier.load(&key), Some(m));
+    }
+
+    #[test]
+    fn open_deletes_only_names_no_key_maps_to() {
+        let dir = temp_dir("stale");
+        let key = key_for(smoke_kernel().fingerprint());
+        let m = module();
+        let current = {
+            let tier = DiskTier::open(&dir).unwrap();
+            tier.store(&key, &m);
+            tier.entry_path(&key)
+        };
+        // The same entry under the name format with the opt-level suffix.
+        let stale = dir.join(
+            current.file_name().unwrap().to_string_lossy().replace(".mcmmart", "-o0.mcmmart"),
+        );
+        std::fs::copy(&current, &stale).unwrap();
+        let unrelated = dir.join("README.txt");
+        std::fs::write(&unrelated, b"not an entry").unwrap();
+        let temp = dir.join(".tmp-1-0");
+        std::fs::write(&temp, b"half-written").unwrap();
+
+        let tier = DiskTier::open(&dir).unwrap();
+        assert!(!stale.exists(), "stale entry survived the open");
+        assert!(current.exists() && unrelated.exists() && temp.exists());
+        assert_eq!(tier.entry_count(), 1);
         assert_eq!(tier.load(&key), Some(m));
     }
 

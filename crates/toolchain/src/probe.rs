@@ -23,9 +23,10 @@ use mcmm_core::matrix::CompatMatrix;
 use mcmm_core::rating::{rate_evidence_on_device, Evidence};
 use mcmm_core::support::Support;
 use mcmm_core::taxonomy::{all_combinations, Language, Model, Vendor};
-use mcmm_gpu_sim::device::{Device, KernelArg, LaunchConfig};
+use mcmm_gpu_sim::device::{Device, DeviceAlloc, KernelArg, LaunchConfig};
 use mcmm_gpu_sim::ir::{BinOp, CmpOp, KernelBuilder, KernelIr, Space, Type};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Probe result for one combination.
 #[derive(Debug, Clone)]
@@ -103,32 +104,27 @@ pub fn smoke_kernel() -> KernelIr {
 }
 
 /// Run the SAXPY smoke test through one compiled module on one device.
-fn smoke_run(device: &Device, module: &mcmm_gpu_sim::Module, efficiency: f64) -> bool {
+/// Both buffers free themselves on every exit.
+fn smoke_run(device: &Arc<Device>, module: &mcmm_gpu_sim::Module, efficiency: f64) -> bool {
     const N: usize = 512;
     let xs: Vec<f32> = (0..N).map(|i| i as f32).collect();
     let ys = vec![1.0f32; N];
-    let Ok(dx) = device.alloc_copy_f32(&xs) else { return false };
-    let Ok(dy) = device.alloc_copy_f32(&ys) else { return false };
+    let upload = |data: &[f32]| -> mcmm_gpu_sim::Result<DeviceAlloc> {
+        let buf = device.alloc_owned(data.len() as u64 * 4)?;
+        let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
+        device.memcpy_h2d(buf.ptr(), &bytes)?;
+        Ok(buf)
+    };
+    let Ok(dx) = upload(&xs) else { return false };
+    let Ok(dy) = upload(&ys) else { return false };
     let cfg = LaunchConfig::linear(N as u64, 128).with_efficiency(efficiency);
-    let ok = device
-        .launch(
-            module,
-            cfg,
-            &[
-                KernelArg::F32(2.0),
-                KernelArg::Ptr(dx),
-                KernelArg::Ptr(dy),
-                KernelArg::I32(N as i32),
-            ],
-        )
+    device
+        .launch(module, cfg, &[KernelArg::F32(2.0), dx.arg(), dy.arg(), KernelArg::I32(N as i32)])
         .is_ok()
         && device
-            .read_f32(dy, N)
+            .read_f32(dy.ptr(), N)
             .map(|out| out.iter().enumerate().all(|(i, &v)| v == 2.0 * i as f32 + 1.0))
-            .unwrap_or(false);
-    device.free(dx, N as u64 * 4);
-    device.free(dy, N as u64 * 4);
-    ok
+            .unwrap_or(false)
 }
 
 /// Health-check one route: compile the SAXPY smoke kernel through the

@@ -11,8 +11,7 @@
 use crate::ast::{Dialect, GpuProgram};
 use crate::TranslateError;
 use mcmm_core::taxonomy::{Language, Model, Vendor};
-use mcmm_gpu_sim::device::{Device, KernelArg, LaunchConfig};
-use mcmm_gpu_sim::mem::DevicePtr;
+use mcmm_gpu_sim::device::{Device, DeviceAlloc, KernelArg, LaunchConfig};
 use mcmm_toolchain::Registry;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -56,7 +55,7 @@ pub fn run_on_intel(
 
     // Interpret the host program with chipStar as the compiler.
     use crate::ast::{Arg, Op};
-    let mut arrays: HashMap<&'static str, (DevicePtr, usize)> = HashMap::new();
+    let mut arrays: HashMap<&'static str, (DeviceAlloc, usize)> = HashMap::new();
     let mut outputs = HashMap::new();
     let fail = |m: String| TranslateError::UnsupportedConstructs {
         translator: "chipStar",
@@ -65,13 +64,13 @@ pub fn run_on_intel(
     for step in &program.steps {
         match &step.op {
             Op::Alloc { var, elems } => {
-                let ptr = device.alloc(*elems as u64 * 4).map_err(|e| fail(e.to_string()))?;
-                arrays.insert(var, (ptr, *elems));
+                let buf = device.alloc_owned(*elems as u64 * 4).map_err(|e| fail(e.to_string()))?;
+                arrays.insert(var, (buf, *elems));
             }
             Op::CopyIn { var, data } | Op::CopyInAsync { var, data, .. } => {
-                let &(ptr, _) = arrays.get(var).ok_or_else(|| fail(format!("unknown {var}")))?;
+                let (buf, _) = arrays.get(var).ok_or_else(|| fail(format!("unknown {var}")))?;
                 let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-                device.memcpy_h2d(ptr, &bytes).map_err(|e| fail(e.to_string()))?;
+                device.memcpy_h2d(buf.ptr(), &bytes).map_err(|e| fail(e.to_string()))?;
             }
             Op::Launch { kernel, n, args } => {
                 let def = &program.kernels[*kernel];
@@ -83,9 +82,9 @@ pub fn run_on_intel(
                     kargs.push(match a {
                         Arg::Scalar(v) => KernelArg::F32(*v),
                         Arg::N => KernelArg::I32(*n as i32),
-                        Arg::Array(name) => KernelArg::Ptr(
-                            arrays.get(name).ok_or_else(|| fail(format!("unknown {name}")))?.0,
-                        ),
+                        Arg::Array(name) => {
+                            arrays.get(name).ok_or_else(|| fail(format!("unknown {name}")))?.0.arg()
+                        }
                     });
                 }
                 let cfg =
@@ -93,14 +92,12 @@ pub fn run_on_intel(
                 device.launch(&module, cfg, &kargs).map_err(|e| fail(e.to_string()))?;
             }
             Op::CopyOut { var } => {
-                let &(ptr, elems) =
-                    arrays.get(var).ok_or_else(|| fail(format!("unknown {var}")))?;
-                outputs.insert(*var, device.read_f32(ptr, elems).map_err(|e| fail(e.to_string()))?);
+                let (buf, elems) = arrays.get(var).ok_or_else(|| fail(format!("unknown {var}")))?;
+                let data = device.read_f32(buf.ptr(), *elems).map_err(|e| fail(e.to_string()))?;
+                outputs.insert(*var, data);
             }
             Op::Free { var } => {
-                if let Some((ptr, elems)) = arrays.remove(var) {
-                    device.free(ptr, elems as u64 * 4);
-                }
+                arrays.remove(var);
             }
             Op::Sync => {}
         }

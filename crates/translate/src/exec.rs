@@ -7,8 +7,7 @@
 
 use crate::ast::{Arg, Dialect, GpuProgram, Op};
 use mcmm_core::taxonomy::{Language, Model, Vendor};
-use mcmm_gpu_sim::device::{Device, KernelArg, LaunchConfig};
-use mcmm_gpu_sim::mem::DevicePtr;
+use mcmm_gpu_sim::device::{Device, DeviceAlloc, KernelArg, LaunchConfig};
 use mcmm_toolchain::Registry;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -54,7 +53,9 @@ pub fn dialect_axes(dialect: Dialect) -> (Model, Language) {
     }
 }
 
-/// Run a program; returns every `CopyOut` array by name.
+/// Run a program; returns every `CopyOut` array by name. Arrays the
+/// program never frees, and every array of a run that fails, are freed
+/// on return.
 ///
 /// Note the *source-dialect* rule: a CUDA C++ program only runs where a
 /// CUDA C++ **IR-level toolchain** exists. Source translators in this
@@ -70,26 +71,28 @@ pub fn run_program(
         .select_best(model, language, vendor)
         .ok_or(ExecError::NoRouteForDialect { dialect: program.dialect, vendor })?;
 
-    let mut arrays: HashMap<&'static str, (DevicePtr, usize)> = HashMap::new();
+    let mut arrays: HashMap<&'static str, (DeviceAlloc, usize)> = HashMap::new();
     let mut outputs = HashMap::new();
 
     for step in &program.steps {
         match &step.op {
             Op::Alloc { var, elems } => {
-                let ptr = device
-                    .alloc(*elems as u64 * 4)
+                let buf = device
+                    .alloc_owned(*elems as u64 * 4)
                     .map_err(|e| ExecError::Runtime(e.to_string()))?;
-                arrays.insert(var, (ptr, *elems));
+                arrays.insert(var, (buf, *elems));
             }
             Op::CopyIn { var, data } | Op::CopyInAsync { var, data, .. } => {
-                let &(ptr, elems) = arrays
+                let (buf, elems) = arrays
                     .get(var)
                     .ok_or_else(|| ExecError::Malformed(format!("copyin to unknown {var}")))?;
-                if data.len() > elems {
+                if data.len() > *elems {
                     return Err(ExecError::Malformed(format!("copyin overflows {var}")));
                 }
                 let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-                device.memcpy_h2d(ptr, &bytes).map_err(|e| ExecError::Runtime(e.to_string()))?;
+                device
+                    .memcpy_h2d(buf.ptr(), &bytes)
+                    .map_err(|e| ExecError::Runtime(e.to_string()))?;
             }
             Op::Launch { kernel, n, args } => {
                 let def = program
@@ -105,10 +108,10 @@ pub fn run_program(
                         Arg::Scalar(v) => KernelArg::F32(*v),
                         Arg::N => KernelArg::I32(*n as i32),
                         Arg::Array(name) => {
-                            let &(ptr, _) = arrays.get(name).ok_or_else(|| {
+                            let (buf, _) = arrays.get(name).ok_or_else(|| {
                                 ExecError::Malformed(format!("launch uses unknown {name}"))
                             })?;
-                            KernelArg::Ptr(ptr)
+                            buf.arg()
                         }
                     });
                 }
@@ -119,17 +122,16 @@ pub fn run_program(
                     .map_err(|e| ExecError::Runtime(e.to_string()))?;
             }
             Op::CopyOut { var } => {
-                let &(ptr, elems) = arrays
+                let (buf, elems) = arrays
                     .get(var)
                     .ok_or_else(|| ExecError::Malformed(format!("copyout of unknown {var}")))?;
-                let data =
-                    device.read_f32(ptr, elems).map_err(|e| ExecError::Runtime(e.to_string()))?;
+                let data = device
+                    .read_f32(buf.ptr(), *elems)
+                    .map_err(|e| ExecError::Runtime(e.to_string()))?;
                 outputs.insert(*var, data);
             }
             Op::Free { var } => {
-                if let Some((ptr, elems)) = arrays.remove(var) {
-                    device.free(ptr, elems as u64 * 4);
-                }
+                arrays.remove(var);
             }
             Op::Sync => { /* launches are synchronous in the executor */ }
         }
@@ -168,6 +170,21 @@ mod tests {
             }) => {}
             other => panic!("expected NoRouteForDialect, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_failed_launch_gives_every_array_back() {
+        // Without its `n` argument the launch is refused after both
+        // arrays were allocated and filled.
+        let mut p = cuda_saxpy_program(256, 2.0);
+        for step in &mut p.steps {
+            if let Op::Launch { args, .. } = &mut step.op {
+                args.pop();
+            }
+        }
+        let dev = Device::new(DeviceSpec::nvidia_a100());
+        assert!(matches!(run_program(&p, &dev), Err(ExecError::Runtime(_))));
+        assert_eq!(dev.memory().free_bytes(), dev.memory().capacity(), "arrays leaked");
     }
 
     #[test]
