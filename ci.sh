@@ -117,6 +117,22 @@ for crate in mcmm-serve mcmm-gateway mcmm-frontend mcmm-toolchain mcmm-babelstre
 done
 echo "no production crate depends on mcmm-gpu-sim-ref — OK"
 
+echo "── device-memory guard ────────────────────────────"
+# Device memory goes back when its owner drops: gpu-sim's DeviceAlloc,
+# the frontend's DeviceBuffer, or the session whose table holds a raw
+# pointer (cudaFree and hipFree name the pointer alone). GlobalMemory::free
+# is the one public free by (pointer, length) left. Fail if a crate
+# outside gpu-sim calls it, on one line or split across lines.
+manual_frees=$(find crates/*/src -name '*.rs' -not -path 'crates/gpu-sim/*' -print0 \
+  | xargs -0 grep -lzP '\.memory\(\)\s*\.free\(' || true)
+if [ -n "$manual_frees" ]; then
+  echo "FAIL: these files free device memory by hand with .memory().free(:"
+  echo "$manual_frees"
+  echo "      Hold a DeviceBuffer or DeviceAlloc, or a session-held pointer, instead."
+  exit 1
+fi
+echo "no crate outside gpu-sim frees device memory by hand — OK"
+
 echo "── clippy (warnings are errors) ───────────────────"
 cargo clippy --workspace --all-targets -- -D warnings
 # perfbench/ is its own Cargo workspace, which --workspace never reaches.

@@ -10,7 +10,8 @@
 //! 2. **Toolchain** — an executable route exists but the compile fails
 //!    (lint gate, invalid kernel).
 //! 3. **Device** — the compiled module fails at transfer or launch time
-//!    (ISA walls, OOM, traps).
+//!    (ISA walls, OOM, traps), or a raw pointer names no allocation the
+//!    session holds.
 //!
 //! Model crates wrap [`FrontendError`] into their idiomatic error enums
 //! (`CudaError`, `SyclError`, …) but must keep the cause chain: the
@@ -18,6 +19,7 @@
 //! messages always name the refusing vendor.
 
 use mcmm_core::taxonomy::{Language, Model, Vendor};
+use mcmm_gpu_sim::mem::DevicePtr;
 use mcmm_gpu_sim::SimError;
 use mcmm_toolchain::CompileError;
 use std::fmt;
@@ -51,6 +53,9 @@ pub enum FrontendError {
     Compile(CompileError),
     /// Device layer: transfer or launch failed on the simulated device.
     Device(SimError),
+    /// Device layer: a pointer given to [`crate::ExecutionSession::free`]
+    /// names no allocation the session holds.
+    UnknownPointer(DevicePtr),
 }
 
 impl FrontendError {
@@ -84,6 +89,9 @@ impl fmt::Display for FrontendError {
             }
             FrontendError::Compile(e) => write!(f, "compilation failed: {e}"),
             FrontendError::Device(e) => write!(f, "device error: {e}"),
+            FrontendError::UnknownPointer(ptr) => {
+                write!(f, "no allocation of this session starts at {:#x}", ptr.0)
+            }
         }
     }
 }

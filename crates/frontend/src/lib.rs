@@ -15,9 +15,10 @@
 //!                 mcmm-gpu-sim devices                   (substrate)
 //! ```
 //!
-//! * [`ExecutionSession`] — device acquisition, owned buffers, typed
-//!   transfers, cached compilation, launch; opened per (model, language,
-//!   vendor) and refusing exactly where the matrix refuses.
+//! * [`ExecutionSession`] — device acquisition, owned buffers and the
+//!   pointer table raw-pointer surfaces allocate into, typed transfers,
+//!   cached compilation, launch; opened per (model, language, vendor)
+//!   and refusing exactly where the matrix refuses.
 //! * [`Element`] — the `f32`/`f64` transfer trait that replaces the
 //!   per-crate `memcpy_*`/`memcpy_*_f64` method pairs.
 //! * [`FrontendError`] — the layered error taxonomy (routing / toolchain

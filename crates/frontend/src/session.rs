@@ -17,19 +17,31 @@
 //! appear in the matrix. This is exactly the accept/refuse pattern of the
 //! BabelStream sweep and is verified cell-by-cell by the conformance
 //! suite against `mcmm_core::query`.
+//!
+//! ## Device memory
+//!
+//! Every allocation has one owner. A value that owns an array (a Kokkos
+//! `View`, a SYCL `Buffer`, a reduction cell) holds a [`DeviceBuffer`]
+//! and gives the memory back when it drops. A surface whose API hands
+//! out raw pointers (`cudaMalloc`, `hipMalloc`, SYCL's `malloc_device`)
+//! passes the buffer to [`ExecutionSession::hold`] instead: the session
+//! keeps it in a table keyed by pointer, [`ExecutionSession::free`] takes
+//! it back by that pointer alone, and whatever is left goes when the
+//! session drops.
 
 use crate::element::Element;
 use crate::error::FrontendError;
 use mcmm_core::route::Route;
 use mcmm_core::taxonomy::{Language, Model, Vendor};
 use mcmm_gpu_sim::device::{Device, DeviceAlloc, KernelArg, LaunchConfig, LaunchReport};
-use mcmm_gpu_sim::ir::KernelIr;
+use mcmm_gpu_sim::ir::{KernelIr, Type, Value};
 use mcmm_gpu_sim::isa::Module;
 use mcmm_gpu_sim::mem::DevicePtr;
 use mcmm_gpu_sim::timing::ModeledTime;
 use mcmm_toolchain::{isa_vendor, vendor_device_spec, CompileCache, Registry, VirtualCompiler};
+use std::collections::HashMap;
 use std::marker::PhantomData;
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The process-wide compile cache every session uses unless it is given
 /// a private one. Sharing is the point: ten frontends lowering the same
@@ -39,6 +51,8 @@ pub fn shared_cache() -> Arc<CompileCache> {
     static CACHE: OnceLock<Arc<CompileCache>> = OnceLock::new();
     Arc::clone(CACHE.get_or_init(|| Arc::new(CompileCache::default())))
 }
+
+const POISONED: &str = "a thread panicked while holding a session's pointer table";
 
 /// A typed view over one [`DeviceAlloc`]: `len` elements of `T`. The
 /// allocation frees itself when the buffer drops — the session's answer
@@ -75,6 +89,12 @@ impl<T: Element> DeviceBuffer<T> {
     pub fn arg(&self) -> KernelArg {
         self.alloc.arg()
     }
+
+    /// The untyped allocation underneath, for holders that tag the
+    /// element type at run time (Python's dtype).
+    pub fn into_alloc(self) -> DeviceAlloc {
+        self.alloc
+    }
 }
 
 /// One model × language frontend bound to one vendor's device, with the
@@ -86,6 +106,9 @@ pub struct ExecutionSession {
     vendor: Vendor,
     compiler: VirtualCompiler,
     cache: Arc<CompileCache>,
+    /// The allocations behind raw pointers this session handed out, by
+    /// start address (see [`ExecutionSession::hold`]).
+    held: Mutex<HashMap<DevicePtr, DeviceAlloc>>,
 }
 
 impl std::fmt::Debug for ExecutionSession {
@@ -185,7 +208,15 @@ impl ExecutionSession {
         vendor: Vendor,
         compiler: VirtualCompiler,
     ) -> Self {
-        Self { device, model, language, vendor, compiler, cache: shared_cache() }
+        Self {
+            device,
+            model,
+            language,
+            vendor,
+            compiler,
+            cache: shared_cache(),
+            held: Mutex::default(),
+        }
     }
 
     /// Use a private compile cache instead of the process-wide one.
@@ -270,8 +301,8 @@ impl ExecutionSession {
         self.download_raw(buf.ptr(), buf.len)
     }
 
-    /// Typed upload to a raw device pointer — the primitive under the
-    /// model crates' (deprecated) `memcpy_*`/`memcpy_*_f64` pairs.
+    /// Typed upload to a raw device pointer, for surfaces whose copies
+    /// take pointers (`cudaMemcpy`, `hipMemcpyHtoD`, SYCL USM `memcpy`).
     pub fn upload_raw<T: Element>(
         &self,
         dst: DevicePtr,
@@ -291,15 +322,41 @@ impl ExecutionSession {
         Ok(T::from_device_bytes(&bytes))
     }
 
-    /// Unowned byte allocation, for crates whose public surface owns
-    /// raw pointers (SYCL USM). Pair with [`ExecutionSession::free_bytes`].
-    pub fn alloc_bytes(&self, bytes: u64) -> Result<DevicePtr, FrontendError> {
-        Ok(self.device.alloc(bytes)?)
+    /// Hand `buf` to the session and return its raw pointer: the memory
+    /// stays allocated until [`ExecutionSession::free`] names the pointer
+    /// or the session drops. Surfaces whose API hands out raw pointers
+    /// (`cudaMalloc`, `hipMalloc`, SYCL USM) allocate this way.
+    pub fn hold<T: Element>(&self, buf: DeviceBuffer<T>) -> DevicePtr {
+        let ptr = buf.ptr();
+        self.held.lock().expect(POISONED).insert(ptr, buf.alloc);
+        ptr
     }
 
-    /// Free an unowned allocation from [`ExecutionSession::alloc_bytes`].
-    pub fn free_bytes(&self, ptr: DevicePtr, bytes: u64) {
-        self.device.free(ptr, bytes);
+    /// Free an allocation the session holds, by its pointer alone, as
+    /// `cudaFree` does. A pointer the session does not hold (freed
+    /// already, from another session, or not the start of an allocation)
+    /// is [`FrontendError::UnknownPointer`], and nothing is freed.
+    pub fn free(&self, ptr: DevicePtr) -> Result<(), FrontendError> {
+        let alloc = self.held.lock().expect(POISONED).remove(&ptr);
+        alloc.map(drop).ok_or(FrontendError::UnknownPointer(ptr))
+    }
+
+    /// A one-element `f64` buffer set to `init`: the cell a reduction
+    /// kernel combines into with atomics. The store is untimed, so it
+    /// does not move the modeled clock.
+    pub fn reduction_cell(&self, init: f64) -> Result<DeviceBuffer<f64>, FrontendError> {
+        let cell = self.alloc(1)?;
+        self.device.memory().store(cell.ptr().0, Value::F64(init))?;
+        Ok(cell)
+    }
+
+    /// Read a [`ExecutionSession::reduction_cell`] back, untimed like
+    /// its store.
+    pub fn read_cell(&self, cell: &DeviceBuffer<f64>) -> Result<f64, FrontendError> {
+        match self.device.memory().load(Type::F64, cell.ptr().0)? {
+            Value::F64(x) => Ok(x),
+            _ => unreachable!("an f64 load yields an f64"),
+        }
     }
 
     // ─────────────────── compilation and launch ───────────────────

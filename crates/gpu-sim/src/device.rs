@@ -405,6 +405,12 @@ impl DeviceAlloc {
     }
 }
 
+impl std::fmt::Debug for DeviceAlloc {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DeviceAlloc").field("ptr", &self.ptr).field("len", &self.len).finish()
+    }
+}
+
 impl Drop for DeviceAlloc {
     fn drop(&mut self) {
         self.device.free(self.ptr, self.len);
@@ -598,8 +604,9 @@ impl Device {
         self.memory.alloc(len)
     }
 
-    /// Free a device allocation.
-    pub fn free(&self, ptr: DevicePtr, len: u64) {
+    /// Free a device allocation. Outside this crate memory is freed
+    /// only by dropping its [`DeviceAlloc`].
+    pub(crate) fn free(&self, ptr: DevicePtr, len: u64) {
         self.memory.free(ptr, len);
     }
 

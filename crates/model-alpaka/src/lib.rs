@@ -13,7 +13,7 @@
 
 use mcmm_core::provider::Maintenance;
 use mcmm_core::taxonomy::{Language, Model, Vendor};
-use mcmm_frontend::{Element, ExecutionSession, Frontend, FrontendError};
+use mcmm_frontend::{ExecutionSession, Frontend, FrontendError};
 use mcmm_gpu_sim::device::{Device, KernelArg, LaunchConfig};
 use mcmm_gpu_sim::ir::{KernelBuilder, Reg, Type};
 use mcmm_gpu_sim::mem::DevicePtr;
@@ -168,14 +168,11 @@ impl Accelerator {
         self.session.route().maintenance == Maintenance::Experimental
     }
 
-    /// Allocate a device buffer from host data.
+    /// Allocate a device buffer from host data. The accelerator holds it
+    /// until it drops.
     pub fn alloc_buf(&self, data: &[f64]) -> AlpakaResult<DevicePtr> {
-        let ptr = self
-            .session
-            .alloc_bytes((data.len() * f64::BYTES) as u64)
-            .map_err(|e| AlpakaError::Runtime(e.to_string()))?;
-        self.session.upload_raw(ptr, data).map_err(|e| AlpakaError::Runtime(e.to_string()))?;
-        Ok(ptr)
+        let buf = self.session.upload(data).map_err(|e| AlpakaError::Runtime(e.to_string()))?;
+        Ok(self.session.hold(buf))
     }
 
     /// Read a device buffer back.

@@ -197,8 +197,8 @@ mod tests {
         let n = 1000;
         let xs: Vec<f32> = (1..=n).map(|i| i as f32).collect();
         let ys = vec![1.0f32; n];
-        let dx = ctx.upload_f32(&xs).unwrap();
-        let dy = ctx.upload_f32(&ys).unwrap();
+        let dx = ctx.upload(&xs).unwrap();
+        let dy = ctx.upload(&ys).unwrap();
         ctx.launch(
             &kernel,
             (n as u32).div_ceil(128),
@@ -211,7 +211,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let out = ctx.download_f32(dy, n).unwrap();
+        let out = ctx.download::<f32>(dy, n).unwrap();
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, 0.5 * (i + 1) as f32 + 1.0, "element {i}");
         }
@@ -223,8 +223,8 @@ mod tests {
         let ctx = ctx();
         let n = 500u32;
         let xs: Vec<f32> = (1..=n).map(|i| i as f32).collect();
-        let dx = ctx.upload_f32(&xs).unwrap();
-        let dy = ctx.upload_f32(&vec![0.0; n as usize]).unwrap();
+        let dx = ctx.upload(&xs).unwrap();
+        let dy = ctx.upload(&vec![0.0f32; n as usize]).unwrap();
         let arrays =
             [FortranArray::vector(dx, n, Type::F32), FortranArray::vector(dy, n, Type::F32)];
         let kernel = cuf_kernels_do(&ctx, n, &arrays, |b, i, bases| {
@@ -235,7 +235,7 @@ mod tests {
         })
         .unwrap();
         cuf_launch(&ctx, &kernel, n, &arrays).unwrap();
-        let out = ctx.download_f32(dy, n as usize).unwrap();
+        let out = ctx.download::<f32>(dy, n as usize).unwrap();
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, 2.0 * (i + 1) as f32);
         }
@@ -251,8 +251,8 @@ mod tests {
         let ctx = ctx();
         let (rows, cols) = (4u32, 3u32);
         let a_host: Vec<f32> = (0..rows * cols).map(|k| k as f32).collect(); // column-major a(4,3)
-        let da = ctx.upload_f32(&a_host).unwrap();
-        let db = ctx.upload_f32(&vec![0.0; (rows * cols) as usize]).unwrap();
+        let da = ctx.upload(&a_host).unwrap();
+        let db = ctx.upload(&vec![0.0f32; (rows * cols) as usize]).unwrap();
 
         let mut f = CufBuilder::new("transpose");
         let a = f.array_param();
@@ -277,7 +277,7 @@ mod tests {
             &[KernelArg::Ptr(da), KernelArg::Ptr(db), KernelArg::I32(total as i32)],
         )
         .unwrap();
-        let out = ctx.download_f32(db, total as usize).unwrap();
+        let out = ctx.download::<f32>(db, total as usize).unwrap();
         // Check b(i,j) == a(j,i): b is 3×4 column-major.
         for i in 0..cols {
             for j in 0..rows {

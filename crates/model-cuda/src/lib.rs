@@ -73,7 +73,9 @@ pub enum MemcpyKind {
 }
 
 /// A CUDA context bound to one NVIDIA device — a thin, CUDA-flavored
-/// surface over the shared [`ExecutionSession`] spine.
+/// surface over the shared [`ExecutionSession`] spine. The memory behind
+/// the pointers it hands out belongs to the context: [`CudaContext::cuda_free`]
+/// gives one back early, and dropping the context gives back the rest.
 pub struct CudaContext {
     session: ExecutionSession,
 }
@@ -119,12 +121,18 @@ impl CudaContext {
 
     /// `cudaMalloc` — allocate `len` bytes.
     pub fn cuda_malloc(&self, len: u64) -> CudaResult<DevicePtr> {
-        self.session.alloc_bytes(len).map_err(|e| CudaError::MemoryAllocation(e.to_string()))
+        let len = usize::try_from(len).map_err(|e| CudaError::MemoryAllocation(e.to_string()))?;
+        let buf = self
+            .session
+            .alloc::<u8>(len)
+            .map_err(|e| CudaError::MemoryAllocation(e.to_string()))?;
+        Ok(self.session.hold(buf))
     }
 
-    /// `cudaFree`.
-    pub fn cuda_free(&self, ptr: DevicePtr, len: u64) {
-        self.session.free_bytes(ptr, len);
+    /// `cudaFree` — by pointer alone. A pointer this context did not
+    /// allocate, or has freed already, is `cudaErrorInvalidValue`.
+    pub fn cuda_free(&self, ptr: DevicePtr) -> CudaResult<()> {
+        self.session.free(ptr).map_err(|e| CudaError::InvalidValue(e.to_string()))
     }
 
     /// `cudaMemcpy` for raw bytes.
@@ -163,39 +171,17 @@ impl CudaContext {
             .map_err(|e| CudaError::InvalidValue(e.to_string()))
     }
 
-    /// Upload a typed slice (convenience; CUDA codebases wrap memcpy the
-    /// same way). `upload_f32`/`upload_f64` are retained aliases.
+    /// `cudaMalloc` + `cudaMemcpy` of a typed slice (CUDA codebases wrap
+    /// the pair the same way); free the pointer with [`CudaContext::cuda_free`].
     pub fn upload<T: Element>(&self, data: &[T]) -> CudaResult<DevicePtr> {
-        let ptr = self.cuda_malloc((data.len() * T::BYTES) as u64)?;
-        self.session
-            .upload_raw(ptr, data)
-            .map_err(|e| CudaError::MemoryAllocation(e.to_string()))?;
-        Ok(ptr)
+        let buf =
+            self.session.upload(data).map_err(|e| CudaError::MemoryAllocation(e.to_string()))?;
+        Ok(self.session.hold(buf))
     }
 
     /// Download `n` typed values.
     pub fn download<T: Element>(&self, ptr: DevicePtr, n: usize) -> CudaResult<Vec<T>> {
         self.session.download_raw(ptr, n).map_err(|e| CudaError::InvalidValue(e.to_string()))
-    }
-
-    /// Upload an `f32` slice.
-    pub fn upload_f32(&self, data: &[f32]) -> CudaResult<DevicePtr> {
-        self.upload(data)
-    }
-
-    /// Download `n` `f32` values.
-    pub fn download_f32(&self, ptr: DevicePtr, n: usize) -> CudaResult<Vec<f32>> {
-        self.download(ptr, n)
-    }
-
-    /// Upload an `f64` slice.
-    pub fn upload_f64(&self, data: &[f64]) -> CudaResult<DevicePtr> {
-        self.upload(data)
-    }
-
-    /// Download `n` `f64` values.
-    pub fn download_f64(&self, ptr: DevicePtr, n: usize) -> CudaResult<Vec<f64>> {
-        self.download(ptr, n)
     }
 
     /// Compile a kernel with the best available CUDA toolchain (nvcc-like;
@@ -316,8 +302,8 @@ mod tests {
         let n = 1 << 12;
         let xs: Vec<f32> = (0..n).map(|i| i as f32).collect();
         let ys = vec![0.5f32; n];
-        let dx = ctx.upload_f32(&xs).unwrap();
-        let dy = ctx.upload_f32(&ys).unwrap();
+        let dx = ctx.upload(&xs).unwrap();
+        let dy = ctx.upload(&ys).unwrap();
         ctx.launch(
             &kernel,
             (n as u32).div_ceil(256),
@@ -330,7 +316,7 @@ mod tests {
             ],
         )
         .unwrap();
-        let out = ctx.download_f32(dy, n).unwrap();
+        let out = ctx.download::<f32>(dy, n).unwrap();
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, 2.0 * i as f32 + 0.5);
         }
@@ -347,8 +333,8 @@ mod tests {
         let mut back = vec![0u8; 1024];
         ctx.cuda_memcpy(b, &mut back, MemcpyKind::DeviceToHost).unwrap();
         assert_eq!(host, back);
-        ctx.cuda_free(a, 1024);
-        ctx.cuda_free(b, 1024);
+        ctx.cuda_free(a).unwrap();
+        ctx.cuda_free(b).unwrap();
     }
 
     #[test]
@@ -386,9 +372,9 @@ mod tests {
         let ctx = CudaContext::new(nvidia()).unwrap();
         let kernel = ctx.compile(&ir).unwrap();
         let data: Vec<f64> = (0..100).map(f64::from).collect();
-        let d = ctx.upload_f64(&data).unwrap();
+        let d = ctx.upload(&data).unwrap();
         ctx.launch(&kernel, 1, 128, &[KernelArg::Ptr(d), KernelArg::I32(100)]).unwrap();
-        let out = ctx.download_f64(d, 100).unwrap();
+        let out = ctx.download::<f64>(d, 100).unwrap();
         for (i, v) in out.iter().enumerate() {
             assert_eq!(*v, 3.0 * i as f64);
         }

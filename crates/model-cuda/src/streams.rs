@@ -7,11 +7,25 @@ use mcmm_gpu_sim::device::{KernelArg, LaunchConfig};
 use mcmm_gpu_sim::event::Event;
 use mcmm_gpu_sim::mem::DevicePtr;
 use mcmm_gpu_sim::stream::{Pending, Stream};
+use std::marker::PhantomData;
 use std::sync::Arc;
 
-/// `cudaStream_t` — an in-order asynchronous queue.
-pub struct CudaStream {
+/// `cudaStream_t` — an in-order asynchronous queue. It borrows its
+/// context, whose memory its queued copies and launches use, and drains
+/// when it drops, so no queued operation can outlive that memory:
+///
+/// ```compile_fail,E0597
+/// # use mcmm_gpu_sim::{Device, DeviceSpec};
+/// # use mcmm_model_cuda::CudaContext;
+/// let stream;
+/// {
+///     let ctx = CudaContext::new(Device::new(DeviceSpec::nvidia_a100())).unwrap();
+///     stream = ctx.cuda_stream_create();
+/// } // `ctx` does not live long enough: `stream` drains after it
+/// ```
+pub struct CudaStream<'ctx> {
     stream: Stream,
+    _ctx: PhantomData<&'ctx CudaContext>,
 }
 
 /// `cudaEvent_t`.
@@ -22,8 +36,8 @@ pub struct CudaEvent {
 
 impl CudaContext {
     /// `cudaStreamCreate`.
-    pub fn cuda_stream_create(&self) -> CudaStream {
-        CudaStream { stream: Stream::new(Arc::clone(self.device())) }
+    pub fn cuda_stream_create(&self) -> CudaStream<'_> {
+        CudaStream { stream: Stream::new(Arc::clone(self.device())), _ctx: PhantomData }
     }
 
     /// `cudaEventCreate`.
@@ -32,7 +46,7 @@ impl CudaContext {
     }
 }
 
-impl CudaStream {
+impl CudaStream<'_> {
     /// `cudaMemcpyAsync` host→device.
     pub fn memcpy_async_htod(&self, dst: DevicePtr, data: Vec<u8>) {
         self.stream.memcpy_h2d(dst, data);
@@ -69,6 +83,13 @@ impl CudaStream {
     /// `cudaStreamSynchronize`.
     pub fn synchronize(&self) -> CudaResult<()> {
         self.stream.synchronize().map_err(|e| CudaError::LaunchFailure(e.to_string()))
+    }
+}
+
+impl Drop for CudaStream<'_> {
+    /// Drain the queue while the context's memory is still allocated.
+    fn drop(&mut self) {
+        let _ = self.stream.synchronize();
     }
 }
 

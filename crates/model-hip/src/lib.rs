@@ -95,7 +95,9 @@ impl std::error::Error for HipError {}
 pub type HipResult<T> = Result<T, HipError>;
 
 /// A HIP context bound to a device through a platform — a HIP-flavored
-/// surface over the shared [`ExecutionSession`] spine.
+/// surface over the shared [`ExecutionSession`] spine. The memory behind
+/// the pointers it hands out belongs to the context: [`HipContext::hip_free`]
+/// gives one back early, and dropping the context gives back the rest.
 pub struct HipContext {
     session: ExecutionSession,
     platform: HipPlatform,
@@ -143,12 +145,16 @@ impl HipContext {
 
     /// `hipMalloc`.
     pub fn hip_malloc(&self, len: u64) -> HipResult<DevicePtr> {
-        self.session.alloc_bytes(len).map_err(|e| HipError::MemoryAllocation(e.to_string()))
+        let len = usize::try_from(len).map_err(|e| HipError::MemoryAllocation(e.to_string()))?;
+        let buf =
+            self.session.alloc::<u8>(len).map_err(|e| HipError::MemoryAllocation(e.to_string()))?;
+        Ok(self.session.hold(buf))
     }
 
-    /// `hipFree`.
-    pub fn hip_free(&self, ptr: DevicePtr, len: u64) {
-        self.session.free_bytes(ptr, len);
+    /// `hipFree` — by pointer alone. A pointer this context did not
+    /// allocate, or has freed already, is `hipErrorInvalidValue`.
+    pub fn hip_free(&self, ptr: DevicePtr) -> HipResult<()> {
+        self.session.free(ptr).map_err(|e| HipError::InvalidValue(e.to_string()))
     }
 
     /// `hipMemcpyHtoD`.
@@ -166,38 +172,17 @@ impl HipContext {
             .map_err(|e| HipError::InvalidValue(e.to_string()))
     }
 
-    /// Upload a typed slice; `upload_f32`/`upload_f64` are retained aliases.
+    /// `hipMalloc` + `hipMemcpyHtoD` of a typed slice; free the pointer
+    /// with [`HipContext::hip_free`].
     pub fn upload<T: Element>(&self, data: &[T]) -> HipResult<DevicePtr> {
-        let ptr = self.hip_malloc((data.len() * T::BYTES) as u64)?;
-        self.session
-            .upload_raw(ptr, data)
-            .map_err(|e| HipError::MemoryAllocation(e.to_string()))?;
-        Ok(ptr)
+        let buf =
+            self.session.upload(data).map_err(|e| HipError::MemoryAllocation(e.to_string()))?;
+        Ok(self.session.hold(buf))
     }
 
     /// Download `n` typed values.
     pub fn download<T: Element>(&self, ptr: DevicePtr, n: usize) -> HipResult<Vec<T>> {
         self.session.download_raw(ptr, n).map_err(|e| HipError::InvalidValue(e.to_string()))
-    }
-
-    /// Upload an `f32` slice.
-    pub fn upload_f32(&self, data: &[f32]) -> HipResult<DevicePtr> {
-        self.upload(data)
-    }
-
-    /// Download `n` `f32` values.
-    pub fn download_f32(&self, ptr: DevicePtr, n: usize) -> HipResult<Vec<f32>> {
-        self.download(ptr, n)
-    }
-
-    /// Upload an `f64` slice.
-    pub fn upload_f64(&self, data: &[f64]) -> HipResult<DevicePtr> {
-        self.upload(data)
-    }
-
-    /// Download `n` `f64` values.
-    pub fn download_f64(&self, ptr: DevicePtr, n: usize) -> HipResult<Vec<f64>> {
-        self.download(ptr, n)
     }
 
     /// Compile with hipcc for the context's platform. On
@@ -335,8 +320,8 @@ mod tests {
             let n = 2048usize;
             let xs: Vec<f32> = (0..n).map(|i| (i % 100) as f32).collect();
             let ys = vec![3.0f32; n];
-            let dx = ctx.upload_f32(&xs).unwrap();
-            let dy = ctx.upload_f32(&ys).unwrap();
+            let dx = ctx.upload(&xs).unwrap();
+            let dy = ctx.upload(&ys).unwrap();
             ctx.launch(
                 &kernel,
                 (n as u32).div_ceil(256),
@@ -349,7 +334,7 @@ mod tests {
                 ],
             )
             .unwrap();
-            let out = ctx.download_f32(dy, n).unwrap();
+            let out = ctx.download::<f32>(dy, n).unwrap();
             for (i, v) in out.iter().enumerate() {
                 assert_eq!(*v, 4.0 * ((i % 100) as f32) + 3.0, "{name} wrong at {i}");
             }
@@ -363,7 +348,7 @@ mod tests {
         let data: Vec<u8> = (0..=255u8).cycle().take(512).collect();
         ctx.hip_memcpy_htod(p, &data).unwrap();
         assert_eq!(ctx.hip_memcpy_dtoh(p, 512).unwrap(), data);
-        ctx.hip_free(p, 512);
+        ctx.hip_free(p).unwrap();
     }
 
     #[test]

@@ -17,7 +17,7 @@
 
 use mcmm_core::provider::Maintenance;
 use mcmm_core::taxonomy::{Language, Model, Vendor};
-use mcmm_frontend::{Element, ExecutionSession, Frontend, FrontendError};
+use mcmm_frontend::{DeviceBuffer, ExecutionSession, Frontend, FrontendError};
 use mcmm_gpu_sim::device::{Device, KernelArg};
 use mcmm_gpu_sim::ir::{AtomicOp, KernelBuilder, Reg, Type};
 use mcmm_gpu_sim::mem::DevicePtr;
@@ -154,7 +154,7 @@ impl ExecSpace {
         views: &[&View],
         body: impl FnOnce(&mut KernelBuilder, Reg, &[Reg]),
     ) -> KokkosResult<()> {
-        let ptrs: Vec<DevicePtr> = views.iter().map(|v| v.ptr).collect();
+        let ptrs: Vec<DevicePtr> = views.iter().map(|v| v.buf.ptr()).collect();
         self.run(n, &ptrs, &[], body)
     }
 
@@ -165,44 +165,26 @@ impl ExecSpace {
         views: &[&View],
         body: impl FnOnce(&mut KernelBuilder, Reg, &[Reg]) -> Reg,
     ) -> KokkosResult<f64> {
-        let cell = self.session.alloc::<f64>(1).map_err(|e| KokkosError::Runtime(e.to_string()))?;
-        self.session
-            .device()
-            .memory()
-            .store(cell.ptr().0, Value::F64(0.0))
-            .map_err(|e| KokkosError::Runtime(e.to_string()))?;
-        let ptrs: Vec<DevicePtr> = views.iter().map(|v| v.ptr).collect();
+        let cell =
+            self.session.reduction_cell(0.0).map_err(|e| KokkosError::Runtime(e.to_string()))?;
+        let ptrs: Vec<DevicePtr> = views.iter().map(|v| v.buf.ptr()).collect();
         let nviews = ptrs.len();
         self.run(n, &ptrs, &[cell.arg()], |b, i, bases| {
             let contribution = body(b, i, bases);
             let cell_reg = Reg(nviews as u16); // param right after the views
             let _ = b.atomic(AtomicOp::Add, Space::Global, cell_reg, contribution);
         })?;
-        let out = self
-            .session
-            .device()
-            .memory()
-            .load(Type::F64, cell.ptr().0)
-            .map_err(|e| KokkosError::Runtime(e.to_string()))?;
-        match out {
-            Value::F64(x) => Ok(x),
-            _ => unreachable!("reduction cell is f64"),
-        }
+        self.session.read_cell(&cell).map_err(|e| KokkosError::Runtime(e.to_string()))
     }
 
     /// Create a rank-1 view from host data.
     pub fn view_from_host(&self, label: &'static str, data: &[f64]) -> KokkosResult<View> {
-        let ptr = self.alloc_upload(data)?;
-        Ok(View { label, ptr, dims: [data.len(), 1], layout: Layout::Left })
+        let buf = self.upload(data)?;
+        Ok(View { label, buf, dims: [data.len(), 1], layout: Layout::Left })
     }
 
-    fn alloc_upload(&self, data: &[f64]) -> KokkosResult<DevicePtr> {
-        let ptr = self
-            .session
-            .alloc_bytes((data.len() * f64::BYTES) as u64)
-            .map_err(|e| KokkosError::Runtime(e.to_string()))?;
-        self.session.upload_raw(ptr, data).map_err(|e| KokkosError::Runtime(e.to_string()))?;
-        Ok(ptr)
+    fn upload(&self, data: &[f64]) -> KokkosResult<DeviceBuffer<f64>> {
+        self.session.upload(data).map_err(|e| KokkosError::Runtime(e.to_string()))
     }
 
     /// Create a zero-filled rank-2 view.
@@ -213,15 +195,13 @@ impl ExecSpace {
         cols: usize,
         layout: Layout,
     ) -> KokkosResult<View> {
-        let ptr = self.alloc_upload(&vec![0.0; rows * cols])?;
-        Ok(View { label, ptr, dims: [rows, cols], layout })
+        let buf = self.upload(&vec![0.0; rows * cols])?;
+        Ok(View { label, buf, dims: [rows, cols], layout })
     }
 
     /// `deep_copy` back to the host.
     pub fn deep_copy_to_host(&self, view: &View) -> KokkosResult<Vec<f64>> {
-        self.session
-            .download_raw::<f64>(view.ptr, view.dims[0] * view.dims[1])
-            .map_err(|e| KokkosError::Runtime(e.to_string()))
+        self.session.download(&view.buf).map_err(|e| KokkosError::Runtime(e.to_string()))
     }
 }
 
@@ -238,11 +218,12 @@ impl Frontend for KokkosFrontend {
     }
 }
 
-/// A Kokkos view: labeled device data with layout.
+/// A Kokkos view: labeled device data with layout. The view owns its
+/// data and frees it when it drops.
 pub struct View {
     /// Kokkos views carry a human-readable label.
     pub label: &'static str,
-    ptr: DevicePtr,
+    buf: DeviceBuffer<f64>,
     dims: [usize; 2],
     layout: Layout,
 }

@@ -279,19 +279,10 @@ impl OmpDevice {
             }
             bufs.push(buf);
         }
-        let red_cell = match reduction {
-            Some(r) => {
-                let cell =
-                    self.session.alloc::<f64>(1).map_err(|e| OmpError::Runtime(e.to_string()))?;
-                self.session
-                    .device()
-                    .memory()
-                    .store(cell.ptr().0, Value::F64(r.identity()))
-                    .map_err(|e| OmpError::Runtime(e.to_string()))?;
-                Some(cell)
-            }
-            None => None,
-        };
+        let red_cell = reduction
+            .map(|r| self.session.reduction_cell(r.identity()))
+            .transpose()
+            .map_err(|e| OmpError::Runtime(e.to_string()))?;
 
         // Build the kernel.
         let mut b = KernelBuilder::new("omp_target_region");
@@ -328,22 +319,10 @@ impl OmpDevice {
                 m.host.copy_from_slice(&out);
             }
         }
-        let result = match red_cell {
-            Some(cell) => {
-                let v = self
-                    .session
-                    .device()
-                    .memory()
-                    .load(Type::F64, cell.ptr().0)
-                    .map_err(|e| OmpError::Runtime(e.to_string()))?;
-                match v {
-                    Value::F64(x) => Some(x),
-                    _ => unreachable!("reduction cell is f64"),
-                }
-            }
-            None => None,
-        };
-        Ok(result)
+        red_cell
+            .map(|cell| self.session.read_cell(&cell))
+            .transpose()
+            .map_err(|e| OmpError::Runtime(e.to_string()))
     }
 
     /// Open a persistent `#pragma omp target data` region: arrays stay

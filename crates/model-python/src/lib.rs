@@ -20,7 +20,7 @@
 
 use mcmm_core::taxonomy::{Language, Model, Vendor};
 use mcmm_frontend::{Element, ExecutionSession, Frontend, FrontendError};
-use mcmm_gpu_sim::device::{Device, KernelArg};
+use mcmm_gpu_sim::device::{Device, DeviceAlloc, KernelArg};
 use mcmm_gpu_sim::ir::{BinOp, CmpOp, KernelBuilder, Space, Type};
 use mcmm_gpu_sim::mem::DevicePtr;
 use std::fmt;
@@ -190,27 +190,10 @@ impl PyRuntime {
     }
 
     /// `cupy.asarray(host)` — upload, tagging the array with the dtype of
-    /// the host slice. One generic path; the `_f32`/`_f64` names are
-    /// deprecated sugar over it.
+    /// the host slice.
     pub fn asarray<T: PyElement>(&self, data: &[T]) -> PyResult<PyArray> {
-        let ptr = self
-            .session
-            .alloc_bytes((data.len() * T::BYTES) as u64)
-            .map_err(|e| PyError::RuntimeError(e.to_string()))?;
-        self.session.upload_raw(ptr, data).map_err(|e| PyError::RuntimeError(e.to_string()))?;
-        Ok(PyArray { ptr, len: data.len(), dtype: T::DTYPE })
-    }
-
-    /// `cupy.asarray(host)` for `float64`.
-    #[deprecated(since = "0.1.0", note = "use the generic `asarray` instead")]
-    pub fn asarray_f64(&self, data: &[f64]) -> PyResult<PyArray> {
-        self.asarray(data)
-    }
-
-    /// `cupy.asarray(host, dtype=float32)`.
-    #[deprecated(since = "0.1.0", note = "use the generic `asarray` instead")]
-    pub fn asarray_f32(&self, data: &[f32]) -> PyResult<PyArray> {
-        self.asarray(data)
+        let buf = self.session.upload(data).map_err(|e| PyError::RuntimeError(e.to_string()))?;
+        Ok(PyArray { alloc: buf.into_alloc(), len: data.len(), dtype: T::DTYPE })
     }
 
     /// `cupy.zeros(n, dtype)`.
@@ -253,7 +236,7 @@ impl PyRuntime {
             let vo = k.bin(op, va, vb);
             k.st_elem(Space::Global, po, i, vo);
         });
-        self.launch(&k.finish(), a.len, &[a.ptr, b.ptr, out.ptr])?;
+        self.launch(&k.finish(), a.len, &[a.ptr(), b.ptr(), out.ptr()])?;
         Ok(out)
     }
 
@@ -271,7 +254,7 @@ impl PyRuntime {
             let v = k.ld_elem(Space::Global, ty, pa, i);
             k.st_elem(Space::Global, po, i, v);
         });
-        self.launch(&k.finish(), a.len, &[a.ptr, out.ptr])?;
+        self.launch(&k.finish(), a.len, &[a.ptr(), out.ptr()])?;
         Ok(out)
     }
 
@@ -298,12 +281,8 @@ impl PyRuntime {
             k.st_elem(Space::Global, po, i, w);
         });
         // scalar_mul has an extra f64 argument between the pointers and n.
-        let args = [
-            KernelArg::Ptr(a.ptr),
-            KernelArg::Ptr(out.ptr),
-            KernelArg::F64(alpha),
-            KernelArg::I32(a.len as i32),
-        ];
+        let args =
+            [a.alloc.arg(), out.alloc.arg(), KernelArg::F64(alpha), KernelArg::I32(a.len as i32)];
         self.session
             .run(&k.finish(), a.len as u64, 256, &args)
             .map_err(|e| PyError::RuntimeError(e.to_string()))?;
@@ -319,12 +298,7 @@ impl PyRuntime {
             )));
         }
         let cell =
-            self.session.alloc::<f64>(1).map_err(|e| PyError::RuntimeError(e.to_string()))?;
-        self.session
-            .device()
-            .memory()
-            .store(cell.ptr().0, Value::F64(0.0))
-            .map_err(|e| PyError::RuntimeError(e.to_string()))?;
+            self.session.reduction_cell(0.0).map_err(|e| PyError::RuntimeError(e.to_string()))?;
         let mut k = KernelBuilder::new("py_sum");
         let pa = k.param(Type::I64);
         let pc = k.param(Type::I64);
@@ -335,17 +309,8 @@ impl PyRuntime {
             let v = k.ld_elem(Space::Global, Type::F64, pa, i);
             let _ = k.atomic(mcmm_gpu_sim::ir::AtomicOp::Add, Space::Global, pc, v);
         });
-        self.launch(&k.finish(), a.len, &[a.ptr, cell.ptr()])?;
-        let out = self
-            .session
-            .device()
-            .memory()
-            .load(Type::F64, cell.ptr().0)
-            .map_err(|e| PyError::RuntimeError(e.to_string()))?;
-        match out {
-            Value::F64(x) => Ok(x),
-            _ => unreachable!("sum cell is f64"),
-        }
+        self.launch(&k.finish(), a.len, &[a.ptr(), cell.ptr()])?;
+        self.session.read_cell(&cell).map_err(|e| PyError::RuntimeError(e.to_string()))
     }
 
     /// `cupy.asnumpy(arr)` — download to host, checking the runtime dtype
@@ -358,13 +323,7 @@ impl PyRuntime {
                 T::DTYPE.name()
             )));
         }
-        self.session.download_raw(a.ptr, a.len).map_err(|e| PyError::RuntimeError(e.to_string()))
-    }
-
-    /// `cupy.asnumpy(arr)` for `float64`.
-    #[deprecated(since = "0.1.0", note = "use the generic `asnumpy` instead")]
-    pub fn asnumpy_f64(&self, a: &PyArray) -> PyResult<Vec<f64>> {
-        self.asnumpy(a)
+        self.session.download_raw(a.ptr(), a.len).map_err(|e| PyError::RuntimeError(e.to_string()))
     }
 
     fn launch(
@@ -412,16 +371,21 @@ impl Frontend for PythonFrontend {
 }
 
 /// A device array with runtime dtype — the `cupy.ndarray`/`dpnp.ndarray`
-/// analogue (rank 1).
+/// analogue (rank 1). The array owns its device memory and frees it when
+/// it drops, as CuPy does when an array's last reference goes.
 #[derive(Debug)]
 pub struct PyArray {
-    ptr: DevicePtr,
+    alloc: DeviceAlloc,
     len: usize,
     /// Runtime dtype.
     pub dtype: DType,
 }
 
 impl PyArray {
+    fn ptr(&self) -> DevicePtr {
+        self.alloc.ptr()
+    }
+
     /// `len(arr)`.
     pub fn len(&self) -> usize {
         self.len
@@ -506,16 +470,6 @@ mod tests {
         assert_eq!(py.sum(&a).unwrap(), 4950.0);
         let f32arr = py.asarray(&[1.0f32]).unwrap();
         assert!(matches!(py.sum(&f32arr), Err(PyError::TypeError(_))));
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_asarray_names_still_work() {
-        let py = PyRuntime::new(Device::new(DeviceSpec::nvidia_a100())).unwrap();
-        let a = py.asarray_f64(&[1.0, 2.0]).unwrap();
-        assert_eq!(py.asnumpy_f64(&a).unwrap(), vec![1.0, 2.0]);
-        let b = py.asarray_f32(&[1.0, 2.0]).unwrap();
-        assert_eq!(b.dtype, DType::Float32);
     }
 
     #[test]

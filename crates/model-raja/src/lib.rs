@@ -20,7 +20,7 @@
 use mcmm_core::provider::{Maintenance, Provider};
 use mcmm_core::route::{Completeness, Directness, Route, RouteKind};
 use mcmm_core::taxonomy::{Language, Model, Vendor};
-use mcmm_frontend::{Element, ExecutionSession};
+use mcmm_frontend::{DeviceBuffer, ExecutionSession};
 use mcmm_gpu_sim::device::{Device, KernelArg, LaunchConfig};
 use mcmm_gpu_sim::ir::{AtomicOp, KernelBuilder, Reg, Space, Type};
 use mcmm_gpu_sim::mem::DevicePtr;
@@ -199,14 +199,11 @@ impl Resource {
         &self.session
     }
 
-    /// Allocate + upload a device array.
+    /// Allocate + upload a device array. The resource holds it until it
+    /// drops.
     pub fn alloc(&self, data: &[f64]) -> RajaResult<DevicePtr> {
-        let ptr = self
-            .session
-            .alloc_bytes((data.len() * f64::BYTES) as u64)
-            .map_err(|e| RajaError::Runtime(e.to_string()))?;
-        self.session.upload_raw(ptr, data).map_err(|e| RajaError::Runtime(e.to_string()))?;
-        Ok(ptr)
+        let buf = self.session.upload(data).map_err(|e| RajaError::Runtime(e.to_string()))?;
+        Ok(self.session.hold(buf))
     }
 
     /// Read back a device array.
@@ -225,28 +222,25 @@ enum ReduceKind {
 
 /// A RAJA reducer object: create before `forall`, combined inside the
 /// kernel by the `forall_reduce_*` helpers, read with `.get()` afterwards.
-pub struct Reducer {
-    cell: DevicePtr,
-    device: Arc<Device>,
+/// Its device cell is freed when it drops.
+pub struct Reducer<'r> {
+    res: &'r Resource,
+    cell: DeviceBuffer<f64>,
 }
 
 /// `RAJA::ReduceSum<reduce_policy, double>`.
-pub struct ReduceSum(Reducer);
+pub struct ReduceSum<'r>(Reducer<'r>);
 /// `RAJA::ReduceMin<reduce_policy, double>`.
-pub struct ReduceMin(Reducer);
+pub struct ReduceMin<'r>(Reducer<'r>);
 /// `RAJA::ReduceMax<reduce_policy, double>`.
-pub struct ReduceMax(Reducer);
+pub struct ReduceMax<'r>(Reducer<'r>);
 
-impl Reducer {
-    fn new(res: &Resource, kind: ReduceKind, init: f64) -> RajaResult<Self> {
-        let cell = res.session.alloc_bytes(8).map_err(|e| RajaError::Runtime(e.to_string()))?;
-        res.session
-            .device()
-            .memory()
-            .store(cell.0, Value::F64(init))
-            .map_err(|e| RajaError::Runtime(e.to_string()))?;
-        let _ = kind; // identity is fixed by the initial value + combine op
-        Ok(Self { cell, device: Arc::clone(res.session.device()) })
+impl<'r> Reducer<'r> {
+    /// The identity is fixed by `init` and the combine op.
+    fn new(res: &'r Resource, init: f64) -> RajaResult<Self> {
+        let cell =
+            res.session.reduction_cell(init).map_err(|e| RajaError::Runtime(e.to_string()))?;
+        Ok(Self { res, cell })
     }
 
     /// Emit the combine of `v` into this reducer inside a kernel body.
@@ -262,22 +256,14 @@ impl Reducer {
     }
 
     fn get(&self) -> RajaResult<f64> {
-        match self
-            .device
-            .memory()
-            .load(Type::F64, self.cell.0)
-            .map_err(|e| RajaError::Runtime(e.to_string()))?
-        {
-            Value::F64(x) => Ok(x),
-            _ => unreachable!("reducer cell is f64"),
-        }
+        self.res.session.read_cell(&self.cell).map_err(|e| RajaError::Runtime(e.to_string()))
     }
 }
 
-impl ReduceSum {
+impl<'r> ReduceSum<'r> {
     /// Create a sum reducer with the given initial value.
-    pub fn new(res: &Resource, init: f64) -> RajaResult<Self> {
-        Ok(Self(Reducer::new(res, ReduceKind::Sum, init)?))
+    pub fn new(res: &'r Resource, init: f64) -> RajaResult<Self> {
+        Ok(Self(Reducer::new(res, init)?))
     }
     /// `.get()` — host-side read after the forall.
     pub fn get(&self) -> RajaResult<f64> {
@@ -285,10 +271,10 @@ impl ReduceSum {
     }
 }
 
-impl ReduceMin {
+impl<'r> ReduceMin<'r> {
     /// Create a min reducer with the given initial value.
-    pub fn new(res: &Resource, init: f64) -> RajaResult<Self> {
-        Ok(Self(Reducer::new(res, ReduceKind::Min, init)?))
+    pub fn new(res: &'r Resource, init: f64) -> RajaResult<Self> {
+        Ok(Self(Reducer::new(res, init)?))
     }
     /// `.get()` — host-side read after the forall.
     pub fn get(&self) -> RajaResult<f64> {
@@ -296,10 +282,10 @@ impl ReduceMin {
     }
 }
 
-impl ReduceMax {
+impl<'r> ReduceMax<'r> {
     /// Create a max reducer with the given initial value.
-    pub fn new(res: &Resource, init: f64) -> RajaResult<Self> {
-        Ok(Self(Reducer::new(res, ReduceKind::Max, init)?))
+    pub fn new(res: &'r Resource, init: f64) -> RajaResult<Self> {
+        Ok(Self(Reducer::new(res, init)?))
     }
     /// `.get()` — host-side read after the forall.
     pub fn get(&self) -> RajaResult<f64> {
@@ -380,7 +366,7 @@ pub fn forall_reduce_sum(
     reducer: &ReduceSum,
     body: impl FnOnce(&mut KernelBuilder, Reg, &[Reg]) -> Reg,
 ) -> RajaResult<()> {
-    launch(res, policy, seg, arrays, Some(reducer.0.cell), |b, i, bases, cell| {
+    launch(res, policy, seg, arrays, Some(reducer.0.cell.ptr()), |b, i, bases, cell| {
         let v = body(b, i, bases);
         Reducer::combine_ir(ReduceKind::Sum, b, cell.expect("cell present"), v);
     })
@@ -395,7 +381,7 @@ pub fn forall_reduce_min(
     reducer: &ReduceMin,
     body: impl FnOnce(&mut KernelBuilder, Reg, &[Reg]) -> Reg,
 ) -> RajaResult<()> {
-    launch(res, policy, seg, arrays, Some(reducer.0.cell), |b, i, bases, cell| {
+    launch(res, policy, seg, arrays, Some(reducer.0.cell.ptr()), |b, i, bases, cell| {
         let v = body(b, i, bases);
         Reducer::combine_ir(ReduceKind::Min, b, cell.expect("cell present"), v);
     })
@@ -410,7 +396,7 @@ pub fn forall_reduce_max(
     reducer: &ReduceMax,
     body: impl FnOnce(&mut KernelBuilder, Reg, &[Reg]) -> Reg,
 ) -> RajaResult<()> {
-    launch(res, policy, seg, arrays, Some(reducer.0.cell), |b, i, bases, cell| {
+    launch(res, policy, seg, arrays, Some(reducer.0.cell.ptr()), |b, i, bases, cell| {
         let v = body(b, i, bases);
         Reducer::combine_ir(ReduceKind::Max, b, cell.expect("cell present"), v);
     })

@@ -15,7 +15,7 @@
 //!   returns [`StdparError::NoSupport`]).
 
 use mcmm_core::taxonomy::{Language, Model, Vendor};
-use mcmm_frontend::{Element, ExecutionSession, Frontend, FrontendError};
+use mcmm_frontend::{DeviceBuffer, ExecutionSession, Frontend, FrontendError};
 use mcmm_gpu_sim::device::{Device, KernelArg};
 use mcmm_gpu_sim::ir::{AtomicOp, KernelBuilder, Reg, Type};
 use mcmm_gpu_sim::mem::DevicePtr;
@@ -135,7 +135,7 @@ impl Policy {
         v: &mut DeviceVec,
         body: impl FnOnce(&mut KernelBuilder, Reg, Reg),
     ) -> StdparResult<()> {
-        self.run(v.len, &[v.ptr], &[], |b, i, bases| body(b, i, bases[0]))
+        self.run(v.len(), &[v.buf.ptr()], &[], |b, i, bases| body(b, i, bases[0]))
     }
 
     /// The counted, multi-range form — `std::for_each_n` over a zip of
@@ -148,7 +148,7 @@ impl Policy {
         vs: &[&DeviceVec],
         body: impl FnOnce(&mut KernelBuilder, Reg, &[Reg]),
     ) -> StdparResult<()> {
-        let ptrs: Vec<DevicePtr> = vs.iter().map(|v| v.ptr).collect();
+        let ptrs: Vec<DevicePtr> = vs.iter().map(|v| v.buf.ptr()).collect();
         self.run(n, &ptrs, &[], body)
     }
 
@@ -159,8 +159,8 @@ impl Policy {
         output: &mut DeviceVec,
         body: impl FnOnce(&mut KernelBuilder, Reg) -> Reg,
     ) -> StdparResult<()> {
-        assert_eq!(input.len, output.len, "transform length mismatch");
-        self.run(input.len, &[input.ptr, output.ptr], &[], |b, i, bases| {
+        assert_eq!(input.len(), output.len(), "transform length mismatch");
+        self.run(input.len(), &[input.buf.ptr(), output.buf.ptr()], &[], |b, i, bases| {
             let x = b.ld_elem(Space::Global, Type::F64, bases[0], i);
             let y = body(b, x);
             b.st_elem(Space::Global, bases[1], i, y);
@@ -169,33 +169,20 @@ impl Policy {
 
     /// `std::reduce(policy, v.begin(), v.end(), init)` — atomic-add tree.
     pub fn reduce(&self, v: &DeviceVec, init: f64) -> StdparResult<f64> {
-        let cell = self.session.alloc::<f64>(1).map_err(|e| StdparError::Runtime(e.to_string()))?;
-        self.session
-            .device()
-            .memory()
-            .store(cell.ptr().0, Value::F64(init))
-            .map_err(|e| StdparError::Runtime(e.to_string()))?;
-        self.run(v.len, &[v.ptr], &[cell.arg()], |b, i, bases| {
+        let cell =
+            self.session.reduction_cell(init).map_err(|e| StdparError::Runtime(e.to_string()))?;
+        self.run(v.len(), &[v.buf.ptr()], &[cell.arg()], |b, i, bases| {
             let x = b.ld_elem(Space::Global, Type::F64, bases[0], i);
             let cell_reg = mcmm_gpu_sim::ir::Reg(1); // second param
             let _ = b.atomic(AtomicOp::Add, Space::Global, cell_reg, x);
         })?;
-        let out = self
-            .session
-            .device()
-            .memory()
-            .load(Type::F64, cell.ptr().0)
-            .map_err(|e| StdparError::Runtime(e.to_string()))?;
-        match out {
-            Value::F64(x) => Ok(x),
-            _ => unreachable!("reduction cell is f64"),
-        }
+        self.session.read_cell(&cell).map_err(|e| StdparError::Runtime(e.to_string()))
     }
 
     /// `std::inclusive_scan` — implemented as a (work-inefficient but
     /// correct) multi-pass Hillis–Steele scan on the device.
     pub fn inclusive_scan(&self, v: &mut DeviceVec) -> StdparResult<()> {
-        let n = v.len;
+        let n = v.len();
         if n == 0 {
             return Ok(());
         }
@@ -203,7 +190,7 @@ impl Policy {
             .session
             .upload(&vec![0.0f64; n])
             .map_err(|e| StdparError::Runtime(e.to_string()))?;
-        let mut src = v.ptr;
+        let mut src = v.buf.ptr();
         let mut dst = tmp.ptr();
         let mut offset = 1usize;
         let mut flipped = false;
@@ -235,15 +222,15 @@ impl Policy {
             self.session
                 .device()
                 .memory()
-                .copy_within(src, v.ptr, n as u64 * 8)
+                .copy_within(src, v.buf.ptr(), n as u64 * 8)
                 .map_err(|e| StdparError::Runtime(e.to_string()))?;
         }
         Ok(())
     }
 
-    /// Download a vector (generic element path; `DeviceVec` holds `f64`).
+    /// Download a vector.
     pub fn to_host(&self, v: &DeviceVec) -> StdparResult<Vec<f64>> {
-        self.session.download_raw(v.ptr, v.len).map_err(|e| StdparError::Runtime(e.to_string()))
+        self.session.download(&v.buf).map_err(|e| StdparError::Runtime(e.to_string()))
     }
 }
 
@@ -261,21 +248,17 @@ impl Frontend for StdparFrontend {
     }
 }
 
-/// A device-resident `std::vector<double>` analogue.
+/// A device-resident `std::vector<double>` analogue. The vector owns its
+/// device memory and frees it when it drops.
 pub struct DeviceVec {
-    ptr: DevicePtr,
-    len: usize,
+    buf: DeviceBuffer<f64>,
 }
 
 impl DeviceVec {
-    /// Upload host data (generic element path; `DeviceVec` holds `f64`).
+    /// Upload host data.
     pub fn from_host(policy: &Policy, data: &[f64]) -> StdparResult<Self> {
-        let ptr = policy
-            .session
-            .alloc_bytes((data.len() * f64::BYTES) as u64)
-            .map_err(|e| StdparError::Runtime(e.to_string()))?;
-        policy.session.upload_raw(ptr, data).map_err(|e| StdparError::Runtime(e.to_string()))?;
-        Ok(Self { ptr, len: data.len() })
+        let buf = policy.session.upload(data).map_err(|e| StdparError::Runtime(e.to_string()))?;
+        Ok(Self { buf })
     }
 
     /// Zero-initialised device vector.
@@ -285,12 +268,12 @@ impl DeviceVec {
 
     /// Element count.
     pub fn len(&self) -> usize {
-        self.len
+        self.buf.len()
     }
 
     /// Is the vector empty?
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.buf.is_empty()
     }
 }
 

@@ -20,7 +20,7 @@
 //! type-level: nothing in this crate accepts Fortran.
 
 use mcmm_core::taxonomy::{Language, Model, Vendor};
-use mcmm_frontend::{Element, ExecutionSession, Frontend, FrontendError};
+use mcmm_frontend::{DeviceBuffer, Element, ExecutionSession, Frontend, FrontendError};
 use mcmm_gpu_sim::device::{Device, KernelArg, LaunchReport};
 use mcmm_gpu_sim::ir::{KernelBuilder, KernelIr, Reg, Type};
 use mcmm_gpu_sim::mem::DevicePtr;
@@ -91,7 +91,8 @@ impl std::error::Error for SyclError {}
 pub type SyclResult<T> = Result<T, SyclError>;
 
 /// An in-order SYCL queue on one device through one implementation — a
-/// SYCL-flavored surface over the shared [`ExecutionSession`] spine.
+/// SYCL-flavored surface over the shared [`ExecutionSession`] spine. USM
+/// allocations belong to the queue and are freed when it drops.
 pub struct Queue {
     session: ExecutionSession,
     implementation: SyclImpl,
@@ -156,35 +157,11 @@ impl Queue {
     }
 
     /// USM: `malloc_device<T>` — one generic allocation path for every
-    /// element type (the old `_f32`/`_f64` pair is deprecated sugar).
+    /// element type. The queue holds the allocation until it drops.
     pub fn malloc_device<T: Element>(&self, n: usize) -> SyclResult<DevicePtr> {
-        self.session
-            .alloc_bytes((n * T::BYTES) as u64)
-            .map_err(|e| SyclError::MemoryAllocation(e.to_string()))
-    }
-
-    /// USM: `malloc_device<f32>`.
-    #[deprecated(since = "0.1.0", note = "use the generic `malloc_device::<f32>` instead")]
-    pub fn malloc_device_f32(&self, n: usize) -> SyclResult<DevicePtr> {
-        self.malloc_device::<f32>(n)
-    }
-
-    /// USM: `malloc_device<double>`.
-    #[deprecated(since = "0.1.0", note = "use the generic `malloc_device::<f64>` instead")]
-    pub fn malloc_device_f64(&self, n: usize) -> SyclResult<DevicePtr> {
-        self.malloc_device::<f64>(n)
-    }
-
-    /// USM copy host→device for doubles.
-    #[deprecated(since = "0.1.0", note = "use the generic `memcpy_to_device` instead")]
-    pub fn memcpy_to_device_f64(&self, dst: DevicePtr, src: &[f64]) -> SyclResult<()> {
-        self.memcpy_to_device(dst, src)
-    }
-
-    /// USM copy device→host for doubles.
-    #[deprecated(since = "0.1.0", note = "use the generic `memcpy_from_device` instead")]
-    pub fn memcpy_from_device_f64(&self, src: DevicePtr, n: usize) -> SyclResult<Vec<f64>> {
-        self.memcpy_from_device(src, n)
+        let buf =
+            self.session.alloc::<T>(n).map_err(|e| SyclError::MemoryAllocation(e.to_string()))?;
+        Ok(self.session.hold(buf))
     }
 
     /// `parallel_for` over raw USM pointers (no buffer bookkeeping): the
@@ -216,8 +193,7 @@ impl Queue {
             .map_err(|e| SyclError::Runtime(e.to_string()))
     }
 
-    /// USM copy host→device — generic over the element type ([`Element`]),
-    /// replacing the old `f32`/`f64` method pair.
+    /// USM copy host→device — generic over the element type ([`Element`]).
     pub fn memcpy_to_device<T: Element>(&self, dst: DevicePtr, src: &[T]) -> SyclResult<()> {
         self.session.upload_raw(dst, src).map(|_| ()).map_err(|e| SyclError::Invalid(e.to_string()))
     }
@@ -270,7 +246,7 @@ impl Queue {
         buffers: &[&mut Buffer],
     ) -> SyclResult<LaunchReport> {
         let mut args: Vec<KernelArg> =
-            buffers.iter().map(|buf| KernelArg::Ptr(buf.device_ptr.expect("synced"))).collect();
+            buffers.iter().map(|buf| buf.device.as_ref().expect("synced").arg()).collect();
         args.push(KernelArg::I32(range as i32));
         self.session
             .run(kernel, range as u64, 256, &args)
@@ -294,17 +270,18 @@ impl Frontend for SyclFrontend {
 
 /// A SYCL buffer: host data with a lazily materialised device shadow.
 /// Reading the host data after kernels ran synchronises back — the
-/// accessor-at-destruction semantics of SYCL buffers, made explicit.
+/// accessor-at-destruction semantics of SYCL buffers, made explicit. The
+/// buffer owns its device shadow and frees it when it drops.
 pub struct Buffer {
     host: Vec<f32>,
-    device_ptr: Option<DevicePtr>,
+    device: Option<DeviceBuffer<f32>>,
     device_dirty: bool,
 }
 
 impl Buffer {
     /// Wrap host data.
     pub fn new(host: Vec<f32>) -> Self {
-        Self { host, device_ptr: None, device_dirty: false }
+        Self { host, device: None, device_dirty: false }
     }
 
     /// Element count.
@@ -318,10 +295,12 @@ impl Buffer {
     }
 
     fn sync_to_device(&mut self, queue: &Queue) -> SyclResult<()> {
-        if self.device_ptr.is_none() {
-            let ptr = queue.malloc_device::<f32>(self.host.len())?;
-            queue.memcpy_to_device(ptr, &self.host)?;
-            self.device_ptr = Some(ptr);
+        if self.device.is_none() {
+            let buf = queue
+                .session
+                .upload(&self.host)
+                .map_err(|e| SyclError::MemoryAllocation(e.to_string()))?;
+            self.device = Some(buf);
         }
         Ok(())
     }
@@ -334,8 +313,9 @@ impl Buffer {
     /// read the data.
     pub fn host_data(&mut self, queue: &Queue) -> SyclResult<&[f32]> {
         if self.device_dirty {
-            let ptr = self.device_ptr.expect("dirty buffer must have a device copy");
-            self.host = queue.memcpy_from_device(ptr, self.host.len())?;
+            let buf = self.device.as_ref().expect("dirty buffer must have a device copy");
+            self.host =
+                queue.session.download(buf).map_err(|e| SyclError::Invalid(e.to_string()))?;
             self.device_dirty = false;
         }
         Ok(&self.host)
@@ -431,19 +411,6 @@ mod tests {
         let data64: Vec<f64> = (0..50).map(|i| i as f64 * 0.125).collect();
         q.memcpy_to_device(p64, &data64).unwrap();
         assert_eq!(q.memcpy_from_device::<f64>(p64, 50).unwrap(), data64);
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_memcpy_names_still_work() {
-        let q = Queue::new(Device::new(DeviceSpec::intel_pvc())).unwrap();
-        let p = q.malloc_device_f64(8).unwrap();
-        let data: Vec<f64> = (0..8).map(|i| i as f64).collect();
-        q.memcpy_to_device_f64(p, &data).unwrap();
-        assert_eq!(q.memcpy_from_device_f64(p, 8).unwrap(), data);
-        let p32 = q.malloc_device_f32(4).unwrap();
-        q.memcpy_to_device(p32, &[1.0f32; 4]).unwrap();
-        assert_eq!(q.memcpy_from_device::<f32>(p32, 4).unwrap(), vec![1.0; 4]);
     }
 
     #[test]

@@ -4,14 +4,15 @@
 //! chipStar is not a source rewriter — it is a compiler wrapper (`cuspv`
 //! replaces `nvcc` calls) that takes the CUDA/HIP program *as is* and
 //! compiles it for Intel's SPIR-V consumption. We mirror that: the program
-//! text is untouched; [`run_on_intel`] compiles its kernels straight
-//! to the SPIR-V-like ISA with the chipStar route's (experimental,
-//! research-grade) efficiency.
+//! text is untouched; [`run_on_intel`] runs it through the same
+//! interpreter as [`crate::exec::run_program`], with chipStar as the
+//! compiler: kernels go straight to the SPIR-V-like ISA at the chipStar
+//! route's (experimental, research-grade) efficiency.
 
 use crate::ast::{Dialect, GpuProgram};
 use crate::TranslateError;
 use mcmm_core::taxonomy::{Language, Model, Vendor};
-use mcmm_gpu_sim::device::{Device, DeviceAlloc, KernelArg, LaunchConfig};
+use mcmm_gpu_sim::device::Device;
 use mcmm_toolchain::Registry;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -36,79 +37,29 @@ pub fn run_on_intel(
         Dialect::HipCpp => Model::Hip,
         other => return Err(TranslateError::WrongDialect { translator: "chipStar", found: other }),
     };
+    let fail = |construct: String| TranslateError::UnsupportedConstructs {
+        translator: "chipStar",
+        constructs: vec![construct],
+    };
     let vendor = mcmm_toolchain::isa_vendor(device.spec().isa);
     if vendor != Vendor::Intel {
-        return Err(TranslateError::UnsupportedConstructs {
-            translator: "chipStar",
-            constructs: vec![format!("target vendor {vendor} (chipStar serves Intel GPUs)")],
-        });
+        return Err(fail(format!("target vendor {vendor} (chipStar serves Intel GPUs)")));
     }
     let registry = Registry::paper();
     let compiler = registry
         .select(model, Language::Cpp, Vendor::Intel)
         .into_iter()
         .find(|c| c.name.starts_with("chipStar"))
-        .ok_or(TranslateError::UnsupportedConstructs {
-            translator: "chipStar",
-            constructs: vec!["no chipStar route registered".into()],
-        })?;
-
-    // Interpret the host program with chipStar as the compiler.
-    use crate::ast::{Arg, Op};
-    let mut arrays: HashMap<&'static str, (DeviceAlloc, usize)> = HashMap::new();
-    let mut outputs = HashMap::new();
-    let fail = |m: String| TranslateError::UnsupportedConstructs {
-        translator: "chipStar",
-        constructs: vec![m],
-    };
-    for step in &program.steps {
-        match &step.op {
-            Op::Alloc { var, elems } => {
-                let buf = device.alloc_owned(*elems as u64 * 4).map_err(|e| fail(e.to_string()))?;
-                arrays.insert(var, (buf, *elems));
-            }
-            Op::CopyIn { var, data } | Op::CopyInAsync { var, data, .. } => {
-                let (buf, _) = arrays.get(var).ok_or_else(|| fail(format!("unknown {var}")))?;
-                let bytes: Vec<u8> = data.iter().flat_map(|v| v.to_le_bytes()).collect();
-                device.memcpy_h2d(buf.ptr(), &bytes).map_err(|e| fail(e.to_string()))?;
-            }
-            Op::Launch { kernel, n, args } => {
-                let def = &program.kernels[*kernel];
-                let module = compiler
-                    .compile(&def.ir, model, Language::Cpp, Vendor::Intel)
-                    .map_err(|e| fail(e.to_string()))?;
-                let mut kargs = Vec::new();
-                for a in args {
-                    kargs.push(match a {
-                        Arg::Scalar(v) => KernelArg::F32(*v),
-                        Arg::N => KernelArg::I32(*n as i32),
-                        Arg::Array(name) => {
-                            arrays.get(name).ok_or_else(|| fail(format!("unknown {name}")))?.0.arg()
-                        }
-                    });
-                }
-                let cfg =
-                    LaunchConfig::linear(*n as u64, 256).with_efficiency(compiler.efficiency());
-                device.launch(&module, cfg, &kargs).map_err(|e| fail(e.to_string()))?;
-            }
-            Op::CopyOut { var } => {
-                let (buf, elems) = arrays.get(var).ok_or_else(|| fail(format!("unknown {var}")))?;
-                let data = device.read_f32(buf.ptr(), *elems).map_err(|e| fail(e.to_string()))?;
-                outputs.insert(*var, data);
-            }
-            Op::Free { var } => {
-                arrays.remove(var);
-            }
-            Op::Sync => {}
-        }
-    }
+        .ok_or_else(|| fail("no chipStar route registered".into()))?;
+    let outputs =
+        crate::exec::run_with(program, device, compiler).map_err(|e| fail(e.to_string()))?;
     Ok(ChipStarRun { outputs, efficiency: compiler.efficiency() })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::cuda_saxpy_program;
+    use crate::ast::{cuda_saxpy_program, Op};
     use mcmm_gpu_sim::DeviceSpec;
 
     #[test]
@@ -131,6 +82,27 @@ mod tests {
         let dev = Device::new(DeviceSpec::intel_pvc());
         let run = run_on_intel(&hip, &dev).unwrap();
         assert_eq!(run.outputs["y"][10], 11.0);
+    }
+
+    #[test]
+    fn an_overflowing_copyin_is_refused() {
+        // x's upload is twice x's allocation and comes after y's, so
+        // copying it through would overwrite y.
+        let mut p = cuda_saxpy_program(64, 2.0);
+        p.steps.swap(2, 3);
+        let Op::CopyIn { var: "x", data } = &mut p.steps[3].op else { panic!("x's upload") };
+        *data = vec![1.0; 128];
+        let err = run_on_intel(&p, &Device::new(DeviceSpec::intel_pvc())).unwrap_err();
+        assert!(err.to_string().contains("copyin overflows x"), "{err}");
+    }
+
+    #[test]
+    fn a_launch_of_a_missing_kernel_is_refused() {
+        let mut p = cuda_saxpy_program(64, 2.0);
+        let Op::Launch { kernel, .. } = &mut p.steps[4].op else { panic!("the launch") };
+        *kernel = 7;
+        let err = run_on_intel(&p, &Device::new(DeviceSpec::intel_pvc())).unwrap_err();
+        assert!(err.to_string().contains("no kernel 7"), "{err}");
     }
 
     #[test]

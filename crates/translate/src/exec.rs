@@ -8,7 +8,7 @@
 use crate::ast::{Arg, Dialect, GpuProgram, Op};
 use mcmm_core::taxonomy::{Language, Model, Vendor};
 use mcmm_gpu_sim::device::{Device, DeviceAlloc, KernelArg, LaunchConfig};
-use mcmm_toolchain::Registry;
+use mcmm_toolchain::{Registry, VirtualCompiler};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -70,7 +70,19 @@ pub fn run_program(
     let compiler = registry
         .select_best(model, language, vendor)
         .ok_or(ExecError::NoRouteForDialect { dialect: program.dialect, vendor })?;
+    run_with(program, device, compiler)
+}
 
+/// The step loop under [`run_program`] and chipStar: interpret the
+/// program on `device`, compiling each launched kernel with `compiler`
+/// and paying its efficiency. Frees like [`run_program`].
+pub(crate) fn run_with(
+    program: &GpuProgram,
+    device: &Arc<Device>,
+    compiler: &VirtualCompiler,
+) -> Result<HashMap<&'static str, Vec<f32>>, ExecError> {
+    let vendor = mcmm_toolchain::isa_vendor(device.spec().isa);
+    let (model, language) = dialect_axes(program.dialect);
     let mut arrays: HashMap<&'static str, (DeviceAlloc, usize)> = HashMap::new();
     let mut outputs = HashMap::new();
 

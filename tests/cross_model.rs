@@ -43,8 +43,8 @@ fn cuda_frontend_matches_gold_on_nvidia() {
         k.st_elem(Space::Global, y, i, s);
     });
     let kernel = ctx.compile(&k.finish()).unwrap();
-    let dx = ctx.upload_f64(&xs()).unwrap();
-    let dy = ctx.upload_f64(&ys()).unwrap();
+    let dx = ctx.upload(&xs()).unwrap();
+    let dy = ctx.upload(&ys()).unwrap();
     ctx.launch(
         &kernel,
         (N as u32).div_ceil(256),
@@ -52,7 +52,7 @@ fn cuda_frontend_matches_gold_on_nvidia() {
         &[KernelArg::F64(ALPHA), KernelArg::Ptr(dx), KernelArg::Ptr(dy), KernelArg::I32(N as i32)],
     )
     .unwrap();
-    assert_eq!(ctx.download_f64(dy, N).unwrap(), gold());
+    assert_eq!(ctx.download::<f64>(dy, N).unwrap(), gold());
 }
 
 #[test]
