@@ -61,19 +61,28 @@ echo "── perfbench smoke ─────────────────
 # workload briefly, untraced and span-traced, and require its closing JSON
 # line to report a correct run with no failed operations. Only --trace 1
 # runs the layer probes and the modeled-count probe, which launches each
-# (kernel, vendor) twice and fails the run unless both counts match.
+# (kernel, vendor) twice and fails the run unless both counts match. The
+# gated workloads' gateway probe serves its closed loop through a replica
+# of the server loop, so an untraced http-small run follows them: it is
+# the one that sends concurrent requests through HttpServer and
+# Gateway::submit.
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
+perfbench_smoke() {
+  local workload=$1 trace=$2 result
+  result=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
+    --workload "$workload" --seed 1 --seconds 2 --trace "$trace" | tail -n 1)
+  if ! grep -q '"correct": true' <<<"$result" || ! grep -q '"failed": 0[,}]' <<<"$result"; then
+    echo "FAIL: perfbench $workload --trace $trace did not finish correct with 0 failed: $result"
+    exit 1
+  fi
+  echo "perfbench $workload --trace $trace: correct, 0 failed — OK"
+}
 for trace in 0 1; do
   for workload in sweep-stream serve-irregular; do
-    result=$(cargo run --release --quiet --offline --manifest-path perfbench/Cargo.toml -- \
-      --workload "$workload" --seed 1 --seconds 2 --trace "$trace" | tail -n 1)
-    if ! grep -q '"correct": true' <<<"$result" || ! grep -q '"failed": 0[,}]' <<<"$result"; then
-      echo "FAIL: perfbench $workload --trace $trace did not finish correct with 0 failed: $result"
-      exit 1
-    fi
-    echo "perfbench $workload --trace $trace: correct, 0 failed — OK"
+    perfbench_smoke "$workload" "$trace"
   done
 done
+perfbench_smoke http-small 0
 
 echo "── adapter boilerplate guard ──────────────────────"
 # The blanket FrontendAdapter replaced nine hand-written BabelStream

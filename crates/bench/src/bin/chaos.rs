@@ -56,8 +56,8 @@ fn run(jobs: usize, seed: u64, policy: FailoverPolicy) -> Outcome {
     let outputs = router.run(&workload);
     service.drain();
     let wall_ms = wall.elapsed().as_secs_f64() * 1e3;
-    let report = ServeReport::collect(&service, router.completions(), seed, wall_ms)
-        .with_failover(router.stats().clone());
+    let report = ServeReport::collect(&service, &router.completions(), seed, wall_ms)
+        .with_failover(router.stats());
     let example_trace = router
         .traces()
         .iter()
@@ -77,7 +77,7 @@ fn run(jobs: usize, seed: u64, policy: FailoverPolicy) -> Outcome {
                 .collect();
             format!("job {}: {} (rating delta +{})", t.job, steps.join(" → "), t.rating_delta)
         });
-    Outcome { outputs, stats: router.stats().clone(), report, example_trace }
+    Outcome { outputs, stats: router.stats(), report, example_trace }
 }
 
 fn main() {

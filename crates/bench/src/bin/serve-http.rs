@@ -5,7 +5,7 @@
 //! in-process execution.
 //!
 //! Usage: `cargo run --release -p mcmm-bench --bin serve-http -- [--smoke]
-//! [--jobs N] [--seed S] [--clients C] [--shards K] [--duplicates P]
+//! [--jobs N] [--seed S] [--clients C] [--duplicates P]
 //! [--json]`. `--smoke` shrinks the workload for CI; the full run drives
 //! ≥100k requests. Writes `BENCH_serve_http.json` (latency percentiles,
 //! dedupe ratio, cold-vs-warm cache hit rates, host core count) on full
@@ -25,8 +25,8 @@
 //! * `/v1/stats` reports live memory rows (`mem_traced_launches > 0`) —
 //!   the default-on trace pipeline is actually running under load, not
 //!   silently disabled;
-//! * once every request has been answered, every shard device is back to
-//!   its full capacity — a job's buffers go when its handle does;
+//! * once every request has been answered, every gateway device is back
+//!   to its full capacity — a job's buffers go when its handle does;
 //! * on the default full workload, cold and warm p99 latency stay within
 //!   20% of the committed full run's (`BENCH_serve_http.json`, tracing on
 //!   by default, 2 host cores, taken at the commit that last set the
@@ -65,14 +65,14 @@ fn to_wire(job: &PlannedJob, tenant: &str) -> SubmitRequest {
     }
 }
 
-/// Device bytes still allocated across every shard device. Each job's
+/// Device bytes still allocated across the gateway's devices. Each job's
 /// handle is dropped before its response is written, so this reads 0
 /// whenever no request is in flight.
 fn held_bytes(gateway: &Gateway) -> u64 {
-    gateway
-        .shards()
-        .iter()
-        .flat_map(|shard| Vendor::ALL.map(|v| shard.service().device(v).memory()))
+    let service = gateway.shard().service();
+    Vendor::ALL
+        .into_iter()
+        .map(|v| service.device(v).memory())
         .map(|mem| mem.capacity() - mem.free_bytes())
         .sum()
 }
@@ -157,8 +157,6 @@ fn main() {
         .map(|v| v.parse().expect("--clients takes a number"))
         .unwrap_or(8)
         .max(1);
-    let shards: usize =
-        value("--shards").map(|v| v.parse().expect("--shards takes a number")).unwrap_or(4).max(1);
     let duplicate_percent: usize = value("--duplicates")
         .map(|v| v.parse().expect("--duplicates takes a percent"))
         .unwrap_or(25);
@@ -193,7 +191,6 @@ fn main() {
     let dir = std::env::temp_dir().join(format!("mcmm-serve-http-{}-{seed}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = || GatewayConfig {
-        shards,
         // The bench measures serving, not admission: a bucket deep enough
         // that no tenant throttles.
         tenant: TenantPolicy { burst: 1e12, per_second: 1e12 },
@@ -255,7 +252,6 @@ fn main() {
             "  \"seed\": {seed},\n",
             "  \"n\": {n},\n",
             "  \"clients\": {clients},\n",
-            "  \"shards\": {shards},\n",
             "  \"host_cores\": {host_cores},\n",
             "  \"duplicate_percent\": {dup},\n",
             "  \"requests_total\": {requests_total},\n",
@@ -273,7 +269,6 @@ fn main() {
         seed = seed,
         n = n,
         clients = clients,
-        shards = shards,
         host_cores = host_cores,
         dup = duplicate_percent,
         requests_total = requests_total,
@@ -304,7 +299,7 @@ fn main() {
         println!("── Serving the matrix over HTTP (X7) ──");
         println!(
             "workload: {jobs} jobs ({duplicate_percent}% duplicates) × 2 runs = \
-             {requests_total} requests over {clients} connections → {shards} shards"
+             {requests_total} requests over {clients} connections"
         );
         println!(
             "cold:  p50 {:.0}µs  p99 {:.0}µs  {:.0} req/s  hit rate {:.1}%  \
@@ -375,21 +370,21 @@ fn main() {
     }
     for (name, held) in [("cold", cold_held), ("warm", warm_held)] {
         if held != 0 {
-            eprintln!("FAIL: {name} run left {held} bytes allocated on the shard devices");
+            eprintln!("FAIL: {name} run left {held} bytes allocated on the gateway devices");
             failed = true;
         }
     }
     if wire_mem_launches == 0 {
         eprintln!(
             "FAIL: /v1/stats reports mem_traced_launches = 0 after {} requests — \
-             default-on tracing is not reaching the shard devices",
+             default-on tracing is not reaching the gateway devices",
             cold.latencies.len()
         );
         failed = true;
     }
     // Latency regression gate against the committed full run
-    // (BENCH_serve_http.json: the same default workload of 100k jobs, 8
-    // clients and 4 shards, tracing on by default, run on a 2-core host
+    // (BENCH_serve_http.json: the same default workload of 100k jobs and 8
+    // clients, tracing on by default, run on a 2-core host
     // at the commit that last set these two constants; `git log -S
     // BASELINE_COLD_P99_US` names it). p99 may grow by at most 20% when
     // there are cores for the per-block replay to overlap with. On a
@@ -415,7 +410,7 @@ fn main() {
             }
         }
     }
-    if !smoke && jobs == 100_000 && clients == 8 && shards == 4 {
+    if !smoke && jobs == 100_000 && clients == 8 {
         let budget = if host_cores >= 4 { 1.2 } else { 2.5 };
         for (name, p99, baseline) in [
             ("cold", cold_latency.p99_us, BASELINE_COLD_P99_US),

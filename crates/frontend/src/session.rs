@@ -38,6 +38,7 @@ use mcmm_gpu_sim::ir::{KernelIr, Type, Value};
 use mcmm_gpu_sim::isa::Module;
 use mcmm_gpu_sim::mem::DevicePtr;
 use mcmm_gpu_sim::timing::ModeledTime;
+use mcmm_gpu_sim::SimError;
 use mcmm_toolchain::{isa_vendor, vendor_device_spec, CompileCache, Registry, VirtualCompiler};
 use std::collections::HashMap;
 use std::marker::PhantomData;
@@ -53,6 +54,11 @@ pub fn shared_cache() -> Arc<CompileCache> {
 }
 
 const POISONED: &str = "a thread panicked while holding a session's pointer table";
+
+/// The size of `len` elements of `T` in bytes, or `None` past `u64::MAX`.
+fn byte_len<T: Element>(len: usize) -> Option<u64> {
+    u64::try_from(len).ok()?.checked_mul(T::BYTES as u64)
+}
 
 /// A typed view over one [`DeviceAlloc`]: `len` elements of `T`. The
 /// allocation frees itself when the buffer drops — the session's answer
@@ -275,8 +281,13 @@ impl ExecutionSession {
     // ────────────────── allocation and transfer ──────────────────
 
     /// Allocate a typed device buffer of `len` elements, freed on drop.
+    /// A size past `u64::MAX` bytes is out of memory.
     pub fn alloc<T: Element>(&self, len: usize) -> Result<DeviceBuffer<T>, FrontendError> {
-        let alloc = self.device.alloc_owned((len * T::BYTES) as u64)?;
+        let bytes = byte_len::<T>(len).ok_or_else(|| SimError::OutOfMemory {
+            requested: u64::MAX,
+            available: self.device.memory().free_bytes(),
+        })?;
+        let alloc = self.device.alloc_owned(bytes)?;
         Ok(DeviceBuffer { alloc, len, _elem: PhantomData })
     }
 
@@ -318,7 +329,9 @@ impl ExecutionSession {
         src: DevicePtr,
         len: usize,
     ) -> Result<Vec<T>, FrontendError> {
-        let (bytes, _) = self.device.memcpy_d2h(src, (len * T::BYTES) as u64)?;
+        let bytes =
+            byte_len::<T>(len).ok_or(SimError::OutOfBounds { addr: src.0, len: u64::MAX })?;
+        let (bytes, _) = self.device.memcpy_d2h(src, bytes)?;
         Ok(T::from_device_bytes(&bytes))
     }
 

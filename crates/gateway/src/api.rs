@@ -40,7 +40,7 @@ pub struct SubmitResponse {
     /// Toolchain name of the route that served the job (after any
     /// failover).
     pub route: String,
-    /// Shard that executed (or coalesced) the job.
+    /// Always 0: the gateway has one executor.
     pub shard: usize,
     /// Did this request piggyback on an identical in-flight execution?
     pub coalesced: bool,

@@ -62,7 +62,7 @@ pub enum Join {
     Follow(Arc<Flight>),
 }
 
-/// The per-shard (or per-gateway) single-flight table.
+/// The gateway's single-flight table.
 #[derive(Default)]
 pub struct Coalescer {
     flights: Mutex<HashMap<u64, Arc<Flight>>>,

@@ -1,66 +1,39 @@
-//! The gateway proper: shard fan-out, tenant admission, coalescing, and
-//! the JSON payloads behind every endpoint. [`Gateway`] is transport-free
-//! — [`crate::server`] puts it behind TCP, tests call it directly.
+//! The gateway proper: tenant admission, the one executor, coalescing,
+//! and the JSON payloads behind every endpoint. [`Gateway`] is
+//! transport-free — [`crate::server`] puts it behind TCP, tests call it
+//! directly.
 
 use crate::api::{ApiError, SubmitRequest, SubmitResponse};
-use crate::coalesce::{CoalesceStats, FlightResult, Join};
+use crate::coalesce::{FlightResult, Join};
 use crate::shard::Shard;
 use crate::tenant::{TenantGovernor, TenantPolicy};
-use mcmm_chaos::ChaosConfig;
 use mcmm_core::matrix::CompatMatrix;
 use mcmm_core::taxonomy::{Language, Model, Vendor};
 use mcmm_gpu_sim::diffval::fnv1a;
-use mcmm_serve::{FailoverPolicy, ServeConfig};
-use mcmm_toolchain::{CompileCache, DiskStats, DiskTier, Registry};
+use mcmm_serve::ServeConfig;
+use mcmm_toolchain::{CompileCache, DiskTier, Registry};
 use serde::Serialize;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Gateway construction knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GatewayConfig {
-    /// Shard count (each shard owns a vendor device trio). ≥ 1.
-    pub shards: usize,
-    /// Per-shard admission bound: pending requests beyond this are
+    /// Serving configuration of the executor. Its `queue_depth` is also
+    /// the gateway's admission bound: pending requests beyond it are
     /// refused with 503 + `Retry-After`.
-    pub queue_bound: usize,
-    /// Per-shard serving configuration.
     pub serve: ServeConfig,
-    /// Failover policy of every shard's router.
-    pub policy: FailoverPolicy,
     /// Per-tenant token-bucket policy.
     pub tenant: TenantPolicy,
-    /// Chaos configuration of every shard's injector (quiet by default).
-    pub chaos: ChaosConfig,
-    /// Artifact directory for the disk-persisted compile-cache tier
-    /// (shared by all shards); `None` keeps caches memory-only.
+    /// Artifact directory for the disk-persisted compile-cache tier;
+    /// `None` keeps the cache memory-only.
     pub artifact_dir: Option<PathBuf>,
 }
 
-impl Default for GatewayConfig {
-    fn default() -> Self {
-        Self {
-            shards: 4,
-            queue_bound: 256,
-            serve: ServeConfig::default(),
-            policy: FailoverPolicy::default(),
-            tenant: TenantPolicy::default(),
-            chaos: ChaosConfig::quiet(0),
-            artifact_dir: None,
-        }
-    }
-}
-
 impl GatewayConfig {
-    /// Apply the `MCMM_GATEWAY_SHARDS` and `MCMM_ARTIFACT_DIR` env knobs
-    /// over this configuration.
+    /// Apply the `MCMM_ARTIFACT_DIR` env knob over this configuration.
     pub fn from_env(mut self) -> Self {
-        if let Ok(v) = std::env::var("MCMM_GATEWAY_SHARDS") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                self.shards = n.clamp(1, 64);
-            }
-        }
         if let Ok(dir) = std::env::var("MCMM_ARTIFACT_DIR") {
             if !dir.trim().is_empty() {
                 self.artifact_dir = Some(PathBuf::from(dir));
@@ -73,21 +46,21 @@ impl GatewayConfig {
 /// Gateway-wide counters for reports and the bench.
 #[derive(Debug, Clone, Serialize)]
 pub struct GatewayStats {
-    /// Requests accepted into a shard (leads + follows).
+    /// Requests admitted (leads + follows).
     pub submitted: u64,
     /// 429 refusals (tenant over rate).
     pub throttled: u64,
-    /// 503 refusals (shard queue full).
+    /// 503 refusals (admission bound reached).
     pub queue_full: u64,
-    /// Coalescing leads across shards.
+    /// Coalescing leads.
     pub coalesce_leads: u64,
-    /// Coalescing joins across shards.
+    /// Coalescing joins.
     pub coalesce_joins: u64,
     /// `joins / (leads + joins)` — the dedupe ratio.
     pub dedupe_ratio: f64,
-    /// Memory-tier cache hits across shards.
+    /// Memory-tier cache hits.
     pub cache_hits: u64,
-    /// Memory-tier cache misses across shards.
+    /// Memory-tier cache misses.
     pub cache_misses: u64,
     /// Disk-tier hits (when a disk tier is attached).
     pub disk_hits: u64,
@@ -97,78 +70,63 @@ pub struct GatewayStats {
     pub disk_invalid: u64,
     /// Tenants currently tracked.
     pub tenants: usize,
-    /// Traced launches merged into the memory rows across every shard
-    /// device (> 0 whenever serve-side tracing is on, the default).
+    /// Traced launches merged into the memory rows across the three
+    /// devices (> 0 whenever serve-side tracing is on, the default).
     pub mem_traced_launches: u64,
-    /// Aggregate simulated-L1 hit rate across every shard device.
+    /// Aggregate simulated-L1 hit rate across the three devices.
     pub mem_l1_hit_rate: f64,
-    /// Aggregate simulated-L2 hit rate across every shard device.
+    /// Aggregate simulated-L2 hit rate across the three devices.
     pub mem_l2_hit_rate: f64,
-    /// Aggregate simulated DRAM traffic in bytes across every shard
-    /// device.
+    /// Aggregate simulated DRAM traffic in bytes across the three
+    /// devices.
     pub mem_dram_bytes: u64,
 }
 
-/// The sharded front-door core.
+/// The front-door core.
 pub struct Gateway {
-    shards: Vec<Arc<Shard>>,
+    shard: Arc<Shard>,
     governor: TenantGovernor,
-    disk: Option<Arc<DiskTier>>,
     throttled: AtomicU64,
     queue_full: AtomicU64,
     submitted: AtomicU64,
 }
 
 impl Gateway {
-    /// Bring up the gateway: N shards, each with its own service and (if
-    /// an artifact directory is configured) a compile cache backed by the
-    /// shared disk tier.
+    /// Bring up the gateway: one executor whose compile cache is backed
+    /// by the disk tier when an artifact directory is configured.
     pub fn new(cfg: GatewayConfig) -> std::io::Result<Self> {
-        let disk = match &cfg.artifact_dir {
-            Some(dir) => Some(Arc::new(DiskTier::open(dir)?)),
-            None => None,
+        let cache = match &cfg.artifact_dir {
+            Some(dir) => {
+                CompileCache::with_disk(cfg.serve.cache_capacity, Arc::new(DiskTier::open(dir)?))
+            }
+            None => CompileCache::new(cfg.serve.cache_capacity),
         };
-        let shards = (0..cfg.shards.max(1))
-            .map(|i| {
-                let cache = match &disk {
-                    Some(tier) => Arc::new(CompileCache::with_disk(
-                        cfg.serve.cache_capacity,
-                        Arc::clone(tier),
-                    )),
-                    None => Arc::new(CompileCache::new(cfg.serve.cache_capacity)),
-                };
-                Arc::new(Shard::new(
-                    i,
-                    cfg.serve,
-                    cache,
-                    cfg.policy,
-                    cfg.chaos.clone(),
-                    cfg.queue_bound,
-                ))
-            })
-            .collect();
         Ok(Self {
-            shards,
+            shard: Arc::new(Shard::new(cfg.serve, Arc::new(cache))),
             governor: TenantGovernor::new(cfg.tenant),
-            disk,
             throttled: AtomicU64::new(0),
             queue_full: AtomicU64::new(0),
             submitted: AtomicU64::new(0),
         })
     }
 
-    /// Shard count.
+    /// The executor.
+    pub fn shard(&self) -> &Shard {
+        &self.shard
+    }
+
+    /// Always 1: the gateway has one executor.
     pub fn shard_count(&self) -> usize {
-        self.shards.len()
+        1
     }
 
-    /// The shards (read access for reports/tests).
+    /// The executor, as a one-element slice.
     pub fn shards(&self) -> &[Arc<Shard>] {
-        &self.shards
+        std::slice::from_ref(&self.shard)
     }
 
-    /// Submit one request end to end: tenant admission → fingerprint-hash
-    /// shard routing → queue admission → coalesce-or-execute.
+    /// Submit one request end to end: tenant admission → queue admission
+    /// → coalesce-or-execute.
     pub fn submit(&self, req: &SubmitRequest) -> Result<SubmitResponse, ApiError> {
         let valid = req.validate()?;
         if let Err(t) = self.governor.admit(&req.tenant) {
@@ -179,14 +137,14 @@ impl Gateway {
                 retry_after: Some(t.retry_after_secs),
             });
         }
-        let shard = &self.shards[(valid.key % self.shards.len() as u64) as usize];
+        let shard = &self.shard;
         if let Err(full) = shard.admit() {
             self.queue_full.fetch_add(1, Ordering::Relaxed);
             return Err(ApiError {
                 status: 503,
                 message: format!(
-                    "shard {} queue full (depth {}; retry after {} completions)",
-                    shard.index, full.depth, full.retry_after_jobs
+                    "queue full (depth {}; retry after {} completions)",
+                    full.depth, full.retry_after_jobs
                 ),
                 // One pending job clears in well under a second on the
                 // simulated devices; the hint scales with the backlog.
@@ -227,32 +185,16 @@ impl Gateway {
         })
     }
 
-    /// Aggregate counters across shards.
+    /// Gateway counters.
     pub fn stats(&self) -> GatewayStats {
-        let coalesce: CoalesceStats =
-            self.shards.iter().fold(CoalesceStats::default(), |mut acc, s| {
-                let c = s.coalesce_stats();
-                acc.leads += c.leads;
-                acc.joins += c.joins;
-                acc
-            });
-        let (mut cache_hits, mut cache_misses) = (0, 0);
-        for s in &self.shards {
-            let c = s.cache_stats();
-            cache_hits += c.hits;
-            cache_misses += c.misses;
-        }
-        let disk = self.disk.as_ref().map(|d| d.stats()).unwrap_or_default();
-        let (mem, mem_traced_launches) = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                mcmm_core::taxonomy::Vendor::ALL.into_iter().map(|v| {
-                    (s.service().device(v).mem_stats(), s.service().device(v).mem_launches())
-                })
-            })
-            .fold((mcmm_gpu_sim::MemStats::default(), 0u64), |(acc, n), (s, l)| {
-                (acc.merged(s), n + l)
+        let coalesce = self.shard.coalesce_stats();
+        let cache = self.shard.cache_stats();
+        let disk = self.shard.disk_stats().unwrap_or_default();
+        let (mem, mem_traced_launches) = Vendor::ALL
+            .into_iter()
+            .map(|v| self.shard.service().device(v))
+            .fold((mcmm_gpu_sim::MemStats::default(), 0u64), |(acc, n), d| {
+                (acc.merged(d.mem_stats()), n + d.mem_launches())
             });
         GatewayStats {
             submitted: self.submitted.load(Ordering::Relaxed),
@@ -261,8 +203,8 @@ impl Gateway {
             coalesce_leads: coalesce.leads,
             coalesce_joins: coalesce.joins,
             dedupe_ratio: coalesce.dedupe_ratio(),
-            cache_hits,
-            cache_misses,
+            cache_hits: cache.hits,
+            cache_misses: cache.misses,
             disk_hits: disk.hits,
             disk_fills: disk.fills,
             disk_invalid: disk.invalid,
@@ -272,11 +214,6 @@ impl Gateway {
             mem_l2_hit_rate: mem.l2_hit_rate(),
             mem_dram_bytes: mem.dram_bytes,
         }
-    }
-
-    /// Disk-tier counters, when configured.
-    pub fn disk_stats(&self) -> Option<DiskStats> {
-        self.disk.as_ref().map(|d| d.stats())
     }
 
     /// `GET /v1/matrix`: the paper's compatibility matrix, one entry per
@@ -344,47 +281,31 @@ impl Gateway {
         serde_json::to_string(&routes).expect("routes serialize")
     }
 
-    /// `GET /healthz`: liveness plus the per-(route, vendor) breaker
-    /// states of every shard.
+    /// `GET /healthz`: liveness, the executor's load, and its
+    /// per-(route, vendor) breaker states.
     pub fn healthz_json(&self) -> String {
         #[derive(Serialize)]
-        struct ShardHealth {
-            shard: usize,
+        struct Health {
+            status: &'static str,
             pending: usize,
             executed: u64,
             breakers: Vec<mcmm_serve::BreakerState>,
         }
-        #[derive(Serialize)]
-        struct Health {
-            status: &'static str,
-            shards: Vec<ShardHealth>,
-        }
-        let shards: Vec<ShardHealth> = self
-            .shards
-            .iter()
-            .map(|s| ShardHealth {
-                shard: s.index,
-                pending: s.pending(),
-                executed: s.executed(),
-                breakers: s.breaker_states(),
-            })
-            .collect();
-        let status = if shards.iter().all(|s| s.breakers.iter().all(|b| !b.open)) {
-            "ok"
-        } else {
-            "degraded"
+        let breakers = self.shard.breaker_states();
+        let status = if breakers.iter().all(|b| !b.open) { "ok" } else { "degraded" };
+        let health = Health {
+            status,
+            pending: self.shard.pending(),
+            executed: self.shard.executed(),
+            breakers,
         };
-        serde_json::to_string(&Health { status, shards }).expect("health serializes")
+        serde_json::to_string(&health).expect("health serializes")
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn small() -> GatewayConfig {
-        GatewayConfig { shards: 2, ..GatewayConfig::default() }
-    }
 
     fn req(tenant: &str, a: f32) -> SubmitRequest {
         SubmitRequest {
@@ -401,27 +322,20 @@ mod tests {
 
     #[test]
     fn submit_executes_and_checksums() {
-        let gw = Gateway::new(small()).unwrap();
+        let gw = Gateway::new(GatewayConfig::default()).unwrap();
         let resp = gw.submit(&req("t", 2.0)).unwrap();
         let want: Vec<u8> = [2.0f32, 4.0, 6.0, 8.0].iter().flat_map(|v| v.to_le_bytes()).collect();
         assert_eq!(resp.checksum, format!("{:016x}", fnv1a(&want)));
         assert!(!resp.coalesced);
-        assert!(resp.shard < 2);
-    }
-
-    #[test]
-    fn identical_requests_route_to_one_shard() {
-        let gw = Gateway::new(small()).unwrap();
-        let a = gw.submit(&req("t", 2.0)).unwrap();
-        let b = gw.submit(&req("t", 2.0)).unwrap();
-        assert_eq!(a.shard, b.shard, "fingerprint routing must be stable");
-        assert_eq!(a.checksum, b.checksum);
+        assert_eq!(resp.shard, 0);
     }
 
     #[test]
     fn throttled_tenant_gets_429_with_retry_hint() {
-        let cfg =
-            GatewayConfig { tenant: TenantPolicy { burst: 1.0, per_second: 0.0001 }, ..small() };
+        let cfg = GatewayConfig {
+            tenant: TenantPolicy { burst: 1.0, per_second: 0.0001 },
+            ..Default::default()
+        };
         let gw = Gateway::new(cfg).unwrap();
         gw.submit(&req("flooder", 2.0)).unwrap();
         let err = gw.submit(&req("flooder", 3.0)).unwrap_err();
@@ -434,7 +348,7 @@ mod tests {
 
     #[test]
     fn health_and_matrix_endpoints_serialize() {
-        let gw = Gateway::new(small()).unwrap();
+        let gw = Gateway::new(GatewayConfig::default()).unwrap();
         let health: serde_json::Value = serde_json::from_str(&gw.healthz_json()).unwrap();
         assert_eq!(health["status"], "ok");
         let matrix: serde_json::Value = serde_json::from_str(&gw.matrix_json()).unwrap();

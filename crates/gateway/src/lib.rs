@@ -1,4 +1,4 @@
-//! # mcmm-gateway — the sharded HTTP front-door over the executable matrix
+//! # mcmm-gateway — the HTTP front-door over the executable matrix
 //!
 //! ROADMAP item 1 in executable form: the compatibility matrix is only
 //! useful at production scale if it can be *served*. This crate composes
@@ -13,16 +13,17 @@
 //!   shim-style: no external HTTP crate exists in this build environment.
 //! * **[`api`]** — the JSON wire types and their validation into the
 //!   serving layer's planned-job vocabulary.
-//! * **[`shard`]** — N shards, each owning its own vendor device trio,
-//!   compile cache, and failover router with circuit breakers.
+//! * **[`shard`]** — the one executor: a vendor device trio, compile
+//!   cache, and failover router with circuit breakers, which concurrent
+//!   requests enter without a lock.
 //! * **[`coalesce`]** — single-flight merging of concurrent identical
 //!   `(fingerprint, route, args)` submissions: one execution, every
 //!   waiter gets the result.
 //! * **[`tenant`]** — per-tenant token-bucket admission (429 +
-//!   `Retry-After`), complementing the shard queue bound (503 +
+//!   `Retry-After`), complementing the executor's admission bound (503 +
 //!   `Retry-After`).
-//! * **[`gateway`]** — the transport-free core: fingerprint-hash shard
-//!   routing and the JSON payload behind every endpoint.
+//! * **[`gateway`]** — the transport-free core: admission, coalescing,
+//!   and the JSON payload behind every endpoint.
 //! * **[`server`]** — the worker-thread accept pool putting the core
 //!   behind TCP.
 //! * **[`client`]** — a keep-alive loopback client for benches and tests.

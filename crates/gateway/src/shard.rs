@@ -1,39 +1,36 @@
-//! One gateway shard: a full vendor device trio behind its own failover
-//! router, with a bounded admission queue.
+//! The gateway's one executor: a vendor device trio behind a failover
+//! router, one coalescer, and a bounded admission counter.
 //!
-//! Sharding is by submission fingerprint ([`crate::api::ValidSubmit::key`]
-//! modulo shard count), so identical submissions always land on the same
-//! shard — which is what lets the per-shard coalescer see them overlap —
-//! while distinct work spreads across shards, each with its own simulated
-//! NVIDIA/AMD/Intel devices, compile cache, and circuit breakers.
+//! Concurrent requests enter it without a lock. The router keeps its
+//! breakers behind a lock of its own that no job holds while it runs, so
+//! up to `queue_depth` admitted jobs execute at once on one [`Service`],
+//! and identical submissions meet in the one coalescer table.
 
 use crate::coalesce::{CoalesceStats, Coalescer};
 use mcmm_chaos::{ChaosConfig, FaultInjector};
 use mcmm_serve::{BreakerState, FailoverPolicy, FailoverRouter, PlannedJob, ServeConfig, Service};
 use mcmm_toolchain::{CompileCache, DiskStats, Registry};
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Admission refusal of a shard: the queue is over its bound. Mirrors the
+/// Admission refusal: the executor is over its bound. Mirrors the
 /// serving layer's `SubmitError::QueueFull` shape so the HTTP mapping
 /// (503 + `Retry-After`) is uniform.
 #[derive(Debug, Clone, Copy)]
 pub struct ShardQueueFull {
-    /// Requests pending on the shard at refusal time.
+    /// Requests pending at refusal time.
     pub depth: usize,
     /// How many completions must drain before a retry can be admitted.
     pub retry_after_jobs: usize,
 }
 
-/// One shard of the gateway.
+/// The gateway's executor.
 pub struct Shard {
-    /// Shard index within the gateway.
+    /// Always 0: the gateway has one executor.
     pub index: usize,
     service: Arc<Service>,
-    router: Mutex<FailoverRouter>,
-    /// Per-shard single-flight table (identical submissions are routed to
-    /// one shard, so per-shard tables lose no merges).
+    router: FailoverRouter,
+    /// The single-flight table every submission joins.
     pub coalescer: Coalescer,
     pending: AtomicUsize,
     queue_bound: usize,
@@ -44,37 +41,33 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// Bring up a shard: its own service over the paper registry and the
-    /// given compile cache (typically disk-backed and shard-private), a
-    /// quiet fault injector, and a failover router with recording off —
-    /// a server outlives any bounded trace buffer.
-    pub fn new(
-        index: usize,
-        cfg: ServeConfig,
-        cache: Arc<CompileCache>,
-        policy: FailoverPolicy,
-        chaos: ChaosConfig,
-        queue_bound: usize,
-    ) -> Self {
+    /// Bring up the executor: a service over the paper registry and the
+    /// given compile cache, and a failover router with the default policy,
+    /// a quiet fault injector and recording off — a server outlives any
+    /// bounded trace buffer. It admits at most `cfg.queue_depth`
+    /// requests, the Service's per-device bound, so the Service never
+    /// refuses one of its jobs as `QueueFull`.
+    pub fn new(cfg: ServeConfig, cache: Arc<CompileCache>) -> Self {
         let service = Arc::new(Service::with_cache(cfg, Registry::paper(), cache));
-        let injector = Arc::new(FaultInjector::new(chaos));
-        let mut router = FailoverRouter::new(Arc::clone(&service), Arc::clone(&injector), policy);
+        let injector = Arc::new(FaultInjector::new(ChaosConfig::quiet(0)));
+        let mut router =
+            FailoverRouter::new(Arc::clone(&service), injector, FailoverPolicy::default());
         router.set_record(false);
         Self {
-            index,
+            index: 0,
             service,
-            router: Mutex::new(router),
+            router,
             coalescer: Coalescer::new(),
             pending: AtomicUsize::new(0),
-            queue_bound: queue_bound.max(1),
+            queue_bound: cfg.queue_depth.max(1),
             seq: AtomicU64::new(0),
             executed: AtomicU64::new(0),
         }
     }
 
-    /// Admit one request into the shard's queue, or refuse with the
-    /// queue-full shape. Admission must be paired with [`Shard::run`]
-    /// (which releases the slot) or [`Shard::release`].
+    /// Admit one request, or refuse with the queue-full shape. Admission
+    /// must be paired with [`Shard::run`] (which releases the slot) or
+    /// [`Shard::release`].
     pub fn admit(&self) -> Result<(), ShardQueueFull> {
         let depth = self.pending.fetch_add(1, Ordering::SeqCst) + 1;
         if depth > self.queue_bound {
@@ -95,7 +88,7 @@ impl Shard {
     /// `None` if the job was lost (exhausted every route).
     pub fn run(&self, job: &PlannedJob) -> Option<(Vec<u8>, String)> {
         let plan_idx = self.seq.fetch_add(1, Ordering::Relaxed);
-        let outcome = self.router.lock().run_one(plan_idx, job);
+        let outcome = self.router.run_one(plan_idx, job);
         self.executed.fetch_add(1, Ordering::Relaxed);
         self.pending.fetch_sub(1, Ordering::SeqCst);
         outcome
@@ -111,17 +104,17 @@ impl Shard {
         self.executed.load(Ordering::Relaxed)
     }
 
-    /// The shard's service (device + cache access for reports).
+    /// The executor's service (device + cache access for reports).
     pub fn service(&self) -> &Arc<Service> {
         &self.service
     }
 
-    /// Circuit-breaker states of the shard's router.
+    /// Circuit-breaker states of the router.
     pub fn breaker_states(&self) -> Vec<BreakerState> {
-        self.router.lock().breaker_states()
+        self.router.breaker_states()
     }
 
-    /// Coalescing counters of the shard.
+    /// Coalescing counters.
     pub fn coalesce_stats(&self) -> CoalesceStats {
         self.coalescer.stats()
     }
@@ -156,15 +149,9 @@ mod tests {
         }
     }
 
-    fn shard(queue_bound: usize) -> Shard {
-        Shard::new(
-            0,
-            ServeConfig::default(),
-            Arc::new(CompileCache::default()),
-            FailoverPolicy::default(),
-            ChaosConfig::quiet(1),
-            queue_bound,
-        )
+    fn shard(queue_depth: usize) -> Shard {
+        let cfg = ServeConfig { queue_depth, ..ServeConfig::default() };
+        Shard::new(cfg, Arc::new(CompileCache::default()))
     }
 
     #[test]

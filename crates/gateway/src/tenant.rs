@@ -5,7 +5,7 @@
 //! collecting `429 Too Many Requests` while its neighbours' buckets stay
 //! full — fair sharing by starvation isolation rather than scheduling.
 //! The refusal carries a `Retry-After` derived from the refill rate, the
-//! same shape the shard queue's `503` uses, so clients handle both
+//! same shape the admission bound's `503` uses, so clients handle both
 //! backpressure paths identically.
 //!
 //! A bucket that has refilled to `burst` admits exactly like a fresh one,

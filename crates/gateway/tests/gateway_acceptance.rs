@@ -4,11 +4,15 @@
 //! keep-alive parsing, both response framings, JSON (de)serialization —
 //! against a gateway with live simulated devices behind it.
 
+use mcmm_gateway::client::read_response;
 use mcmm_gateway::{
     Gateway, GatewayConfig, HttpClient, HttpServer, SubmitRequest, SubmitResponse, TenantPolicy,
 };
 use mcmm_gpu_sim::diffval::fnv1a;
-use std::sync::Arc;
+use mcmm_serve::ServeConfig;
+use std::io::{BufReader, Write};
+use std::net::TcpStream;
+use std::sync::{Arc, Barrier};
 
 fn start(cfg: GatewayConfig) -> HttpServer {
     let gateway = Arc::new(Gateway::new(cfg).expect("gateway up"));
@@ -35,7 +39,7 @@ fn post_submit(client: &mut HttpClient, req: &SubmitRequest) -> (u16, Vec<u8>) {
 
 #[test]
 fn submit_over_http_returns_the_serial_checksum() {
-    let server = start(GatewayConfig { shards: 2, ..GatewayConfig::default() });
+    let server = start(GatewayConfig::default());
     let mut client = HttpClient::connect(server.addr()).unwrap();
     let req = scale_request(2.0, 8);
     let (status, body) = post_submit(&mut client, &req);
@@ -53,7 +57,7 @@ fn submit_over_http_returns_the_serial_checksum() {
 
 #[test]
 fn read_endpoints_serve_json_over_both_framings() {
-    let server = start(GatewayConfig { shards: 1, ..GatewayConfig::default() });
+    let server = start(GatewayConfig::default());
     let mut client = HttpClient::connect(server.addr()).unwrap();
     // /healthz uses content-length framing.
     let (status, body) = client.request("GET", "/healthz", None).unwrap();
@@ -74,7 +78,7 @@ fn read_endpoints_serve_json_over_both_framings() {
 
 #[test]
 fn protocol_errors_map_to_the_right_statuses() {
-    let server = start(GatewayConfig { shards: 1, ..GatewayConfig::default() });
+    let server = start(GatewayConfig::default());
     let mut client = HttpClient::connect(server.addr()).unwrap();
     let (status, _) = client.request("GET", "/v1/nope", None).unwrap();
     assert_eq!(status, 404);
@@ -97,7 +101,6 @@ fn protocol_errors_map_to_the_right_statuses() {
 #[test]
 fn throttled_tenant_gets_429_with_retry_after() {
     let server = start(GatewayConfig {
-        shards: 1,
         tenant: TenantPolicy { burst: 2.0, per_second: 0.0001 },
         ..GatewayConfig::default()
     });
@@ -114,7 +117,7 @@ fn throttled_tenant_gets_429_with_retry_after() {
 
 #[test]
 fn concurrent_identical_submissions_coalesce_over_http() {
-    let server = start(GatewayConfig { shards: 1, ..GatewayConfig::default() });
+    let server = start(GatewayConfig::default());
     let addr = server.addr();
     // A large buffer lengthens the execution window; 8 clients fire the
     // byte-identical request into it simultaneously.
@@ -150,11 +153,68 @@ fn concurrent_identical_submissions_coalesce_over_http() {
 }
 
 #[test]
+fn overload_is_refused_at_the_front_door_not_booked_as_route_failure() {
+    // Admission allows `queue_depth` pending requests, so the Service,
+    // which allows as many per device, never refuses a gateway job: a
+    // burst past the bound gets 503s and leaves every breaker closed.
+    let server = start(GatewayConfig {
+        serve: ServeConfig { queue_depth: 2, ..ServeConfig::default() },
+        tenant: TenantPolicy { burst: 1e12, per_second: 1e12 },
+        ..GatewayConfig::default()
+    });
+    let addr = server.addr();
+    let clients = 8;
+    let start_line = Arc::new(Barrier::new(clients));
+    let handles: Vec<_> = (0..clients)
+        .map(|c| {
+            let start_line = Arc::clone(&start_line);
+            std::thread::spawn(move || {
+                let mut reader = BufReader::new(TcpStream::connect(addr).unwrap());
+                start_line.wait();
+                (0..8)
+                    .map(|round| {
+                        // Distinct jobs: nothing coalesces.
+                        let req = scale_request((c * 8 + round) as f32, 1 << 14);
+                        let body = serde_json::to_string(&req).unwrap();
+                        let head = format!(
+                            "POST /v1/submit HTTP/1.1\r\ncontent-length: {}\r\n\r\n",
+                            body.len()
+                        );
+                        let stream = reader.get_mut();
+                        stream.write_all(head.as_bytes()).unwrap();
+                        stream.write_all(body.as_bytes()).unwrap();
+                        let (status, headers, _) = read_response(&mut reader).unwrap();
+                        (status, headers.iter().any(|(k, _)| k == "retry-after"))
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let answers: Vec<(u16, bool)> = handles.into_iter().flat_map(|h| h.join().unwrap()).collect();
+    for &(status, retry_after) in &answers {
+        assert!(
+            status == 200 || (status == 503 && retry_after),
+            "every answer is a 200 or a 503 with Retry-After: {answers:?}"
+        );
+    }
+    assert!(answers.iter().any(|&(s, _)| s == 503), "8 clients must overrun a bound of 2");
+
+    let mut client = HttpClient::connect(addr).unwrap();
+    let (status, body) = client.request("GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200);
+    let health: serde_json::Value =
+        serde_json::from_str(std::str::from_utf8(&body).unwrap()).unwrap();
+    assert_eq!(health["status"], "ok", "{health}");
+    assert!(health["breakers"].as_array().unwrap().iter().all(|b| b["open"] == false));
+    assert_eq!(server.gateway().shard().service().counts().rejected, 0);
+    server.shutdown();
+}
+
+#[test]
 fn disk_tier_keeps_the_gateway_warm_across_restarts() {
     let dir = std::env::temp_dir().join(format!("mcmm-gateway-warm-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let cfg =
-        || GatewayConfig { shards: 2, artifact_dir: Some(dir.clone()), ..GatewayConfig::default() };
+    let cfg = || GatewayConfig { artifact_dir: Some(dir.clone()), ..GatewayConfig::default() };
     // Cold process: compiles, persists.
     let server = start(cfg());
     let mut client = HttpClient::connect(server.addr()).unwrap();

@@ -37,6 +37,11 @@ impl DevicePtr {
 /// Allocation granularity/alignment.
 const ALIGN: u64 = 256;
 
+/// `len` rounded up to whole granules, or `None` when that overflows.
+fn granules(len: u64) -> Option<u64> {
+    len.max(1).checked_next_multiple_of(ALIGN)
+}
+
 #[derive(Debug, Clone, Copy)]
 struct FreeBlock {
     start: u64,
@@ -58,7 +63,7 @@ impl GlobalMemory {
         // Go through `vec![0u64; n]`, which takes the zeroed-page
         // allocation path: a simulated 256 MB device then costs address
         // space, not physically touched pages, so bringing up many
-        // devices at once (e.g. the gateway's shards) is cheap.
+        // devices at once is cheap.
         // Constructing the words one `AtomicU64::new(0)` at a time
         // faults in every page up front — multi-second, sys-time-bound
         // construction on small machines.
@@ -84,9 +89,12 @@ impl GlobalMemory {
         self.free.lock().iter().map(|b| b.len).sum()
     }
 
-    /// Allocate `len` bytes; returns an aligned device pointer.
+    /// Allocate `len` bytes; returns an aligned device pointer. A length
+    /// that cannot be rounded to a granule is out of memory.
     pub fn alloc(&self, len: u64) -> Result<DevicePtr> {
-        let want = ((len.max(1)) + ALIGN - 1) & !(ALIGN - 1);
+        let Some(want) = granules(len) else {
+            return Err(SimError::OutOfMemory { requested: len, available: self.free_bytes() });
+        };
         let mut free = self.free.lock();
         for i in 0..free.len() {
             if free[i].len >= want {
@@ -103,9 +111,10 @@ impl GlobalMemory {
     }
 
     /// Free an allocation made by [`GlobalMemory::alloc`] with its original
-    /// length. Coalesces adjacent free blocks.
+    /// length. Coalesces adjacent free blocks. A length no allocation can
+    /// have frees nothing.
     pub fn free(&self, ptr: DevicePtr, len: u64) {
-        let want = ((len.max(1)) + ALIGN - 1) & !(ALIGN - 1);
+        let Some(want) = granules(len) else { return };
         let mut free = self.free.lock();
         free.push(FreeBlock { start: ptr.0, len: want });
         free.sort_by_key(|b| b.start);

@@ -87,3 +87,19 @@ proptest! {
         }
     }
 }
+
+/// A size whose rounding to whole granules overflows is out of memory,
+/// and reserves nothing.
+#[test]
+fn an_allocation_size_that_overflows_is_out_of_memory() {
+    use mcmm_gpu_sim::{Device, DeviceSpec, SimError};
+    let dev = Device::new(DeviceSpec::nvidia_a100());
+    let capacity = dev.memory().capacity();
+    for len in [u64::MAX, u64::MAX - 254] {
+        assert!(
+            matches!(dev.alloc(len), Err(SimError::OutOfMemory { .. })),
+            "alloc({len}) must be out of memory"
+        );
+    }
+    assert_eq!(dev.memory().free_bytes(), capacity);
+}

@@ -246,7 +246,7 @@ impl Queue {
         buffers: &[&mut Buffer],
     ) -> SyclResult<LaunchReport> {
         let mut args: Vec<KernelArg> =
-            buffers.iter().map(|buf| buf.device.as_ref().expect("synced").arg()).collect();
+            buffers.iter().map(|buf| buf.device.as_ref().expect("synced").1.arg()).collect();
         args.push(KernelArg::I32(range as i32));
         self.session
             .run(kernel, range as u64, 256, &args)
@@ -271,10 +271,12 @@ impl Frontend for SyclFrontend {
 /// A SYCL buffer: host data with a lazily materialised device shadow.
 /// Reading the host data after kernels ran synchronises back — the
 /// accessor-at-destruction semantics of SYCL buffers, made explicit. The
-/// buffer owns its device shadow and frees it when it drops.
+/// shadow lives on the device of the last queue that ran a kernel on the
+/// buffer; the buffer owns it and frees it when it drops.
 pub struct Buffer {
     host: Vec<f32>,
-    device: Option<DeviceBuffer<f32>>,
+    /// The device shadow and the device that holds it.
+    device: Option<(Arc<Device>, DeviceBuffer<f32>)>,
     device_dirty: bool,
 }
 
@@ -294,13 +296,33 @@ impl Buffer {
         self.host.is_empty()
     }
 
+    /// Make the shadow current on `queue`'s device. A shadow on another
+    /// device is read back first if kernels wrote it, then freed.
     fn sync_to_device(&mut self, queue: &Queue) -> SyclResult<()> {
+        let here = queue.session.device();
+        if self.device.as_ref().is_some_and(|(dev, _)| !Arc::ptr_eq(dev, here)) {
+            self.read_back()?;
+            self.device = None;
+        }
         if self.device.is_none() {
             let buf = queue
                 .session
                 .upload(&self.host)
                 .map_err(|e| SyclError::MemoryAllocation(e.to_string()))?;
-            self.device = Some(buf);
+            self.device = Some((Arc::clone(here), buf));
+        }
+        Ok(())
+    }
+
+    /// Copy a shadow that kernels wrote back into the host data, from the
+    /// device that holds it.
+    fn read_back(&mut self) -> SyclResult<()> {
+        if let (true, Some((dev, buf))) = (self.device_dirty, &self.device) {
+            let (bytes, _) = dev
+                .memcpy_d2h(buf.ptr(), buf.byte_len())
+                .map_err(|e| SyclError::Invalid(e.to_string()))?;
+            self.host = f32::from_device_bytes(&bytes);
+            self.device_dirty = false;
         }
         Ok(())
     }
@@ -310,14 +332,9 @@ impl Buffer {
     }
 
     /// Host accessor: synchronise back (if kernels wrote the buffer) and
-    /// read the data.
-    pub fn host_data(&mut self, queue: &Queue) -> SyclResult<&[f32]> {
-        if self.device_dirty {
-            let buf = self.device.as_ref().expect("dirty buffer must have a device copy");
-            self.host =
-                queue.session.download(buf).map_err(|e| SyclError::Invalid(e.to_string()))?;
-            self.device_dirty = false;
-        }
+    /// read the data. Like SYCL's `host_accessor`, it needs no queue.
+    pub fn host_data(&mut self) -> SyclResult<&[f32]> {
+        self.read_back()?;
         Ok(&self.host)
     }
 }
@@ -343,7 +360,7 @@ mod tests {
                 })
                 .unwrap();
         }
-        c.host_data(queue).unwrap().to_vec()
+        c.host_data().unwrap().to_vec()
     }
 
     #[test]
@@ -418,7 +435,7 @@ mod tests {
         let q = Queue::new(Device::new(DeviceSpec::intel_pvc())).unwrap();
         let mut buf = Buffer::new(vec![1.0; 16]);
         // Untouched buffer: host data readable without any device traffic.
-        assert_eq!(buf.host_data(&q).unwrap(), &[1.0; 16][..]);
+        assert_eq!(buf.host_data().unwrap(), &[1.0; 16][..]);
         let mut bufs = [&mut buf];
         q.parallel_for(16, &mut bufs, |k, i, bases| {
             let v = k.ld_elem(Space::Global, Type::F32, bases[0], i);
@@ -426,6 +443,6 @@ mod tests {
             k.st_elem(Space::Global, bases[0], i, w);
         })
         .unwrap();
-        assert_eq!(buf.host_data(&q).unwrap(), &[2.0; 16][..]);
+        assert_eq!(buf.host_data().unwrap(), &[2.0; 16][..]);
     }
 }

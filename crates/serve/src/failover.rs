@@ -30,10 +30,14 @@
 //! → fault observed → fallback chosen → rating delta), and aggregate
 //! [`FailoverStats`] feed the serving report.
 //!
-//! The router executes jobs *sequentially* (submit, wait, react). That is
-//! deliberate: the chaos budget is consumed in a deterministic order, so
-//! a whole fault storm — which faults fire, which jobs fail over, which
-//! routes trip breakers — replays exactly from the seed alone.
+//! [`FailoverRouter::run`] executes a workload *sequentially* (submit,
+//! wait, react). That is deliberate: the chaos budget is consumed in a
+//! deterministic order, so a whole fault storm — which faults fire, which
+//! jobs fail over, which routes trip breakers — replays exactly from the
+//! seed alone. [`FailoverRouter::run_one`] takes `&self`, so many threads
+//! (the gateway's request handlers) can run jobs through one router at
+//! once; they share its breakers, and their interleaving, not the seed,
+//! decides the order in which failures are booked.
 
 use crate::job::{JobCompletion, JobId};
 use crate::service::{JobHandle, Service, SubmitOptions};
@@ -45,6 +49,7 @@ use mcmm_core::rating::{qualify, Evidence};
 use mcmm_core::support::Support;
 use mcmm_core::taxonomy::{Language, Model, Vendor};
 use mcmm_toolchain::probe::route_health;
+use parking_lot::Mutex;
 use serde::Serialize;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -161,13 +166,26 @@ pub struct BreakerState {
 }
 
 /// The failover router. Shares the service and the injector by `Arc` (so
-/// long-lived owners like gateway shards need no borrow lifetime); owns
-/// the breaker state, quarantine set, traces, and stats.
+/// long-lived owners like the gateway need no borrow lifetime). Its
+/// breakers, quarantine set, stats and records sit behind one lock that
+/// is taken only between steps of a job, never across a submit, a wait
+/// or a health-check compile, so many threads can run jobs through one
+/// router at once.
 pub struct FailoverRouter {
     service: Arc<Service>,
     injector: Arc<FaultInjector>,
     policy: FailoverPolicy,
     matrix: CompatMatrix,
+    /// Keep per-job traces and completions? Long-running servers turn
+    /// this off so memory stays bounded by the breaker table, not the
+    /// request count; aggregate [`FailoverStats`] accumulate either way.
+    record: bool,
+    state: Mutex<RouterState>,
+}
+
+/// The router's mutable state.
+#[derive(Default)]
+struct RouterState {
     /// Consecutive-failure counters per (route, vendor).
     breaker: HashMap<(String, Vendor), u32>,
     /// Tripped breakers: skipped at admission by subsequent jobs.
@@ -176,10 +194,22 @@ pub struct FailoverRouter {
     traces: Vec<FailoverTrace>,
     /// Completion records of the successful final attempts, for reports.
     completions: Vec<JobCompletion>,
-    /// Keep per-job traces and completions? Long-running servers turn
-    /// this off so memory stays bounded by the breaker table, not the
-    /// request count; aggregate [`FailoverStats`] accumulate either way.
-    record: bool,
+}
+
+impl RouterState {
+    fn is_quarantined(&self, route: &str, vendor: Vendor) -> bool {
+        self.quarantined.contains(&(route.to_owned(), vendor))
+    }
+
+    /// Book one failure against a route's breaker; quarantine on trip.
+    fn note_failure(&mut self, route: &str, vendor: Vendor, threshold: u32) {
+        let key = (route.to_owned(), vendor);
+        let count = self.breaker.entry(key.clone()).or_insert(0);
+        *count += 1;
+        if *count >= threshold && self.quarantined.insert(key) {
+            self.stats.quarantined.push(format!("{route} @ {vendor}"));
+        }
+    }
 }
 
 impl FailoverRouter {
@@ -195,12 +225,8 @@ impl FailoverRouter {
             injector,
             policy,
             matrix: CompatMatrix::paper(),
-            breaker: HashMap::new(),
-            quarantined: BTreeSet::new(),
-            stats: FailoverStats::default(),
-            traces: Vec::new(),
-            completions: Vec::new(),
             record: true,
+            state: Mutex::new(RouterState::default()),
         }
     }
 
@@ -217,36 +243,38 @@ impl FailoverRouter {
     }
 
     /// Aggregate stats so far.
-    pub fn stats(&self) -> &FailoverStats {
-        &self.stats
+    pub fn stats(&self) -> FailoverStats {
+        self.state.lock().stats.clone()
     }
 
-    /// Per-job traces, in plan order.
-    pub fn traces(&self) -> &[FailoverTrace] {
-        &self.traces
+    /// Per-job traces, in the order the jobs finished (plan order for
+    /// [`FailoverRouter::run`]).
+    pub fn traces(&self) -> Vec<FailoverTrace> {
+        self.state.lock().traces.clone()
     }
 
     /// Completion records of the successful final attempts (lost jobs
     /// have none), for latency reporting.
-    pub fn completions(&self) -> &[JobCompletion] {
-        &self.completions
+    pub fn completions(&self) -> Vec<JobCompletion> {
+        self.state.lock().completions.clone()
     }
 
     /// Is a (route, vendor) pair currently quarantined?
     pub fn is_quarantined(&self, route: &str, vendor: Vendor) -> bool {
-        self.quarantined.contains(&(route.to_owned(), vendor))
+        self.state.lock().is_quarantined(route, vendor)
     }
 
     /// Every (route, vendor) breaker with at least one booked failure or
     /// an open quarantine, sorted by (route, vendor) — the `/healthz`
     /// payload of the front-door.
     pub fn breaker_states(&self) -> Vec<BreakerState> {
-        let mut keys: BTreeSet<(String, Vendor)> = self.breaker.keys().cloned().collect();
-        keys.extend(self.quarantined.iter().cloned());
+        let state = self.state.lock();
+        let mut keys: BTreeSet<(String, Vendor)> = state.breaker.keys().cloned().collect();
+        keys.extend(state.quarantined.iter().cloned());
         keys.into_iter()
             .map(|(route, vendor)| BreakerState {
-                open: self.quarantined.contains(&(route.clone(), vendor)),
-                consecutive_failures: self
+                open: state.quarantined.contains(&(route.clone(), vendor)),
+                consecutive_failures: state
                     .breaker
                     .get(&(route.clone(), vendor))
                     .copied()
@@ -275,7 +303,7 @@ impl FailoverRouter {
                     outputs.push(Some(bytes));
                 }
                 None => {
-                    self.stats.lost += 1;
+                    self.state.lock().stats.lost += 1;
                     // JobId(0) is never assigned by the service, so any
                     // dependant of a lost job fails with
                     // UnknownDependency — losses propagate explicitly
@@ -333,22 +361,12 @@ impl FailoverRouter {
         0.5 + (z >> 11) as f64 / (1u64 << 53) as f64
     }
 
-    /// Book one failure against a route's breaker; quarantine on trip.
-    fn note_failure(&mut self, route: &str, vendor: Vendor) {
-        let key = (route.to_owned(), vendor);
-        let count = self.breaker.entry(key.clone()).or_insert(0);
-        *count += 1;
-        if *count >= self.policy.breaker_threshold && self.quarantined.insert(key) {
-            self.stats.quarantined.push(format!("{route} @ {vendor}"));
-        }
-    }
-
     /// Next plan slot that is not quarantined and passes a health check,
     /// searching from `from`. Falls back to plain "not quarantined" if no
     /// candidate passes, and to `from` itself if everything is
     /// quarantined — the router never deadlocks on an empty choice.
     fn next_route(
-        &mut self,
+        &self,
         plan: &[PlanRoute],
         from: usize,
         model: Model,
@@ -367,7 +385,7 @@ impl FailoverRouter {
                 .into_iter()
                 .find(|c| c.name == plan[idx].name)
                 .is_some_and(|c| {
-                    self.stats.health_checks += 1;
+                    self.state.lock().stats.health_checks += 1;
                     route_health(c, self.service.cache(), model, language, vendor)
                 });
             if healthy {
@@ -388,16 +406,17 @@ impl FailoverRouter {
     /// breakers all apply, and the breaker state persists into the next
     /// call. Returns the read-back bytes plus the toolchain name of the
     /// route that finally served the job, or `None` if it was lost. This
-    /// is the gateway's per-request entry point.
+    /// is the gateway's per-request entry point; concurrent calls share
+    /// the breakers and quarantine set.
     pub fn run_one(
-        &mut self,
+        &self,
         plan_idx: u64,
         job: &crate::workload::PlannedJob,
     ) -> Option<(Vec<u8>, String)> {
         if let Some((_, bytes, route)) = self.run_job(plan_idx, job, &[]) {
             Some((bytes, route))
         } else {
-            self.stats.lost += 1;
+            self.state.lock().stats.lost += 1;
             None
         }
     }
@@ -405,7 +424,7 @@ impl FailoverRouter {
     /// Run one planned job to success or loss. A served job comes back
     /// with its handle, which keeps it nameable as a dependency.
     fn run_job(
-        &mut self,
+        &self,
         plan_idx: u64,
         job: &crate::workload::PlannedJob,
         ids: &[JobId],
@@ -413,7 +432,7 @@ impl FailoverRouter {
         let plan = self.plan_for(job.model, job.language, job.vendor);
         if plan.is_empty() {
             if self.record {
-                self.traces.push(FailoverTrace {
+                self.state.lock().traces.push(FailoverTrace {
                     job: plan_idx,
                     planned_route: String::new(),
                     attempts: Vec::new(),
@@ -426,8 +445,10 @@ impl FailoverRouter {
         let planned = plan[0].clone();
         // Admission-time quarantine skip: start from the best-rated route
         // that is not quarantined (fall back to the plan head if all are).
-        let mut route_idx =
-            plan.iter().position(|r| !self.is_quarantined(&r.name, job.vendor)).unwrap_or(0);
+        let mut route_idx = {
+            let state = self.state.lock();
+            plan.iter().position(|r| !state.is_quarantined(&r.name, job.vendor)).unwrap_or(0)
+        };
         let max_attempts = if self.policy.enabled { self.policy.max_attempts.max(1) } else { 1 };
         let mut tries_on_route = 0u32;
         let mut trace = FailoverTrace {
@@ -456,8 +477,8 @@ impl FailoverRouter {
                     let done = handle.wait();
                     match done.error {
                         None => {
-                            // Success: reset the breaker, settle the trace.
-                            self.breaker.remove(&(route.name.clone(), job.vendor));
+                            // Success: settle the trace, then reset the
+                            // breaker and book the outcome.
                             trace.attempts.push(AttemptRecord {
                                 route: route.name.clone(),
                                 error: None,
@@ -465,13 +486,15 @@ impl FailoverRouter {
                             });
                             trace.final_route = Some(route.name.clone());
                             trace.rating_delta = route.support as i32 - planned.support as i32;
-                            if trace.rating_delta > 0 {
-                                self.stats.degraded += 1;
-                            }
                             let bytes = done.output.clone().unwrap_or_default();
+                            let mut state = self.state.lock();
+                            state.breaker.remove(&(route.name.clone(), job.vendor));
+                            if trace.rating_delta > 0 {
+                                state.stats.degraded += 1;
+                            }
                             if self.record {
-                                self.traces.push(trace);
-                                self.completions.push(done);
+                                state.traces.push(trace);
+                                state.completions.push(done);
                             }
                             return Some((handle, bytes, route.name));
                         }
@@ -482,24 +505,25 @@ impl FailoverRouter {
             };
 
             // Failure path.
-            self.note_failure(&route.name, job.vendor);
+            self.state.lock().note_failure(&route.name, job.vendor, self.policy.breaker_threshold);
             let mut backoff_us = 0.0;
             if self.policy.enabled && attempt + 1 < max_attempts {
                 if tries_on_route < self.policy.max_retries {
                     // Retry the same route after exponential backoff.
                     tries_on_route += 1;
-                    self.stats.retries += 1;
                     backoff_us = self.policy.backoff_base_us
                         * f64::from(1u32 << tries_on_route.min(16))
                         * self.jitter(plan_idx, attempt);
-                    self.stats.backoff_us_total += backoff_us;
+                    let mut state = self.state.lock();
+                    state.stats.retries += 1;
+                    state.stats.backoff_us_total += backoff_us;
                 } else {
                     // Route exhausted: fail over to the matrix's next
                     // alternative for the cell.
                     let next =
                         self.next_route(&plan, route_idx, job.model, job.language, job.vendor);
                     if next != route_idx {
-                        self.stats.failovers += 1;
+                        self.state.lock().stats.failovers += 1;
                         route_idx = next;
                     }
                     tries_on_route = 0;
@@ -512,7 +536,7 @@ impl FailoverRouter {
             });
         }
         if self.record {
-            self.traces.push(trace);
+            self.state.lock().traces.push(trace);
         }
         None
     }

@@ -102,24 +102,6 @@ pub struct ProgramsReport {
     pub hit_rate: f64,
 }
 
-/// Job accounting, mirrored from [`ServiceCounts`] for serialization.
-#[derive(Debug, Clone, Copy, Serialize)]
-pub struct JobsReport {
-    /// Jobs admitted.
-    pub submitted: u64,
-    /// Jobs that retired cleanly.
-    pub completed: u64,
-    /// Jobs that retired with a job-local error.
-    pub failed: u64,
-    /// Submissions explicitly refused by admission control.
-    pub rejected: u64,
-    /// Accepted submissions that matched an earlier rejection — the
-    /// tenant heeded the `retry_after_jobs` hint and got in.
-    pub resubmitted: u64,
-    /// Rejections never followed by an accepted resubmission.
-    pub rejected_hard: u64,
-}
-
 /// One workload kernel's portability verdict on one vendor device, as
 /// computed by the caller. The serving layer itself stays free of the
 /// static analyzer — the `serve` bench binary feeds these rows from
@@ -147,7 +129,7 @@ pub struct ServeReport {
     /// Workload seed, for reproduction.
     pub seed: u64,
     /// Job accounting.
-    pub jobs: JobsReport,
+    pub jobs: ServiceCounts,
     /// Compile-cache behaviour.
     pub cache: CacheReport,
     /// Device kernel-cache behaviour.
@@ -180,7 +162,6 @@ impl ServeReport {
         seed: u64,
         wall_ms: f64,
     ) -> Self {
-        let counts: ServiceCounts = service.counts();
         let cache = service.cache().stats();
         let programs = Vendor::ALL
             .into_iter()
@@ -221,14 +202,7 @@ impl ServeReport {
 
         Self {
             seed,
-            jobs: JobsReport {
-                submitted: counts.submitted,
-                completed: counts.completed,
-                failed: counts.failed,
-                rejected: counts.rejected,
-                resubmitted: counts.resubmitted,
-                rejected_hard: counts.rejected_hard,
-            },
+            jobs: service.counts(),
             cache: CacheReport {
                 hits: cache.hits,
                 misses: cache.misses,
@@ -278,13 +252,8 @@ impl ServeReport {
         let mut out = String::new();
         out.push_str(&format!("serve report (seed {:#x})\n", self.seed));
         out.push_str(&format!(
-            "  jobs       {} submitted, {} completed, {} failed, {} rejected ({} resubmitted, {} hard)\n",
-            self.jobs.submitted,
-            self.jobs.completed,
-            self.jobs.failed,
-            self.jobs.rejected,
-            self.jobs.resubmitted,
-            self.jobs.rejected_hard
+            "  jobs       {} submitted, {} completed, {} failed, {} rejected\n",
+            self.jobs.submitted, self.jobs.completed, self.jobs.failed, self.jobs.rejected
         ));
         out.push_str(&format!(
             "  cache      {:.1}% hit rate ({} hits / {} misses, {} evictions, {} live)\n",

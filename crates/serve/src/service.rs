@@ -35,9 +35,8 @@ use mcmm_gpu_sim::timing::ModeledTime;
 use mcmm_gpu_sim::{Module, SimConfig, SimError};
 use mcmm_toolchain::{vendor_device_spec, CompileCache, Registry};
 use parking_lot::Mutex;
-use std::collections::hash_map::DefaultHasher;
+use serde::Serialize;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -69,7 +68,7 @@ impl Default for ServeConfig {
 /// Aggregate job accounting. `submitted == completed + failed` once the
 /// service is drained; `rejected` counts explicit admission refusals
 /// (rejected submissions are not part of `submitted`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct ServiceCounts {
     /// Jobs accepted by admission control.
     pub submitted: u64,
@@ -79,13 +78,6 @@ pub struct ServiceCounts {
     pub failed: u64,
     /// Submissions refused with [`SubmitError::QueueFull`].
     pub rejected: u64,
-    /// Accepted submissions that matched an earlier [`SubmitError::QueueFull`]
-    /// rejection of the same spec — the tenant came back and got in.
-    pub resubmitted: u64,
-    /// Rejections whose spec was never accepted afterwards — the tenant
-    /// gave up (or has not come back yet). `rejected` counts *events*;
-    /// this counts the ones still unresolved.
-    pub rejected_hard: u64,
 }
 
 /// Per-submission options: a route override and injected faults.
@@ -191,35 +183,6 @@ pub struct Service {
     completed: Arc<AtomicU64>,
     failed: Arc<AtomicU64>,
     rejected: AtomicU64,
-    resubmitted: AtomicU64,
-    /// Spec-content keys of rejected submissions not yet resubmitted:
-    /// key → outstanding rejection count. Distinguishes
-    /// rejected-then-resubmitted jobs from hard rejections.
-    rejected_pending: Mutex<HashMap<u64, u64>>,
-}
-
-/// Content key of a job spec, for matching a resubmission to its earlier
-/// rejection: kernel fingerprint, route triple, launch shape, argument
-/// bindings, dependencies, and read-back slot. Two submissions of the
-/// same work hash equal even though they are distinct `JobSpec` values.
-fn spec_key(spec: &JobSpec) -> u64 {
-    let mut h = DefaultHasher::new();
-    spec.kernel.fingerprint().hash(&mut h);
-    (spec.model as u8, spec.language as u8, spec.vendor as u8).hash(&mut h);
-    (spec.n, spec.block_dim).hash(&mut h);
-    for a in &spec.args {
-        match a {
-            ArgSpec::Scalar(k) => (0u8, format!("{k:?}")).hash(&mut h),
-            ArgSpec::In(bytes) => (1u8, bytes).hash(&mut h),
-            ArgSpec::Zeroed(len) => (2u8, len).hash(&mut h),
-            ArgSpec::Output(id, idx) => (3u8, id.0, idx).hash(&mut h),
-        }
-    }
-    for id in &spec.after {
-        id.0.hash(&mut h);
-    }
-    spec.read_back.hash(&mut h);
-    h.finish()
 }
 
 impl Service {
@@ -272,8 +235,6 @@ impl Service {
             completed: Arc::new(AtomicU64::new(0)),
             failed: Arc::new(AtomicU64::new(0)),
             rejected: AtomicU64::new(0),
-            resubmitted: AtomicU64::new(0),
-            rejected_pending: Mutex::new(HashMap::new()),
         }
     }
 
@@ -304,8 +265,6 @@ impl Service {
             completed: self.completed.load(Ordering::SeqCst),
             failed: self.failed.load(Ordering::SeqCst),
             rejected: self.rejected.load(Ordering::SeqCst),
-            resubmitted: self.resubmitted.load(Ordering::SeqCst),
-            rejected_hard: self.rejected_pending.lock().values().sum(),
         }
     }
 
@@ -348,28 +307,11 @@ impl Service {
         if admitted >= self.queue_depth {
             lane.in_flight.fetch_sub(1, Ordering::SeqCst);
             self.rejected.fetch_add(1, Ordering::SeqCst);
-            *self.rejected_pending.lock().entry(spec_key(&spec)).or_insert(0) += 1;
             return Err(SubmitError::QueueFull {
                 vendor: spec.vendor,
                 depth: self.queue_depth,
                 retry_after_jobs: admitted - self.queue_depth + 1,
             });
-        }
-        // Admitted: if this spec bounced off admission earlier, the
-        // tenant came back — settle one outstanding rejection. The key
-        // hashes every input byte, so skip it while nothing is pending.
-        {
-            let mut pending = self.rejected_pending.lock();
-            if !pending.is_empty() {
-                let key = spec_key(&spec);
-                if let Some(count) = pending.get_mut(&key) {
-                    *count -= 1;
-                    if *count == 0 {
-                        pending.remove(&key);
-                    }
-                    self.resubmitted.fetch_add(1, Ordering::SeqCst);
-                }
-            }
         }
         // Any refusal below must give the slot back.
         let release_on_err = |e: SubmitError| {

@@ -41,7 +41,7 @@ fn run_with(policy: FailoverPolicy) -> RunOutcome {
     );
     let outputs = router.run(&workload);
     service.drain();
-    RunOutcome { outputs, stats: router.stats().clone() }
+    RunOutcome { outputs, stats: router.stats() }
 }
 
 #[test]
@@ -109,15 +109,15 @@ fn quarantined_routes_are_skipped_at_admission() {
     // Once the breaker has tripped, later CUDA C++ jobs start straight on
     // the fallback route — their traces never touch the dead route again.
     let dead = "CUDA Toolkit (nvcc)";
-    let quarantine_trip = router
-        .traces()
+    let traces = router.traces();
+    let quarantine_trip = traces
         .iter()
         .position(|t| {
             t.attempts.iter().filter(|a| a.route == dead && a.error.is_some()).count() > 0
                 && t.final_route.as_deref().is_some_and(|r| r.contains("Clang"))
         })
         .expect("some job must have failed over from nvcc to Clang CUDA");
-    let later_nvcc_attempts = router.traces()[quarantine_trip + 1..]
+    let later_nvcc_attempts = traces[quarantine_trip + 1..]
         .iter()
         .flat_map(|t| t.attempts.iter())
         .filter(|a| a.route == dead)
@@ -126,10 +126,86 @@ fn quarantined_routes_are_skipped_at_admission() {
 
     // Rating delta: jobs that finished on the fallback carry the runtime
     // downgrade (Full -> non-vendor good support = positive delta).
-    let degraded_trace = router
-        .traces()
+    let degraded_trace = traces
         .iter()
         .find(|t| t.final_route.as_deref().is_some_and(|r| r.contains("Clang")))
         .expect("a failed-over job exists");
     assert!(degraded_trace.rating_delta > 0, "failover to a worse-rated route must book a delta");
+}
+
+/// Four threads share one router and take jobs from one counter, so no
+/// job is run twice or skipped. Returns each job's `run_one` outcome.
+fn run_concurrently(
+    router: &FailoverRouter,
+    workload: &Workload,
+) -> Vec<Option<(Vec<u8>, String)>> {
+    let next = std::sync::atomic::AtomicUsize::new(0);
+    let outcomes: Vec<_> = (0..workload.jobs.len()).map(|_| std::sync::Mutex::new(None)).collect();
+    std::thread::scope(|s| {
+        for _ in 0..4 {
+            s.spawn(|| loop {
+                let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let Some(job) = workload.jobs.get(i) else { break };
+                *outcomes[i].lock().unwrap() = router.run_one(i as u64, job);
+            });
+        }
+    });
+    outcomes.into_iter().map(|o| o.into_inner().unwrap()).collect()
+}
+
+fn standalone_workload() -> WorkloadConfig {
+    WorkloadConfig { chain_percent: 0, ..small_workload() }
+}
+
+#[test]
+fn concurrent_run_one_matches_the_serial_reference() {
+    let service = std::sync::Arc::new(Service::new(ServeConfig::default()));
+    let injector = std::sync::Arc::new(FaultInjector::new(ChaosConfig::quiet(SEED)));
+    let router = FailoverRouter::new(service, injector, FailoverPolicy::default());
+    let registry = mcmm_toolchain::Registry::paper();
+    let workload = Workload::generate(standalone_workload(), &registry);
+    let expected = run_serial(&workload, &registry);
+
+    let outcomes = run_concurrently(&router, &workload);
+    for (i, (got, want)) in outcomes.iter().zip(&expected).enumerate() {
+        let (bytes, _) = got.as_ref().unwrap_or_else(|| panic!("job {i} was lost"));
+        assert_eq!(bytes, want, "job {i} bytes diverged");
+    }
+    assert_eq!(router.stats().lost, 0);
+}
+
+#[test]
+fn concurrent_run_one_fails_over_around_an_outage() {
+    let service = std::sync::Arc::new(Service::new(ServeConfig::default()));
+    let chaos = ChaosConfig::quiet(1).with_outage("nvcc", Some(Vendor::Nvidia));
+    let injector = std::sync::Arc::new(FaultInjector::new(chaos));
+    let router = FailoverRouter::new(service, injector, FailoverPolicy::default());
+    let registry = mcmm_toolchain::Registry::paper();
+    let workload = Workload::generate(standalone_workload(), &registry);
+    let expected = run_serial(&workload, &registry);
+
+    let outcomes = run_concurrently(&router, &workload);
+    let mut cuda_on_nvidia = 0;
+    for (i, ((got, want), job)) in outcomes.iter().zip(&expected).zip(&workload.jobs).enumerate() {
+        let (bytes, route) = got.as_ref().unwrap_or_else(|| panic!("job {i} was lost"));
+        assert_eq!(bytes, want, "job {i} bytes diverged");
+        let cuda_cpp_on_nvidia = job.model == mcmm_core::taxonomy::Model::Cuda
+            && job.language == mcmm_core::taxonomy::Language::Cpp
+            && job.vendor == Vendor::Nvidia;
+        if cuda_cpp_on_nvidia {
+            cuda_on_nvidia += 1;
+            assert!(!route.contains("nvcc"), "job {i} was served on the dead route {route}");
+        }
+    }
+    assert!(cuda_on_nvidia > 0, "the workload must plan CUDA C++ jobs on NVIDIA");
+    assert_eq!(router.stats().lost, 0);
+    let nvidia = Vendor::Nvidia.to_string();
+    assert!(
+        router
+            .breaker_states()
+            .iter()
+            .any(|b| b.route.contains("nvcc") && b.vendor == nvidia && b.open),
+        "nvcc @ NVIDIA must be quarantined: {:?}",
+        router.breaker_states()
+    );
 }

@@ -128,7 +128,7 @@ fn sycl_buffers_and_usm_give_their_memory_back() {
         })
         .unwrap();
     assert!(free_bytes(&dev) < before);
-    assert_eq!(buf.host_data(&queue).unwrap()[N - 1], 2.0);
+    assert_eq!(buf.host_data().unwrap()[N - 1], 2.0);
     drop(buf);
     assert_eq!(free_bytes(&dev), before, "a dropped Buffer kept its device copy");
 
@@ -245,4 +245,53 @@ fn raja_reducers_and_arrays_give_their_memory_back() {
 
     drop(res);
     assert_at_capacity(&dev, "RAJA");
+}
+
+#[test]
+fn oversized_allocations_are_out_of_memory() {
+    use many_models::cuda::{CudaContext, CudaError};
+    use many_models::hip::{HipContext, HipError};
+    use many_models::sycl::{Queue, SyclError};
+    let dev = Device::new(DeviceSpec::nvidia_a100());
+    let cuda = CudaContext::new(Arc::clone(&dev)).unwrap();
+    let err = cuda.cuda_malloc(u64::MAX).unwrap_err();
+    assert!(matches!(err, CudaError::MemoryAllocation(_)), "{err}");
+    assert_at_capacity(&dev, "an oversized cudaMalloc");
+
+    let dev = Device::new(DeviceSpec::amd_mi250x());
+    let hip = HipContext::new(Arc::clone(&dev)).unwrap();
+    let err = hip.hip_malloc(u64::MAX).unwrap_err();
+    assert!(matches!(err, HipError::MemoryAllocation(_)), "{err}");
+    assert_at_capacity(&dev, "an oversized hipMalloc");
+
+    // (2^61 + 1) × 8 bytes wraps to 8 in 64-bit arithmetic.
+    let dev = Device::new(DeviceSpec::intel_pvc());
+    let queue = Queue::new(Arc::clone(&dev)).unwrap();
+    let err = queue.malloc_device::<f64>((1 << 61) + 1).unwrap_err();
+    assert!(matches!(err, SyclError::MemoryAllocation(_)), "{err}");
+    assert_at_capacity(&dev, "an oversized SYCL malloc_device");
+}
+
+#[test]
+fn a_sycl_buffer_follows_its_queue_to_another_device() {
+    use many_models::sycl::{Buffer, Queue};
+    let intel = Queue::new(Device::new(DeviceSpec::intel_pvc())).unwrap();
+    let nvidia = Queue::new(Device::new(DeviceSpec::nvidia_a100())).unwrap();
+    // The first allocation on each fresh device starts at the same
+    // address, so a buffer that kept its Intel copy's pointer on the
+    // NVIDIA queue would increment this unrelated allocation instead.
+    let usm = nvidia.malloc_device::<f32>(64).unwrap();
+    nvidia.memcpy_to_device(usm, &[9.0f32; 64]).unwrap();
+
+    let mut buf = Buffer::new(vec![1.0; 64]);
+    intel.parallel_for(64, &mut [&mut buf], |_, _, _| {}).unwrap();
+    nvidia
+        .parallel_for(64, &mut [&mut buf], |k, i, p| {
+            let v = k.ld_elem(Space::Global, Type::F32, p[0], i);
+            let w = k.bin(BinOp::Add, v, Value::F32(1.0));
+            k.st_elem(Space::Global, p[0], i, w);
+        })
+        .unwrap();
+    assert_eq!(buf.host_data().unwrap(), &[2.0; 64][..]);
+    assert_eq!(nvidia.memcpy_from_device::<f32>(usm, 64).unwrap(), vec![9.0; 64]);
 }
