@@ -96,6 +96,11 @@ impl<T: Element> DeviceBuffer<T> {
         self.alloc.arg()
     }
 
+    /// The device that holds the buffer.
+    pub fn device(&self) -> &Arc<Device> {
+        self.alloc.device()
+    }
+
     /// The untyped allocation underneath, for holders that tag the
     /// element type at run time (Python's dtype).
     pub fn into_alloc(self) -> DeviceAlloc {

@@ -55,7 +55,7 @@ pub struct ErrorBody {
 
 /// An API-level refusal: status code, message, and the `Retry-After`
 /// header value for backpressure statuses.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct ApiError {
     /// HTTP status to answer with.
     pub status: u16,
@@ -69,6 +69,13 @@ impl ApiError {
     /// A 400 with a message.
     pub fn bad_request(message: impl Into<String>) -> Self {
         Self { status: 400, message: message.into(), retry_after: None }
+    }
+}
+
+impl From<&str> for ApiError {
+    /// A bare message is an internal error: a 500 with no retry hint.
+    fn from(message: &str) -> Self {
+        Self { status: 500, message: message.into(), retry_after: None }
     }
 }
 

@@ -15,6 +15,7 @@
 //! flight — coalescing only ever merges genuinely overlapping work and
 //! never serves stale results.
 
+use crate::api::ApiError;
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -27,9 +28,9 @@ pub struct FlightResult {
     pub checksum: u64,
     /// Toolchain name of the serving route.
     pub route: String,
-    /// `None` here means the leader's execution failed; followers fail
-    /// with the same message.
-    pub error: Option<String>,
+    /// Why the leader was not served, if it was not; followers answer
+    /// with the same status, message and retry hint.
+    pub error: Option<ApiError>,
 }
 
 /// One in-flight execution.

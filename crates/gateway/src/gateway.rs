@@ -10,7 +10,7 @@ use crate::tenant::{TenantGovernor, TenantPolicy};
 use mcmm_core::matrix::CompatMatrix;
 use mcmm_core::taxonomy::{Language, Model, Vendor};
 use mcmm_gpu_sim::diffval::fnv1a;
-use mcmm_serve::ServeConfig;
+use mcmm_serve::{ServeConfig, Unserved};
 use mcmm_toolchain::{CompileCache, DiskTier, Registry};
 use serde::Serialize;
 use std::path::PathBuf;
@@ -50,7 +50,8 @@ pub struct GatewayStats {
     pub submitted: u64,
     /// 429 refusals (tenant over rate).
     pub throttled: u64,
-    /// 503 refusals (admission bound reached).
+    /// 503 refusals: the admission bound was reached, or the job's
+    /// device had no room for it.
     pub queue_full: u64,
     /// Coalescing leads.
     pub coalesce_leads: u64,
@@ -155,15 +156,22 @@ impl Gateway {
 
         let (result, coalesced) = match shard.coalescer.join(valid.key) {
             Join::Lead => {
-                let result = match shard.run(&valid.job) {
-                    Some((bytes, route)) => {
+                let result = match shard.try_run(&valid.job) {
+                    Ok((bytes, route)) => {
                         FlightResult { checksum: fnv1a(&bytes), route, error: None }
                     }
-                    None => FlightResult {
-                        checksum: 0,
-                        route: String::new(),
-                        error: Some("job lost: every route exhausted".into()),
-                    },
+                    Err(unserved) => {
+                        let error = match unserved {
+                            // Device memory frees as running jobs finish.
+                            Unserved::Refused(e) => ApiError {
+                                status: 503,
+                                message: e.to_string(),
+                                retry_after: Some(1),
+                            },
+                            Unserved::Lost => "job lost: every route exhausted".into(),
+                        };
+                        FlightResult { checksum: 0, route: String::new(), error: Some(error) }
+                    }
                 };
                 shard.coalescer.complete(valid.key, result.clone());
                 (result, false)
@@ -175,7 +183,10 @@ impl Gateway {
             }
         };
         if let Some(error) = result.error {
-            return Err(ApiError { status: 500, message: error, retry_after: None });
+            if error.status == 503 {
+                self.queue_full.fetch_add(1, Ordering::Relaxed);
+            }
+            return Err(error);
         }
         Ok(SubmitResponse {
             checksum: format!("{:016x}", result.checksum),

@@ -21,7 +21,8 @@
 //!   waiter gets the result.
 //! * **[`tenant`]** — per-tenant token-bucket admission (429 +
 //!   `Retry-After`), complementing the executor's admission bound (503 +
-//!   `Retry-After`).
+//!   `Retry-After`) and its device-capacity refusals (503 too, never
+//!   booked against a route's breaker).
 //! * **[`gateway`]** — the transport-free core: admission, coalescing,
 //!   and the JSON payload behind every endpoint.
 //! * **[`server`]** — the worker-thread accept pool putting the core

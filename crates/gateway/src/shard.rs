@@ -8,7 +8,9 @@
 
 use crate::coalesce::{CoalesceStats, Coalescer};
 use mcmm_chaos::{ChaosConfig, FaultInjector};
-use mcmm_serve::{BreakerState, FailoverPolicy, FailoverRouter, PlannedJob, ServeConfig, Service};
+use mcmm_serve::{
+    BreakerState, FailoverPolicy, FailoverRouter, PlannedJob, ServeConfig, Service, Unserved,
+};
 use mcmm_toolchain::{CompileCache, DiskStats, Registry};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -66,8 +68,8 @@ impl Shard {
     }
 
     /// Admit one request, or refuse with the queue-full shape. Admission
-    /// must be paired with [`Shard::run`] (which releases the slot) or
-    /// [`Shard::release`].
+    /// must be paired with [`Shard::try_run`] or [`Shard::run`] (which
+    /// release the slot) or with [`Shard::release`].
     pub fn admit(&self) -> Result<(), ShardQueueFull> {
         let depth = self.pending.fetch_add(1, Ordering::SeqCst) + 1;
         if depth > self.queue_bound {
@@ -85,13 +87,20 @@ impl Shard {
 
     /// Execute one admitted job through the failover router and release
     /// the slot. Returns the read-back bytes and the serving route, or
-    /// `None` if the job was lost (exhausted every route).
-    pub fn run(&self, job: &PlannedJob) -> Option<(Vec<u8>, String)> {
+    /// why the job was not served: its device had no room for it, or it
+    /// exhausted every route.
+    pub fn try_run(&self, job: &PlannedJob) -> Result<(Vec<u8>, String), Unserved> {
         let plan_idx = self.seq.fetch_add(1, Ordering::Relaxed);
-        let outcome = self.router.run_one(plan_idx, job);
+        let outcome = self.router.try_run_one(plan_idx, job);
         self.executed.fetch_add(1, Ordering::Relaxed);
         self.pending.fetch_sub(1, Ordering::SeqCst);
         outcome
+    }
+
+    /// [`Shard::try_run`] without the reason: `None` if the job was not
+    /// served.
+    pub fn run(&self, job: &PlannedJob) -> Option<(Vec<u8>, String)> {
+        self.try_run(job).ok()
     }
 
     /// Requests currently admitted and not yet finished.

@@ -1,8 +1,9 @@
 //! Acceptance: the HTTP front-door end to end over real loopback sockets.
 //!
-//! Everything here goes through the wire — the worker-pool accept loop,
-//! keep-alive parsing, both response framings, JSON (de)serialization —
-//! against a gateway with live simulated devices behind it.
+//! Everything here but one device-memory test goes through the wire —
+//! the worker-pool accept loop, keep-alive parsing, both response
+//! framings, JSON (de)serialization — against a gateway with live
+//! simulated devices behind it.
 
 use mcmm_gateway::client::read_response;
 use mcmm_gateway::{
@@ -208,6 +209,64 @@ fn overload_is_refused_at_the_front_door_not_booked_as_route_failure() {
     assert!(health["breakers"].as_array().unwrap().iter().all(|b| b["open"] == false));
     assert_eq!(server.gateway().shard().service().counts().rejected, 0);
     server.shutdown();
+}
+
+#[test]
+fn a_full_device_refuses_with_503_and_books_no_route_failure() {
+    // Each 2^20-element job holds 8 MiB of NVIDIA memory from submit until
+    // it finishes, and the device has 256 MiB, so 40 concurrent distinct
+    // jobs overrun it. A job that does not fit is refused with 503 +
+    // `Retry-After`: device capacity is not a route fault, so no breaker
+    // opens and no job is lost. Called in process, not over the wire, so
+    // 40 requests are in flight at once without 40 server workers.
+    let gateway = Arc::new(
+        Gateway::new(GatewayConfig {
+            tenant: TenantPolicy { burst: 1e12, per_second: 1e12 },
+            ..GatewayConfig::default()
+        })
+        .expect("gateway up"),
+    );
+    let planned = gateway.submit(&scale_request(0.5, 8)).expect("small job is served").route;
+    let clients = 40;
+    let start_line = Arc::new(Barrier::new(clients));
+    let handles: Vec<_> = (0..clients)
+        .map(|c| {
+            let (gateway, start_line) = (Arc::clone(&gateway), Arc::clone(&start_line));
+            std::thread::spawn(move || {
+                let a = (c + 1) as f32;
+                let req = scale_request(a, 1 << 20);
+                start_line.wait();
+                match gateway.submit(&req) {
+                    Ok(resp) => {
+                        let want: Vec<u8> =
+                            req.x.iter().flat_map(|v| (a * v).to_le_bytes()).collect();
+                        let right = resp.checksum == format!("{:016x}", fnv1a(&want));
+                        (200, right)
+                    }
+                    Err(e) => (e.status, e.retry_after.is_some()),
+                }
+            })
+        })
+        .collect();
+    let answers: Vec<(u16, bool)> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    for &(status, ok) in &answers {
+        assert!(
+            (status == 200 || status == 503) && ok,
+            "every answer is a 200 with the right checksum or a 503 with Retry-After: \
+             {answers:?}"
+        );
+    }
+    let refused = answers.iter().filter(|&&(s, _)| s == 503).count();
+    assert!(refused > 0, "40 jobs of 8 MiB must overrun a 256 MiB device: {answers:?}");
+    assert_eq!(gateway.stats().queue_full, refused as u64);
+
+    let health: serde_json::Value = serde_json::from_str(&gateway.healthz_json()).unwrap();
+    assert_eq!(health["status"], "ok", "{health}");
+    assert!(health["breakers"].as_array().unwrap().iter().all(|b| b["open"] == false));
+    assert_eq!(gateway.shard().service().counts().rejected, 0);
+    // The next job still takes the matrix's first choice.
+    let after = gateway.submit(&scale_request(0.25, 8)).expect("served after the burst");
+    assert_eq!(after.route, planned);
 }
 
 #[test]

@@ -384,6 +384,11 @@ pub struct DeviceAlloc {
 }
 
 impl DeviceAlloc {
+    /// The device that holds the allocation.
+    pub fn device(&self) -> &Arc<Device> {
+        &self.device
+    }
+
     /// Where the allocation starts.
     pub fn ptr(&self) -> DevicePtr {
         self.ptr

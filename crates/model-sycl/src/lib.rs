@@ -246,7 +246,7 @@ impl Queue {
         buffers: &[&mut Buffer],
     ) -> SyclResult<LaunchReport> {
         let mut args: Vec<KernelArg> =
-            buffers.iter().map(|buf| buf.device.as_ref().expect("synced").1.arg()).collect();
+            buffers.iter().map(|buf| buf.device.as_ref().expect("synced").arg()).collect();
         args.push(KernelArg::I32(range as i32));
         self.session
             .run(kernel, range as u64, 256, &args)
@@ -275,8 +275,7 @@ impl Frontend for SyclFrontend {
 /// buffer; the buffer owns it and frees it when it drops.
 pub struct Buffer {
     host: Vec<f32>,
-    /// The device shadow and the device that holds it.
-    device: Option<(Arc<Device>, DeviceBuffer<f32>)>,
+    device: Option<DeviceBuffer<f32>>,
     device_dirty: bool,
 }
 
@@ -300,7 +299,7 @@ impl Buffer {
     /// device is read back first if kernels wrote it, then freed.
     fn sync_to_device(&mut self, queue: &Queue) -> SyclResult<()> {
         let here = queue.session.device();
-        if self.device.as_ref().is_some_and(|(dev, _)| !Arc::ptr_eq(dev, here)) {
+        if self.device.as_ref().is_some_and(|buf| !Arc::ptr_eq(buf.device(), here)) {
             self.read_back()?;
             self.device = None;
         }
@@ -309,7 +308,7 @@ impl Buffer {
                 .session
                 .upload(&self.host)
                 .map_err(|e| SyclError::MemoryAllocation(e.to_string()))?;
-            self.device = Some((Arc::clone(here), buf));
+            self.device = Some(buf);
         }
         Ok(())
     }
@@ -317,8 +316,9 @@ impl Buffer {
     /// Copy a shadow that kernels wrote back into the host data, from the
     /// device that holds it.
     fn read_back(&mut self) -> SyclResult<()> {
-        if let (true, Some((dev, buf))) = (self.device_dirty, &self.device) {
-            let (bytes, _) = dev
+        if let (true, Some(buf)) = (self.device_dirty, &self.device) {
+            let (bytes, _) = buf
+                .device()
                 .memcpy_d2h(buf.ptr(), buf.byte_len())
                 .map_err(|e| SyclError::Invalid(e.to_string()))?;
             self.host = f32::from_device_bytes(&bytes);

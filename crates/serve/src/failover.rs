@@ -26,6 +26,12 @@
 //!   downgrade of the matrix's static rating. A success resets the
 //!   breaker.
 //!
+//! A device with no room for a job — the Service refuses it as
+//! [`SubmitError::QueueFull`] or cannot allocate its buffers — is load,
+//! not a route fault. The router books no breaker failure for it and tries
+//! no other route (every route of the cell runs on that device); it hands
+//! the job back as [`Unserved::Refused`] for the caller to resubmit.
+//!
 //! Every decision is recorded in a per-job [`FailoverTrace`] (route tried
 //! → fault observed → fallback chosen → rating delta), and aggregate
 //! [`FailoverStats`] feed the serving report.
@@ -39,7 +45,7 @@
 //! once; they share its breakers, and their interleaving, not the seed,
 //! decides the order in which failures are booked.
 
-use crate::job::{JobCompletion, JobId};
+use crate::job::{JobCompletion, JobId, SubmitError};
 use crate::service::{JobHandle, Service, SubmitOptions};
 use crate::workload::Workload;
 use mcmm_chaos::{AttemptCtx, FaultInjector};
@@ -112,6 +118,17 @@ pub struct FailoverStats {
     pub health_checks: u64,
 }
 
+/// Why the router did not serve a job.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Unserved {
+    /// The job's device had no room for it: the Service refused it as
+    /// [`SubmitError::QueueFull`] or as [`SubmitError::Alloc`]. No breaker
+    /// was booked; the job can be resubmitted once work drains.
+    Refused(SubmitError),
+    /// Every route was tried and failed.
+    Lost,
+}
+
 /// One attempt of one job, as traced.
 #[derive(Debug, Clone, Serialize)]
 pub struct AttemptRecord {
@@ -134,7 +151,7 @@ pub struct FailoverTrace {
     pub planned_route: String,
     /// Every attempt, in order.
     pub attempts: Vec<AttemptRecord>,
-    /// Route of the successful attempt; `None` if the job was lost.
+    /// Route of the successful attempt; `None` if the job was not served.
     pub final_route: Option<String>,
     /// Support-rating positions moved, planned → final: 0 = finished on
     /// the planned rating, positive = finished that many support
@@ -290,19 +307,20 @@ impl FailoverRouter {
     /// enabled and a bounded fault budget, no job should be lost; with it
     /// disabled, every injected fault costs its job. Every served job's
     /// handle is kept until the run ends, so a later job can chain onto
-    /// any earlier one.
+    /// any earlier one. A job its device has no room for is lost too:
+    /// nothing resubmits it.
     pub fn run(&mut self, workload: &Workload) -> Vec<Option<Vec<u8>>> {
         let mut ids: Vec<JobId> = Vec::with_capacity(workload.jobs.len());
         let mut handles: Vec<JobHandle> = Vec::with_capacity(workload.jobs.len());
         let mut outputs = Vec::with_capacity(workload.jobs.len());
         for (plan_idx, job) in workload.jobs.iter().enumerate() {
             match self.run_job(plan_idx as u64, job, &ids) {
-                Some((handle, bytes, _route)) => {
+                Ok((handle, bytes, _route)) => {
                     ids.push(handle.id);
                     handles.push(handle);
                     outputs.push(Some(bytes));
                 }
-                None => {
+                Err(_) => {
                     self.state.lock().stats.lost += 1;
                     // JobId(0) is never assigned by the service, so any
                     // dependant of a lost job fails with
@@ -405,30 +423,44 @@ impl FailoverRouter {
     /// through the full failover machinery: retries, route switches, and
     /// breakers all apply, and the breaker state persists into the next
     /// call. Returns the read-back bytes plus the toolchain name of the
-    /// route that finally served the job, or `None` if it was lost. This
+    /// route that finally served the job, or why it was not served. This
     /// is the gateway's per-request entry point; concurrent calls share
     /// the breakers and quarantine set.
+    pub fn try_run_one(
+        &self,
+        plan_idx: u64,
+        job: &crate::workload::PlannedJob,
+    ) -> Result<(Vec<u8>, String), Unserved> {
+        match self.run_job(plan_idx, job, &[]) {
+            Ok((_, bytes, route)) => Ok((bytes, route)),
+            Err(unserved) => {
+                if unserved == Unserved::Lost {
+                    self.state.lock().stats.lost += 1;
+                }
+                Err(unserved)
+            }
+        }
+    }
+
+    /// [`FailoverRouter::try_run_one`] without the reason: `None` if the
+    /// job was lost or refused.
     pub fn run_one(
         &self,
         plan_idx: u64,
         job: &crate::workload::PlannedJob,
     ) -> Option<(Vec<u8>, String)> {
-        if let Some((_, bytes, route)) = self.run_job(plan_idx, job, &[]) {
-            Some((bytes, route))
-        } else {
-            self.state.lock().stats.lost += 1;
-            None
-        }
+        self.try_run_one(plan_idx, job).ok()
     }
 
-    /// Run one planned job to success or loss. A served job comes back
-    /// with its handle, which keeps it nameable as a dependency.
+    /// Run one planned job until it is served, lost or refused. A served
+    /// job comes back with its handle, which keeps it nameable as a
+    /// dependency.
     fn run_job(
         &self,
         plan_idx: u64,
         job: &crate::workload::PlannedJob,
         ids: &[JobId],
-    ) -> Option<(JobHandle, Vec<u8>, String)> {
+    ) -> Result<(JobHandle, Vec<u8>, String), Unserved> {
         let plan = self.plan_for(job.model, job.language, job.vendor);
         if plan.is_empty() {
             if self.record {
@@ -440,7 +472,7 @@ impl FailoverRouter {
                     rating_delta: 0,
                 });
             }
-            return None;
+            return Err(Unserved::Lost);
         }
         let planned = plan[0].clone();
         // Admission-time quarantine skip: start from the best-rated route
@@ -496,10 +528,23 @@ impl FailoverRouter {
                                 state.traces.push(trace);
                                 state.completions.push(done);
                             }
-                            return Some((handle, bytes, route.name));
+                            return Ok((handle, bytes, route.name));
                         }
                         Some(e) => e.to_string(),
                     }
+                }
+                Err(e @ (SubmitError::QueueFull { .. } | SubmitError::Alloc(_))) => {
+                    // The device is full, whichever route compiled the
+                    // job: give it back without booking the route.
+                    trace.attempts.push(AttemptRecord {
+                        route: route.name,
+                        error: Some(e.to_string()),
+                        backoff_us: 0.0,
+                    });
+                    if self.record {
+                        self.state.lock().traces.push(trace);
+                    }
+                    return Err(Unserved::Refused(e));
                 }
                 Err(e) => e.to_string(),
             };
@@ -538,6 +583,6 @@ impl FailoverRouter {
         if self.record {
             self.state.lock().traces.push(trace);
         }
-        None
+        Err(Unserved::Lost)
     }
 }

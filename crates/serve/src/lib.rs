@@ -36,6 +36,7 @@ pub mod workload;
 
 pub use failover::{
     AttemptRecord, BreakerState, FailoverPolicy, FailoverRouter, FailoverStats, FailoverTrace,
+    Unserved,
 };
 pub use job::{ArgSpec, JobCompletion, JobId, JobSpec, SubmitError};
 pub use report::{DeviceReport, LatencyStats, PortabilityRow, ServeReport};

@@ -9,7 +9,8 @@
 use mcmm_chaos::{ChaosConfig, FaultInjector};
 use mcmm_core::taxonomy::Vendor;
 use mcmm_serve::{
-    run_serial, FailoverPolicy, FailoverRouter, ServeConfig, Service, Workload, WorkloadConfig,
+    run_serial, FailoverPolicy, FailoverRouter, ServeConfig, Service, SubmitError, Unserved,
+    Workload, WorkloadConfig,
 };
 
 const SEED: u64 = 0xC0FFEE;
@@ -208,4 +209,41 @@ fn concurrent_run_one_fails_over_around_an_outage() {
         "nvcc @ NVIDIA must be quarantined: {:?}",
         router.breaker_states()
     );
+}
+
+#[test]
+fn a_full_device_is_refused_without_booking_the_route() {
+    // A device with no memory left refuses every route of the cell alike:
+    // the router hands the job back instead of retrying, failing over or
+    // tripping the breaker of a healthy route.
+    let service = std::sync::Arc::new(Service::new(ServeConfig::default()));
+    let injector = std::sync::Arc::new(FaultInjector::new(ChaosConfig::quiet(SEED)));
+    let router =
+        FailoverRouter::new(std::sync::Arc::clone(&service), injector, FailoverPolicy::default());
+    let registry = mcmm_toolchain::Registry::paper();
+    let workload = Workload::generate(standalone_workload(), &registry);
+    let expected = run_serial(&workload, &registry);
+    let (i, job) = workload
+        .jobs
+        .iter()
+        .enumerate()
+        .find(|(_, j)| j.vendor == Vendor::Nvidia)
+        .expect("the workload plans a job on NVIDIA");
+
+    let device = service.device(Vendor::Nvidia);
+    let filler = device.alloc_owned(device.memory().free_bytes()).unwrap();
+    let threshold = FailoverPolicy::default().breaker_threshold;
+    for attempt in 0..=u64::from(threshold) {
+        match router.try_run_one(attempt, job) {
+            Err(Unserved::Refused(SubmitError::Alloc(_))) => {}
+            other => panic!("a full device must refuse the job: {other:?}"),
+        }
+    }
+    assert!(router.breaker_states().is_empty(), "{:?}", router.breaker_states());
+    let stats = router.stats();
+    assert_eq!((stats.lost, stats.retries, stats.failovers), (0, 0, 0));
+
+    drop(filler);
+    let (bytes, _) = router.try_run_one(u64::from(threshold) + 1, job).expect("served once free");
+    assert_eq!(bytes, expected[i]);
 }
