@@ -20,9 +20,14 @@ cargo bench --workspace --no-run
 echo "── serve smoke ────────────────────────────────────"
 cargo run --release -p mcmm-bench --bin serve -- --smoke
 
-echo "── chaos smoke ────────────────────────────────────"
-# Small fault storm: asserts zero lost jobs and ≥1 successful failover.
+echo "── chaos storm ────────────────────────────────────"
+# Small fault storm: asserts zero lost jobs, ≥1 retry and ≥1 cross-route
+# failover, a quarantined breaker for every outage route, outputs
+# byte-identical to serial execution, and ≥1 lost job with failover off.
 cargo run --release -p mcmm-bench --bin chaos -- --smoke
+# The canonical 500-job storm whose counts DESIGN.md quotes: the same
+# checks, plus a second run of the seed that must replay bit-identically.
+cargo run --release -p mcmm-bench --bin chaos
 
 echo "── block engine smoke ─────────────────────────────"
 # The scalar reference interpreter vs the vectorized block engine: asserts

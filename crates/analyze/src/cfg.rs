@@ -2,10 +2,8 @@
 //!
 //! The IR is structured (`If`/`While` trees, no raw branches), so the CFG
 //! is reducible by construction. Lowering is still worth doing explicitly:
-//! the dataflow analyses ([`crate::dataflow`]) want basic blocks with
-//! explicit edges, and the dominator/post-dominator trees computed here are
-//! the substrate the property tests pin down (every reachable block is
-//! dominated by the entry, post-dominated by the exit).
+//! the dataflow analysis ([`crate::dataflow`]) wants basic blocks with
+//! explicit edges.
 //!
 //! Instructions are numbered in **pre-order over the structured tree**
 //! (an `If`/`While` gets a location before its children); every analysis
@@ -219,24 +217,17 @@ impl Cfg {
     pub fn reverse_postorder(&self) -> Vec<BlockId> {
         let mut order = Vec::new();
         let mut seen = vec![false; self.blocks.len()];
-        self.postorder_from(self.entry, &mut seen, &mut order, false);
+        self.postorder_from(self.entry, &mut seen, &mut order);
         order.reverse();
         order
     }
 
-    fn postorder_from(
-        &self,
-        start: BlockId,
-        seen: &mut [bool],
-        order: &mut Vec<BlockId>,
-        reversed: bool,
-    ) {
+    fn postorder_from(&self, start: BlockId, seen: &mut [bool], order: &mut Vec<BlockId>) {
         // Iterative DFS: (block, next-successor-index) stack.
         let mut stack = vec![(start, 0usize)];
         seen[start] = true;
         while let Some(&mut (b, ref mut i)) = stack.last_mut() {
-            let succs =
-                if reversed { self.blocks[b].preds.clone() } else { self.blocks[b].term.succs() };
+            let succs = self.blocks[b].term.succs();
             if *i < succs.len() {
                 let s = succs[*i];
                 *i += 1;
@@ -255,96 +246,6 @@ impl Cfg {
     pub fn reachable(&self, b: BlockId) -> bool {
         self.reverse_postorder().contains(&b)
     }
-}
-
-/// Immediate-dominator tree: `idom[b]` is `b`'s immediate dominator,
-/// `None` for unreachable blocks; the root's idom is itself.
-#[derive(Debug, Clone)]
-pub struct DomTree {
-    /// Immediate dominator per block.
-    pub idom: Vec<Option<BlockId>>,
-    /// The tree root (entry for dominators, exit for post-dominators).
-    pub root: BlockId,
-}
-
-impl DomTree {
-    /// Does `a` dominate `b` (reflexively)?
-    pub fn dominates(&self, a: BlockId, b: BlockId) -> bool {
-        let mut cur = b;
-        loop {
-            if cur == a {
-                return true;
-            }
-            match self.idom[cur] {
-                Some(up) if up != cur => cur = up,
-                _ => return cur == a,
-            }
-        }
-    }
-}
-
-/// Cooper–Harvey–Kennedy iterative dominator computation.
-fn dom_tree(
-    n_blocks: usize,
-    root: BlockId,
-    rpo: &[BlockId],
-    preds: impl Fn(BlockId) -> Vec<BlockId>,
-) -> DomTree {
-    let mut rpo_index = vec![usize::MAX; n_blocks];
-    for (i, &b) in rpo.iter().enumerate() {
-        rpo_index[b] = i;
-    }
-    let mut idom: Vec<Option<BlockId>> = vec![None; n_blocks];
-    idom[root] = Some(root);
-    let intersect = |idom: &[Option<BlockId>], mut a: BlockId, mut b: BlockId| -> BlockId {
-        while a != b {
-            while rpo_index[a] > rpo_index[b] {
-                a = idom[a].expect("processed block has an idom");
-            }
-            while rpo_index[b] > rpo_index[a] {
-                b = idom[b].expect("processed block has an idom");
-            }
-        }
-        a
-    };
-    let mut changed = true;
-    while changed {
-        changed = false;
-        for &b in rpo.iter().filter(|&&b| b != root) {
-            let mut new_idom: Option<BlockId> = None;
-            for p in preds(b) {
-                if idom[p].is_none() {
-                    continue; // unreachable or not yet processed
-                }
-                new_idom = Some(match new_idom {
-                    None => p,
-                    Some(cur) => intersect(&idom, cur, p),
-                });
-            }
-            if new_idom.is_some() && idom[b] != new_idom {
-                idom[b] = new_idom;
-                changed = true;
-            }
-        }
-    }
-    DomTree { idom, root }
-}
-
-/// The dominator tree of the CFG (rooted at the entry).
-pub fn dominators(cfg: &Cfg) -> DomTree {
-    let rpo = cfg.reverse_postorder();
-    dom_tree(cfg.blocks.len(), cfg.entry, &rpo, |b| cfg.blocks[b].preds.clone())
-}
-
-/// The post-dominator tree of the CFG (rooted at the exit, over reversed
-/// edges).
-pub fn postdominators(cfg: &Cfg) -> DomTree {
-    // Reverse post-order of the reversed graph from the exit.
-    let mut order = Vec::new();
-    let mut seen = vec![false; cfg.blocks.len()];
-    cfg.postorder_from(cfg.exit, &mut seen, &mut order, true);
-    order.reverse();
-    dom_tree(cfg.blocks.len(), cfg.exit, &order, |b| cfg.blocks[b].term.succs())
 }
 
 #[cfg(test)]
@@ -418,10 +319,6 @@ mod tests {
         };
         assert_eq!(cfg.blocks[body].term.succs(), vec![header], "back edge");
         assert!(cfg.reachable(after));
-        let doms = dominators(&cfg);
-        assert!(doms.dominates(header, body));
-        let pdoms = postdominators(&cfg);
-        assert!(pdoms.dominates(after, header), "exit path post-dominates the header");
     }
 
     #[test]
@@ -438,25 +335,6 @@ mod tests {
             .find(|&b| b != cfg.entry && !cfg.blocks[b].instrs.is_empty())
             .expect("dead block holds the post-trap instruction");
         assert!(!cfg.reachable(dead));
-        assert!(dominators(&cfg).idom[dead].is_none());
-    }
-
-    #[test]
-    fn entry_dominates_all_reachable_blocks() {
-        let cfg = Cfg::build(&guarded_saxpy());
-        let doms = dominators(&cfg);
-        for b in cfg.reverse_postorder() {
-            assert!(doms.dominates(cfg.entry, b), "entry must dominate block {b}");
-        }
-    }
-
-    #[test]
-    fn exit_postdominates_all_reachable_blocks() {
-        let cfg = Cfg::build(&guarded_saxpy());
-        let pdoms = postdominators(&cfg);
-        for b in cfg.reverse_postorder() {
-            assert!(pdoms.dominates(cfg.exit, b), "exit must post-dominate block {b}");
-        }
     }
 
     #[test]

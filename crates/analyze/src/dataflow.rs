@@ -1,12 +1,11 @@
-//! Iterative dataflow over the CFG: reaching definitions and liveness.
+//! Iterative dataflow over the CFG: reaching definitions.
 //!
-//! Both analyses are classic worklist fixpoints over per-block bit sets.
-//! Reaching definitions seeds one **synthetic definition per non-parameter
-//! register** at the entry — the "still uninitialized" state — which is
-//! what the MCA001 uninitialized-read diagnostic queries. Liveness runs
-//! backwards and powers the informational dead-store query.
+//! A classic worklist fixpoint over per-block bit sets. It seeds one
+//! **synthetic definition per non-parameter register** at the entry — the
+//! "still uninitialized" state — which is what the MCA001
+//! uninitialized-read diagnostic queries.
 
-use crate::cfg::{Block, Cfg, Loc, Terminator};
+use crate::cfg::{Cfg, Loc};
 use mcmm_gpu_sim::ir::{Instr, KernelIr, Operand, Reg};
 
 /// A dense bit set sized at construction.
@@ -254,118 +253,10 @@ impl ReachingDefs {
     }
 }
 
-/// Liveness over the CFG (backward may-analysis).
-#[derive(Debug, Clone)]
-pub struct Liveness {
-    /// Per-block live-in registers (bit index = register number).
-    pub live_in: Vec<BitSet>,
-    /// Per-block live-out registers.
-    pub live_out: Vec<BitSet>,
-}
-
-impl Liveness {
-    /// Run the analysis to fixpoint.
-    pub fn compute(kernel: &KernelIr, cfg: &Cfg) -> Self {
-        let n = kernel.regs.len();
-        let use_def = |block: &Block| -> (BitSet, BitSet) {
-            let mut uses = BitSet::new(n);
-            let mut defs = BitSet::new(n);
-            let mut buf = Vec::new();
-            for (_, instr) in &block.instrs {
-                instr_uses(instr, &mut buf);
-                for r in &buf {
-                    if !defs.contains(r.0 as usize) {
-                        uses.insert(r.0 as usize);
-                    }
-                }
-                if let Some(r) = instr_def(instr) {
-                    defs.insert(r.0 as usize);
-                }
-            }
-            if let Terminator::Branch { cond, .. } = &block.term {
-                if !defs.contains(cond.0 as usize) {
-                    uses.insert(cond.0 as usize);
-                }
-            }
-            (uses, defs)
-        };
-        let ud: Vec<(BitSet, BitSet)> = cfg.blocks.iter().map(use_def).collect();
-        let mut live_in = vec![BitSet::new(n); cfg.blocks.len()];
-        let mut live_out = vec![BitSet::new(n); cfg.blocks.len()];
-        let mut order = cfg.reverse_postorder();
-        order.reverse(); // postorder: good ordering for a backward analysis
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for &b in &order {
-                let mut out = BitSet::new(n);
-                for s in cfg.blocks[b].term.succs() {
-                    out.union_with(&live_in[s]);
-                }
-                let (uses, defs) = &ud[b];
-                let mut inp = out.clone();
-                for d in defs.iter() {
-                    inp.remove(d);
-                }
-                inp.union_with(uses);
-                if out != live_out[b] {
-                    live_out[b] = out;
-                    changed = true;
-                }
-                if inp != live_in[b] {
-                    live_in[b] = inp;
-                    changed = true;
-                }
-            }
-        }
-        Self { live_in, live_out }
-    }
-}
-
-/// Side-effect-free definitions whose value is never read afterwards
-/// (informational — not a gated diagnostic).
-pub fn dead_stores(_kernel: &KernelIr, cfg: &Cfg, liveness: &Liveness) -> Vec<(Loc, Reg)> {
-    let mut dead = Vec::new();
-    let mut buf = Vec::new();
-    for (bid, block) in cfg.blocks.iter().enumerate() {
-        // Walk backwards tracking live registers.
-        let mut live = liveness.live_out[bid].clone();
-        let mut rev: Vec<&(Loc, Instr)> = block.instrs.iter().collect();
-        rev.reverse();
-        if let Terminator::Branch { cond, .. } = &block.term {
-            live.insert(cond.0 as usize);
-        }
-        for (loc, instr) in rev {
-            let pure = matches!(
-                instr,
-                Instr::Mov { .. }
-                    | Instr::Bin { .. }
-                    | Instr::Un { .. }
-                    | Instr::Cmp { .. }
-                    | Instr::Sel { .. }
-                    | Instr::Cvt { .. }
-                    | Instr::Special { .. }
-            );
-            if let Some(r) = instr_def(instr) {
-                if pure && !live.contains(r.0 as usize) {
-                    dead.push((*loc, r));
-                }
-                live.remove(r.0 as usize);
-            }
-            instr_uses(instr, &mut buf);
-            for r in &buf {
-                live.insert(r.0 as usize);
-            }
-        }
-    }
-    dead.sort_unstable_by_key(|(l, _)| *l);
-    dead
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcmm_gpu_sim::ir::{BinOp, CmpOp, KernelBuilder, Space, Type, Value};
+    use mcmm_gpu_sim::ir::{CmpOp, KernelBuilder, Type, Value};
 
     #[test]
     fn bitset_basics() {
@@ -420,42 +311,5 @@ mod tests {
             rd.block_in[cfg.exit].iter().map(|i| &rd.defs[i]).filter(|d| d.reg == r).collect();
         assert_eq!(r_defs.len(), 2);
         assert!(r_defs.iter().all(|d| d.site.is_some()));
-    }
-
-    #[test]
-    fn liveness_reaches_fixpoint_and_params_live_into_loops() {
-        let mut k = KernelBuilder::new("loop");
-        let out = k.param(Type::I64);
-        let i = k.imm(Value::I32(0));
-        k.while_(
-            |k| k.cmp(CmpOp::Lt, i, Value::I32(8)),
-            |k| {
-                k.st_elem(Space::Global, out, i, Value::I32(1));
-                k.bin_assign(BinOp::Add, i, Value::I32(1));
-            },
-        );
-        let kernel = k.finish();
-        let cfg = Cfg::build(&kernel);
-        let lv = Liveness::compute(&kernel, &cfg);
-        // `out` and `i` are live into the loop header.
-        let header = (0..cfg.blocks.len())
-            .find(|&b| matches!(cfg.blocks[b].term, Terminator::Branch { .. }))
-            .unwrap();
-        assert!(lv.live_in[header].contains(out.0 as usize));
-        assert!(lv.live_in[header].contains(i.0 as usize));
-    }
-
-    #[test]
-    fn dead_store_detected() {
-        let mut k = KernelBuilder::new("dead");
-        let _p = k.param(Type::I64);
-        let a = k.imm(Value::I32(1)); // never read again
-        let _ = a;
-        let kernel = k.finish();
-        let cfg = Cfg::build(&kernel);
-        let lv = Liveness::compute(&kernel, &cfg);
-        let dead = dead_stores(&kernel, &cfg, &lv);
-        assert_eq!(dead.len(), 1);
-        assert_eq!(dead[0].1, a);
     }
 }

@@ -11,10 +11,10 @@
 //!
 //! # Analyses
 //!
-//! * [`mod@cfg`] — CFG construction from the structured IR, reverse postorder,
-//!   dominators and post-dominators (Cooper–Harvey–Kennedy).
+//! * [`mod@cfg`] — CFG construction from the structured IR and reverse
+//!   postorder.
 //! * [`dataflow`] — reaching definitions (with synthetic "uninitialized"
-//!   entry definitions) and liveness, both to fixpoint over the CFG.
+//!   entry definitions) to fixpoint over the CFG.
 //! * [`divergence`] — thread-variance taint over the structured tree.
 //! * [`range`] — interval analysis with guard refinement and widening.
 //! * [`race`] — per-lane concrete execution with barrier-interval

@@ -1,8 +1,8 @@
-//! Property tests over randomly generated structured kernels: CFG and
-//! dominator invariants, and dataflow fixpoint consistency.
+//! Property tests over randomly generated structured kernels: CFG
+//! invariants and dataflow fixpoint consistency.
 
-use mcmm_analyze::cfg::{dominators, postdominators, Cfg, Terminator};
-use mcmm_analyze::dataflow::{BitSet, Liveness, ReachingDefs};
+use mcmm_analyze::cfg::{Cfg, Terminator};
+use mcmm_analyze::dataflow::{BitSet, ReachingDefs};
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
@@ -79,42 +79,6 @@ fn kernel_from(shapes: &[Shape]) -> KernelIr {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Every reachable block is dominated by the entry, and every
-    /// reachable block is post-dominated by the synthetic exit.
-    #[test]
-    fn entry_dominates_and_exit_postdominates(shapes in pvec(shape_strategy(), 0..6)) {
-        let kernel = kernel_from(&shapes);
-        prop_assert_eq!(kernel.validate(), Ok(()));
-        let cfg = Cfg::build(&kernel);
-        let dom = dominators(&cfg);
-        let pdom = postdominators(&cfg);
-        for b in 0..cfg.blocks.len() {
-            if !cfg.reachable(b) {
-                continue;
-            }
-            prop_assert!(dom.dominates(cfg.entry, b), "entry must dominate block {}", b);
-            prop_assert!(pdom.dominates(cfg.exit, b), "exit must postdominate block {}", b);
-        }
-    }
-
-    /// A block's immediate dominator is itself dominated by the entry and
-    /// strictly precedes the block in every path (spot-check: the idom is
-    /// never the block itself, except at the root).
-    #[test]
-    fn idom_is_proper(shapes in pvec(shape_strategy(), 0..6)) {
-        let kernel = kernel_from(&shapes);
-        let cfg = Cfg::build(&kernel);
-        let dom = dominators(&cfg);
-        for b in 0..cfg.blocks.len() {
-            if b == cfg.entry || !cfg.reachable(b) {
-                continue;
-            }
-            let idom = dom.idom[b].expect("reachable non-entry block must have an idom");
-            prop_assert_ne!(idom, b);
-            prop_assert!(dom.dominates(cfg.entry, idom));
-        }
-    }
-
     /// Reaching definitions is a genuine fixpoint: re-applying the
     /// transfer function to the solution changes nothing, and every edge
     /// satisfies out[pred] ⊆ in[succ].
@@ -136,25 +100,6 @@ proptest! {
         prop_assert_eq!(rd.n_synthetic, kernel.regs.len());
         for d in 0..rd.n_synthetic {
             prop_assert!(rd.block_in[cfg.entry].contains(d));
-        }
-    }
-
-    /// Liveness is consistent along edges: live_in of any successor is
-    /// contained in live_out of the predecessor.
-    #[test]
-    fn liveness_is_edge_consistent(shapes in pvec(shape_strategy(), 0..6)) {
-        let kernel = kernel_from(&shapes);
-        let cfg = Cfg::build(&kernel);
-        let lv = Liveness::compute(&kernel, &cfg);
-        for (b, block) in cfg.blocks.iter().enumerate() {
-            if !cfg.reachable(b) {
-                continue; // the fixpoint runs over reachable blocks only
-            }
-            for s in block.term.succs() {
-                let mut merged = lv.live_out[b].clone();
-                let grew = merged.union_with(&lv.live_in[s]);
-                prop_assert!(!grew, "live_in[{}] escapes live_out[{}]", s, b);
-            }
         }
     }
 

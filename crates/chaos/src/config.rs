@@ -40,12 +40,6 @@ pub struct ChaosConfig {
     pub read_back_p: f64,
     /// Modeled stall duration in microseconds for stall faults.
     pub stall_us: f64,
-    /// Per-route probability multipliers, matched by toolchain-name
-    /// substring; the first match wins. Routes without a match use 1.0.
-    pub route_weights: Vec<(String, f64)>,
-    /// Per-vendor probability multipliers; vendors without an entry use
-    /// 1.0. Stacks multiplicatively with the route weight.
-    pub vendor_weights: Vec<(Vendor, f64)>,
     /// Sticky route outages (see [`RouteOutage`]).
     pub outages: Vec<RouteOutage>,
 }
@@ -64,8 +58,6 @@ impl ChaosConfig {
             lane_crash_p: 0.0,
             read_back_p: 0.0,
             stall_us: 0.0,
-            route_weights: Vec::new(),
-            vendor_weights: Vec::new(),
             outages: Vec::new(),
         }
     }
@@ -94,29 +86,6 @@ impl ChaosConfig {
         self
     }
 
-    /// Scale fault probabilities for routes whose toolchain name contains
-    /// `substring` (builder style).
-    pub fn with_route_weight(mut self, substring: impl Into<String>, weight: f64) -> Self {
-        self.route_weights.push((substring.into(), weight));
-        self
-    }
-
-    /// Scale fault probabilities for one vendor lane (builder style).
-    pub fn with_vendor_weight(mut self, vendor: Vendor, weight: f64) -> Self {
-        self.vendor_weights.push((vendor, weight));
-        self
-    }
-
-    /// Probability multiplier for a route (first matching substring).
-    pub(crate) fn route_weight(&self, route: &str) -> f64 {
-        self.route_weights.iter().find(|(s, _)| route.contains(s.as_str())).map_or(1.0, |(_, w)| *w)
-    }
-
-    /// Probability multiplier for a vendor lane.
-    pub(crate) fn vendor_weight(&self, vendor: Vendor) -> f64 {
-        self.vendor_weights.iter().find(|(v, _)| *v == vendor).map_or(1.0, |(_, w)| *w)
-    }
-
     /// Does an outage cover this (route, vendor)?
     pub(crate) fn outage_for(&self, route: &str, vendor: Vendor) -> Option<&RouteOutage> {
         self.outages
@@ -128,19 +97,6 @@ impl ChaosConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn weights_default_to_one_and_first_match_wins() {
-        let c = ChaosConfig::quiet(1)
-            .with_route_weight("nvcc", 4.0)
-            .with_route_weight("CUDA", 0.5)
-            .with_vendor_weight(Vendor::Amd, 2.0);
-        assert_eq!(c.route_weight("CUDA Toolkit (nvcc)"), 4.0);
-        assert_eq!(c.route_weight("CUDA Python (Numba)"), 0.5);
-        assert_eq!(c.route_weight("hipcc"), 1.0);
-        assert_eq!(c.vendor_weight(Vendor::Amd), 2.0);
-        assert_eq!(c.vendor_weight(Vendor::Intel), 1.0);
-    }
 
     #[test]
     fn outage_matching_respects_vendor_scope() {

@@ -14,8 +14,7 @@
 //!   [`LaunchFault`]/[`TransferFault`] values, and `mcmm-toolchain`'s
 //!   compile cache takes an optional fault that fails a cache miss.
 //! * **Policy** lives here: [`ChaosConfig`] holds per-stage
-//!   probabilities, per-route/per-vendor weight multipliers, sticky
-//!   [`RouteOutage`]s, and a global fault *budget*;
+//!   probabilities, sticky [`RouteOutage`]s, and a global fault *budget*;
 //!   [`FaultInjector::decide`] turns those into concrete
 //!   [`AttemptFaults`] for one attempt.
 //! * **Consumption** lives in `mcmm-serve`'s failover router, which

@@ -105,21 +105,6 @@ impl Cell {
         self.routes.iter().filter(|r| r.is_executable())
     }
 
-    /// Every route of the cell paired with the §3 category it individually
-    /// qualifies for, ordered best rating first; rating-equal routes are
-    /// tie-broken by toolchain name ascending so the order is
-    /// deterministic and independent of dataset entry order. This is the
-    /// failover plan for the cell: when the head route breaks at runtime,
-    /// the next entry is the next-best-rated alternative the paper
-    /// documents for the same combination.
-    pub fn routes_by_rating(&self) -> Vec<(&Route, Support)> {
-        use crate::rating::{qualify, Evidence};
-        let mut ranked: Vec<(&Route, Support)> =
-            self.routes.iter().map(|r| (r, qualify(Evidence::from_route(r)))).collect();
-        ranked.sort_by_key(|(r, s)| (*s, r.toolchain));
-        ranked
-    }
-
     /// The figure symbol(s) for this cell, e.g. `●` or `●◍` for a
     /// double-rated cell.
     pub fn symbols(&self) -> String {
@@ -255,30 +240,6 @@ mod tests {
         assert_eq!(c.rationale, "native model");
         assert!(c.has_any_route());
         assert_eq!(c.viable_routes().count(), 1);
-    }
-
-    #[test]
-    fn routes_by_rating_orders_best_first_with_name_tie_break() {
-        let mk = |name: &'static str, provider: Provider, completeness: Completeness| {
-            Route::new(name, RouteKind::Compiler, provider, Directness::Direct, completeness)
-        };
-        let c = CellBuilder::new(
-            CellId::new(Vendor::Nvidia, Model::Sycl, Language::Cpp),
-            7,
-            Support::NonVendorGood,
-            "SYCL on NVIDIA",
-        )
-        // Dataset order is deliberately worst-first and tie-reversed.
-        .route(mk("Zeta Port", Provider::Community("oss"), Completeness::Minimal))
-        .route(mk("Open SYCL", Provider::Community("oss"), Completeness::Complete))
-        .route(mk("DPC++ (CUDA plugin)", Provider::Community("oss"), Completeness::Complete))
-        .build();
-        let ranked = c.routes_by_rating();
-        let names: Vec<_> = ranked.iter().map(|(r, _)| r.toolchain).collect();
-        // Best rating first; the two rating-equal complete routes resolve
-        // by name, not by dataset entry order.
-        assert_eq!(names, vec!["DPC++ (CUDA plugin)", "Open SYCL", "Zeta Port"]);
-        assert!(ranked[0].1 <= ranked[1].1 && ranked[1].1 <= ranked[2].1);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use crate::tenant::{TenantGovernor, TenantPolicy};
 use mcmm_core::matrix::CompatMatrix;
 use mcmm_core::taxonomy::{Language, Model, Vendor};
 use mcmm_gpu_sim::diffval::fnv1a;
-use mcmm_serve::{ServeConfig, Unserved};
+use mcmm_serve::{ServeConfig, SubmitError, Unserved};
 use mcmm_toolchain::{CompileCache, DiskTier, Registry};
 use serde::Serialize;
 use std::path::PathBuf;
@@ -162,6 +162,10 @@ impl Gateway {
                     }
                     Err(unserved) => {
                         let error = match unserved {
+                            // A valid name for an empty cell of the matrix.
+                            Unserved::Refused(e @ SubmitError::NoRoute { .. }) => {
+                                ApiError::bad_request(e.to_string())
+                            }
                             // Device memory frees as running jobs finish.
                             Unserved::Refused(e) => ApiError {
                                 status: 503,

@@ -22,7 +22,8 @@
 //! * **[`tenant`]** — per-tenant token-bucket admission (429 +
 //!   `Retry-After`), complementing the executor's admission bound (503 +
 //!   `Retry-After`) and its device-capacity refusals (503 too, never
-//!   booked against a route's breaker).
+//!   booked against a route's breaker). A request for a cell the matrix
+//!   leaves empty is a 400.
 //! * **[`gateway`]** — the transport-free core: admission, coalescing,
 //!   and the JSON payload behind every endpoint.
 //! * **[`server`]** — the worker-thread accept pool putting the core

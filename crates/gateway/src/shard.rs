@@ -87,8 +87,8 @@ impl Shard {
 
     /// Execute one admitted job through the failover router and release
     /// the slot. Returns the read-back bytes and the serving route, or
-    /// why the job was not served: its device had no room for it, or it
-    /// exhausted every route.
+    /// why the job was not served: its cell has no route, its device had
+    /// no room for it, or it exhausted every route.
     pub fn try_run(&self, job: &PlannedJob) -> Result<(Vec<u8>, String), Unserved> {
         let plan_idx = self.seq.fetch_add(1, Ordering::Relaxed);
         let outcome = self.router.try_run_one(plan_idx, job);

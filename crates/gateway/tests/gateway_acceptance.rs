@@ -100,6 +100,40 @@ fn protocol_errors_map_to_the_right_statuses() {
 }
 
 #[test]
+fn an_empty_cell_is_a_400_not_a_lost_job() {
+    // SYCL Fortran on NVIDIA and CUDA C++ on AMD are valid names for cells
+    // the matrix leaves empty: the client asked for something that does
+    // not exist, so retrying cannot help and no route is at fault.
+    let server = start(GatewayConfig::default());
+    let mut reader = BufReader::new(TcpStream::connect(server.addr()).unwrap());
+    for (model, language, vendor) in [("SYCL", "Fortran", "NVIDIA"), ("CUDA", "C++", "AMD")] {
+        let req = SubmitRequest {
+            model: model.into(),
+            language: language.into(),
+            vendor: vendor.into(),
+            ..scale_request(2.0, 8)
+        };
+        let body = serde_json::to_string(&req).unwrap();
+        let head = format!("POST /v1/submit HTTP/1.1\r\ncontent-length: {}\r\n\r\n", body.len());
+        let stream = reader.get_mut();
+        stream.write_all(head.as_bytes()).unwrap();
+        stream.write_all(body.as_bytes()).unwrap();
+        let (status, headers, body) = read_response(&mut reader).unwrap();
+        let body = String::from_utf8_lossy(&body);
+        assert_eq!(status, 400, "{model} {language} on {vendor}: {body}");
+        assert!(headers.iter().all(|(k, _)| k != "retry-after"), "{headers:?}");
+    }
+    assert_eq!(server.gateway().stats().queue_full, 0);
+    let mut client = HttpClient::connect(server.addr()).unwrap();
+    let (status, body) = client.request("GET", "/healthz", None).unwrap();
+    assert_eq!(status, 200);
+    let health: serde_json::Value =
+        serde_json::from_str(std::str::from_utf8(&body).unwrap()).unwrap();
+    assert_eq!(health["status"], "ok", "{health}");
+    server.shutdown();
+}
+
+#[test]
 fn throttled_tenant_gets_429_with_retry_after() {
     let server = start(GatewayConfig {
         tenant: TenantPolicy { burst: 2.0, per_second: 0.0001 },

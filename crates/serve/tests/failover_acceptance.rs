@@ -7,10 +7,13 @@
 //! from the seed alone.
 
 use mcmm_chaos::{ChaosConfig, FaultInjector};
-use mcmm_core::taxonomy::Vendor;
+use mcmm_core::rating::{qualify, Evidence};
+use mcmm_core::taxonomy::{Language, Model, Vendor};
+use mcmm_serve::failover::BREAKER_THRESHOLD;
+use mcmm_serve::workload::routable_combos;
 use mcmm_serve::{
-    run_serial, FailoverPolicy, FailoverRouter, ServeConfig, Service, SubmitError, Unserved,
-    Workload, WorkloadConfig,
+    run_serial, FailoverPolicy, FailoverRouter, KernelShape, PlannedInput, PlannedJob, ServeConfig,
+    Service, SubmitError, Unserved, Workload, WorkloadConfig,
 };
 
 const SEED: u64 = 0xC0FFEE;
@@ -232,7 +235,7 @@ fn a_full_device_is_refused_without_booking_the_route() {
 
     let device = service.device(Vendor::Nvidia);
     let filler = device.alloc_owned(device.memory().free_bytes()).unwrap();
-    let threshold = FailoverPolicy::default().breaker_threshold;
+    let threshold = BREAKER_THRESHOLD;
     for attempt in 0..=u64::from(threshold) {
         match router.try_run_one(attempt, job) {
             Err(Unserved::Refused(SubmitError::Alloc(_))) => {}
@@ -246,4 +249,101 @@ fn a_full_device_is_refused_without_booking_the_route() {
     drop(filler);
     let (bytes, _) = router.try_run_one(u64::from(threshold) + 1, job).expect("served once free");
     assert_eq!(bytes, expected[i]);
+}
+
+/// A standalone `y = 2·x` job for one cell.
+fn scale_job(model: Model, language: Language, vendor: Vendor) -> PlannedJob {
+    PlannedJob {
+        shape: KernelShape::Scale,
+        model,
+        language,
+        vendor,
+        a: 2.0,
+        x: PlannedInput::Fresh(vec![1.0, 2.0, 3.0, 4.0]),
+        y: vec![0.0; 4],
+        n: 4,
+    }
+}
+
+fn quiet_router(chaos: ChaosConfig) -> FailoverRouter {
+    let service = std::sync::Arc::new(Service::new(ServeConfig::default()));
+    FailoverRouter::new(
+        service,
+        std::sync::Arc::new(FaultInjector::new(chaos)),
+        FailoverPolicy::default(),
+    )
+}
+
+#[test]
+fn the_router_serves_every_cell_on_the_services_first_choice() {
+    // The router plans from the same ranking as `Service::submit` and the
+    // serial reference, so with nothing failing it takes their route.
+    let router = quiet_router(ChaosConfig::quiet(SEED));
+    let registry = mcmm_toolchain::Registry::paper();
+    for (i, (model, language, vendor)) in routable_combos(&registry).into_iter().enumerate() {
+        let best = registry.select_best(model, language, vendor).expect("routable").name;
+        let job = scale_job(model, language, vendor);
+        let (_, route) = router
+            .try_run_one(i as u64, &job)
+            .unwrap_or_else(|e| panic!("{model} {language} on {vendor}: {e:?}"));
+        assert_eq!(route, best, "{model} {language} on {vendor}");
+    }
+    assert!(router.traces().iter().all(|t| t.rating_delta == 0 && t.attempts.len() == 1));
+}
+
+#[test]
+fn every_plan_starts_on_a_best_rated_route() {
+    // `rating_delta` is final minus planned, so it is never negative only
+    // while each cell's plan head is rated no worse than any of its routes.
+    let registry = mcmm_toolchain::Registry::paper();
+    let rating = |c: &mcmm_toolchain::VirtualCompiler| qualify(Evidence::from_route(&c.route));
+    let mut cells = 0;
+    for model in Model::ALL {
+        for language in Language::ALL {
+            for vendor in Vendor::ALL {
+                let plan = registry.ranked(model, language, vendor);
+                let Some(head) = plan.first() else { continue };
+                cells += 1;
+                let best = plan.iter().map(|c| rating(c)).min().expect("non-empty plan");
+                assert_eq!(rating(head), best, "{model} {language} on {vendor}: {}", head.name);
+            }
+        }
+    }
+    assert_eq!(cells, 38, "the paper's matrix has 38 cells with a usable route");
+}
+
+#[test]
+fn a_success_closes_the_breaker_it_follows() {
+    // CUDA C++ on Intel has one route. Its first three attempts are
+    // refused, which opens the breaker; with nowhere else to go the job
+    // stays on the route, and the fourth attempt's success closes it.
+    let chaos = ChaosConfig { budget: 3, launch_p: 1.0, ..ChaosConfig::quiet(1) };
+    let router = quiet_router(chaos);
+    let job = scale_job(Model::Cuda, Language::Cpp, Vendor::Intel);
+    let (_, route) = router.try_run_one(0, &job).expect("served once the budget is spent");
+    assert_eq!(route, "chipStar (cuspv)");
+    let trace = &router.traces()[0];
+    let refused = trace.attempts.iter().filter(|a| a.error.is_some()).count();
+    assert_eq!((refused, trace.attempts.len()), (3, 4), "{trace:?}");
+    let stats = router.stats();
+    assert_eq!(stats.quarantined, vec!["chipStar (cuspv) @ Intel".to_owned()]);
+    assert_eq!((stats.lost, stats.failovers), (0, 0));
+    assert!(!router.is_quarantined(&route, Vendor::Intel));
+    assert!(router.breaker_states().iter().all(|b| !b.open), "{:?}", router.breaker_states());
+}
+
+#[test]
+fn an_empty_cell_is_refused_not_lost() {
+    // SYCL Fortran has no route anywhere: that is the matrix's answer,
+    // not a route fault, so the router books nothing.
+    let router = quiet_router(ChaosConfig::quiet(SEED));
+    let job = scale_job(Model::Sycl, Language::Fortran, Vendor::Nvidia);
+    match router.try_run_one(0, &job) {
+        Err(Unserved::Refused(SubmitError::NoRoute { model, language, vendor })) => {
+            assert_eq!((model, language, vendor), (Model::Sycl, Language::Fortran, Vendor::Nvidia));
+        }
+        other => panic!("an empty cell must be refused as NoRoute: {other:?}"),
+    }
+    assert_eq!(router.stats().lost, 0);
+    assert!(router.breaker_states().is_empty());
 }
