@@ -118,11 +118,26 @@ if [ "$gpu_sim_lines" -ge 10222 ]; then
 fi
 echo "gpu-sim/src is ${gpu_sim_lines} lines (< 10222) — OK"
 
+echo "── analyzer size guard ────────────────────────────"
+# Every analysis in mcmm-analyze walks the structured If/While tree: MCA001
+# went from a CFG lowering plus a reaching-definitions fixpoint over bit
+# sets to one recursive walk (3236 lines of Rust under crates/analyze/src
+# before that, 2675 after it). Fail once it reaches 2801 lines, 126 above
+# that count.
+analyze_lines=$(find crates/analyze/src -name '*.rs' -print0 | xargs -0 cat | wc -l)
+if [ "$analyze_lines" -ge 2801 ]; then
+  echo "FAIL: crates/analyze/src is ${analyze_lines} lines (>= 2801)."
+  echo "      Walk the structured IR instead of adding a second analysis framework."
+  exit 1
+fi
+echo "analyze/src is ${analyze_lines} lines (< 2801) — OK"
+
 echo "── reference engine guard ─────────────────────────"
 # The scalar reference interpreter (crates/gpu-sim-ref) exists only to be
 # diffed against: the root tests, mcmm-analyze's dev tests and mcmm-bench
-# use it. Fail if a production crate's normal dependencies reach it.
-for crate in mcmm-serve mcmm-gateway mcmm-frontend mcmm-toolchain mcmm-babelstream; do
+# use it. Fail if a production crate's normal dependencies reach it; the
+# analyzer is one, since every route's lint gate runs it.
+for crate in mcmm-serve mcmm-gateway mcmm-frontend mcmm-toolchain mcmm-babelstream mcmm-analyze; do
   deps=$(cargo tree --offline -e normal -p "$crate")
   if grep -q 'mcmm-gpu-sim-ref' <<<"$deps"; then
     echo "FAIL: $crate depends on mcmm-gpu-sim-ref, the test-only reference engine."

@@ -22,9 +22,8 @@
 //! Taint is computed to fixpoint first (loops can feed variance back into
 //! their own guards), then one recording pass emits diagnostics.
 
-use crate::cfg::Loc;
 use crate::range::{lane_bindings, LaneBindings};
-use crate::{Diagnostic, MCA002};
+use crate::{Diagnostic, Loc, MCA002};
 use mcmm_gpu_sim::ir::{CmpOp, Instr, KernelIr, Operand, Reg, Special};
 use std::collections::BTreeSet;
 
@@ -211,12 +210,6 @@ fn fixpoint(kernel: &KernelIr, warp_width: u32) -> Taint<'_> {
         t.walk(&kernel.body, false, "");
     }
     t
-}
-
-/// The set of thread-variant registers at fixpoint, for a device of the
-/// given warp width.
-pub fn variant_regs(kernel: &KernelIr, warp_width: u32) -> BTreeSet<Reg> {
-    fixpoint(kernel, warp_width).variant
 }
 
 /// Run the MCA002 check at one warp width.

@@ -11,10 +11,11 @@
 //!
 //! # Analyses
 //!
-//! * [`mod@cfg`] — CFG construction from the structured IR and reverse
-//!   postorder.
-//! * [`dataflow`] — reaching definitions (with synthetic "uninitialized"
-//!   entry definitions) to fixpoint over the CFG.
+//! Every analysis walks the structured `If`/`While` tree directly and
+//! numbers instructions in the same pre-order ([`Loc`]).
+//!
+//! * [`uninit`] — the registers written on every path and on some path
+//!   to each point, with `If` arms joined and loops iterated to fixpoint.
 //! * [`divergence`] — thread-variance taint over the structured tree.
 //! * [`range`] — interval analysis with guard refinement and widening.
 //! * [`race`] — per-lane concrete execution with barrier-interval
@@ -57,9 +58,7 @@
 #![warn(missing_docs)]
 
 pub mod capacity;
-pub mod cfg;
 pub mod corpus;
-pub mod dataflow;
 pub mod divergence;
 pub mod portability;
 pub mod race;
@@ -124,13 +123,26 @@ impl Check {
     }
 }
 
+/// A stable instruction location: pre-order index over the structured
+/// body (an `If`/`While` is numbered before its children). Every analysis
+/// numbers the same way, so locations in diagnostics can be
+/// cross-referenced between checks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Loc(pub u32);
+
+impl std::fmt::Display for Loc {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "#{}", self.0)
+    }
+}
+
 /// One finding, with a stable code for matching in tests and gates.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// Stable code (`MCA001`..`MCA005`).
+    /// Stable code (`MCA001`..`MCA010`).
     pub code: &'static str,
     /// Pre-order instruction location, when the finding has one.
-    pub loc: Option<cfg::Loc>,
+    pub loc: Option<Loc>,
     /// Human-readable description, naming the kernel and registers.
     pub message: String,
 }
@@ -194,29 +206,22 @@ impl AnalysisReport {
     }
 }
 
-/// Run every check (see [`Check::ALL`]) on a kernel.
+/// Run every check (see [`Check::ALL`]) on a kernel. The kernel must pass
+/// [`KernelIr::validate`]: the analyses index its register table by every
+/// register it names.
 pub fn analyze(kernel: &KernelIr, opts: &AnalysisOptions) -> AnalysisReport {
     analyze_with(kernel, opts, &Check::ALL)
 }
 
 /// Run a chosen subset of checks on a kernel — this is what the per-route
 /// lint gates in `mcmm-toolchain` call, with the subset derived from the
-/// route's completeness and maintenance metadata.
+/// route's completeness and maintenance metadata. The kernel must pass
+/// [`KernelIr::validate`], as for [`analyze`].
 pub fn analyze_with(kernel: &KernelIr, opts: &AnalysisOptions, checks: &[Check]) -> AnalysisReport {
     let mut diagnostics = Vec::new();
-    // CFG + reaching defs are shared by the dataflow-based checks; build
-    // them once, lazily (divergence/race/range walk the tree directly).
-    let mut cfg_rd = None;
     for check in checks {
         match check {
-            Check::UninitRead => {
-                let (cfg, rd) = cfg_rd.get_or_insert_with(|| {
-                    let cfg = cfg::Cfg::build(kernel);
-                    let rd = dataflow::ReachingDefs::compute(kernel, &cfg);
-                    (cfg, rd)
-                });
-                diagnostics.extend(uninit::check(kernel, cfg, rd));
-            }
+            Check::UninitRead => diagnostics.extend(uninit::check(kernel)),
             Check::DivergentBarrier => {
                 diagnostics.extend(divergence::check(kernel, opts.warp_width))
             }

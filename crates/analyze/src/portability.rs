@@ -34,8 +34,7 @@
 //! deadlock, launch refusal, or checksum divergence — with zero false
 //! positives on clean kernels.
 
-use crate::cfg::Loc;
-use crate::{divergence, width, AnalysisOptions, Diagnostic, MCA006, MCA009, MCA010};
+use crate::{divergence, width, AnalysisOptions, Diagnostic, Loc, MCA006, MCA009, MCA010};
 use mcmm_gpu_sim::device::DeviceSpec;
 use mcmm_gpu_sim::ir::{AtomicOp, Instr, KernelIr, Operand, Type};
 use std::collections::{BTreeMap, BTreeSet};

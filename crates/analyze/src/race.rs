@@ -16,8 +16,7 @@
 //! only**, which is what lets every static finding be confirmed by the
 //! dynamic racecheck in `mcmm-gpu-sim-ref`.
 
-use crate::cfg::Loc;
-use crate::{AnalysisOptions, Diagnostic, MCA003};
+use crate::{AnalysisOptions, Diagnostic, Loc, MCA003};
 use mcmm_gpu_sim::ir::{BinOp, CmpOp, Instr, KernelIr, Operand, Space, Special, Type, UnOp, Value};
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -20,10 +20,10 @@
 //! Only accesses with *finite, provable* out-of-range intervals are
 //! reported, so a clean kernel with runtime-sized buffers stays clean.
 
-use crate::cfg::Loc;
-use crate::{AnalysisOptions, Diagnostic, MCA004};
+use crate::uninit::instr_def;
+use crate::{AnalysisOptions, Diagnostic, Loc, MCA004};
 use mcmm_gpu_sim::ir::{
-    BinOp, CmpOp, Instr, KernelIr, Operand, Reg, Space, Special, Type, UnOp, Value,
+    walk, BinOp, CmpOp, Instr, KernelIr, Operand, Reg, Space, Special, Step, Type, UnOp, Value,
 };
 
 /// Sentinel "infinity" for interval bounds; large enough to dominate any
@@ -586,34 +586,13 @@ impl LaneBindings {
 pub(crate) fn lane_bindings(kernel: &KernelIr) -> LaneBindings {
     use std::collections::BTreeMap;
     let mut writes: BTreeMap<Reg, u32> = BTreeMap::new();
-    fn count(body: &[Instr], writes: &mut BTreeMap<Reg, u32>) {
-        for instr in body {
-            match instr {
-                Instr::Mov { dst, .. }
-                | Instr::Bin { dst, .. }
-                | Instr::Un { dst, .. }
-                | Instr::Cmp { dst, .. }
-                | Instr::Sel { dst, .. }
-                | Instr::Cvt { dst, .. }
-                | Instr::Special { dst, .. }
-                | Instr::Ld { dst, .. } => *writes.entry(*dst).or_default() += 1,
-                Instr::Atomic { dst: Some(d), .. } => *writes.entry(*d).or_default() += 1,
-                Instr::Atomic { dst: None, .. }
-                | Instr::St { .. }
-                | Instr::Bar
-                | Instr::Trap { .. } => {}
-                Instr::If { then_, else_, .. } => {
-                    count(then_, writes);
-                    count(else_, writes);
-                }
-                Instr::While { cond_block, body, .. } => {
-                    count(cond_block, writes);
-                    count(body, writes);
-                }
+    walk(&kernel.body, &mut |step| {
+        if let Step::Enter(instr) = step {
+            if let Some(dst) = instr_def(instr) {
+                *writes.entry(dst).or_default() += 1;
             }
         }
-    }
-    count(&kernel.body, &mut writes);
+    });
     let single = |r: &Reg| writes.get(r).copied() == Some(1);
 
     let mut b = LaneBindings::default();

@@ -24,9 +24,8 @@
 //! flagged (documented under-coverage), as no single-vendor claim about
 //! them could be validated.
 
-use crate::cfg::Loc;
 use crate::range::{lane_bindings, LaneBindings};
-use crate::AnalysisOptions;
+use crate::{AnalysisOptions, Loc};
 use mcmm_gpu_sim::ir::{BinOp, CmpOp, Instr, KernelIr, Operand};
 use std::collections::BTreeSet;
 

@@ -286,7 +286,7 @@ pub enum Instr {
 /// `LoopBody`, its `body` events, then `Exit`. Straight-line instructions
 /// produce a single `Enter`. The stream is unambiguous without block
 /// lengths, so one traversal serves every recursive consumer
-/// (fingerprinting, the analyzer's CFG lowering).
+/// (fingerprinting, the analyzer's count of register writes).
 #[derive(Debug, Clone, Copy)]
 pub enum Step<'a> {
     /// Pre-order arrival at an instruction. For `If`/`While` the nested

@@ -8,11 +8,12 @@
 
 use mcmm_core::taxonomy::{Language, Model, Vendor};
 use mcmm_gpu_sim::device::KernelArg;
+use mcmm_gpu_sim::ir::{Instr, KernelIr, Operand, Reg, Type};
 use mcmm_serve::workload::{run_serial, PlannedInput, Workload, WorkloadConfig};
 use mcmm_serve::{
     ArgSpec, JobCompletion, JobId, JobSpec, KernelShape, ServeConfig, Service, SubmitError,
 };
-use mcmm_toolchain::Registry;
+use mcmm_toolchain::{CompileError, Registry};
 use std::collections::VecDeque;
 
 /// Submit a planned workload, retrying admission-control rejections by
@@ -426,6 +427,37 @@ fn bad_submissions_are_refused_up_front() {
     service.drain();
     assert_eq!(service.in_flight(Vendor::Nvidia), 0);
     assert_eq!(service.in_flight(Vendor::Amd), 0);
+}
+
+/// A kernel naming a register past its table is refused as invalid before
+/// the lint gate sees it, and its refusal gives the admission slot back.
+#[test]
+fn a_kernel_naming_a_missing_register_is_refused_as_invalid() {
+    let service = Service::new(ServeConfig::default());
+    let spec = JobSpec {
+        kernel: KernelIr {
+            name: "dangling".into(),
+            params: vec![],
+            regs: vec![Type::I32],
+            shared_bytes: 0,
+            body: vec![Instr::Mov { dst: Reg(0), src: Operand::Reg(Reg(7)) }],
+        },
+        model: Model::Cuda,
+        language: Language::Cpp,
+        vendor: Vendor::Nvidia,
+        n: 16,
+        block_dim: 16,
+        args: vec![],
+        after: vec![],
+        read_back: None,
+    };
+    let refused = service.submit(spec);
+    assert!(
+        matches!(refused, Err(SubmitError::Compile(CompileError::InvalidKernel(_)))),
+        "got {:?}",
+        refused.err()
+    );
+    assert_eq!(service.in_flight(Vendor::Nvidia), 0);
 }
 
 #[test]

@@ -137,7 +137,9 @@ impl VirtualCompiler {
     /// This is where the paper's compatibility holes become real failures:
     /// unsupported source → [`CompileError::UnsupportedSource`],
     /// unsupported vendor → [`CompileError::UnsupportedTarget`],
-    /// discontinued toolchain → [`CompileError::Discontinued`].
+    /// discontinued toolchain → [`CompileError::Discontinued`]. A kernel
+    /// that fails [`KernelIr::validate`] is [`CompileError::InvalidKernel`]
+    /// before the lint gate runs.
     pub fn compile(
         &self,
         kernel: &KernelIr,
@@ -161,6 +163,9 @@ impl VirtualCompiler {
         if !self.is_available() {
             return Err(CompileError::Discontinued { toolchain: self.name.to_owned() });
         }
+        // The analyses index the register table by every register the
+        // kernel names, so only a valid kernel reaches the lint gate.
+        kernel.validate().map_err(CompileError::InvalidKernel)?;
         // The sanitizer gate: analyze under generic launch assumptions
         // (no known buffer extents — only provable defects fire).
         let report = analyze_with(kernel, &AnalysisOptions::default(), &self.lint_checks());
@@ -380,5 +385,20 @@ mod tests {
             }
             other => panic!("expected a lint rejection, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_kernel_naming_a_missing_register_is_invalid_not_linted() {
+        use mcmm_gpu_sim::ir::{Instr, Operand, Reg};
+        let kernel = KernelIr {
+            name: "dangling".into(),
+            params: vec![],
+            regs: vec![Type::I32],
+            shared_bytes: 0,
+            body: vec![Instr::Mov { dst: Reg(0), src: Operand::Reg(Reg(7)) }],
+        };
+        let err =
+            nvcc_like().compile(&kernel, Model::Cuda, Language::Cpp, Vendor::Nvidia).unwrap_err();
+        assert!(matches!(err, CompileError::InvalidKernel(_)), "got {err:?}");
     }
 }
