@@ -185,7 +185,7 @@ impl Default for AnalysisOptions {
 /// The outcome of analyzing one kernel.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct AnalysisReport {
-    /// All findings, sorted by location then code.
+    /// All findings, sorted by location, code and message, without repeats.
     pub diagnostics: Vec<Diagnostic>,
 }
 
@@ -229,7 +229,9 @@ pub fn analyze_with(kernel: &KernelIr, opts: &AnalysisOptions, checks: &[Check])
             Check::OutOfBounds => diagnostics.extend(range::check(kernel, opts)),
         }
     }
-    diagnostics.sort_by(|a, b| (a.loc, a.code).cmp(&(b.loc, b.code)));
+    // Sorting by message too puts equal findings side by side, so `dedup`
+    // drops every repeat, not only adjacent ones.
+    diagnostics.sort_by(|a, b| (a.loc, a.code, &a.message).cmp(&(b.loc, b.code, &b.message)));
     diagnostics.dedup();
     AnalysisReport { diagnostics }
 }

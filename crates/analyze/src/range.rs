@@ -23,7 +23,7 @@
 use crate::uninit::instr_def;
 use crate::{AnalysisOptions, Diagnostic, Loc, MCA004};
 use mcmm_gpu_sim::ir::{
-    walk, BinOp, CmpOp, Instr, KernelIr, Operand, Reg, Space, Special, Step, Type, UnOp, Value,
+    BinOp, CmpOp, Instr, KernelIr, Operand, Reg, Space, Special, Type, UnOp, Value,
 };
 
 /// Sentinel "infinity" for interval bounds; large enough to dominate any
@@ -585,14 +585,23 @@ impl LaneBindings {
 /// are deliberately left out.
 pub(crate) fn lane_bindings(kernel: &KernelIr) -> LaneBindings {
     use std::collections::BTreeMap;
-    let mut writes: BTreeMap<Reg, u32> = BTreeMap::new();
-    walk(&kernel.body, &mut |step| {
-        if let Step::Enter(instr) = step {
+    fn count_writes(body: &[Instr], writes: &mut BTreeMap<Reg, u32>) {
+        for instr in body {
             if let Some(dst) = instr_def(instr) {
                 *writes.entry(dst).or_default() += 1;
             }
+            match instr {
+                Instr::If { then_: a, else_: b, .. }
+                | Instr::While { cond_block: a, body: b, .. } => {
+                    count_writes(a, writes);
+                    count_writes(b, writes);
+                }
+                _ => {}
+            }
         }
-    });
+    }
+    let mut writes = BTreeMap::new();
+    count_writes(&kernel.body, &mut writes);
     let single = |r: &Reg| writes.get(r).copied() == Some(1);
 
     let mut b = LaneBindings::default();

@@ -181,6 +181,19 @@ fn unwritten_conditions_are_loc_less_branch_findings() {
 }
 
 #[test]
+fn a_condition_branched_on_twice_is_one_finding() {
+    // r1's finding sorts between r0's two: both of r0's must still merge.
+    let branch_on = |cond| Instr::If { cond: Reg(cond), then_: vec![mov(2, 1)], else_: vec![] };
+    let k = kernel(
+        "twice_cond",
+        &[],
+        &[Type::Bool, Type::Bool, Type::I32],
+        vec![branch_on(0), branch_on(1), branch_on(0)],
+    );
+    assert_eq!(findings(&k), vec![branch(0, "twice_cond"), branch(1, "twice_cond")]);
+}
+
+#[test]
 fn a_register_read_twice_by_one_instruction_is_one_finding() {
     let k = kernel("twice", &[], &[Type::I32, Type::I32], vec![add(0, 1, Operand::Reg(Reg(1)))]);
     assert_eq!(findings(&k), vec![read(1, "is read", 0, "twice")]);

@@ -10,8 +10,14 @@
 //! Registers are typed at declaration; [`KernelBuilder`] type-checks at
 //! construction time (panicking on programmer error, like slice indexing),
 //! while [`KernelIr::validate`] re-checks decoded, untrusted modules and
-//! returns errors instead.
+//! returns errors instead. `validate` also refuses a kernel no module can
+//! hold, so [`crate::isa::assemble`] never writes one it cannot read back.
+//!
+//! A kernel's identity, [`KernelIr::fingerprint`], is a hash of what the
+//! ISA encoder ([`crate::isa`]) writes for it: that encoder is the one
+//! place that knows a kernel's structure as a stream.
 
+use crate::isa::MAX_DEPTH;
 use std::fmt;
 
 /// Scalar types of the IR.
@@ -279,53 +285,6 @@ pub enum Instr {
     Trap { message: String },
 }
 
-/// One event in a bracketed pre-order walk over a structured instruction
-/// tree (see [`walk`]). Control instructions are bracketed: an `If`
-/// produces `Enter`, its `then_` events, `ElseArm`, its `else_` events,
-/// then `Exit`; a `While` produces `Enter`, its `cond_block` events,
-/// `LoopBody`, its `body` events, then `Exit`. Straight-line instructions
-/// produce a single `Enter`. The stream is unambiguous without block
-/// lengths, so one traversal serves every recursive consumer
-/// (fingerprinting, the analyzer's count of register writes).
-#[derive(Debug, Clone, Copy)]
-pub enum Step<'a> {
-    /// Pre-order arrival at an instruction. For `If`/`While` the nested
-    /// blocks follow as further events before the matching bracket.
-    Enter(&'a Instr),
-    /// Between the `then_` and `else_` blocks of the innermost open `If`
-    /// (carries that `If` instruction).
-    ElseArm(&'a Instr),
-    /// Between the `cond_block` and `body` of the innermost open `While`
-    /// (carries that `While` instruction).
-    LoopBody(&'a Instr),
-    /// Closing bracket of the innermost open `If`/`While` (carries it).
-    Exit(&'a Instr),
-}
-
-/// Drive `f` over `body` and all nested blocks as one [`Step`] event
-/// stream, in structured pre-order.
-pub fn walk<'a>(body: &'a [Instr], f: &mut impl FnMut(Step<'a>)) {
-    for instr in body {
-        match instr {
-            Instr::If { then_, else_, .. } => {
-                f(Step::Enter(instr));
-                walk(then_, f);
-                f(Step::ElseArm(instr));
-                walk(else_, f);
-                f(Step::Exit(instr));
-            }
-            Instr::While { cond_block, body, .. } => {
-                f(Step::Enter(instr));
-                walk(cond_block, f);
-                f(Step::LoopBody(instr));
-                walk(body, f);
-                f(Step::Exit(instr));
-            }
-            _ => f(Step::Enter(instr)),
-        }
-    }
-}
-
 /// A complete kernel: signature, register table, shared-memory size, body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelIr {
@@ -348,34 +307,27 @@ impl KernelIr {
         self.regs.get(r.0 as usize).copied()
     }
 
-    /// A structural content fingerprint: equal kernels hash equal, and any
-    /// change to the signature, register table, shared-memory size, or any
-    /// instruction (including nested blocks and float immediates, compared
-    /// by bit pattern) changes the hash with overwhelming probability.
-    /// This is the key the content-addressed compile cache indexes on, so
-    /// it is built to be cheap: one FNV-1a-style pass over the structure,
+    /// The kernel's identity: a 64-bit hash of the stream the ISA encoder
+    /// writes for it (see [`crate::isa`]). Equal kernels hash equal, and
+    /// any change to the signature, register table, shared-memory size, or
+    /// any instruction (including nested blocks and float immediates,
+    /// compared by bit pattern) changes it with overwhelming probability.
+    /// Lengths hash at full width, so a kernel the module format cannot
+    /// hold never shares a fingerprint with one it can. The compile cache
+    /// keys on this before it validates, so it streams: no allocation and
     /// no intermediate formatting.
     pub fn fingerprint(&self) -> u64 {
-        let mut fp = Fingerprint::new();
-        fp.bytes(self.name.as_bytes());
-        fp.word(self.params.len() as u64);
-        for p in &self.params {
-            fp.word(*p as u64);
-        }
-        fp.word(self.regs.len() as u64);
-        for r in &self.regs {
-            fp.word(*r as u64);
-        }
-        fp.word(self.shared_bytes);
-        fp.word(self.body.len() as u64);
-        walk(&self.body, &mut |step| fp.step(step));
-        fp.finish()
+        crate::isa::fingerprint(self)
     }
 
     /// Validate an (untrusted, e.g. freshly disassembled) kernel: register
     /// indices in range, operand types consistent, addresses I64,
-    /// conditions Bool, loads/stores of addressable types only.
+    /// conditions Bool, loads/stores of addressable types only, and every
+    /// count and nesting depth within what a module can hold.
     pub fn validate(&self) -> Result<(), String> {
+        fits("name length", self.name.len())?;
+        fits("param count", self.params.len())?;
+        fits("register count", self.regs.len())?;
         if self.params.len() > self.regs.len() {
             return Err(format!(
                 "{} params but only {} registers",
@@ -388,7 +340,7 @@ impl KernelIr {
                 return Err(format!("param {i} type {p} does not match register type {r}"));
             }
         }
-        self.validate_block(&self.body)
+        self.validate_block(&self.body, 0)
     }
 
     fn operand_type(&self, o: &Operand) -> Result<Type, String> {
@@ -400,9 +352,12 @@ impl KernelIr {
         }
     }
 
-    fn validate_block(&self, body: &[Instr]) -> Result<(), String> {
+    fn validate_block(&self, body: &[Instr], depth: u32) -> Result<(), String> {
+        if depth > MAX_DEPTH {
+            return Err(format!("blocks nest deeper than {MAX_DEPTH}"));
+        }
         for instr in body {
-            self.validate_instr(instr)?;
+            self.validate_instr(instr, depth)?;
         }
         Ok(())
     }
@@ -411,7 +366,7 @@ impl KernelIr {
         self.reg_type(dst).ok_or_else(|| format!("destination {dst:?} out of range"))
     }
 
-    fn validate_instr(&self, instr: &Instr) -> Result<(), String> {
+    fn validate_instr(&self, instr: &Instr, depth: u32) -> Result<(), String> {
         match instr {
             Instr::Mov { dst, src } => {
                 let (d, s) = (self.dst_type(*dst)?, self.operand_type(src)?);
@@ -513,205 +468,33 @@ impl KernelIr {
                     }
                 }
             }
-            Instr::Bar | Instr::Trap { .. } => {}
+            Instr::Bar => {}
+            Instr::Trap { message } => fits("trap message length", message.len())?,
             Instr::If { cond, then_, else_ } => {
                 if self.reg_type(*cond) != Some(Type::Bool) {
                     return Err("if condition must be bool".into());
                 }
-                self.validate_block(then_)?;
-                self.validate_block(else_)?;
+                self.validate_block(then_, depth + 1)?;
+                self.validate_block(else_, depth + 1)?;
             }
             Instr::While { cond_block, cond, body } => {
                 if self.reg_type(*cond) != Some(Type::Bool) {
                     return Err("while condition must be bool".into());
                 }
-                self.validate_block(cond_block)?;
-                self.validate_block(body)?;
+                self.validate_block(cond_block, depth + 1)?;
+                self.validate_block(body, depth + 1)?;
             }
         }
         Ok(())
     }
 }
 
-/// FNV-1a-style accumulator behind [`KernelIr::fingerprint`], with an
-/// extra diffusion shift per word so structurally-close kernels (one
-/// immediate changed, two instructions swapped) land far apart.
-struct Fingerprint(u64);
-
-impl Fingerprint {
-    fn new() -> Self {
-        Self(0xCBF2_9CE4_8422_2325)
+/// Refuse a count a module stores in two bytes when it does not fit.
+fn fits(what: &str, n: usize) -> Result<(), String> {
+    if n > usize::from(u16::MAX) {
+        return Err(format!("{what} {n} exceeds the module limit of {}", u16::MAX));
     }
-
-    fn word(&mut self, v: u64) {
-        self.0 = (self.0 ^ v).wrapping_mul(0x0000_0100_0000_01B3);
-        self.0 ^= self.0 >> 29;
-    }
-
-    fn bytes(&mut self, b: &[u8]) {
-        self.word(b.len() as u64);
-        for chunk in b.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.word(u64::from_le_bytes(buf));
-        }
-    }
-
-    fn value(&mut self, v: &Value) {
-        match v {
-            Value::F32(x) => {
-                self.word(1);
-                self.word(x.to_bits() as u64);
-            }
-            Value::F64(x) => {
-                self.word(2);
-                self.word(x.to_bits());
-            }
-            Value::I32(x) => {
-                self.word(3);
-                self.word(*x as u32 as u64);
-            }
-            Value::I64(x) => {
-                self.word(4);
-                self.word(*x as u64);
-            }
-            Value::Bool(x) => {
-                self.word(5);
-                self.word(*x as u64);
-            }
-        }
-    }
-
-    fn operand(&mut self, o: &Operand) {
-        match o {
-            Operand::Reg(r) => {
-                self.word(1);
-                self.word(r.0 as u64);
-            }
-            Operand::Imm(v) => {
-                self.word(2);
-                self.value(v);
-            }
-        }
-    }
-
-    /// Consume one [`Step`] of the shared structured walk. Block lengths
-    /// are hashed at the opening bracket of each nested block (they are
-    /// available on the borrowed control instruction), which reproduces
-    /// the exact word sequence of the original recursive encoder — so
-    /// fingerprints are stable across the walker refactor.
-    fn step(&mut self, step: Step<'_>) {
-        match step {
-            Step::Enter(Instr::If { cond, then_, .. }) => {
-                self.word(12);
-                self.word(cond.0 as u64);
-                self.word(then_.len() as u64);
-            }
-            Step::ElseArm(Instr::If { else_, .. }) => self.word(else_.len() as u64),
-            Step::Enter(Instr::While { cond_block, .. }) => {
-                self.word(13);
-                self.word(cond_block.len() as u64);
-            }
-            Step::LoopBody(Instr::While { cond, body, .. }) => {
-                self.word(cond.0 as u64);
-                self.word(body.len() as u64);
-            }
-            Step::Exit(_) | Step::ElseArm(_) | Step::LoopBody(_) => {}
-            Step::Enter(i) => self.instr(i),
-        }
-    }
-
-    /// Hash one straight-line instruction (`If`/`While` go through
-    /// [`Fingerprint::step`], which also hashes their nested blocks).
-    fn instr(&mut self, i: &Instr) {
-        match i {
-            Instr::Mov { dst, src } => {
-                self.word(1);
-                self.word(dst.0 as u64);
-                self.operand(src);
-            }
-            Instr::Bin { op, dst, a, b } => {
-                self.word(2);
-                self.word(*op as u64);
-                self.word(dst.0 as u64);
-                self.operand(a);
-                self.operand(b);
-            }
-            Instr::Un { op, dst, a } => {
-                self.word(3);
-                self.word(*op as u64);
-                self.word(dst.0 as u64);
-                self.operand(a);
-            }
-            Instr::Cmp { op, dst, a, b } => {
-                self.word(4);
-                self.word(*op as u64);
-                self.word(dst.0 as u64);
-                self.operand(a);
-                self.operand(b);
-            }
-            Instr::Sel { dst, cond, a, b } => {
-                self.word(5);
-                self.word(dst.0 as u64);
-                self.word(cond.0 as u64);
-                self.operand(a);
-                self.operand(b);
-            }
-            Instr::Cvt { dst, a } => {
-                self.word(6);
-                self.word(dst.0 as u64);
-                self.operand(a);
-            }
-            Instr::Special { dst, kind } => {
-                self.word(7);
-                self.word(dst.0 as u64);
-                self.word(*kind as u64);
-            }
-            Instr::Ld { dst, space, addr } => {
-                self.word(8);
-                self.word(dst.0 as u64);
-                self.word(*space as u64);
-                self.operand(addr);
-            }
-            Instr::St { space, addr, value } => {
-                self.word(9);
-                self.word(*space as u64);
-                self.operand(addr);
-                self.operand(value);
-            }
-            Instr::Atomic { op, space, addr, value, dst } => {
-                self.word(10);
-                self.word(*op as u64);
-                self.word(*space as u64);
-                self.operand(addr);
-                self.operand(value);
-                match dst {
-                    None => self.word(0),
-                    Some(r) => {
-                        self.word(1);
-                        self.word(r.0 as u64);
-                    }
-                }
-            }
-            Instr::Bar => self.word(11),
-            Instr::If { .. } | Instr::While { .. } => {
-                unreachable!("control instructions are hashed by Fingerprint::step")
-            }
-            Instr::Trap { message } => {
-                self.word(14);
-                self.bytes(message.as_bytes());
-            }
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        // Final avalanche so short kernels still use the full width.
-        let mut x = self.0;
-        x ^= x >> 33;
-        x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        x ^= x >> 33;
-        x
-    }
+    Ok(())
 }
 
 /// Safe builder for [`KernelIr`]. Panics on type errors at build time —

@@ -8,15 +8,18 @@
 //! module on a GCN-like device fails — the same hard wall the paper's
 //! compatibility matrix documents.
 //!
-//! Each ISA uses the same structural encoding but a distinct magic number,
-//! version, and opcode numbering, so modules are genuinely not
+//! The three ISAs share one structural encoding and differ in magic
+//! number and opcode numbering, so modules are genuinely not
 //! interchangeable at the byte level. [`disassemble`] decodes a module back
 //! to validated [`KernelIr`] (it is what the executor uses to load code).
 //!
-//! A module also carries its kernel's identity, [`KernelIr::fingerprint`],
-//! computed once by [`assemble`]. Devices cache kernels on it without
-//! reading the bytes, and [`disassemble`] refuses bytes that decode to any
-//! other kernel, so a module cannot name one kernel and carry another.
+//! The same encoder defines a kernel's identity: [`KernelIr::fingerprint`]
+//! hashes the stream [`assemble`] writes, at opcode base 0 and without
+//! magic or version, so a new instruction needs one encoder edit. A module
+//! carries that fingerprint, computed once by [`assemble`]. Devices cache
+//! kernels on it without reading the bytes, and [`disassemble`] refuses
+//! bytes that decode to any other kernel, so a module cannot name one
+//! kernel and carry another.
 
 use crate::ir::{
     AtomicOp, BinOp, CmpOp, Instr, KernelIr, Operand, Reg, Space, Special, Type, UnOp, Value,
@@ -80,24 +83,25 @@ pub struct Module {
 }
 
 /// Assemble a kernel into a module of the given ISA. Fails if the kernel
-/// does not validate.
+/// does not validate, which includes every kernel the format cannot hold.
 pub fn assemble(kernel: &KernelIr, isa: IsaKind) -> Result<Module> {
     kernel.validate().map_err(SimError::InvalidModule)?;
-    let mut w = Writer { out: Vec::with_capacity(256), base: isa.opcode_base() };
-    w.out.extend_from_slice(&isa.magic());
+    let mut w = Writer { sink: Vec::with_capacity(256), base: isa.opcode_base() };
+    w.sink.bytes(&isa.magic());
     w.u16(VERSION);
-    w.str_(&kernel.name);
-    w.u16(kernel.params.len() as u16);
-    for &t in &kernel.params {
-        w.ty(t);
-    }
-    w.u16(kernel.regs.len() as u16);
-    for &t in &kernel.regs {
-        w.ty(t);
-    }
-    w.u64(kernel.shared_bytes);
-    w.block(&kernel.body);
-    Ok(Module { isa, fingerprint: kernel.fingerprint(), bytes: w.out })
+    w.kernel(kernel);
+    Ok(Module { isa, fingerprint: kernel.fingerprint(), bytes: w.sink })
+}
+
+/// [`KernelIr::fingerprint`]: the stream [`assemble`] writes for `kernel`,
+/// without magic or version and at opcode base 0, hashed as it is written.
+pub(crate) fn fingerprint(kernel: &KernelIr) -> u64 {
+    let mut w = Writer { sink: HashSink(0xCBF2_9CE4_8422_2325), base: 0 };
+    w.kernel(kernel);
+    // Final avalanche so short kernels still use the full width.
+    let x = w.sink.0 ^ (w.sink.0 >> 33);
+    let x = x.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    x ^ (x >> 33)
 }
 
 /// Decode a module back into validated IR. Checks magic, version, runs the
@@ -147,36 +151,89 @@ pub fn disassemble(module: &Module) -> Result<KernelIr> {
 
 // ───────────────────────── encoding internals ──────────────────────────
 
-struct Writer {
-    out: Vec<u8>,
+/// Where a [`Writer`] puts a kernel's encoding: module bytes, or the
+/// fingerprint's hash.
+trait Sink {
+    /// The low `width` bytes of `v`, little-endian.
+    fn put(&mut self, v: u64, width: usize);
+    /// Raw bytes, after the length that counts them.
+    fn bytes(&mut self, b: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    fn put(&mut self, v: u64, width: usize) {
+        self.extend_from_slice(&v.to_le_bytes()[..width]);
+    }
+    fn bytes(&mut self, b: &[u8]) {
+        self.extend_from_slice(b);
+    }
+}
+
+/// FNV-1a-style hash behind [`fingerprint`]. Each [`Sink::put`] is one
+/// whole 64-bit word, so a length the module format could not store still
+/// hashes in full; an extra diffusion shift per word lands structurally
+/// close kernels (one immediate changed, two instructions swapped) far
+/// apart.
+struct HashSink(u64);
+
+impl Sink for HashSink {
+    fn put(&mut self, v: u64, _width: usize) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x0000_0100_0000_01B3);
+        self.0 ^= self.0 >> 29;
+    }
+    fn bytes(&mut self, b: &[u8]) {
+        for chunk in b.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.put(u64::from_le_bytes(word), 8);
+        }
+    }
+}
+
+/// The one encoder of a kernel's structure, over either [`Sink`].
+struct Writer<S> {
+    sink: S,
     base: u8,
 }
 
-impl Writer {
+impl<S: Sink> Writer<S> {
+    fn kernel(&mut self, kernel: &KernelIr) {
+        self.str_(&kernel.name);
+        self.len(kernel.params.len(), 2);
+        for &t in &kernel.params {
+            self.ty(t);
+        }
+        self.len(kernel.regs.len(), 2);
+        for &t in &kernel.regs {
+            self.ty(t);
+        }
+        self.u64(kernel.shared_bytes);
+        self.block(&kernel.body);
+    }
     fn u8(&mut self, v: u8) {
-        self.out.push(v);
+        self.sink.put(v.into(), 1);
     }
     fn u16(&mut self, v: u16) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(v.into(), 2);
     }
     fn u32(&mut self, v: u32) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(v.into(), 4);
     }
     fn u64(&mut self, v: u64) {
-        self.out.extend_from_slice(&v.to_le_bytes());
+        self.sink.put(v, 8);
+    }
+    /// A count the module stores in `width` bytes. [`KernelIr::validate`]
+    /// refuses a two-byte count that does not fit before [`assemble`]; no
+    /// block in memory holds 2^32 instructions.
+    fn len(&mut self, n: usize, width: usize) {
+        self.sink.put(n as u64, width);
     }
     fn str_(&mut self, s: &str) {
-        self.u16(s.len() as u16);
-        self.out.extend_from_slice(s.as_bytes());
+        self.len(s.len(), 2);
+        self.sink.bytes(s.as_bytes());
     }
     fn ty(&mut self, t: Type) {
-        self.u8(match t {
-            Type::F32 => 0,
-            Type::F64 => 1,
-            Type::I32 => 2,
-            Type::I64 => 3,
-            Type::Bool => 4,
-        });
+        self.u8(t as u8);
     }
     fn reg(&mut self, r: Reg) {
         self.u16(r.0);
@@ -189,27 +246,13 @@ impl Writer {
             }
             Operand::Imm(v) => {
                 self.u8(1);
-                match v {
-                    Value::F32(x) => {
-                        self.ty(Type::F32);
-                        self.u32(x.to_bits());
-                    }
-                    Value::F64(x) => {
-                        self.ty(Type::F64);
-                        self.u64(x.to_bits());
-                    }
-                    Value::I32(x) => {
-                        self.ty(Type::I32);
-                        self.u32(*x as u32);
-                    }
-                    Value::I64(x) => {
-                        self.ty(Type::I64);
-                        self.u64(*x as u64);
-                    }
-                    Value::Bool(x) => {
-                        self.ty(Type::Bool);
-                        self.u8(u8::from(*x));
-                    }
+                self.ty(v.ty());
+                match *v {
+                    Value::F32(x) => self.u32(x.to_bits()),
+                    Value::F64(x) => self.u64(x.to_bits()),
+                    Value::I32(x) => self.u32(x as u32),
+                    Value::I64(x) => self.u64(x as u64),
+                    Value::Bool(x) => self.u8(x.into()),
                 }
             }
         }
@@ -218,7 +261,7 @@ impl Writer {
         self.u8(op.wrapping_add(self.base));
     }
     fn block(&mut self, body: &[Instr]) {
-        self.u32(body.len() as u32);
+        self.len(body.len(), 4);
         for i in body {
             self.instr(i);
         }
@@ -320,9 +363,10 @@ struct Reader<'a> {
     base: u8,
 }
 
-/// Maximum nesting depth accepted while decoding (defense against
-/// stack-exhaustion from malicious modules).
-const MAX_DEPTH: u32 = 64;
+/// Deepest block nesting a module holds: the decoder refuses more (defense
+/// against stack exhaustion from malicious modules), so
+/// [`KernelIr::validate`] refuses it before [`assemble`].
+pub(crate) const MAX_DEPTH: u32 = 64;
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {

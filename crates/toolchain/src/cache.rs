@@ -374,6 +374,35 @@ mod tests {
     }
 
     #[test]
+    fn kernels_no_module_can_hold_are_invalid_and_never_cached() {
+        use mcmm_gpu_sim::ir::Instr;
+        let dir = disk_dir("limits");
+        let cache = CompileCache::with_disk(8, Arc::new(DiskTier::open(&dir).unwrap()));
+        let c = native_cuda();
+        let long = "x".repeat(70_000);
+        let mut named = smoke_kernel();
+        named.name = long.clone();
+        let mut trapping = smoke_kernel();
+        trapping.body.push(Instr::Trap { message: long });
+        let mut nested = smoke_kernel();
+        let Some(&Instr::If { cond, .. }) = nested.body.last() else {
+            panic!("the smoke kernel ends in its bounds guard")
+        };
+        let mut ifs = vec![];
+        for _ in 0..70 {
+            ifs = vec![Instr::If { cond, then_: ifs, else_: vec![] }];
+        }
+        nested.body.extend(ifs);
+        for k in [named, trapping, nested] {
+            let err =
+                cache.compile(&c, &k, Model::Cuda, Language::Cpp, Vendor::Nvidia).unwrap_err();
+            assert!(matches!(err, CompileError::InvalidKernel(_)), "got {err:?}");
+        }
+        assert_eq!(cache.stats().entries, 0);
+        assert_eq!(cache.disk_stats().unwrap().fills, 0);
+    }
+
+    #[test]
     fn injected_fault_fires_on_miss_only_and_is_never_cached() {
         let cache = CompileCache::new(8);
         let c = native_cuda();

@@ -30,6 +30,15 @@
 //! the form [`DiskTier::entry_path`] gives names now (such as names from
 //! before the opt-level suffix was dropped): no key maps to them, so no
 //! probe would ever read one.
+//!
+//! A name carries the kernel's [`KernelIr::fingerprint`], a hash of what
+//! the ISA encoder writes for it. When the encoding or the hash changes,
+//! every entry an older build wrote misses once and is never read again.
+//! Such names still have the current form, so [`DiskTier::open`] keeps
+//! them and [`DiskTier::entry_count`] counts them; removing them needs a
+//! retention rule.
+//!
+//! [`KernelIr::fingerprint`]: mcmm_gpu_sim::ir::KernelIr::fingerprint
 
 use crate::cache::CacheKey;
 use mcmm_gpu_sim::diffval::fnv1a;
