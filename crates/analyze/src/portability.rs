@@ -36,7 +36,7 @@
 
 use crate::{divergence, width, AnalysisOptions, Diagnostic, Loc, MCA006, MCA009, MCA010};
 use mcmm_gpu_sim::device::DeviceSpec;
-use mcmm_gpu_sim::ir::{AtomicOp, Instr, KernelIr, Operand, Type};
+use mcmm_gpu_sim::ir::{AtomicOp, Instr, KernelIr, Type};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The portability verdict for one kernel on one vendor device.
@@ -116,19 +116,13 @@ impl PortabilityReport {
 /// Locations of order-sensitive float atomics (`AtomicOp::Add` on `F32`/
 /// `F64` values).
 fn float_atomic_locs(kernel: &KernelIr) -> Vec<(Loc, Type)> {
-    fn op_type(kernel: &KernelIr, o: &Operand) -> Option<Type> {
-        match o {
-            Operand::Reg(r) => kernel.reg_type(*r),
-            Operand::Imm(v) => Some(v.ty()),
-        }
-    }
     fn walk(kernel: &KernelIr, body: &[Instr], next: &mut u32, out: &mut Vec<(Loc, Type)>) {
         for instr in body {
             let loc = Loc(*next);
             *next += 1;
             match instr {
                 Instr::Atomic { op: AtomicOp::Add, value, .. } => {
-                    if let Some(ty) = op_type(kernel, value) {
+                    if let Some(ty) = kernel.operand_type(value) {
                         if ty.is_float() {
                             out.push((loc, ty));
                         }

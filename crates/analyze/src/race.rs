@@ -112,13 +112,6 @@ impl Racer<'_> {
         }
     }
 
-    fn op_type(&self, o: &Operand) -> Type {
-        match o {
-            Operand::Reg(r) => self.kernel.regs[r.0 as usize],
-            Operand::Imm(v) => v.ty(),
-        }
-    }
-
     /// Write `val` into `dst` for the lanes active in `mask`; `exec=false`
     /// (taint mode under an unknown branch) forces `Unknown`.
     fn write(&mut self, dst: mcmm_gpu_sim::ir::Reg, val: LaneVal, mask: &[bool], exec: bool) {
@@ -344,13 +337,13 @@ impl Racer<'_> {
                 }
                 Instr::St { space, addr, value } => {
                     if exec && *space == Space::Shared {
-                        let bytes = self.op_type(value).size();
+                        let bytes = self.kernel.operand_type(value).map_or(0, Type::size);
                         self.record(loc, addr, bytes, Kind::Write, mask);
                     }
                 }
                 Instr::Atomic { space, addr, value, dst, .. } => {
                     if exec && *space == Space::Shared {
-                        let bytes = self.op_type(value).size();
+                        let bytes = self.kernel.operand_type(value).map_or(0, Type::size);
                         self.record(loc, addr, bytes, Kind::Atomic, mask);
                     }
                     if let Some(d) = dst {

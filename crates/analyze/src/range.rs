@@ -175,13 +175,6 @@ impl Analyzer<'_> {
         }
     }
 
-    fn op_type(&self, o: &Operand) -> Type {
-        match o {
-            Operand::Reg(r) => self.kernel.regs[r.0 as usize],
-            Operand::Imm(v) => v.ty(),
-        }
-    }
-
     fn fact_op(&self, o: &Operand) -> Option<FOp> {
         match o {
             Operand::Reg(r) => Some(FOp::Reg(*r, self.version[r.0 as usize])),
@@ -393,8 +386,8 @@ impl Analyzer<'_> {
                 }
                 Instr::Cmp { op, dst, a, b } => {
                     let fact = match (
-                        self.op_type(a).is_int(),
-                        self.op_type(b).is_int(),
+                        self.kernel.operand_type(a).is_some_and(Type::is_int),
+                        self.kernel.operand_type(b).is_some_and(Type::is_int),
                         self.fact_op(a),
                         self.fact_op(b),
                     ) {
@@ -410,8 +403,8 @@ impl Analyzer<'_> {
                 }
                 Instr::Cvt { dst, a } => {
                     let dt = self.kernel.regs[dst.0 as usize];
-                    let at = self.op_type(a);
-                    let v = if dt.is_int() && at.is_int() {
+                    let at = self.kernel.operand_type(a);
+                    let v = if dt.is_int() && at.is_some_and(Type::is_int) {
                         let av = self.eval(a);
                         // Narrowing to i32 wraps; only keep intervals that
                         // provably fit.
@@ -449,11 +442,11 @@ impl Analyzer<'_> {
                     self.write(*dst, AbsVal::top());
                 }
                 Instr::St { space, addr, value } => {
-                    let bytes = self.op_type(value).size();
+                    let bytes = self.kernel.operand_type(value).map_or(0, Type::size);
                     self.check_access(loc, *space, addr, bytes, "store");
                 }
                 Instr::Atomic { space, addr, value, dst, .. } => {
-                    let bytes = self.op_type(value).size();
+                    let bytes = self.kernel.operand_type(value).map_or(0, Type::size);
                     self.check_access(loc, *space, addr, bytes, "atomic");
                     if let Some(d) = dst {
                         self.write(*d, AbsVal::top());
@@ -618,8 +611,8 @@ pub(crate) fn lane_bindings(kernel: &KernelIr) -> LaneBindings {
                 }
             }
             Instr::Cvt { dst, a } if single(dst) => {
-                let (dt, at) = (kernel.reg_type(*dst), operand_type(kernel, a));
-                if matches!(dt, Some(t) if t.is_int()) && matches!(at, Some(t) if t.is_int()) {
+                let (dt, at) = (kernel.reg_type(*dst), kernel.operand_type(a));
+                if dt.is_some_and(Type::is_int) && at.is_some_and(Type::is_int) {
                     if let Some(off) = b.lane_of(a) {
                         b.lane.insert(*dst, off);
                     } else if let Some(c) = b.const_of(a) {
@@ -659,13 +652,6 @@ pub(crate) fn lane_bindings(kernel: &KernelIr) -> LaneBindings {
         }
     }
     b
-}
-
-fn operand_type(kernel: &KernelIr, o: &Operand) -> Option<Type> {
-    match o {
-        Operand::Reg(r) => kernel.reg_type(*r),
-        Operand::Imm(v) => Some(v.ty()),
-    }
 }
 
 /// Run the MCA004 check.

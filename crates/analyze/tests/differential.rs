@@ -4,7 +4,6 @@
 //! and kernels that are statically clean must be dynamically clean too.
 
 use mcmm_analyze::{analyze, corpus, AnalysisOptions, MCA003};
-use mcmm_gpu_sim::counters::Counters;
 use mcmm_gpu_sim::exec::BlockCtx;
 use mcmm_gpu_sim::ir::{BinOp, CmpOp, KernelBuilder, KernelIr, Space, Type, Value};
 use mcmm_gpu_sim::mem::GlobalMemory;
@@ -12,11 +11,9 @@ use mcmm_gpu_sim_ref::{run_block_racecheck, RaceFinding};
 
 fn dynamic_races(kernel: &KernelIr, opts: &AnalysisOptions) -> Vec<RaceFinding> {
     let mem = GlobalMemory::new(1 << 16);
-    let counters = Counters::new();
     let ctx = BlockCtx {
         kernel,
         global: &mem,
-        counters: &counters,
         block_id: 0, // the static analyzer pins CtaIdX to block 0 too
         grid_dim: opts.grid_dim,
         block_dim: opts.block_dim,

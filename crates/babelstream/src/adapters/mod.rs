@@ -162,6 +162,7 @@ impl StreamBackend for FrontendAdapter {
         let b = session.download(&db).map_err(fail)?;
         let c = session.download(&dc).map_err(fail)?;
         let dot_ok = ((dot - gold.expected_dot(n)) / gold.expected_dot(n)).abs() < 1e-8;
+        let totals = session.device().totals();
         Ok(RunResult {
             model,
             toolchain,
@@ -171,7 +172,7 @@ impl StreamBackend for FrontendAdapter {
             dot,
             verified: crate::verify(&a, &b, &c, gold) && dot_ok,
             programs: session.device().program_cache_stats(),
-            mem: (session.device().mem_launches() > 0).then(|| session.device().mem_stats()),
+            mem: (totals.traced_launches > 0).then_some(totals.mem),
         })
     }
 }

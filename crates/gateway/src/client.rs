@@ -1,8 +1,7 @@
 //! A minimal keep-alive HTTP/1.1 client for loopback benchmarking and
 //! tests: one persistent connection per [`HttpClient`], `Content-Length`
-//! request bodies, and response reading that understands both
-//! `Content-Length` and `Transfer-Encoding: chunked` framing — the two
-//! modes [`crate::http::Response`] emits.
+//! request bodies, and response reading with `Content-Length` framing —
+//! the one [`crate::http::Response`] emits.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -91,26 +90,7 @@ pub fn read_response(reader: &mut BufReader<TcpStream>) -> std::io::Result<RawRe
         }
     }
     let header = |name: &str| headers.iter().find(|(k, _)| k == name).map(|(_, v)| v.as_str());
-    let body = if header("transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked")) {
-        let mut body = Vec::new();
-        loop {
-            line.clear();
-            reader.read_line(&mut line)?;
-            let size = usize::from_str_radix(line.trim(), 16)
-                .map_err(|_| bad(format!("bad chunk size {line:?}")))?;
-            if size == 0 {
-                // Trailing CRLF after the terminal chunk.
-                line.clear();
-                reader.read_line(&mut line)?;
-                break;
-            }
-            let mut chunk = vec![0u8; size + 2];
-            reader.read_exact(&mut chunk)?;
-            chunk.truncate(size);
-            body.extend_from_slice(&chunk);
-        }
-        body
-    } else if let Some(len) = header("content-length") {
+    let body = if let Some(len) = header("content-length") {
         let len: usize = len.parse().map_err(|_| bad(format!("bad content-length {len:?}")))?;
         let mut body = vec![0u8; len];
         reader.read_exact(&mut body)?;

@@ -207,9 +207,9 @@ impl Gateway {
         let disk = self.shard.disk_stats().unwrap_or_default();
         let (mem, mem_traced_launches) = Vendor::ALL
             .into_iter()
-            .map(|v| self.shard.service().device(v))
-            .fold((mcmm_gpu_sim::MemStats::default(), 0u64), |(acc, n), d| {
-                (acc.merged(d.mem_stats()), n + d.mem_launches())
+            .map(|v| self.shard.service().device(v).totals())
+            .fold((mcmm_gpu_sim::MemStats::default(), 0u64), |(acc, n), t| {
+                (acc.merged(t.mem), n + t.traced_launches)
             });
         GatewayStats {
             submitted: self.submitted.load(Ordering::Relaxed),

@@ -3,7 +3,7 @@
 //! external HTTP crate exists in this build environment, so the gateway
 //! carries its own request parser and response writer covering exactly
 //! what its API uses — `Content-Length` request bodies, keep-alive
-//! connection reuse, and both fixed-length and chunked responses.
+//! connection reuse, and `Content-Length` responses.
 //!
 //! Deliberate non-goals: no TLS, no HTTP/2, no multipart, no request
 //! trailers. Requests with `Transfer-Encoding: chunked` bodies are
@@ -134,9 +134,6 @@ pub struct Response {
     pub headers: Vec<(String, String)>,
     /// Body bytes.
     pub body: Vec<u8>,
-    /// Write the body with `Transfer-Encoding: chunked` instead of
-    /// `Content-Length` framing.
-    pub chunked: bool,
 }
 
 impl Response {
@@ -146,30 +143,12 @@ impl Response {
             status,
             headers: vec![("content-type".into(), "application/json".into())],
             body: body.into(),
-            chunked: false,
-        }
-    }
-
-    /// A plain-text response (errors, 404s).
-    pub fn text(status: u16, body: impl Into<Vec<u8>>) -> Self {
-        Self {
-            status,
-            headers: vec![("content-type".into(), "text/plain".into())],
-            body: body.into(),
-            chunked: false,
         }
     }
 
     /// Add a header.
     pub fn with_header(mut self, name: &str, value: impl std::fmt::Display) -> Self {
         self.headers.push((name.to_ascii_lowercase(), value.to_string()));
-        self
-    }
-
-    /// Switch to chunked transfer framing (used for the larger read-only
-    /// payloads like the matrix dump, exercising the second framing path).
-    pub fn into_chunked(mut self) -> Self {
-        self.chunked = true;
         self
     }
 
@@ -182,22 +161,9 @@ impl Response {
         if close {
             head.push_str("connection: close\r\n");
         }
-        if self.chunked {
-            head.push_str("transfer-encoding: chunked\r\n\r\n");
-            stream.write_all(head.as_bytes())?;
-            // One chunk per bounded slice keeps peak buffering small and
-            // genuinely exercises multi-chunk reassembly in clients.
-            for chunk in self.body.chunks(8192) {
-                write!(stream, "{:x}\r\n", chunk.len())?;
-                stream.write_all(chunk)?;
-                stream.write_all(b"\r\n")?;
-            }
-            stream.write_all(b"0\r\n\r\n")?;
-        } else {
-            head.push_str(&format!("content-length: {}\r\n\r\n", self.body.len()));
-            stream.write_all(head.as_bytes())?;
-            stream.write_all(&self.body)?;
-        }
+        head.push_str(&format!("content-length: {}\r\n\r\n", self.body.len()));
+        stream.write_all(head.as_bytes())?;
+        stream.write_all(&self.body)?;
         stream.flush()
     }
 }
@@ -272,24 +238,18 @@ mod tests {
     }
 
     #[test]
-    fn response_framing_round_trips_both_modes() {
-        for chunked in [false, true] {
-            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-            let addr = listener.local_addr().unwrap();
-            let writer = std::thread::spawn(move || {
-                let (mut s, _) = listener.accept().unwrap();
-                let mut r = Response::json(200, br#"{"ok":true}"#.to_vec());
-                if chunked {
-                    r = r.into_chunked();
-                }
-                r.write_to(&mut s, true).unwrap();
-            });
-            let stream = TcpStream::connect(addr).unwrap();
-            let mut reader = BufReader::new(stream);
-            let (status, _, body) = crate::client::read_response(&mut reader).unwrap();
-            assert_eq!(status, 200);
-            assert_eq!(body, br#"{"ok":true}"#);
-            writer.join().unwrap();
-        }
+    fn response_framing_round_trips() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let writer = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            Response::json(200, br#"{"ok":true}"#.to_vec()).write_to(&mut s, true).unwrap();
+        });
+        let stream = TcpStream::connect(addr).unwrap();
+        let mut reader = BufReader::new(stream);
+        let (status, _, body) = crate::client::read_response(&mut reader).unwrap();
+        assert_eq!(status, 200);
+        assert_eq!(body, br#"{"ok":true}"#);
+        writer.join().unwrap();
     }
 }

@@ -9,7 +9,7 @@
 //! multi-tenant HTTP/1.1 service:
 //!
 //! * **[`http`]** — the minimal HTTP/1.1 surface (request parsing,
-//!   keep-alive, fixed-length + chunked responses) over `std::net`,
+//!   keep-alive, `Content-Length` responses) over `std::net`,
 //!   shim-style: no external HTTP crate exists in this build environment.
 //! * **[`api`]** — the JSON wire types and their validation into the
 //!   serving layer's planned-job vocabulary.

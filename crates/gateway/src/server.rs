@@ -111,8 +111,8 @@ fn serve_connection(stream: TcpStream, gateway: &Gateway, stop: &AtomicBool) {
 fn dispatch(gateway: &Gateway, req: &Request) -> Response {
     match (req.method.as_str(), req.path.as_str()) {
         ("POST", "/v1/submit") => submit(gateway, req),
-        ("GET", "/v1/matrix") => Response::json(200, gateway.matrix_json()).into_chunked(),
-        ("GET", "/v1/routes") => Response::json(200, gateway.routes_json()).into_chunked(),
+        ("GET", "/v1/matrix") => Response::json(200, gateway.matrix_json()),
+        ("GET", "/v1/routes") => Response::json(200, gateway.routes_json()),
         ("GET", "/healthz") => Response::json(200, gateway.healthz_json()),
         ("GET", "/v1/stats") => {
             Response::json(200, serde_json::to_string(&gateway.stats()).expect("stats serialize"))

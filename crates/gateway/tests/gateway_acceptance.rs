@@ -1,8 +1,8 @@
 //! Acceptance: the HTTP front-door end to end over real loopback sockets.
 //!
 //! Everything here but one device-memory test goes through the wire —
-//! the worker-pool accept loop, keep-alive parsing, both response
-//! framings, JSON (de)serialization — against a gateway with live
+//! the worker-pool accept loop, keep-alive parsing, `Content-Length`
+//! response framing, JSON (de)serialization — against a gateway with live
 //! simulated devices behind it.
 
 use mcmm_gateway::client::read_response;
@@ -57,22 +57,24 @@ fn submit_over_http_returns_the_serial_checksum() {
 }
 
 #[test]
-fn read_endpoints_serve_json_over_both_framings() {
+fn every_read_endpoint_answers_json_with_its_content_length() {
     let server = start(GatewayConfig::default());
-    let mut client = HttpClient::connect(server.addr()).unwrap();
-    // /healthz uses content-length framing.
-    let (status, body) = client.request("GET", "/healthz", None).unwrap();
-    assert_eq!(status, 200);
-    let health: serde_json::Value =
-        serde_json::from_str(std::str::from_utf8(&body).unwrap()).unwrap();
-    assert_eq!(health["status"], "ok");
-    // /v1/matrix and /v1/routes use chunked framing.
-    for path in ["/v1/matrix", "/v1/routes"] {
-        let (status, body) = client.request("GET", path, None).unwrap();
-        assert_eq!(status, 200);
+    let mut reader = BufReader::new(TcpStream::connect(server.addr()).unwrap());
+    for path in ["/healthz", "/v1/matrix", "/v1/routes", "/v1/stats"] {
+        let head = format!("GET {path} HTTP/1.1\r\n\r\n");
+        reader.get_mut().write_all(head.as_bytes()).unwrap();
+        let (status, headers, body) = read_response(&mut reader).unwrap();
+        assert_eq!(status, 200, "{path}");
+        let length = headers.iter().find(|(k, _)| k == "content-length").map(|(_, v)| v.as_str());
+        assert_eq!(length, Some(body.len().to_string().as_str()), "{path}: {headers:?}");
+        assert!(headers.iter().all(|(k, _)| k != "transfer-encoding"), "{path}: {headers:?}");
         let parsed: serde_json::Value =
             serde_json::from_str(std::str::from_utf8(&body).unwrap()).unwrap();
-        assert!(!parsed.as_array().unwrap().is_empty(), "{path} must list entries");
+        match path {
+            "/healthz" => assert_eq!(parsed["status"], "ok"),
+            "/v1/stats" => assert!(parsed["mem_traced_launches"].as_u64().is_some(), "{parsed:?}"),
+            _ => assert!(!parsed.as_array().unwrap().is_empty(), "{path} must list entries"),
+        }
     }
     server.shutdown();
 }

@@ -20,7 +20,7 @@
 //! memory, binary operators and the atomic commit order
 //! ([`mcmm_gpu_sim::exec`]).
 
-use mcmm_gpu_sim::counters::LocalCounters;
+use mcmm_gpu_sim::counters::LaunchStats;
 use mcmm_gpu_sim::exec::{bin_value, round_robin, BlockCtx, SharedMem};
 use mcmm_gpu_sim::ir::{AtomicOp, BinOp, CmpOp, Instr, Operand, Space, Special, Type, UnOp, Value};
 use mcmm_gpu_sim::trace::{AccessKind, TraceScratch};
@@ -172,8 +172,8 @@ struct Interp<'a> {
     regs: Vec<LaneVec>,
     shared: SharedMem,
     n: usize,
-    /// Block-local counter accumulator, flushed once at block exit.
-    local: LocalCounters,
+    /// What this block has counted; returned at block exit.
+    stats: LaunchStats,
     /// Present in racecheck mode; shared accesses are mirrored into it.
     race: Option<RaceLog>,
     /// Present when the launch is traced; global accesses are recorded
@@ -181,10 +181,10 @@ struct Interp<'a> {
     tblock: Option<TraceScratch>,
 }
 
-/// Execute one thread block: the reference engine's counterpart of
-/// [`mcmm_gpu_sim::vexec::run_block_lv`].
-pub fn run_block(ctx: &BlockCtx<'_>, args: &[Value]) -> Result<()> {
-    run_block_impl(ctx, args, None).map(|_| ())
+/// Execute one thread block and return what it counted: the reference
+/// engine's counterpart of [`mcmm_gpu_sim::vexec::run_block_lv`].
+pub fn run_block(ctx: &BlockCtx<'_>, args: &[Value]) -> Result<LaunchStats> {
+    run_block_impl(ctx, args, None).map(|(stats, _)| stats)
 }
 
 /// Execute one thread block with the shared-memory race detector enabled:
@@ -193,7 +193,7 @@ pub fn run_block(ctx: &BlockCtx<'_>, args: &[Value]) -> Result<()> {
 /// conflict rule matches `mcmm-analyze`'s static MCA003 check exactly, so
 /// static findings can be confirmed differentially against this mode.
 pub fn run_block_racecheck(ctx: &BlockCtx<'_>, args: &[Value]) -> Result<Vec<RaceFinding>> {
-    let log = run_block_impl(ctx, args, Some(RaceLog::default()))?;
+    let (_, log) = run_block_impl(ctx, args, Some(RaceLog::default()))?;
     Ok(log.map(|l| l.findings).unwrap_or_default())
 }
 
@@ -201,7 +201,7 @@ fn run_block_impl(
     ctx: &BlockCtx<'_>,
     args: &[Value],
     race: Option<RaceLog>,
-) -> Result<Option<RaceLog>> {
+) -> Result<(LaunchStats, Option<RaceLog>)> {
     let n = ctx.block_dim as usize;
     if args.len() != ctx.kernel.params.len() {
         return Err(SimError::BadArguments(format!(
@@ -231,7 +231,7 @@ fn run_block_impl(
         regs,
         shared: SharedMem::new(ctx.kernel.shared_bytes),
         n,
-        local: LocalCounters::new(),
+        stats: LaunchStats::default(),
         race,
         tblock: ctx.trace.map(|s| s.begin_block(ctx.block_id)),
     };
@@ -241,12 +241,10 @@ fn run_block_impl(
     if let Some(log) = interp.race.as_mut() {
         log.flush(); // the interval between the last barrier and exit
     }
-    interp.local.flush(interp.ctx.counters);
-    interp.ctx.counters.add_block(u64::from(ctx.block_dim.div_ceil(ctx.warp_width.max(1))));
     if let (Some(sink), Some(tb)) = (ctx.trace, interp.tblock.take()) {
         sink.finish_block(tb);
     }
-    Ok(interp.race)
+    Ok((interp.stats, interp.race))
 }
 
 impl<'a> Interp<'a> {
@@ -277,7 +275,7 @@ impl<'a> Interp<'a> {
         if issues == 0 {
             return Ok(());
         }
-        self.local.warp_instructions += issues;
+        self.stats.warp_instructions += issues;
         match instr {
             Instr::Mov { dst, src } => {
                 for lane in active(mask) {
@@ -286,7 +284,7 @@ impl<'a> Interp<'a> {
                 }
             }
             Instr::Bin { op, dst, a, b } => {
-                self.local.warp_arith += issues;
+                self.stats.warp_arith += issues;
                 for lane in active(mask) {
                     let va = self.eval(a, lane);
                     let vb = self.eval(b, lane);
@@ -295,14 +293,14 @@ impl<'a> Interp<'a> {
                 }
             }
             Instr::Un { op, dst, a } => {
-                self.local.warp_arith += issues;
+                self.stats.warp_arith += issues;
                 for lane in active(mask) {
                     let va = self.eval(a, lane);
                     self.regs[dst.0 as usize].set(lane, un_value(*op, va));
                 }
             }
             Instr::Cmp { op, dst, a, b } => {
-                self.local.warp_arith += issues;
+                self.stats.warp_arith += issues;
                 for lane in active(mask) {
                     let va = self.eval(a, lane);
                     let vb = self.eval(b, lane);
@@ -310,7 +308,7 @@ impl<'a> Interp<'a> {
                 }
             }
             Instr::Sel { dst, cond, a, b } => {
-                self.local.warp_arith += issues;
+                self.stats.warp_arith += issues;
                 for lane in active(mask) {
                     let c = matches!(self.regs[cond.0 as usize].get(lane), Value::Bool(true));
                     let v = if c { self.eval(a, lane) } else { self.eval(b, lane) };
@@ -318,7 +316,7 @@ impl<'a> Interp<'a> {
                 }
             }
             Instr::Cvt { dst, a } => {
-                self.local.warp_arith += issues;
+                self.stats.warp_arith += issues;
                 let ty = self.ctx.kernel.regs[dst.0 as usize];
                 for lane in active(mask) {
                     let v = self.eval(a, lane);
@@ -364,7 +362,7 @@ impl<'a> Interp<'a> {
                     lanes += 1;
                 }
                 if *space == Space::Global {
-                    self.local.bytes_read += lanes * ty.size();
+                    self.stats.bytes_read += lanes * ty.size();
                 }
                 if tracing {
                     self.tblock
@@ -401,7 +399,7 @@ impl<'a> Interp<'a> {
                     lanes += 1;
                 }
                 if *space == Space::Global {
-                    self.local.bytes_written += lanes * sz;
+                    self.stats.bytes_written += lanes * sz;
                 }
                 if tracing {
                     self.tblock
@@ -454,7 +452,7 @@ impl<'a> Interp<'a> {
                     }
                     lanes += 1;
                 }
-                self.local.atomics += lanes;
+                self.stats.atomics += lanes;
                 if tracing {
                     self.tblock
                         .as_mut()
@@ -477,7 +475,7 @@ impl<'a> Interp<'a> {
                 if let Some(log) = self.race.as_mut() {
                     log.flush();
                 }
-                self.local.barriers += 1;
+                self.stats.barriers += 1;
             }
             Instr::If { cond, then_, else_ } => {
                 let (tmask, emask): (Vec<bool>, Vec<bool>) = {
@@ -644,7 +642,6 @@ fn convert(v: Value, to: Type) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mcmm_gpu_sim::counters::Counters;
     use mcmm_gpu_sim::ir::{KernelBuilder, KernelIr};
     use mcmm_gpu_sim::mem::GlobalMemory;
 
@@ -653,20 +650,17 @@ mod tests {
         args: &[Value],
         block_dim: u32,
         mem: &GlobalMemory,
-    ) -> Result<Counters> {
-        let counters = Counters::new();
+    ) -> Result<LaunchStats> {
         let ctx = BlockCtx {
             kernel,
             global: mem,
-            counters: &counters,
             block_id: 0,
             grid_dim: 1,
             block_dim,
             warp_width: 32,
             trace: None,
         };
-        run_block(&ctx, args)?;
-        Ok(counters)
+        run_block(&ctx, args)
     }
 
     #[test]
@@ -795,7 +789,7 @@ mod tests {
         let counters = run(&kernel, &[Value::I64(p.0 as i64)], 64, &mem).unwrap();
         let expect: f32 = (0..64).map(|x| x as f32).sum();
         assert_eq!(mem.load(Type::F32, p.0).unwrap(), Value::F32(expect));
-        assert!(counters.snapshot().barriers > 0);
+        assert!(counters.barriers > 0);
     }
 
     #[test]
@@ -809,7 +803,7 @@ mod tests {
         let p = mem.alloc(4).unwrap();
         let c = run(&kernel, &[Value::I64(p.0 as i64)], 128, &mem).unwrap();
         assert_eq!(mem.load(Type::I32, p.0).unwrap(), Value::I32(128));
-        assert_eq!(c.snapshot().atomics, 128);
+        assert_eq!(c.atomics, 128);
     }
 
     #[test]
@@ -826,8 +820,7 @@ mod tests {
         let kernel = k.finish();
         let mem = GlobalMemory::new(1024);
         let p = mem.alloc(64 * 4).unwrap();
-        let c = run(&kernel, &[Value::I64(p.0 as i64)], 64, &mem).unwrap();
-        let s = c.snapshot();
+        let s = run(&kernel, &[Value::I64(p.0 as i64)], 64, &mem).unwrap();
         // The store-path instructions must have been issued for exactly 1
         // warp; the prologue for 2. Exact totals depend on the builder's
         // expansion, so assert the distinguishing bound instead:
@@ -907,11 +900,9 @@ mod tests {
 
     fn racecheck(kernel: &KernelIr, args: &[Value], block_dim: u32) -> Vec<RaceFinding> {
         let mem = GlobalMemory::new(4096);
-        let counters = Counters::new();
         let ctx = BlockCtx {
             kernel,
             global: &mem,
-            counters: &counters,
             block_id: 0,
             grid_dim: 1,
             block_dim,
@@ -1014,11 +1005,9 @@ mod tests {
 
         let mem = GlobalMemory::new(4096);
         let outp = mem.alloc(4).unwrap();
-        let counters = Counters::new();
         let ctx = BlockCtx {
             kernel: &kernel,
             global: &mem,
-            counters: &counters,
             block_id: 0,
             grid_dim: 1,
             block_dim: 64,

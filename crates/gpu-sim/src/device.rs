@@ -8,13 +8,13 @@
 //! serve as *calibration*, not measurement — see EXPERIMENTS.md.
 //!
 //! A [`Device`] owns global memory, a block-execution worker count sized
-//! to the host, a kernel cache, and a modeled clock accumulating
-//! [`crate::timing::ModeledTime`]. The kernel cache keys each kernel by the
-//! fingerprint its [`Module`] carries and holds it decoded and lowered, so
-//! a kernel is decoded, checked and lowered once per device and every later
-//! load or launch is one lookup.
+//! to the host, a kernel cache, and its [`DeviceTotals`]: the modeled
+//! clock and what its launches and copies moved. The kernel cache keys
+//! each kernel by the fingerprint its [`Module`] carries and holds it
+//! decoded and lowered, so a kernel is decoded, checked and lowered once
+//! per device and every later load or launch is one lookup.
 
-use crate::counters::{Counters, LaunchStats, StatsCell};
+use crate::counters::LaunchStats;
 use crate::exec::{injected_block_crash, BlockCtx};
 use crate::fault::{LaunchFault, TransferFault};
 use crate::ir::{KernelIr, Value};
@@ -28,7 +28,7 @@ use crate::timing::{kernel_time, kernel_time_traced, transfer_time, ModeledTime}
 use crate::trace::{TraceScratch, TraceSink};
 use crate::vexec::run_block_lv;
 use crate::{Result, SimError};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -80,7 +80,7 @@ pub struct SimConfig {
     /// The model launch times are derived with.
     pub timing: TimingTier,
     /// Record every launch's memory-access trace and replay it into
-    /// [`LaunchReport::mem`] and [`Device::mem_stats`], even when the
+    /// [`LaunchReport::mem`] and [`DeviceTotals::mem`], even when the
     /// timing tier does not need one.
     pub tracing: bool,
 }
@@ -325,24 +325,24 @@ pub struct LaunchReport {
     pub mem: Option<MemStats>,
 }
 
-/// Cumulative host↔device transfer volume of one device.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TransferStats {
+/// What one device has done so far, as [`Device::totals`] reads it: every
+/// field is committed under one lock, once per launch or copy, so a
+/// snapshot never pairs one launch's counts with another's.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct DeviceTotals {
+    /// Modeled time of every completed launch and copy, plus what each
+    /// injected launch refusal, stall or aborted copy cost.
+    pub clock: ModeledTime,
+    /// Launches completed.
+    pub launches: u64,
+    /// Of which traced: the launches merged into [`DeviceTotals::mem`].
+    pub traced_launches: u64,
+    /// Memory-hierarchy statistics summed over the traced launches.
+    pub mem: MemStats,
     /// Bytes moved host → device.
     pub h2d_bytes: u64,
-    /// Completed host → device transfers.
-    pub h2d_count: u64,
     /// Bytes moved device → host.
     pub d2h_bytes: u64,
-    /// Completed device → host transfers.
-    pub d2h_count: u64,
-}
-
-impl TransferStats {
-    /// Total bytes moved over the interconnect in either direction.
-    pub fn total_bytes(&self) -> u64 {
-        self.h2d_bytes + self.d2h_bytes
-    }
 }
 
 /// A simulated GPU device.
@@ -353,10 +353,7 @@ pub struct Device {
     workers: usize,
     /// Every kernel loaded or launched here, decoded and lowered once.
     kernels: KernelCache,
-    clock: Mutex<f64>,
-    /// Cumulative per-device counters, merged once per completed launch
-    /// under a lock so concurrent readers get consistent snapshots.
-    cumulative: StatsCell,
+    totals: Mutex<DeviceTotals>,
     /// The settings every launch on this device runs under.
     config: SimConfig,
     /// Reusable per-worker tracing scratch (trace arenas + L1-stage
@@ -367,11 +364,6 @@ pub struct Device {
     /// stage (its line array runs to megabytes; rebuilding it per
     /// launch would dwarf the replay itself).
     l2_scratch: Arc<parking_lot::Mutex<Option<crate::cache::SectoredCache>>>,
-    /// Cumulative memory-hierarchy stats over traced launches, with the
-    /// number of traced launches merged in.
-    mem_cumulative: crate::counters::MemStatsCell,
-    /// Cumulative host↔device transfer volume.
-    transfers: Mutex<TransferStats>,
 }
 
 /// `len` bytes of one device's memory, freed when this owner drops, so
@@ -518,13 +510,10 @@ impl Device {
             memory: GlobalMemory::new(spec.mem_bytes),
             workers: workers.min(8),
             kernels: KernelCache::default(),
-            clock: Mutex::new(0.0),
-            cumulative: StatsCell::new(),
+            totals: Mutex::default(),
             config,
             trace_scratch: Arc::new(ScratchPool::new()),
             l2_scratch: Arc::new(parking_lot::Mutex::new(None)),
-            mem_cumulative: crate::counters::MemStatsCell::new(),
-            transfers: Mutex::new(TransferStats::default()),
             spec,
         })
     }
@@ -544,21 +533,6 @@ impl Device {
     /// the timing tier.
     pub fn tracing(&self) -> bool {
         self.config.tracing
-    }
-
-    /// Cumulative memory-hierarchy statistics over every traced launch.
-    pub fn mem_stats(&self) -> MemStats {
-        self.mem_cumulative.read()
-    }
-
-    /// Number of traced launches merged into [`Device::mem_stats`].
-    pub fn mem_launches(&self) -> u64 {
-        self.mem_cumulative.merges()
-    }
-
-    /// Cumulative host↔device transfer volume.
-    pub fn transfer_stats(&self) -> TransferStats {
-        *self.transfers.lock()
     }
 
     /// Always [`OptLevel::O0`]. Kept only for the benchmark's
@@ -585,23 +559,21 @@ impl Device {
 
     /// Total modeled time accumulated on this device.
     pub fn modeled_clock(&self) -> ModeledTime {
-        ModeledTime::from_seconds(*self.clock.lock())
+        self.totals.lock().clock
     }
 
-    /// Cumulative counters over every launch this device has completed.
-    /// The snapshot is consistent (all fields from the same instant) and
-    /// safe to read while launches are in flight on other threads.
-    pub fn stats(&self) -> LaunchStats {
-        self.cumulative.read()
+    /// One snapshot of everything this device has done so far; safe to
+    /// read while launches and copies are in flight on other threads.
+    pub fn totals(&self) -> DeviceTotals {
+        *self.totals.lock()
     }
 
-    /// Number of launches completed on this device.
-    pub fn launches(&self) -> u64 {
-        self.cumulative.merges()
-    }
-
-    fn advance_clock(&self, t: ModeledTime) {
-        *self.clock.lock() += t.seconds();
+    /// Add `t` to the modeled clock and hand back the totals still
+    /// locked, so the caller records what took the time in the same commit.
+    fn advance_clock(&self, t: ModeledTime) -> MutexGuard<'_, DeviceTotals> {
+        let mut totals = self.totals.lock();
+        totals.clock = totals.clock + t;
+        totals
     }
 
     /// Allocate `len` bytes of device memory.
@@ -623,26 +595,20 @@ impl Device {
     }
 
     /// Host → device transfer; advances the modeled clock and records
-    /// the volume in [`Device::transfer_stats`].
+    /// the volume in [`DeviceTotals::h2d_bytes`].
     pub fn memcpy_h2d(&self, dst: DevicePtr, data: &[u8]) -> Result<ModeledTime> {
         self.memory.write_bytes(dst, data)?;
         let t = transfer_time(&self.spec, data.len() as u64);
-        self.advance_clock(t);
-        let mut xfer = self.transfers.lock();
-        xfer.h2d_bytes += data.len() as u64;
-        xfer.h2d_count += 1;
+        self.advance_clock(t).h2d_bytes += data.len() as u64;
         Ok(t)
     }
 
     /// Device → host transfer; advances the modeled clock and records
-    /// the volume in [`Device::transfer_stats`].
+    /// the volume in [`DeviceTotals::d2h_bytes`].
     pub fn memcpy_d2h(&self, src: DevicePtr, len: u64) -> Result<(Vec<u8>, ModeledTime)> {
         let data = self.memory.read_bytes(src, len)?;
         let t = transfer_time(&self.spec, len);
-        self.advance_clock(t);
-        let mut xfer = self.transfers.lock();
-        xfer.d2h_bytes += len;
-        xfer.d2h_count += 1;
+        self.advance_clock(t).d2h_bytes += len;
         Ok((data, t))
     }
 
@@ -781,16 +747,17 @@ impl Device {
 
     /// [`Device::launch_kernel`] with each block run by `run_block`, which
     /// is handed the block's context, the kernel's lowered program and the
-    /// arguments. Exists so tests can substitute the reference engine of
-    /// the `mcmm-gpu-sim-ref` crate: the launch checks, scheduling,
-    /// tracing, counters, modeled time and kernel cache stay the device's
-    /// own, so a differential compares two block engines and nothing else.
+    /// arguments, and returns what the block counted. Exists so tests can
+    /// substitute the reference engine of the `mcmm-gpu-sim-ref` crate: the
+    /// launch checks, scheduling, tracing, counter sums, modeled time and
+    /// kernel cache stay the device's own, so a differential compares two
+    /// block engines and nothing else.
     pub fn launch_kernel_with(
         &self,
         kernel: &KernelIr,
         cfg: LaunchConfig,
         args: &[KernelArg],
-        run_block: impl Fn(&BlockCtx<'_>, &LvProgram, &[Value]) -> Result<()> + Sync,
+        run_block: impl Fn(&BlockCtx<'_>, &LvProgram, &[Value]) -> Result<LaunchStats> + Sync,
     ) -> Result<LaunchReport> {
         let loaded = self.kernels.get_or_insert(kernel.fingerprint(), || Ok(kernel.clone()))?;
         self.run(&loaded, cfg, args, None, run_block)
@@ -802,7 +769,7 @@ impl Device {
         cfg: LaunchConfig,
         args: &[KernelArg],
         crash_block: Option<u32>,
-        run_block: impl Fn(&BlockCtx<'_>, &LvProgram, &[Value]) -> Result<()> + Sync,
+        run_block: impl Fn(&BlockCtx<'_>, &LvProgram, &[Value]) -> Result<LaunchStats> + Sync,
     ) -> Result<LaunchReport> {
         let kernel: &KernelIr = &loaded.kernel;
         if cfg.block_dim == 0 || cfg.grid_dim == 0 {
@@ -839,9 +806,10 @@ impl Device {
             None
         };
 
-        let counters = Counters::new();
-        // Happy-path early exit is a relaxed load; the mutex is touched
-        // only by blocks that actually fail.
+        // Each block merges its counts once, at exit. Happy-path early exit
+        // is a relaxed load; the error mutex is touched only by blocks
+        // that actually fail.
+        let counted = Mutex::new(LaunchStats::default());
         let failed = AtomicBool::new(false);
         let error: Mutex<Option<SimError>> = Mutex::new(None);
         let fail = |e: SimError| {
@@ -855,7 +823,6 @@ impl Device {
             let ctx = BlockCtx {
                 kernel,
                 global: &self.memory,
-                counters: &counters,
                 block_id: block as u32,
                 grid_dim: cfg.grid_dim,
                 block_dim: cfg.block_dim,
@@ -866,14 +833,22 @@ impl Device {
                 fail(injected_block_crash(&ctx));
                 return;
             }
-            if let Err(e) = run_block(&ctx, &loaded.program, &values) {
-                fail(e);
+            match run_block(&ctx, &loaded.program, &values) {
+                Ok(block) => {
+                    let mut sum = counted.lock();
+                    *sum = sum.merged(block);
+                }
+                Err(e) => fail(e),
             }
         });
         if let Some(e) = error.into_inner() {
             return Err(e);
         }
-        let stats = counters.snapshot();
+        // The launch did not fail, so every block ran exactly once.
+        let grid = u64::from(cfg.grid_dim);
+        let warps_per_block = u64::from(cfg.block_dim.div_ceil(self.spec.warp_width.max(1)));
+        let stats =
+            LaunchStats { blocks: grid, warps: grid * warps_per_block, ..counted.into_inner() };
         let mem = sink.map(TraceSink::finish);
         let time = match (timing, &mem) {
             (TimingTier::TraceDriven, Some(m)) => {
@@ -881,10 +856,11 @@ impl Device {
             }
             _ => kernel_time(&self.spec, &stats, cfg.efficiency),
         };
-        self.advance_clock(time);
-        self.cumulative.merge(stats);
+        let mut totals = self.advance_clock(time);
+        totals.launches += 1;
         if let Some(m) = mem {
-            self.mem_cumulative.merge(m);
+            totals.traced_launches += 1;
+            totals.mem = totals.mem.merged(m);
         }
         Ok(LaunchReport { stats, time, mem })
     }
@@ -1054,18 +1030,22 @@ mod tests {
         let data: Vec<u8> = (0..LEN).map(|i| i as u8).collect();
 
         assert_eq!(dev.memcpy_h2d(ptr, &data).unwrap().seconds(), want);
-        assert_eq!(dev.modeled_clock().seconds(), want);
-        let h2d_only = TransferStats { h2d_bytes: LEN, h2d_count: 1, ..TransferStats::default() };
-        assert_eq!(dev.transfer_stats(), h2d_only);
+        let h2d_only = DeviceTotals {
+            clock: ModeledTime::from_seconds(want),
+            h2d_bytes: LEN,
+            ..DeviceTotals::default()
+        };
+        assert_eq!(dev.totals(), h2d_only);
 
         let (back, t) = dev.memcpy_d2h(ptr, LEN).unwrap();
         assert_eq!(back, data);
         assert_eq!(t.seconds(), want);
-        assert_eq!(dev.modeled_clock().seconds(), want + want);
-        assert_eq!(
-            dev.transfer_stats(),
-            TransferStats { d2h_bytes: LEN, d2h_count: 1, ..h2d_only }
-        );
+        let both = DeviceTotals {
+            clock: ModeledTime::from_seconds(want + want),
+            d2h_bytes: LEN,
+            ..h2d_only
+        };
+        assert_eq!(dev.totals(), both);
     }
 
     #[test]
@@ -1132,19 +1112,83 @@ mod tests {
     #[test]
     fn cumulative_stats_accumulate_across_launches() {
         let kernel = saxpy_kernel();
-        let dev = Device::new(DeviceSpec::nvidia_a100());
+        let cfg = SimConfig { tracing: true, ..SimConfig::default() };
+        let dev = Device::with_config(DeviceSpec::nvidia_a100(), cfg);
         let module = assemble(&kernel, IsaKind::PtxLike).unwrap();
-        assert_eq!(dev.stats(), LaunchStats::default());
-        assert_eq!(dev.launches(), 0);
+        assert_eq!(dev.totals(), DeviceTotals::default());
         let n = 512usize;
         let dx = dev.alloc_copy_f32(&vec![1.0; n]).unwrap();
         let dy = dev.alloc_copy_f32(&vec![1.0; n]).unwrap();
+        let uploads = dev.totals();
         let args =
             [KernelArg::F32(2.0), KernelArg::Ptr(dx), KernelArg::Ptr(dy), KernelArg::I32(n as i32)];
         let r1 = dev.launch(&module, LaunchConfig::linear(n as u64, 128), &args).unwrap();
         let r2 = dev.launch(&module, LaunchConfig::linear(n as u64, 128), &args).unwrap();
-        assert_eq!(dev.launches(), 2);
-        assert_eq!(dev.stats(), r1.stats.merged(r2.stats));
+        let want = DeviceTotals {
+            clock: uploads.clock + r1.time + r2.time,
+            launches: 2,
+            traced_launches: 2,
+            mem: r1.mem.unwrap().merged(r2.mem.unwrap()),
+            ..uploads
+        };
+        assert_eq!(dev.totals(), want);
+        assert_eq!(r1.stats.blocks, 4);
+        assert_eq!(r1.stats.warps, 16);
+    }
+
+    #[test]
+    fn totals_snapshots_are_whole_launches_and_copies() {
+        // Writers launch one traced kernel and copy a fixed length; every
+        // snapshot a racing reader takes must be made of whole launches
+        // and whole copies.
+        const COPY: usize = 1000;
+        const ROUNDS: u64 = 100;
+        let mut k = KernelBuilder::new("fill");
+        let out = k.param(Type::I64);
+        let i = k.global_thread_id_x();
+        k.st_elem(Space::Global, out, i, Value::F32(1.0));
+        let kernel = k.finish();
+        let cfg = SimConfig { tracing: true, ..SimConfig::default() };
+        let dev = Device::with_config(DeviceSpec::amd_mi250x(), cfg);
+        let buf = dev.alloc(4 * 256).unwrap();
+        let launch = || {
+            dev.launch_kernel(&kernel, LaunchConfig::linear(256, 64), &[KernelArg::Ptr(buf)])
+                .unwrap()
+        };
+        let one = launch().mem.unwrap();
+        let (start, done) = (std::sync::Barrier::new(4), AtomicBool::new(false));
+        std::thread::scope(|s| {
+            let writers: Vec<_> = (0..3)
+                .map(|_| {
+                    s.spawn(|| {
+                        let dst = dev.alloc(COPY as u64).unwrap();
+                        start.wait();
+                        for _ in 0..ROUNDS {
+                            launch();
+                            dev.memcpy_h2d(dst, &[7; COPY]).unwrap();
+                        }
+                    })
+                })
+                .collect();
+            s.spawn(|| {
+                start.wait();
+                while !done.load(Ordering::Relaxed) {
+                    let t = dev.totals();
+                    assert_eq!(t.traced_launches, t.launches, "{t:?}");
+                    let mut want = MemStats::default();
+                    for _ in 0..t.launches {
+                        want = want.merged(one);
+                    }
+                    assert_eq!(t.mem, want, "after {} launches", t.launches);
+                    assert_eq!(t.h2d_bytes % COPY as u64, 0, "{t:?}");
+                }
+            });
+            let joined: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
+            done.store(true, Ordering::Relaxed);
+            assert!(joined.iter().all(|w| w.is_ok()), "a writer panicked");
+        });
+        let t = dev.totals();
+        assert_eq!((t.launches, t.h2d_bytes), (3 * ROUNDS + 1, 3 * ROUNDS * COPY as u64));
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! checks, [`bin_value`]'s arithmetic, and the warp-round-robin order
 //! colliding atomics commit in ([`round_robin`]).
 
-use crate::counters::Counters;
 use crate::ir::{BinOp, KernelIr, Type, Value};
 use crate::mem::GlobalMemory;
 use crate::{Result, SimError};
@@ -75,8 +74,6 @@ pub struct BlockCtx<'a> {
     pub kernel: &'a KernelIr,
     /// Device global memory.
     pub global: &'a GlobalMemory,
-    /// Shared launch counters.
-    pub counters: &'a Counters,
     /// `blockIdx.x`
     pub block_id: u32,
     /// `gridDim.x`

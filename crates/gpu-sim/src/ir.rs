@@ -307,6 +307,15 @@ impl KernelIr {
         self.regs.get(r.0 as usize).copied()
     }
 
+    /// Type of an operand: an immediate's own, or its register's; `None`
+    /// if the register is out of range.
+    pub fn operand_type(&self, o: &Operand) -> Option<Type> {
+        match o {
+            Operand::Reg(r) => self.reg_type(*r),
+            Operand::Imm(v) => Some(v.ty()),
+        }
+    }
+
     /// The kernel's identity: a 64-bit hash of the stream the ISA encoder
     /// writes for it (see [`crate::isa`]). Equal kernels hash equal, and
     /// any change to the signature, register table, shared-memory size, or
@@ -343,13 +352,11 @@ impl KernelIr {
         self.validate_block(&self.body, 0)
     }
 
-    fn operand_type(&self, o: &Operand) -> Result<Type, String> {
-        match o {
-            Operand::Reg(r) => {
-                self.reg_type(*r).ok_or_else(|| format!("register {r:?} out of range"))
-            }
-            Operand::Imm(v) => Ok(v.ty()),
-        }
+    fn src_type(&self, o: &Operand) -> Result<Type, String> {
+        self.operand_type(o).ok_or_else(|| match o {
+            Operand::Reg(r) => format!("register {r:?} out of range"),
+            Operand::Imm(_) => unreachable!("an immediate has its value's type"),
+        })
     }
 
     fn validate_block(&self, body: &[Instr], depth: u32) -> Result<(), String> {
@@ -369,14 +376,13 @@ impl KernelIr {
     fn validate_instr(&self, instr: &Instr, depth: u32) -> Result<(), String> {
         match instr {
             Instr::Mov { dst, src } => {
-                let (d, s) = (self.dst_type(*dst)?, self.operand_type(src)?);
+                let (d, s) = (self.dst_type(*dst)?, self.src_type(src)?);
                 if d != s {
                     return Err(format!("mov type mismatch: {d} <- {s}"));
                 }
             }
             Instr::Bin { op, dst, a, b } => {
-                let (d, ta, tb) =
-                    (self.dst_type(*dst)?, self.operand_type(a)?, self.operand_type(b)?);
+                let (d, ta, tb) = (self.dst_type(*dst)?, self.src_type(a)?, self.src_type(b)?);
                 if ta != tb || ta != d {
                     return Err(format!("bin {op:?} type mismatch: {d} <- {ta}, {tb}"));
                 }
@@ -388,7 +394,7 @@ impl KernelIr {
                 }
             }
             Instr::Un { op, dst, a } => {
-                let (d, ta) = (self.dst_type(*dst)?, self.operand_type(a)?);
+                let (d, ta) = (self.dst_type(*dst)?, self.src_type(a)?);
                 if d != ta {
                     return Err(format!("un {op:?} type mismatch: {d} <- {ta}"));
                 }
@@ -406,8 +412,7 @@ impl KernelIr {
                 }
             }
             Instr::Cmp { dst, a, b, .. } => {
-                let (d, ta, tb) =
-                    (self.dst_type(*dst)?, self.operand_type(a)?, self.operand_type(b)?);
+                let (d, ta, tb) = (self.dst_type(*dst)?, self.src_type(a)?, self.src_type(b)?);
                 if d != Type::Bool {
                     return Err(format!("cmp destination must be bool, got {d}"));
                 }
@@ -420,13 +425,13 @@ impl KernelIr {
                 if self.reg_type(*cond) != Some(Type::Bool) {
                     return Err("sel condition must be bool".into());
                 }
-                let (ta, tb) = (self.operand_type(a)?, self.operand_type(b)?);
+                let (ta, tb) = (self.src_type(a)?, self.src_type(b)?);
                 if ta != tb || ta != d {
                     return Err(format!("sel type mismatch: {d} <- {ta}, {tb}"));
                 }
             }
             Instr::Cvt { dst, a } => {
-                let (d, s) = (self.dst_type(*dst)?, self.operand_type(a)?);
+                let (d, s) = (self.dst_type(*dst)?, self.src_type(a)?);
                 if d == Type::Bool || s == Type::Bool {
                     return Err("cvt does not apply to bool".into());
                 }
@@ -441,25 +446,25 @@ impl KernelIr {
                 if !d.addressable() {
                     return Err(format!("cannot load {d}"));
                 }
-                if self.operand_type(addr)? != Type::I64 {
+                if self.src_type(addr)? != Type::I64 {
                     return Err("load address must be i64".into());
                 }
             }
             Instr::St { addr, value, .. } => {
-                let v = self.operand_type(value)?;
+                let v = self.src_type(value)?;
                 if !v.addressable() {
                     return Err(format!("cannot store {v}"));
                 }
-                if self.operand_type(addr)? != Type::I64 {
+                if self.src_type(addr)? != Type::I64 {
                     return Err("store address must be i64".into());
                 }
             }
             Instr::Atomic { addr, value, dst, .. } => {
-                let v = self.operand_type(value)?;
+                let v = self.src_type(value)?;
                 if !v.addressable() {
                     return Err(format!("cannot atomically update {v}"));
                 }
-                if self.operand_type(addr)? != Type::I64 {
+                if self.src_type(addr)? != Type::I64 {
                     return Err("atomic address must be i64".into());
                 }
                 if let Some(d) = dst {

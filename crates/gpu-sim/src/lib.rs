@@ -27,9 +27,9 @@
 //! * [`pool`] + [`sched`] — per-launch scoped worker threads and block
 //!   schedulers distributing blocks over simulated compute units;
 //! * [`stream`] + [`event`] — asynchronous in-order queues and events;
-//! * [`counters`] + [`timing`] — performance counters and the analytic
-//!   timing model that produces *modeled* (deterministic, hardware-free)
-//!   execution times;
+//! * [`counters`] + [`timing`] — the launch counters
+//!   ([`counters::LaunchStats`]) and the analytic timing model that
+//!   produces *modeled* (deterministic, hardware-free) execution times;
 //! * [`trace`] + [`coalesce`] + [`cache`] + [`memhier`] — optional
 //!   per-warp memory-access tracing and the per-vendor coalescer →
 //!   L1 → L2 → DRAM models behind the trace-driven timing tier.
@@ -101,10 +101,10 @@ pub mod vexec;
 
 /// Common re-exports.
 pub mod prelude {
-    pub use crate::counters::{LaunchStats, StatsCell};
+    pub use crate::counters::LaunchStats;
     pub use crate::device::{
-        set_process_config, Device, DeviceAlloc, DeviceSpec, KernelArg, LaunchConfig,
-        ProgramCacheStats, SimConfig, TimingTier, TransferStats,
+        set_process_config, Device, DeviceAlloc, DeviceSpec, DeviceTotals, KernelArg, LaunchConfig,
+        ProgramCacheStats, SimConfig, TimingTier,
     };
     pub use crate::event::Event;
     pub use crate::fault::{LaunchFault, TransferFault};
@@ -121,8 +121,8 @@ pub mod prelude {
 }
 
 pub use device::{
-    set_process_config, Device, DeviceAlloc, DeviceSpec, ProgramCacheStats, SimConfig, TimingTier,
-    TransferStats,
+    set_process_config, Device, DeviceAlloc, DeviceSpec, DeviceTotals, ProgramCacheStats,
+    SimConfig, TimingTier,
 };
 pub use isa::{IsaKind, Module};
 pub use memhier::{MemHierSpec, MemStats};

@@ -23,7 +23,7 @@ use crate::device::DeviceSpec;
 use crate::memhier::MemStats;
 
 /// A modeled duration in seconds, with convenience accessors.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, PartialOrd)]
 pub struct ModeledTime {
     seconds: f64,
 }

@@ -12,8 +12,8 @@
 //! iterate `0..n` with no mask load at all, and branch splits/loop
 //! narrowings that keep every lane active stay on the fast path.
 //! Active-warp counts are carried on the mask and straight-line segments
-//! charge their pre-summed issue counts with two multiplications, into a
-//! [`LocalCounters`] flushed once at block exit.
+//! charge their pre-summed issue counts with two multiplications, into
+//! the block's [`LaunchStats`], which [`run_block_lv`] returns.
 //!
 //! **Affine forms.** An i32 or i64 slot may hold a form instead of lanes:
 //! lane `i` is `base + i·stride` (stride 0: uniform), like a GPU's
@@ -51,7 +51,7 @@
 //! needs per-access interleaving hooks that would un-vectorize these
 //! loops.
 
-use crate::counters::LocalCounters;
+use crate::counters::LaunchStats;
 use crate::exec::{bin_value, BlockCtx, SharedMem};
 use crate::ir::{AtomicOp, BinOp, CmpOp, Space, Special, Type, Value};
 use crate::lower::{LvNode, LvOp, LvProgram, LvSrc};
@@ -60,8 +60,9 @@ use crate::trace::{AccessKind, Affine, TraceScratch};
 use crate::{Result, SimError};
 use std::cell::Cell;
 
-/// Execute one thread block of `prog`.
-pub fn run_block_lv(ctx: &BlockCtx<'_>, prog: &LvProgram, args: &[Value]) -> Result<()> {
+/// Execute one thread block of `prog` and return what it counted (its
+/// `blocks` and `warps` are left to the device).
+pub fn run_block_lv(ctx: &BlockCtx<'_>, prog: &LvProgram, args: &[Value]) -> Result<LaunchStats> {
     let n = ctx.block_dim as usize;
     if args.len() != prog.params.len() {
         return Err(SimError::BadArguments(format!(
@@ -84,7 +85,7 @@ pub fn run_block_lv(ctx: &BlockCtx<'_>, prog: &LvProgram, args: &[Value]) -> Res
         i64f: Forms::new(prog.pools.i64s),
         bools: vec![false; prog.pools.bools as usize * n],
         shared: SharedMem::new(prog.shared_bytes),
-        local: LocalCounters::new(),
+        stats: LaunchStats::default(),
         tblock: ctx.trace.map(|s| s.begin_block(ctx.block_id)),
         atomic_run: AtomicRun::default(),
     };
@@ -100,12 +101,10 @@ pub fn run_block_lv(ctx: &BlockCtx<'_>, prog: &LvProgram, args: &[Value]) -> Res
     }
     let mask = MaskSet::full(n, v.w);
     v.run(&prog.body, &mask)?;
-    v.local.flush(ctx.counters);
-    ctx.counters.add_block(u64::from(ctx.block_dim.div_ceil(ctx.warp_width.max(1))));
     if let (Some(sink), Some(tb)) = (ctx.trace, v.tblock.take()) {
         sink.finish_block(tb);
     }
-    Ok(())
+    Ok(v.stats)
 }
 
 /// The set of active lanes, with its issue accounting precomputed.
@@ -527,7 +526,7 @@ struct VInterp<'a> {
     i64f: Forms,
     bools: Vec<bool>,
     shared: SharedMem,
-    local: LocalCounters,
+    stats: LaunchStats,
     /// Present when the launch is traced; global accesses are recorded
     /// here and flushed to the sink at block exit.
     tblock: Option<TraceScratch>,
@@ -659,8 +658,8 @@ impl<'a> VInterp<'a> {
                 LvNode::Straight { start, end, instrs, ariths } => {
                     // The whole segment's issue accounting, pre-summed at
                     // lowering time: two multiplications, no mask scans.
-                    self.local.warp_instructions += u64::from(*instrs) * mask.warps;
-                    self.local.warp_arith += u64::from(*ariths) * mask.warps;
+                    self.stats.warp_instructions += u64::from(*instrs) * mask.warps;
+                    self.stats.warp_arith += u64::from(*ariths) * mask.warps;
                     for op in &prog.ops[*start as usize..*end as usize] {
                         self.op(op, mask)?;
                     }
@@ -668,7 +667,7 @@ impl<'a> VInterp<'a> {
                 LvNode::If { cond, then_, else_ } => {
                     // The If itself issues once under the incoming mask,
                     // exactly like the reference interpreter's `step`.
-                    self.local.warp_instructions += mask.warps;
+                    self.stats.warp_instructions += mask.warps;
                     let (t, e) = self.split(*cond, mask);
                     if t.lanes > 0 {
                         self.run(then_, &t)?;
@@ -678,7 +677,7 @@ impl<'a> VInterp<'a> {
                     }
                 }
                 LvNode::While { cond_block, cond, body } => {
-                    self.local.warp_instructions += mask.warps;
+                    self.stats.warp_instructions += mask.warps;
                     let mut m = mask.clone();
                     let mut guard = 0u64;
                     loop {
@@ -997,7 +996,7 @@ impl<'a> VInterp<'a> {
                         )));
                     }
                 }
-                self.local.barriers += 1;
+                self.stats.barriers += 1;
             }
             LvOp::Trap { message } => {
                 return Err(SimError::Trap(format!("{}: {}", self.prog.name, message)));
@@ -1286,7 +1285,7 @@ impl<'a> VInterp<'a> {
             }
             Type::Bool => unreachable!("bool ld rejected by validation"),
         }?;
-        self.local.bytes_read += mask.lanes * size;
+        self.stats.bytes_read += mask.lanes * size;
         Ok(())
     }
 
@@ -1330,7 +1329,7 @@ impl<'a> VInterp<'a> {
             }
             Type::Bool => unreachable!("bool st rejected by validation"),
         }?;
-        self.local.bytes_written += mask.lanes * size;
+        self.stats.bytes_written += mask.lanes * size;
         Ok(())
     }
 
@@ -1346,7 +1345,7 @@ impl<'a> VInterp<'a> {
         mask: &MaskSet,
     ) -> Result<()> {
         let (am, bits) = (self.addrs(addr), mask.bits.as_deref());
-        self.local.atomics += mask.lanes;
+        self.stats.atomics += mask.lanes;
         if space == Space::Global {
             return self.global_atomic(op, ty, am, value, dst, bits);
         }

@@ -28,7 +28,8 @@
 //!   A success removes the count and so closes the breaker.
 //!
 //! The retry, backoff, breaker and attempt limits are constants;
-//! [`FailoverPolicy`] only switches failover on or off.
+//! [`FailoverPolicy`] only switches failover, breakers included, on or
+//! off.
 //!
 //! A device with no room for a job — the Service refuses it as
 //! [`SubmitError::QueueFull`] or cannot allocate its buffers — is load,
@@ -78,8 +79,8 @@ pub const MAX_ATTEMPTS: u32 = 12;
 #[derive(Debug, Clone, Copy)]
 pub struct FailoverPolicy {
     /// Master switch: `false` degrades the router to single-attempt
-    /// submission (faults still fire — this is the "measure the damage
-    /// without the safety net" mode).
+    /// submission with no breaker (faults still fire — this is the
+    /// "measure the damage without the safety net" mode).
     pub enabled: bool,
 }
 
@@ -90,10 +91,10 @@ impl Default for FailoverPolicy {
 }
 
 impl FailoverPolicy {
-    /// The no-safety-net policy: one attempt per job, no retries, no
-    /// failover. Breakers still count failures and open, and a later job
-    /// skips an open pair at admission as under the default policy, so a
-    /// job can still start, and finish degraded, on a worse-rated route.
+    /// The no-safety-net policy: one attempt per job, on the plan's first
+    /// route, with no retry, no failover and no breaker. A failure is
+    /// booked nowhere, so no pair is quarantined, no job is degraded and
+    /// every failed attempt loses its job.
     pub fn disabled() -> Self {
         Self { enabled: false }
     }
@@ -409,9 +410,11 @@ impl FailoverRouter {
         };
         // Admission-time quarantine skip: start from the first route whose
         // breaker is closed (fall back to the plan head if all are open).
-        let mut route_idx = {
+        let mut route_idx = if self.policy.enabled {
             let state = self.state.lock();
             plan.iter().position(|c| !state.is_open(c.name, job.vendor)).unwrap_or(0)
+        } else {
+            0
         };
         let max_attempts = if self.policy.enabled { MAX_ATTEMPTS } else { 1 };
         let mut tries_on_route = 0u32;
@@ -481,8 +484,10 @@ impl FailoverRouter {
                 Err(e) => e.to_string(),
             };
 
-            // Failure path.
-            self.state.lock().note_failure(route.name, job.vendor);
+            // Failure path: only a router that fails over keeps breakers.
+            if self.policy.enabled {
+                self.state.lock().note_failure(route.name, job.vendor);
+            }
             let mut backoff_us = 0.0;
             if self.policy.enabled && attempt + 1 < max_attempts {
                 if tries_on_route < MAX_RETRIES {

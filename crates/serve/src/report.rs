@@ -9,7 +9,6 @@ use crate::failover::FailoverStats;
 use crate::job::JobCompletion;
 use crate::service::{Service, ServiceCounts};
 use mcmm_core::taxonomy::Vendor;
-use mcmm_gpu_sim::{MemStats, TransferStats};
 use serde::Serialize;
 
 /// Percentile summary over per-job modeled latencies (microseconds).
@@ -169,34 +168,24 @@ impl ServeReport {
             .fold(mcmm_gpu_sim::ProgramCacheStats::default(), |acc, s| acc.merged(s));
         let latencies: Vec<f64> = completions.iter().map(|c| c.latency.seconds()).collect();
 
-        let clocks: Vec<(Vendor, f64, u64, String, TransferStats, Option<MemStats>)> = Vendor::ALL
+        let totals = Vendor::ALL.map(|v| (v, service.device(v).totals()));
+        let makespan = totals.iter().map(|(_, t)| t.clock.seconds()).fold(0.0f64, f64::max);
+        let devices = totals
             .into_iter()
-            .map(|v| {
-                let dev = service.device(v);
-                let mem = (dev.mem_launches() > 0).then(|| dev.mem_stats());
-                (
-                    v,
-                    dev.modeled_clock().seconds(),
-                    dev.launches(),
-                    dev.spec().name.to_string(),
-                    dev.transfer_stats(),
-                    mem,
-                )
-            })
-            .collect();
-        let makespan = clocks.iter().map(|c| c.1).fold(0.0f64, f64::max);
-        let devices = clocks
-            .into_iter()
-            .map(|(v, busy, launches, device, xfer, mem)| DeviceReport {
-                vendor: v.to_string(),
-                device,
-                launches,
-                busy_s: busy,
-                utilization: if makespan > 0.0 { busy / makespan } else { 0.0 },
-                h2d_bytes: xfer.h2d_bytes,
-                d2h_bytes: xfer.d2h_bytes,
-                l1_hit_rate: mem.map(|m| m.l1_hit_rate()),
-                l2_hit_rate: mem.map(|m| m.l2_hit_rate()),
+            .map(|(v, t)| {
+                let busy = t.clock.seconds();
+                let mem = (t.traced_launches > 0).then_some(t.mem);
+                DeviceReport {
+                    vendor: v.to_string(),
+                    device: service.device(v).spec().name.to_string(),
+                    launches: t.launches,
+                    busy_s: busy,
+                    utilization: if makespan > 0.0 { busy / makespan } else { 0.0 },
+                    h2d_bytes: t.h2d_bytes,
+                    d2h_bytes: t.d2h_bytes,
+                    l1_hit_rate: mem.map(|m| m.l1_hit_rate()),
+                    l2_hit_rate: mem.map(|m| m.l2_hit_rate()),
+                }
             })
             .collect();
 

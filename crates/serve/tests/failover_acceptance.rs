@@ -77,6 +77,8 @@ fn failover_off_same_seed_loses_jobs() {
     assert!(s.lost > 0, "without failover the outage must cost jobs: {s:?}");
     assert_eq!(s.retries, 0, "disabled policy must not retry: {s:?}");
     assert_eq!(s.failovers, 0, "disabled policy must not fail over: {s:?}");
+    assert!(s.quarantined.is_empty(), "disabled policy must keep no breaker: {s:?}");
+    assert_eq!(s.degraded, 0, "every job starts on its plan's first route: {s:?}");
     assert_eq!(
         outcome.outputs.iter().filter(|o| o.is_none()).count() as u64,
         s.lost,

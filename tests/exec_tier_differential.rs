@@ -12,7 +12,7 @@
 use many_models::babelstream::adapters::stream_kernels;
 use many_models::babelstream::runner::{sweep, unsupported_count, verified_count};
 use many_models::babelstream::{START_A, START_B, START_C};
-use many_models::gpu_sim::counters::{Counters, LaunchStats};
+use many_models::gpu_sim::counters::LaunchStats;
 use many_models::gpu_sim::device::{Device, KernelArg, LaunchConfig};
 use many_models::gpu_sim::exec::BlockCtx;
 use many_models::gpu_sim::ir::{
@@ -342,31 +342,25 @@ fn tiers_agree_on_analyzer_corpus() {
         let prog = lower(kernel);
         let run_engine = |vectorized: bool| {
             let mem = GlobalMemory::new(1 << 16);
-            let counters = Counters::new();
             let ctx = BlockCtx {
                 kernel,
                 global: &mem,
-                counters: &counters,
                 block_id: 0,
                 grid_dim: entry.opts.grid_dim,
                 block_dim: entry.opts.block_dim,
                 warp_width: entry.opts.warp_width,
                 trace: None,
             };
-            let res =
-                if vectorized { run_block_lv(&ctx, &prog, &[]) } else { run_block(&ctx, &[]) };
-            (res, counters.snapshot())
+            if vectorized {
+                run_block_lv(&ctx, &prog, &[])
+            } else {
+                run_block(&ctx, &[])
+            }
         };
-        let (ref_res, ref_stats) = run_engine(false);
-        let (vec_res, vec_stats) = run_engine(true);
+        // A block that succeeds returns its counters, so this compares
+        // outcomes and, when both succeed, counter totals.
+        let (ref_res, vec_res) = (run_engine(false), run_engine(true));
         assert_eq!(ref_res, vec_res, "engines disagree on corpus kernel `{}`", kernel.name);
-        if ref_res.is_ok() {
-            assert_eq!(
-                ref_stats, vec_stats,
-                "engine counters disagree on corpus kernel `{}`",
-                kernel.name
-            );
-        }
     }
 }
 

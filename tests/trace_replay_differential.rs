@@ -198,7 +198,7 @@ fn mixed_kernel() -> KernelIr {
 /// Per-worker scratch reuse (trace arenas, L1 caches, coalescer
 /// buffers) must never leak state between launches: every repeat launch
 /// on one device replays to exactly the stats of the first, which equal
-/// a fresh device's — and the cumulative cell merges them all.
+/// a fresh device's — and the device's totals merge them all.
 #[test]
 fn scratch_reuse_never_leaks_across_launches() {
     let kernel = mixed_kernel();
@@ -214,8 +214,8 @@ fn scratch_reuse_never_leaks_across_launches() {
         assert_eq!(mem, fresh, "recycled scratch changed replay stats on round {round}");
         merged = merged.merged(mem);
     }
-    assert_eq!(dev.mem_launches(), 5);
-    assert_eq!(dev.mem_stats(), merged);
+    let totals = dev.totals();
+    assert_eq!((totals.traced_launches, totals.mem), (5, merged));
 }
 
 /// A launch that dies mid-flight abandons its trace without consuming
